@@ -11,11 +11,10 @@ from .decomposition import (
     connected_sum,
     decompose,
     find_essential_sphere,
-    simplify,
 )
 from .homology import homology
 from .normal import matching_system, weight
-from .pl_area import canonical_placement, pl_area, verify_diameter_bound
+from .pl_area import pl_area, verify_diameter_bound
 from .projection import (
     ProjectionConfig,
     TriangulatedPatch,
@@ -44,7 +43,6 @@ __all__ = [
     "TriangulatedPatch",
     "Triangulation",
     "bad_set_volume",
-    "canonical_placement",
     "certify_weakly_irreducible",
     "collapse_extract",
     "connected_sum",
@@ -62,7 +60,6 @@ __all__ = [
     "quasimetric",
     "radial_project",
     "reconstruct",
-    "simplify",
     "skeleton",
     "support_metrics",
     "validate",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import corpus
 from .decomposition import decompose
-from .errors import BudgetExceeded, KneserError, ParseError
+from .errors import BudgetExceeded, KneserError
 from .fileio import format_patch, format_tri, parse_patch, parse_tri
 from .pl_area import LENGTH_MODEL, pl_area, verify_diameter_bound
 from .projection import (
@@ -45,18 +45,26 @@ class CommandResult:
     diagnostics: str = ""
 
 
+def _load(path: str, parse, what: str):
+    """The parsed contents of the file at `path`, or the exit-2 result
+    saying why it could not be read or parsed as a `what`."""
+    try:
+        return parse(Path(path).read_text())
+    except OSError as exc:
+        return CommandResult(2, None, f"cannot read {path}: {exc}")
+    except (KneserError, ValueError) as exc:
+        return CommandResult(2, None, f"bad {what}: {exc}")
+
+
 def cmd_decompose(
     path: str,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     oracle_check: bool = False,
 ) -> CommandResult:
-    try:
-        tri = parse_tri(Path(path).read_text())
-    except OSError as exc:
-        return CommandResult(2, None, f"cannot read {path}: {exc}")
-    except (ParseError, KneserError, ValueError) as exc:
-        return CommandResult(2, None, f"bad triangulation: {exc}")
+    tri = _load(path, parse_tri, "triangulation")
+    if isinstance(tri, CommandResult):
+        return tri
     try:
         report = decompose(tri, budget=budget, oracle_check=oracle_check)
     except BudgetExceeded as exc:
@@ -79,12 +87,9 @@ def cmd_enumerate(
     verify_diam: bool = False,
     dump_path: str | None = None,
 ) -> CommandResult:
-    try:
-        tri = parse_tri(Path(path).read_text())
-    except OSError as exc:
-        return CommandResult(2, None, f"cannot read {path}: {exc}")
-    except (ParseError, KneserError, ValueError) as exc:
-        return CommandResult(2, None, f"bad triangulation: {exc}")
+    tri = _load(path, parse_tri, "triangulation")
+    if isinstance(tri, CommandResult):
+        return tri
     try:
         solutions = enumerate_vertex_solutions(tri, budget)
     except BudgetExceeded as exc:
@@ -146,12 +151,9 @@ def cmd_montecarlo(
     sweep: str | None = None,
     csv_path: str | None = None,
 ) -> CommandResult:
-    try:
-        triangles = parse_patch(Path(path).read_text())
-    except OSError as exc:
-        return CommandResult(2, None, f"cannot read {path}: {exc}")
-    except (ParseError, ValueError) as exc:
-        return CommandResult(2, None, f"bad patch: {exc}")
+    triangles = _load(path, parse_patch, "patch")
+    if isinstance(triangles, CommandResult):
+        return triangles
     try:
         patch = TriangulatedPatch(triangles)
         config = ProjectionConfig(samples=samples, seed=seed)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InconsistentLabels
+from .triangulation import _UnionFind
 
 Triangle = tuple[int, int, int]
 
@@ -105,24 +106,15 @@ def collapse_extract(
     # triangles under adjacency across surviving edges.  The listed order
     # only orders the homotopy equivalences; the quotient is order-free.
     live = [i for i, img in enumerate(image) if img is not None]
-    comp = {i: i for i in live}
-
-    def cfind(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
+    comp = _UnionFind(len(triangles))
     for inc in edges.values():
         (a, _), (b, _) = inc
         if image[a] is not None and image[b] is not None:
-            ra, rb = cfind(a), cfind(b)
-            if ra != rb:
-                comp[ra] = rb
+            comp.union(a, b, False)
 
     groups: dict[int, list[int]] = {}
     for i in live:
-        groups.setdefault(cfind(i), []).append(i)
+        groups.setdefault(comp.find(i)[0], []).append(i)
     return [
         BouquetGenerator(triangles=tuple(sorted(g)))
         for g in sorted(groups.values(), key=min)

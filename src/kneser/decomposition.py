@@ -10,7 +10,10 @@ at most t0 times on an input with t0 tetrahedra.
 A sphere bounding a ball may well be selected; crushing it is harmless and
 still makes progress.  Crushing can also silently discard summands in
 degenerate situations; the homology ledger in the report makes any such
-loss visible instead of hiding it.
+loss visible instead of hiding it.  H_1 of a connected sum is the direct
+sum of the summands' H_1, and crushing may split or regroup its factors, so
+the ledger (like the crush oracle) compares direct sums: total rank and the
+multiset of prime-power torsion factors.
 """
 from __future__ import annotations
 
@@ -68,20 +71,37 @@ class PieceRecord:
 
 @dataclass(frozen=True)
 class HomologyLedger:
-    """H_1 bookkeeping: input components vs output pieces, compared as
-    multisets after dropping trivial entries."""
+    """H_1 bookkeeping: input components vs output pieces, balanced when
+    their direct sums are isomorphic."""
 
     input_h1: tuple[AbelianInvariants, ...]
     pieces_h1: tuple[AbelianInvariants, ...]
 
     @property
     def balanced(self) -> bool:
-        def reduced(groups):
-            return sorted(
-                (g.rank, g.torsion) for g in groups if not g.trivial
-            )
+        return _direct_sum(self.input_h1) == _direct_sum(self.pieces_h1)
 
-        return reduced(self.input_h1) == reduced(self.pieces_h1)
+
+def _prime_powers(d: int) -> list[int]:
+    """The prime-power factors of d, so that Z/d is their direct sum."""
+    out = []
+    p = 2
+    while d > 1:
+        if d % p == 0:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            out.append(q)
+        p += 1
+    return out
+
+
+def _direct_sum(groups) -> tuple[int, list[int]]:
+    """Rank and sorted prime-power torsion factors of the direct sum of
+    `groups`; two direct sums are isomorphic iff these agree."""
+    factors = [q for g in groups for d in g.torsion for q in _prime_powers(d)]
+    return sum(g.rank for g in groups), sorted(factors)
 
 
 @dataclass(frozen=True)
@@ -145,7 +165,7 @@ def certify_weakly_irreducible(
 
 
 def _least_candidate(
-    tri: Triangulation, candidates: list[NormalCoordinates]
+    tri: Triangulation, candidates: tuple[NormalCoordinates, ...]
 ) -> tuple[NormalCoordinates, PLArea]:
     best = None
     best_area = None
@@ -163,17 +183,10 @@ def find_essential_sphere(
 ) -> tuple[NormalCoordinates, PLArea] | None:
     """Least-PL-area connected non-vertex-linking vertex normal sphere,
     ties broken by the coordinate vector; None if the piece is certified."""
-    solutions = enumerate_vertex_solutions(tri, budget)
-    candidates = sphere_witnesses(tri, solutions)
-    if not candidates:
+    cert = certify_weakly_irreducible(tri, budget)
+    if cert.certified:
         return None
-    return _least_candidate(tri, candidates)
-
-
-def _h1_multiset(pieces) -> list[tuple]:
-    return sorted(
-        (h.rank, h.torsion) for h in pieces if not h.trivial
-    )
+    return _least_candidate(tri, cert.witnesses)
 
 
 def decompose(
@@ -183,8 +196,8 @@ def decompose(
 ) -> DecompositionReport:
     """Worklist loop: certify, else crush the least essential sphere.
 
-    With oracle_check, every crush is audited against cut_and_cap: the two
-    H_1 multisets must agree up to trivial entries."""
+    With oracle_check, every crush is audited against cut_and_cap: the
+    direct sums of the two sets of pieces' H_1 must be isomorphic."""
     t0 = tri.size
     components = split_components(tri)
     input_h1 = tuple(homology(c, 1) for c in components)
@@ -198,15 +211,9 @@ def decompose(
 
     while worklist:
         piece = worklist.popleft()
-        solutions = enumerate_vertex_solutions(piece, budget)
+        cert = certify_weakly_irreducible(piece, budget)
         enumerations += 1
-        witnesses = sphere_witnesses(piece, solutions)
-        if not witnesses:
-            cert = Certificate(
-                kind="CertifiedWeaklyIrreducible",
-                inspected=len(solutions),
-                witnesses=(),
-            )
+        if cert.certified:
             pieces.append(
                 PieceRecord(
                     triangulation=piece,
@@ -215,17 +222,13 @@ def decompose(
                 )
             )
             continue
-        coords, area = _least_candidate(piece, witnesses)
+        coords, area = _least_candidate(piece, cert.witnesses)
         check = verify_diameter_bound(piece, coords)
-        support = {
-            i for i in range(piece.size)
-            if any(coords[7 * i + k] for k in range(7))
-        }
         spheres.append(
             SphereRecord(
                 coordinates=coords,
                 area=area,
-                support_size=len(support),
+                support_size=check.support_size,
                 diameter=check.diameter,
                 diameter_bound_ok=check.passed,
             )
@@ -239,7 +242,7 @@ def decompose(
         if oracle_check:
             reference = cut_and_cap(piece, coords)
             oracle_checked += 1
-            if _h1_multiset([homology(p, 1) for p in parts]) != _h1_multiset(
+            if _direct_sum([homology(p, 1) for p in parts]) != _direct_sum(
                 [homology(p, 1) for p in reference]
             ):
                 oracle_agreed = False
@@ -352,127 +355,3 @@ def connected_sum(a: Triangulation, b: Triangulation) -> Triangulation:
     assert out.size == a.size + b.size - 2
     return out
 
-
-def _three_two_walk(tri: Triangulation, orbit: tuple) -> list | None:
-    """Walk around a degree-3 edge; [(tet, x, y, in_v, out_v)] per tet or
-    None when the move is not applicable (repeated tetrahedra)."""
-    from .triangulation import EDGE_VERTICES
-
-    tet0, e0 = orbit[0]
-    x, y = EDGE_VERTICES[e0]
-    others = [v for v in range(4) if v not in (x, y)]
-    out_v = others[0]
-    in_v = others[1]
-    steps = []
-    tet, cx, cy, cin, cout = tet0, x, y, in_v, out_v
-    for _ in range(3):
-        steps.append((tet, cx, cy, cin, cout))
-        g = tri.gluings[tet][cout]
-        assert g is not None
-        ntet = g.tet
-        nx, ny = g.perm[cx], g.perm[cy]
-        nin = g.face  # vertex opposite the entered face
-        nout = ({0, 1, 2, 3} - {nx, ny, nin}).pop()
-        tet, cx, cy, cin, cout = ntet, nx, ny, nin, nout
-    if (tet, cx, cy) != (tet0, x, y):
-        return None  # edge class is twisted; not a cyclic bipyramid
-    if len({s[0] for s in steps}) != 3:
-        return None
-    return steps
-
-
-def _apply_three_two(tri: Triangulation, steps: list) -> Triangulation | None:
-    """Replace the three tets around the edge by two; None if the resulting
-    table fails validation."""
-    star = [s[0] for s in steps]
-    # equator class j is shared by in-vertex of tet j and out-vertex of
-    # tet j+1; new tets: P (apex x) and Q (apex y), locals 0=apex, 1..3=E_j
-    maps = []
-    for j, (tet, cx, cy, cin, cout) in enumerate(steps):
-        to_q = [0, 0, 0, 0]
-        to_p = [0, 0, 0, 0]
-        e_in = 1 + j
-        e_out = 1 + ((j - 1) % 3)
-        e_missing = 1 + ((j + 1) % 3)
-        to_q[cy] = 0
-        to_q[cin] = e_in
-        to_q[cout] = e_out
-        to_q[cx] = e_missing
-        to_p[cx] = 0
-        to_p[cin] = e_in
-        to_p[cout] = e_out
-        to_p[cy] = e_missing
-        maps.append((tet, cx, cy, tuple(to_p), tuple(to_q)))
-
-    keep = [i for i in range(tri.size) if i not in star]
-    index = {old: new for new, old in enumerate(keep)}
-    p_idx = len(keep)
-    q_idx = len(keep) + 1
-
-    # outer slot (tet, face) -> (new tet, full vertex map old-local -> new-local)
-    slot_map = {}
-    for tet, cx, cy, to_p, to_q in maps:
-        slot_map[(tet, cx)] = (q_idx, to_q)
-        slot_map[(tet, cy)] = (p_idx, to_p)
-
-    rows: list[list] = [[None] * 4 for _ in range(len(keep) + 2)]
-    for old in keep:
-        for f in range(4):
-            g = tri.gluings[old][f]
-            assert g is not None
-            if g.tet in index:
-                rows[index[old]][f] = (index[g.tet], g.face, g.perm)
-            else:
-                target = slot_map.get((g.tet, g.face))
-                if target is None:
-                    return None  # glued into an interior face of the star
-                w, m = target
-                rows[index[old]][f] = (w, m[g.face], perm_compose(m, g.perm))
-
-    rows[p_idx][0] = (q_idx, 0, (0, 1, 2, 3))
-    rows[q_idx][0] = (p_idx, 0, (0, 1, 2, 3))
-    for tet, cx, cy, to_p, to_q in maps:
-        for apex_face, m, new_tet in ((cx, to_q, q_idx), (cy, to_p, p_idx)):
-            g = tri.gluings[tet][apex_face]
-            assert g is not None
-            minv = perm_inverse(m)
-            if g.tet in index:
-                rows[new_tet][m[apex_face]] = (
-                    index[g.tet], g.face, perm_compose(g.perm, minv)
-                )
-            else:
-                target = slot_map.get((g.tet, g.face))
-                if target is None:
-                    return None
-                w, m2 = target
-                rows[new_tet][m[apex_face]] = (
-                    w,
-                    m2[g.face],
-                    perm_compose(m2, perm_compose(g.perm, minv)),
-                )
-    try:
-        return validate(rows, require_closed=tri.closed, require_orientable=True)
-    except Exception:
-        return None
-
-
-def simplify(tri: Triangulation) -> Triangulation:
-    """Greedy 3-2 moves (collapse the star of a degree-3 edge to two tets)
-    until none applies; preserves the homeomorphism type."""
-    current = tri
-    progress = True
-    while progress:
-        progress = False
-        sk = skeleton(current)
-        for orbit in sk.edge_orbits:
-            if len(orbit) != 3:
-                continue
-            steps = _three_two_walk(current, orbit)
-            if steps is None:
-                continue
-            result = _apply_three_two(current, steps)
-            if result is not None:
-                current = result
-                progress = True
-                break
-    return current

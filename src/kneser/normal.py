@@ -12,6 +12,7 @@ type separating {x, y} from {v, w}.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import InconsistentCrossings, NotClosed
@@ -84,13 +85,16 @@ def require_closed(tri: Triangulation) -> None:
     raise NotClosed(0, 0, "not a closed 3-manifold")
 
 
-def matching_system(tri: Triangulation) -> list[list[int]]:
+@lru_cache(maxsize=256)
+def matching_system(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
     """Integer matrix of the matching equations: 3 rows per face orbit,
     7t columns.  Row (F, v) equates the arc counts of type (F, corner v)
-    seen from the two sides of the face orbit F."""
+    seen from the two sides of the face orbit F.
+
+    Cached per triangulation and shared by every caller, hence immutable."""
     require_closed(tri)
     sk = skeleton(tri)
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     n = 7 * tri.size
     for orbit in sk.face_orbits:
         i, f = orbit[0]
@@ -106,8 +110,8 @@ def matching_system(tri: Triangulation) -> list[list[int]]:
             others2 = [g.perm[x] for x in others]
             row[tri_index(j, w)] -= 1
             row[quad_index(j, quad_type_separating(*others2))] -= 1
-            rows.append(row)
-    return rows
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 def satisfies_matching(tri: Triangulation, coords: Sequence[int]) -> bool:

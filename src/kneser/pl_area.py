@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import EmptySurface
 from .normal import weight as coordinate_weight
 from .reconstruct import DiskComplex, build_complex
-from .triangulation import Triangulation, skeleton, support_metrics
+from .triangulation import Triangulation, support_metrics
 
 LENGTH_TOLERANCE = 1e-9
 SPACING = 1.0
@@ -109,36 +109,6 @@ def normal_arc_length(n: int, m1: int, m2: int, h: float = SPACING) -> float:
     return corner_arc_length(_arc_offsets(n, m1, h), _arc_offsets(n, m2, h))
 
 
-@dataclass(frozen=True)
-class ArcPlacement:
-    """Canonical crossing positions and the arcs they support.
-
-    positions[e] lists the m_e signed arclengths along edge orbit e
-    (symmetric about the midpoint); arcs[f] lists, for face orbit f, each
-    arc as a pair of (edge orbit, 1-based slot) endpoints.
-    """
-
-    positions: tuple[tuple[float, ...], ...]
-    arcs: tuple[tuple[tuple[tuple[int, int], tuple[int, int]], ...], ...]
-
-
-def canonical_placement(tri: Triangulation, coords) -> ArcPlacement:
-    complex_ = build_complex(tri, coords)
-    sk = skeleton(tri)
-    positions = tuple(
-        tuple(_arc_offsets(k, m) for k in range(1, m + 1))
-        for m in complex_.weights_per_edge
-    )
-    per_face: list[list] = [[] for _ in range(sk.face_count)]
-    for aid, data in sorted(complex_.arcs.items()):
-        face_orbit = aid[0]
-        per_face[face_orbit].append(data.endpoints)
-    return ArcPlacement(
-        positions=positions,
-        arcs=tuple(tuple(entries) for entries in per_face),
-    )
-
-
 def surface_length(complex_: DiskComplex) -> float:
     """Sum over disks of their boundary arc lengths (each geometric arc lies
     in one face and borders two disks, so is counted twice)."""
@@ -168,6 +138,7 @@ def pl_area(tri: Triangulation, coords) -> PLArea:
 
 @dataclass(frozen=True)
 class DiameterCheck:
+    support_size: int
     diameter: int
     weight: int
     passed: bool
@@ -181,6 +152,7 @@ def verify_diameter_bound(tri: Triangulation, coords) -> DiameterCheck:
     metrics = support_metrics(tri, support)
     wt = coordinate_weight(tri, coords)
     return DiameterCheck(
+        support_size=metrics.size,
         diameter=metrics.diameter,
         weight=wt,
         passed=metrics.diameter <= wt * wt,

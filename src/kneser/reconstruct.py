@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptySurface
 from .normal import (
     NormalCoordinates,
     QUAD_PAIRS,
@@ -32,6 +31,7 @@ from .triangulation import (
     EDGE_INDEX,
     FACE_VERTICES,
     Triangulation,
+    _UnionFind,
     skeleton,
 )
 
@@ -63,8 +63,10 @@ class ArcData:
 
 @dataclass(frozen=True)
 class DiskComplex:
-    """The full cell complex of a normal coordinate vector."""
+    """The full cell complex of a normal coordinate vector, together with
+    that vector as validated by `build_complex`."""
 
+    coordinates: NormalCoordinates
     disks: tuple[DiskId, ...]
     boundaries: dict  # DiskId -> tuple[ArcUse, ...] in cycle order
     arcs: dict        # ArcId -> ArcData
@@ -260,6 +262,7 @@ def build_complex(tri: Triangulation, coords) -> DiskComplex:
                 record((tet, "quad", qtype, c), cycle)
 
     return DiskComplex(
+        coordinates=coords,
         disks=tuple(disks),
         boundaries=boundaries,
         arcs=arcs,
@@ -284,27 +287,17 @@ def reconstruct(tri: Triangulation, coords) -> ReconstructedSurface:
     and the vertex-linking flag; cross-check cell counts against the
     coordinate formula."""
     complex_ = build_complex(tri, coords)
-    coords = check_coordinates(tri, coords)
+    coords = complex_.coordinates
     incidences = _arc_direction_checks(complex_)
 
     ndisks = len(complex_.disks)
-    parent = list(range(ndisks))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(ndisks)
     for inc in incidences.values():
-        a = find(inc[0][0])
-        b = find(inc[1][0])
-        if a != b:
-            parent[a] = b
+        uf.union(inc[0][0], inc[1][0], False)
 
     groups: dict[int, list[int]] = {}
     for di in range(ndisks):
-        groups.setdefault(find(di), []).append(di)
+        groups.setdefault(uf.find(di)[0], []).append(di)
     ordered = sorted(groups.values(), key=lambda g: complex_.disks[g[0]])
 
     # orientability: 2-color disks so adjacent disks traverse each shared
@@ -373,10 +366,10 @@ def reconstruct(tri: Triangulation, coords) -> ReconstructedSurface:
         "cell-count Euler characteristic disagrees with the coordinate formula"
     )
     split = [sum(c.coordinates[i] for c in components) for i in range(7 * tri.size)]
-    assert tuple(split) == tuple(coords)
+    assert tuple(split) == coords
 
     return ReconstructedSurface(
-        coordinates=tuple(coords),
+        coordinates=coords,
         components=tuple(components),
         vertex_count=vtotal,
         arc_count=etotal,
@@ -384,12 +377,3 @@ def reconstruct(tri: Triangulation, coords) -> ReconstructedSurface:
         euler_characteristic=total_chi,
     )
 
-
-def connected_sphere(surface: ReconstructedSurface) -> bool:
-    """Connected, Euler characteristic 2 (hence an embedded 2-sphere)."""
-    return surface.connected and surface.euler_characteristic == 2
-
-
-def nonzero(coords) -> None:
-    if not any(coords):
-        raise EmptySurface("coordinate vector is zero")

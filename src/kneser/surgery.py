@@ -24,7 +24,6 @@ from .errors import InvalidAfterCrush, KneserError, VertexLinkingRejected
 from .normal import (
     QUAD_PAIRS,
     arc_count,
-    check_coordinates,
     quad_index,
     tri_index,
 )
@@ -35,6 +34,7 @@ from .triangulation import (
     FACE_VERTICES,
     Perm,
     Triangulation,
+    _UnionFind,
     perm_compose,
     skeleton,
     split_components,
@@ -75,8 +75,8 @@ def crush(tri: Triangulation, coords) -> list[Triangulation]:
     wedges, validates the result as closed and orientable, and returns its
     connected components.
     """
-    coords = check_coordinates(tri, coords)
     surface = reconstruct(tri, coords)
+    coords = surface.coordinates
     if not (surface.connected and surface.euler_characteristic == 2):
         raise ValueError("crush requires a connected normal 2-sphere")
     if surface.vertex_linking:
@@ -336,8 +336,8 @@ def _edge_weight_local(sk, weights, tet: int, e: int) -> int:
 def cut_complex(tri: Triangulation, coords) -> Triangulation:
     """The cut-open manifold: every complementary cell coned from an apex,
     with the two sides of each normal disk left as boundary faces."""
-    coords = check_coordinates(tri, coords)
     complex_ = build_complex(tri, coords)
+    coords = complex_.coordinates
     weights = list(complex_.weights_per_edge)
     sk = skeleton(tri)
 
@@ -513,39 +513,27 @@ def cap_boundary(tri: Triangulation) -> Triangulation:
 
     # boundary components and their Euler characteristics
     slot_index = {s: n for n, s in enumerate(slots)}
-    parent = list(range(len(slots)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    corner_parent: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-
-    def cfind(x):
-        while corner_parent.setdefault(x, x) != x:
-            corner_parent[x] = corner_parent[corner_parent[x]]
-            x = corner_parent[x]
-        return x
-
+    corner_index: dict[tuple[int, int, int], int] = {}
+    for i, f in slots:
+        for w in FACE_VERTICES[f]:
+            corner_index[(i, f, w)] = len(corner_index)
+    face_classes = _UnionFind(len(slot_index))
+    corner_classes = _UnionFind(len(corner_index))
     for (i, f, u, v), (i2, f2, u2, v2) in neighbors.items():
-        a, b = find(slot_index[(i, f)]), find(slot_index[(i2, f2)])
-        if a != b:
-            parent[a] = b
+        face_classes.union(slot_index[(i, f)], slot_index[(i2, f2)], False)
         for x, y in (((i, f, u), (i2, f2, u2)), ((i, f, v), (i2, f2, v2))):
-            rx, ry = cfind(x), cfind(y)
-            if rx != ry:
-                corner_parent[rx] = ry
+            corner_classes.union(corner_index[x], corner_index[y], False)
 
     groups: dict[int, list[tuple[int, int]]] = {}
     for s in slots:
-        groups.setdefault(find(slot_index[s]), []).append(s)
+        groups.setdefault(face_classes.find(slot_index[s])[0], []).append(s)
     for comp in groups.values():
         f_count = len(comp)
         e_count = 3 * f_count // 2
         corners = {
-            cfind((i, f, w)) for i, f in comp for w in FACE_VERTICES[f]
+            corner_classes.find(corner_index[(i, f, w)])[0]
+            for i, f in comp
+            for w in FACE_VERTICES[f]
         }
         chi = len(corners) - e_count + f_count
         assert chi == 2, f"boundary component has Euler characteristic {chi}"

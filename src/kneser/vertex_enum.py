@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 from .errors import BudgetExceeded
 from .normal import NormalCoordinates, matching_system, quad_index, require_closed
@@ -54,7 +55,7 @@ def _reduce(vec: list[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def rank_of_columns(rows: list[list[int]], cols: list[int]) -> int:
+def rank_of_columns(rows: Sequence[Sequence[int]], cols: list[int]) -> int:
     """Exact rank of the submatrix of `rows` on the given columns."""
     m = [[Fraction(r[c]) for c in cols] for r in rows if any(r[c] for c in cols)]
     rank = 0
@@ -82,7 +83,7 @@ def rank_of_columns(rows: list[list[int]], cols: list[int]) -> int:
     return rank
 
 
-def is_vertex_ray(matching: list[list[int]], vec: tuple[int, ...]) -> bool:
+def is_vertex_ray(matching: Sequence[Sequence[int]], vec: tuple[int, ...]) -> bool:
     """True iff {x : Mx = 0, x zero outside supp(vec)} is 1-dimensional."""
     cols = [i for i, x in enumerate(vec) if x]
     if not cols:

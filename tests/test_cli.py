@@ -91,6 +91,29 @@ class TestDecomposeCommand:
         assert result.payload is None
 
 
+@pytest.mark.parametrize(
+    "command, suffix, what",
+    [
+        ("decompose", ".tri", "triangulation"),
+        ("enumerate", ".tri", "triangulation"),
+        ("montecarlo", ".patch", "patch"),
+    ],
+)
+class TestUnreadableInput:
+    def test_missing_file_exits_two(self, tmp_path, command, suffix, what):
+        path = tmp_path / f"missing{suffix}"
+        result = run([command, str(path)])
+        assert (result.exit_code, result.payload) == (2, None)
+        assert result.diagnostics.startswith(f"cannot read {path}: ")
+
+    def test_malformed_file_exits_two(self, tmp_path, command, suffix, what):
+        path = tmp_path / f"bad{suffix}"
+        path.write_text("not an input file\n")
+        result = run([command, str(path)])
+        assert (result.exit_code, result.payload) == (2, None)
+        assert result.diagnostics.startswith(f"bad {what}: ")
+
+
 class TestEnumerateCommand:
     def test_bd4_flags(self, corpus_dir, tmp_path):
         dump = tmp_path / "surfaces.dump"

@@ -2,18 +2,17 @@ import pytest
 
 from kneser import corpus
 from kneser.decomposition import (
+    HomologyLedger,
     certify_weakly_irreducible,
     connected_sum,
     decompose,
     find_essential_sphere,
-    simplify,
     sphere_witnesses,
 )
 from kneser.errors import BudgetExceeded
-from kneser.homology import homology
+from kneser.homology import AbelianInvariants, homology
 from kneser.pl_area import pl_area
 from kneser.reconstruct import reconstruct
-from kneser.triangulation import skeleton
 from kneser.vertex_enum import enumerate_vertex_solutions
 from oracles import brute_force_solutions, sympy_homology
 
@@ -194,22 +193,31 @@ class TestDecompose:
             assert s.support_size >= 1
 
 
-class TestSimplify:
-    def test_bd4_shrinks(self, bd4):
-        out = simplify(bd4)
-        assert out.size <= 4
-        assert homology(out, 1).trivial
-        assert out.closed and out.orientable
+def _z(*torsion: int, rank: int = 0) -> AbelianInvariants:
+    return AbelianInvariants(rank=rank, torsion=torsion)
 
-    def test_no_degree_three_edge_unchanged(self):
-        rp3 = corpus.rp3_octahedral()
-        sk = skeleton(rp3)
-        if all(d != 3 for d in sk.edge_degrees):
-            assert simplify(rp3) is rp3
 
-    def test_homology_preserved_on_corpus(self, closed_corpus):
-        for name, tri in closed_corpus.items():
-            out = simplify(tri)
-            assert out.size <= tri.size
-            for k in (0, 1, 2):
-                assert homology(out, k) == homology(tri, k), (name, k)
+class TestHomologyLedger:
+    """H_1 of a connected sum is the direct sum of the summands' H_1, so
+    the ledger compares direct sums, not groups one by one."""
+
+    @pytest.mark.parametrize(
+        "input_h1, pieces_h1, balanced",
+        [
+            ((_z(2, 2),), (_z(2), _z(2)), True),
+            ((_z(6),), (_z(2), _z(3)), True),
+            ((_z(rank=1),), (_z(), _z(rank=1)), True),
+            ((_z(4),), (_z(2), _z(2)), False),
+            ((_z(3),), (), False),
+            ((_z(rank=1),), (_z(),), False),
+        ],
+    )
+    def test_direct_sums(self, input_h1, pieces_h1, balanced):
+        ledger = HomologyLedger(input_h1=input_h1, pieces_h1=pieces_h1)
+        assert ledger.balanced is balanced
+
+    def test_summand_losses_still_reported(self):
+        l31 = decompose(corpus.l31_two_tet(), oracle_check=True)
+        assert not l31.ledger.balanced
+        assert not l31.oracle.agreed
+        assert not decompose(corpus.s2xs1_two_tet()).ledger.balanced

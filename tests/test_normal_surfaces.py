@@ -1,5 +1,6 @@
 import pytest
 
+from kneser import vertex_enum
 from kneser.errors import BudgetExceeded, NotClosed
 from kneser.normal import (
     check_coordinates,
@@ -35,6 +36,40 @@ class TestMatchingSystem:
         open_tri = validate([[None] * 4], require_closed=False)
         with pytest.raises(NotClosed):
             matching_system(open_tri)
+
+    def test_cached_value_is_shared_and_immutable(self, bd4):
+        first = matching_system(bd4)
+        assert matching_system(bd4) is first
+        assert isinstance(first, tuple)
+        assert all(isinstance(row, tuple) for row in first)
+
+    def test_cache_leaves_answers_unchanged(self, closed_corpus, monkeypatch):
+        """Vertex solution counts as pinned before the cache existed, the
+        same solutions from a matrix rebuilt on every call, and the same
+        matching verdicts as a direct evaluation of the rebuilt matrix."""
+        counts = {
+            "s3_one_tet": 3, "s3_two_tet": 7, "rp3_two_tet": 5,
+            "l31_two_tet": 5, "s2xs1_two_tet": 4, "bd4_simplex": 15,
+            "rp3_octahedral": 27, "sum_bd4_bd4": 30, "sum_bd4_rp3": 60,
+            "sum_s3_rp3": 27,
+        }
+        assert set(counts) == set(closed_corpus)
+        uncached = matching_system.__wrapped__
+        cached = {n: enumerate_vertex_solutions(t) for n, t in closed_corpus.items()}
+        with monkeypatch.context() as m:
+            m.setattr(vertex_enum, "matching_system", uncached)
+            rebuilt = {n: enumerate_vertex_solutions(t) for n, t in closed_corpus.items()}
+        assert cached == rebuilt
+        for name, tri in closed_corpus.items():
+            assert len(cached[name]) == counts[name], name
+            n = 7 * tri.size
+            units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            for coords in cached[name] + units:
+                direct = all(
+                    sum(c * x for c, x in zip(row, coords)) == 0
+                    for row in uncached(tri)
+                )
+                assert satisfies_matching(tri, coords) == direct, name
 
 
 class TestEnumeration:

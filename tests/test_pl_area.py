@@ -10,14 +10,12 @@ from kneser.pl_area import (
     MIDPOINT_ARC,
     PLArea,
     arc_length,
-    canonical_placement,
     corner_arc_length,
     hyperbolic_distance,
     pl_area,
     point_on_edge,
     verify_diameter_bound,
 )
-from kneser.triangulation import skeleton
 from kneser.vertex_enum import enumerate_vertex_solutions
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -86,42 +84,6 @@ class TestLexicographicOrder:
         a = PLArea(3, 1.0)
         assert a.tol_equal(PLArea(3, 1.0 + 5e-10))
         assert a.less_than(PLArea(3, 1.0 + 5e-9))
-
-
-class TestCanonicalPlacement:
-    def test_positions_formula(self, bd4):
-        doubled = tuple(2 * c for c in vertex_link_coordinates(bd4, 0))
-        placement = canonical_placement(bd4, doubled)
-        for positions in placement.positions:
-            m = len(positions)
-            assert list(positions) == [
-                pytest.approx(k - (m + 1) / 2.0) for k in range(1, m + 1)
-            ]
-            # symmetric about the midpoint
-            assert positions == tuple(
-                pytest.approx(-p) for p in reversed(positions)
-            )
-
-    def test_single_and_triple_crossings(self, bd4):
-        link = vertex_link_coordinates(bd4, 0)
-        single = canonical_placement(bd4, link)
-        for positions in single.positions:
-            assert positions in ((), (0.0,))
-        tripled = tuple(3 * c for c in link)
-        triple = canonical_placement(bd4, tripled)
-        assert any(positions == (-1.0, 0.0, 1.0) for positions in triple.positions)
-
-    def test_arc_endpoints_are_crossings(self, bd4):
-        link = vertex_link_coordinates(bd4, 0)
-        placement = canonical_placement(bd4, link)
-        sk = skeleton(bd4)
-        assert len(placement.arcs) == sk.face_count
-        total = sum(len(arcs) for arcs in placement.arcs)
-        assert total == 6  # one arc per face at the vertex
-        for arcs in placement.arcs:
-            for (e1, s1), (e2, s2) in arcs:
-                assert 1 <= s1 <= len(placement.positions[e1])
-                assert 1 <= s2 <= len(placement.positions[e2])
 
 
 class TestPLArea:
