@@ -11,6 +11,7 @@ wall time, never output bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,6 +166,8 @@ def cmd_montecarlo(
         nus = [nu] if sweep is None else _parse_sweep(sweep)
     except ValueError as exc:
         return CommandResult(2, None, str(exc))
+    if not all(math.isfinite(value) and value > 0 for value in nus):
+        return CommandResult(2, None, "nu must be finite and positive")
     ratios = projection_ratios(config, patch)
     estimates = [estimate_from_ratios(config, ratios, value) for value in nus]
     payload = {

@@ -52,11 +52,6 @@ def linear_chain(n: int) -> Triangulation:
     return validate(table, require_closed=False)
 
 
-def single_tet() -> Triangulation:
-    """One unglued tetrahedron (a ball; not closed)."""
-    return validate([[None] * 4], require_closed=False)
-
-
 # Pinned small census tables (see module docstring).  Each is the
 # lexicographically least closed orientable gluing table with the stated
 # H_1 among its search class; the 2-tet ones are restricted to cross-tet

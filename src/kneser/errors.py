@@ -84,6 +84,10 @@ class CenterOnSurface(KneserError):
     """Projection center lies on the surface being projected."""
 
 
+class JacobianBoundExceeded(KneserError):
+    """The area Jacobian of pi_u exceeded its radial bound (a bug)."""
+
+
 class ZeroArea(KneserError):
     """Patch has zero total area; the estimates are vacuous by convention."""
 

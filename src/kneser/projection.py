@@ -25,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .corpus import regular_tetrahedron
-from .errors import CenterHit, CenterOnSurface, SampleBudgetExhausted, ZeroArea
+from .errors import CenterHit, CenterOnSurface, JacobianBoundExceeded
+from .errors import SampleBudgetExhausted, ZeroArea
 from .rng import ball_samples
 
 INRADIUS = 1.0 / (2.0 * math.sqrt(6.0))
@@ -167,6 +168,8 @@ class TriangulatedPatch:
         tris = np.asarray(self.triangles, dtype=float)
         if tris.ndim != 3 or tris.shape[1:] != (3, 3):
             raise ValueError("triangles must have shape (n, 3, 3)")
+        if not np.all(np.isfinite(tris)):
+            raise ValueError("patch coordinates must be finite")
         object.__setattr__(self, "triangles", tris)
         normals, offsets = _PLANES
         margins = tris.reshape(-1, 3) @ normals.T - offsets
@@ -272,32 +275,35 @@ def _integrate_jacobian(u, tris, jac, tol=QUAD_TOLERANCE, max_depth=QUAD_MAX_DEP
     summed error below tol times the integral.
     """
 
-    def rule(batch):
+    def rule(batch, areas, normals):
         pts = _quad_points(batch)
-        normals = _unit_normals(batch)
         rep = np.repeat(normals[:, None, :], 7, axis=1)
         vals = jac(pts.reshape(-1, 3), rep.reshape(-1, 3)).reshape(-1, 7)
-        return _areas(batch) * (vals @ _QUAD_W)
+        return areas * (vals @ _QUAD_W)
 
+    # a midpoint child keeps its parent's normal and a quarter of its area
+    areas = _areas(tris)
+    normals = _unit_normals(tris)
     total = 0.0
     active = tris
-    coarse = rule(active)
-    total_area = float(np.sum(_areas(tris)))
-    budget = tol * max(abs(float(np.sum(coarse))), 1e-300) / total_area
+    coarse = rule(active, areas, normals)
+    budget = tol * max(abs(float(np.sum(coarse))), 1e-300) / float(np.sum(areas))
     for depth in range(max_depth + 1):
         children = _subdivide(active)
-        fine4 = rule(children).reshape(-1, 4)
+        child_areas = np.repeat(areas / 4, 4)
+        child_normals = np.repeat(normals, 4, axis=0)
+        fine4 = rule(children, child_areas, child_normals).reshape(-1, 4)
         fine = np.sum(fine4, axis=1)
         err = np.abs(fine - coarse)
-        allowance = np.maximum(
-            tol * np.abs(fine), budget * _areas(active)
-        )
+        allowance = np.maximum(tol * np.abs(fine), budget * areas)
         done = (err <= allowance) | np.full(fine.shape, depth == max_depth)
         total += float(np.sum(fine[done]))
         if np.all(done):
             return total
         keep = ~done
         active = children.reshape(-1, 4, 3, 3)[keep].reshape(-1, 3, 3)
+        areas = child_areas.reshape(-1, 4)[keep].reshape(-1)
+        normals = child_normals.reshape(-1, 4, 3)[keep].reshape(-1, 3)
         coarse = fine4[keep].reshape(-1)
     return total
 
@@ -307,15 +313,16 @@ def projected_area(
 ) -> float:
     """|pi_u(Q)|_2 by adaptive quadrature of the exact area Jacobian.
 
-    Every evaluated point asserts the integrand bound Jacobian <=
-    (2r/|x-u|)^2 from the bad-set estimate.
+    Every evaluated point checks the integrand bound Jacobian <= (2r/|x-u|)^2
+    of the bad-set estimate and raises JacobianBoundExceeded if it fails.
     """
     u = np.asarray(u, dtype=float)
-    if patch_distance(u, patch) <= 1e-12:
+    tris = patch.triangles
+    dist = triangle_distances(u, tris)
+    if np.any(dist <= 1e-12):
         raise CenterOnSurface("projection center lies on the patch")
     two_r = 2.0 * config.r
-    tris = patch.triangles
-    centers_far = triangle_distances(u, tris) >= two_r
+    centers_far = dist >= two_r
     total = float(np.sum(_areas(tris[centers_far])))
     near = tris[~centers_far]
     if near.size == 0:
@@ -329,9 +336,8 @@ def projected_area(
         inside = rho < two_r
         vals = np.where(inside, (two_r ** 2) * cos / rho2, 1.0)
         bound = (two_r ** 2) / rho2
-        assert np.all(vals[inside] <= bound[inside] * (1 + 1e-12)), (
-            "area Jacobian exceeded the radial bound"
-        )
+        if not np.all(vals[inside] <= bound[inside] * (1 + 1e-12)):
+            raise JacobianBoundExceeded("area Jacobian exceeded the radial bound")
         return vals
 
     return total + _integrate_jacobian(u, near, jac)
@@ -401,10 +407,11 @@ def worker_count() -> int:
 
 
 def projection_ratios(config: ProjectionConfig, patch: TriangulatedPatch) -> np.ndarray:
-    """|pi_u(Q)|_2 / |Q|_2 for each sampled center; NaN marks u on Q.
+    """|pi_u(Q)|_2 / |Q|_2 for each sampled center; NaN marks a center on
+    Q, where projected_area raises CenterOnSurface.
 
-    Samples are independent, so threading (KNESER_THREADS) never changes
-    the values, only the wall time.
+    Every thread count (KNESER_THREADS) runs the same pool over the
+    independent samples, so it never changes the values, only the wall time.
     """
     area = patch.area
     if area <= 0:
@@ -412,22 +419,13 @@ def projection_ratios(config: ProjectionConfig, patch: TriangulatedPatch) -> np.
     us = ball_samples(config.seed, 0, config.samples, config.r)
 
     def ratio(u):
-        if patch_distance(u, patch) <= 1e-12:
+        try:
+            return projected_area(config, u, patch) / area
+        except CenterOnSurface:
             return math.nan
-        return projected_area(config, u, patch) / area
 
-    threads = worker_count()
-    if threads == 1:
-        return np.array([ratio(u) for u in us])
-    chunks = np.array_split(np.arange(config.samples), threads * 4)
-    results: list[np.ndarray | None] = [None] * len(chunks)
-
-    def run(ci):
-        results[ci] = np.array([ratio(us[i]) for i in chunks[ci]])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, range(len(chunks))))
-    return np.concatenate([r for r in results if r is not None and r.size])
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        return np.array(list(pool.map(ratio, us)))
 
 
 def estimate_from_ratios(
@@ -475,9 +473,10 @@ def find_good_center(config: ProjectionConfig, patch: TriangulatedPatch) -> Good
     nu0 = float(nu0_exact())
     for i in range(config.samples):
         u = ball_samples(config.seed, i, 1, config.r)[0]
-        if patch_distance(u, patch) <= 1e-12:
+        try:
+            ratio = projected_area(config, u, patch) / area
+        except CenterOnSurface:
             continue
-        ratio = projected_area(config, u, patch) / area
         if ratio <= nu0:
             lam = boundary_projected_area(config, u, patch) / area
             return GoodCenter(

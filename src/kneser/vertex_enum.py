@@ -38,14 +38,6 @@ def _admissible(support: int, forbidden: list[int]) -> bool:
     return all((support & m) != m for m in forbidden)
 
 
-def _support(vec: tuple[int, ...]) -> int:
-    s = 0
-    for i, x in enumerate(vec):
-        if x:
-            s |= 1 << i
-    return s
-
-
 def _reduce(vec: list[int]) -> tuple[int, ...]:
     g = 0
     for x in vec:

@@ -177,6 +177,31 @@ class TestMontecarloCommand:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize(
+        "nu_args",
+        [
+            ["--nu", "0"],
+            ["--nu", "-1"],
+            ["--nu", "nan"],
+            ["--nu", "inf"],
+            ["--sweep", "0:50:3"],
+            ["--sweep", "1:inf:2"],
+        ],
+    )
+    def test_bad_nu_exits_two(self, corpus_dir, nu_args):
+        path = corpus_dir / "patch_corner.patch"
+        result = run(["montecarlo", str(path), "--samples", "10", *nu_args])
+        assert (result.exit_code, result.payload) == (2, None)
+        assert result.diagnostics == "nu must be finite and positive"
+
+    def test_non_finite_patch_exits_two(self, tmp_path):
+        path = tmp_path / "nan.patch"
+        path.write_text("patch 1\n0 0 0.01  0.01 0 0.01  nan 0.01 0.01\n")
+        result = run(["montecarlo", str(path), "--samples", "10"])
+        assert (result.exit_code, result.payload) == (2, None)
+        assert result.diagnostics == "bad patch: patch coordinates must be finite"
+
+
 def run_cli(args, threads=None):
     env = dict(os.environ)
     env.pop("KNESER_THREADS", None)

@@ -1,12 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kneser
 from kneser import corpus
-from kneser.errors import CenterHit, CenterOnSurface, SampleBudgetExhausted, ZeroArea
+from kneser.errors import (
+    CenterHit,
+    CenterOnSurface,
+    JacobianBoundExceeded,
+    SampleBudgetExhausted,
+    ZeroArea,
+)
 from kneser.projection import (
     DEFAULT_R,
     INRADIUS,
@@ -130,6 +141,13 @@ class TestPatch:
         with pytest.raises(ValueError):
             TriangulatedPatch(flat)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        tris = corpus.tilted_square_patch([0.0, 0.0, 0.01], [0, 0, 1], 0.01)
+        tris[0, 1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TriangulatedPatch(tris)
+
     def test_distance_matches_brute_force(self):
         rng = np.random.default_rng(5)
         tris = rng.normal(size=(25, 3, 3))
@@ -174,6 +192,38 @@ class TestProjectedArea:
         with pytest.raises(CenterOnSurface):
             projected_area(CFG, u, patch)
 
+    def test_jacobian_bound_violation_raises(self, monkeypatch):
+        import kneser.projection as kp
+
+        unit_normals = kp._unit_normals
+        monkeypatch.setattr(kp, "_unit_normals", lambda t: 2.0 * unit_normals(t))
+        with pytest.raises(JacobianBoundExceeded):
+            projected_area(CFG, *_near_flat_case())
+
+    def test_jacobian_bound_survives_optimize_flag(self):
+        # doubled normals give |cos| up to 2 directly above u, past the bound
+        code = (
+            "import kneser.projection as kp\n"
+            "from kneser.errors import JacobianBoundExceeded\n"
+            "from test_projection import CFG, _near_flat_case\n"
+            "unit_normals = kp._unit_normals\n"
+            "kp._unit_normals = lambda t: 2.0 * unit_normals(t)\n"
+            "try:\n"
+            "    kp.projected_area(CFG, *_near_flat_case())\n"
+            "except JacobianBoundExceeded:\n"
+            "    print('raised', __debug__)\n"
+        )
+        here = Path(__file__).resolve().parent
+        src = Path(kneser.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=str(here),
+            env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{here}"},
+        )
+        assert proc.stdout == "raised False\n", proc.stderr
+
     def test_paper_chain_inequality(self):
         """|pi_u(Q)|_2 <= |Q inter (sigma - B_u)|_2 + integral of the radial
         bound over Q inter B_u, with 1e-6 slack, for 100 random (u, Q)."""
@@ -205,6 +255,13 @@ class TestProjectedArea:
         fast = boundary_projected_area(CFG, u, patch)
         ref = _dense_psi_reference(CFG, u, patch)
         assert fast == pytest.approx(ref, rel=2e-3)
+
+
+def _near_flat_case():
+    """A centre and a flat square facing it from 0.01 above."""
+    u = np.array([0.0, 0.0, CFG.r / 2])
+    square = corpus.tilted_square_patch(u + [0, 0, 0.01], [0, 0, 1], 0.01)
+    return u, TriangulatedPatch(square)
 
 
 def _chain_rhs(config, u, patch):
@@ -308,6 +365,50 @@ class TestBadSet:
         a = bad_set_volume(CFG, patch, 50.0)
         b = bad_set_volume(CFG, patch, 50.0)
         assert a == b
+
+
+def _patch_through_first_center(cfg):
+    u0 = ball_samples(cfg.seed, 0, 1, cfg.r)[0]
+    patch = TriangulatedPatch(corpus.tilted_square_patch(u0, [1, 2, 3], 0.01))
+    assert patch_distance(u0, patch) <= 1e-12
+    return u0, patch
+
+
+class TestCenterOnPatch:
+    def test_ratio_nan_and_never_bad(self):
+        cfg = ProjectionConfig(seed=4, samples=30)
+        _, patch = _patch_through_first_center(cfg)
+        ratios = projection_ratios(cfg, patch)
+        assert math.isnan(ratios[0])
+        assert not np.any(np.isnan(ratios[1:]))
+        # every finite ratio exceeds a tiny nu, the NaN centre does not
+        est = estimate_from_ratios(cfg, ratios, 1e-9)
+        assert est.estimate == pytest.approx(cfg.ball_volume * 29 / 30, rel=1e-15)
+
+    def test_good_center_skips_it(self):
+        cfg = ProjectionConfig(seed=4, samples=30)
+        u0, patch = _patch_through_first_center(cfg)
+        gc = find_good_center(cfg, patch)
+        assert gc.samples_used >= 2
+        assert not np.array_equal(gc.center, u0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_distance_pass_per_center(self, monkeypatch, threads):
+        import kneser.projection as kp
+
+        calls = []
+        distances = kp.triangle_distances
+
+        def counted(p, tris):
+            calls.append(1)
+            return distances(p, tris)
+
+        cfg = ProjectionConfig(seed=4, samples=30)
+        _, patch = _patch_through_first_center(cfg)
+        monkeypatch.setattr(kp, "triangle_distances", counted)
+        monkeypatch.setenv("KNESER_THREADS", threads)
+        projection_ratios(cfg, patch)
+        assert len(calls) == cfg.samples
 
 
 class TestGoodCenter:
