@@ -2,8 +2,10 @@
 
 Exit codes: 0 success; 1 a mathematical property failed (a theorem check or
 oracle verdict, so CI can tell violations from bad input); 2 input or parse
-error; 3 enumeration budget exceeded.  Stdout carries a JSON payload
-exactly when the exit code is 0 or 1; diagnostics go to stderr.
+error; 3 enumeration budget exceeded; 4 internal error (an internal
+consistency check of `decompose` or `enumerate` failed, which is a bug).
+Stdout carries a JSON payload exactly when the exit code is 0 or 1;
+diagnostics go to stderr.
 
 The only environment variable consulted is KNESER_THREADS, which changes
 wall time, never output bytes.
@@ -57,6 +59,10 @@ def _load(path: str, parse, what: str):
         return CommandResult(2, None, f"bad {what}: {exc}")
 
 
+def _internal_error(exc: KneserError) -> CommandResult:
+    return CommandResult(4, None, f"internal error: {type(exc).__name__}: {exc}")
+
+
 def cmd_decompose(
     path: str,
     budget: int = DEFAULT_BUDGET,
@@ -70,6 +76,8 @@ def cmd_decompose(
         report = decompose(tri, budget=budget, oracle_check=oracle_check)
     except BudgetExceeded as exc:
         return CommandResult(3, None, str(exc))
+    except KneserError as exc:
+        return _internal_error(exc)
     payload = decomposition_dict(report, input_name=Path(path).name)
     payload["input"]["seed"] = seed
     code = 0
@@ -81,20 +89,9 @@ def cmd_decompose(
     return CommandResult(code, payload, "; ".join(notes))
 
 
-def cmd_enumerate(
-    path: str,
-    budget: int = DEFAULT_BUDGET,
-    pl_area_flag: bool = False,
-    verify_diam: bool = False,
-    dump_path: str | None = None,
-) -> CommandResult:
-    tri = _load(path, parse_tri, "triangulation")
-    if isinstance(tri, CommandResult):
-        return tri
-    try:
-        solutions = enumerate_vertex_solutions(tri, budget)
-    except BudgetExceeded as exc:
-        return CommandResult(3, None, str(exc))
+def _surface_entries(tri, solutions, pl_area_flag: bool, verify_diam: bool):
+    """The `surfaces` entries of the enumerate payload, and whether every
+    diameter check passed."""
     entries = []
     all_pass = True
     for coords in solutions:
@@ -116,6 +113,27 @@ def cmd_enumerate(
                 **kwargs,
             )
         )
+    return entries, all_pass
+
+
+def cmd_enumerate(
+    path: str,
+    budget: int = DEFAULT_BUDGET,
+    pl_area_flag: bool = False,
+    verify_diam: bool = False,
+    dump_path: str | None = None,
+) -> CommandResult:
+    tri = _load(path, parse_tri, "triangulation")
+    if isinstance(tri, CommandResult):
+        return tri
+    try:
+        entries, all_pass = _surface_entries(
+            tri, enumerate_vertex_solutions(tri, budget), pl_area_flag, verify_diam
+        )
+    except BudgetExceeded as exc:
+        return CommandResult(3, None, str(exc))
+    except KneserError as exc:
+        return _internal_error(exc)
     payload = {
         "input": {"name": Path(path).name, "ntet": tri.size},
         "length_model": LENGTH_MODEL,

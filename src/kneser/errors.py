@@ -76,6 +76,10 @@ class TerminationGuardTripped(KneserError):
     """Decomposition loop exceeded the tetrahedron-count bound (a bug)."""
 
 
+class ConsistencyCheckFailed(KneserError):
+    """An internal cross-check of surface or complex bookkeeping failed (a bug)."""
+
+
 class CenterHit(KneserError):
     """Radial projection evaluated at its own center."""
 

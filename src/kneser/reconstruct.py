@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ConsistencyCheckFailed
 from .normal import (
     NormalCoordinates,
     QUAD_PAIRS,
@@ -278,7 +279,8 @@ def _arc_direction_checks(complex_: DiskComplex) -> dict[ArcId, list[tuple[int, 
         for arc_use in complex_.boundaries[disk]:
             incidences[arc_use.arc].append((di, arc_use.direction))
     for aid, inc in incidences.items():
-        assert len(inc) == 2, f"arc {aid} bounds {len(inc)} disks"
+        if len(inc) != 2:
+            raise ConsistencyCheckFailed(f"arc {aid} bounds {len(inc)} disks")
     return incidences
 
 
@@ -361,12 +363,17 @@ def reconstruct(tri: Triangulation, coords) -> ReconstructedSurface:
     vtotal = complex_.vertex_count
     etotal = complex_.arc_total
     ftotal = complex_.disk_count
-    assert total_chi == vtotal - etotal + ftotal
-    assert total_chi == euler_from_coordinates(tri, coords), (
-        "cell-count Euler characteristic disagrees with the coordinate formula"
-    )
+    if total_chi != vtotal - etotal + ftotal:
+        raise ConsistencyCheckFailed(
+            "component Euler characteristics disagree with the cell counts"
+        )
+    if total_chi != euler_from_coordinates(tri, coords):
+        raise ConsistencyCheckFailed(
+            "cell-count Euler characteristic disagrees with the coordinate formula"
+        )
     split = [sum(c.coordinates[i] for c in components) for i in range(7 * tri.size)]
-    assert tuple(split) == coords
+    if tuple(split) != coords:
+        raise ConsistencyCheckFailed("component coordinates do not sum to the surface")
 
     return ReconstructedSurface(
         coordinates=coords,

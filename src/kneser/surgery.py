@@ -20,7 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidAfterCrush, KneserError, VertexLinkingRejected
+from .errors import (
+    ConsistencyCheckFailed,
+    InvalidAfterCrush,
+    KneserError,
+    VertexLinkingRejected,
+)
 from .normal import (
     QUAD_PAIRS,
     arc_count,
@@ -448,7 +453,10 @@ def cut_complex(tri: Triangulation, coords) -> Triangulation:
             key = cone.base[:4]
             by_base.setdefault(key, []).append(idx)
     for key, pair in sorted(by_base.items()):
-        assert len(pair) == 2, f"patch piece {key} has {len(pair)} instances"
+        if len(pair) != 2:
+            raise ConsistencyCheckFailed(
+                f"patch piece {key} has {len(pair)} instances"
+            )
         a, b = pair
         rows[a][3] = (b, 3, (0, 1, 2, 3))
         rows[b][3] = (a, 3, (0, 1, 2, 3))
@@ -459,7 +467,10 @@ def cut_complex(tri: Triangulation, coords) -> Triangulation:
         for k, (token, direction) in enumerate(cone.sides):
             by_side.setdefault((cone.cell, token), []).append((idx, k, direction))
     for key, group in sorted(by_side.items()):
-        assert len(group) == 2, f"cell 1-cell {key} bounds {len(group)} sides"
+        if len(group) != 2:
+            raise ConsistencyCheckFailed(
+                f"cell 1-cell {key} bounds {len(group)} sides"
+            )
         (i1, k1, d1), (i2, k2, d2) = group
         perm1 = [0, 0, 0, 0]
         if d1 == d2:
@@ -536,7 +547,10 @@ def cap_boundary(tri: Triangulation) -> Triangulation:
             for w in FACE_VERTICES[f]
         }
         chi = len(corners) - e_count + f_count
-        assert chi == 2, f"boundary component has Euler characteristic {chi}"
+        if chi != 2:
+            raise ConsistencyCheckFailed(
+                f"boundary component has Euler characteristic {chi}"
+            )
 
     rows: list[list] = []
     for i in range(tri.size):

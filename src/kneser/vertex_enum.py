@@ -8,70 +8,97 @@ and the support of a combination is the union of its parents' supports, so
 every admissible extreme ray of the final cone still gets generated and the
 combinatorial adjacency test stays exact on the pruned sets.
 
+Coordinates stay Python ints; only supports live in numpy.  Each ray's
+support is packed into ceil(7t/64) uint64 words, and its quad bits into
+ceil(t/21) uint64 words, three bits per tetrahedron (one word up to the
+default budget of 20 tetrahedra).  For each hyperplane the pos x neg pairs
+are tested in blocks, and no temporary of the pair tests holds more than
+`_CHUNK` elements:
+
+- a pair is admissible iff no tetrahedron has two quad types in the union
+  of its quad bits: with a, b, c the three types' bits shifted onto one
+  lane, (a & b) | (a & c) | (b & c) == 0;
+- an admissible pair u, v is adjacent iff no third support lies inside
+  U = supp(u) | supp(v): no ray whose support is inside U and is neither
+  supp(u) nor supp(v).  Supports need not be distinct, so the test counts
+  the rays with support inside U and compares the count with the number of
+  rays whose support is supp(u) or supp(v).  The rays are scanned in tiles
+  of isqrt(`_CHUNK`), smallest supports first, and a pair drops out at the
+  first tile whose two counts differ, which settles most pairs within the
+  first tile.
+
+Only adjacent pairs come back to Python for the integer combination.
+
 Each surviving ray is finally re-checked to span an extreme ray (the linear
 space of solutions vanishing outside its support must be 1-dimensional), so
-correctness does not rest on the insertion heuristic.
+correctness does not rest on the insertion heuristic.  The check first takes
+the rank modulo the prime `_PRIME`.  Rank mod p never exceeds the rational
+rank, so nullity 1 mod p bounds the rational nullity by 1, and a nonzero
+`vec` with M vec = 0 bounds it from below: the two together prove nullity 1.
+Every other case is decided by exact fraction-free (Bareiss) elimination.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, isqrt
+from operator import mul
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceeded
-from .normal import NormalCoordinates, matching_system, quad_index, require_closed
+from .normal import NormalCoordinates, matching_system, require_closed
 from .triangulation import Triangulation
 
 DEFAULT_BUDGET = 20
 
-
-def _forbidden_quad_masks(ntet: int) -> list[int]:
-    """Bitmasks of quad-coordinate pairs that may not both be present."""
-    masks = []
-    for i in range(ntet):
-        q = [1 << quad_index(i, j) for j in range(3)]
-        masks += [q[0] | q[1], q[0] | q[2], q[1] | q[2]]
-    return masks
-
-
-def _admissible(support: int, forbidden: list[int]) -> bool:
-    return all((support & m) != m for m in forbidden)
+# Largest number of elements in any numpy temporary of the pair tests.
+_CHUNK = 1 << 14
+# 2**31 - 1: residues below it multiply to less than 2**62 in int64.
+_PRIME = 2_147_483_647
+# Tetrahedra per quad word: three bits each, and `_LANE` marks their first.
+_TETS_PER_WORD = 21
+_LANE = np.uint64(sum(1 << (3 * i) for i in range(_TETS_PER_WORD)))
 
 
 def _reduce(vec: list[int]) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g > 1:
         return tuple(x // g for x in vec)
     return tuple(vec)
 
 
-def rank_of_columns(rows: Sequence[Sequence[int]], cols: list[int]) -> int:
-    """Exact rank of the submatrix of `rows` on the given columns."""
-    m = [[Fraction(r[c]) for c in cols] for r in rows if any(r[c] for c in cols)]
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank of `rows` over the integers modulo `_PRIME`."""
+    p = _PRIME
+    m = np.array([[x % p for x in r] for r in rows], dtype=np.int64)
     rank = 0
-    ncols = len(cols)
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
+    while len(m):
+        top, m = m[0], m[1:]
+        lead = np.flatnonzero(top)
+        if len(lead):
+            col = lead[0]
+            m = (m * top[col] - m[:, col, None] * top) % p
+            rank += 1
+    return rank
+
+
+def _exact_rank(rows: list[list[int]]) -> int:
+    """Rank of `rows` over the rationals, by fraction-free (Bareiss)
+    elimination: every entry stays an integer minor of the input."""
+    m = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                factor = m[i][col] / pv
-                for j in range(col, ncols):
-                    m[i][j] -= factor * m[row][j]
-        row += 1
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        pv = top[col]
+        for i in range(rank + 1, len(m)):
+            mi = m[i][col]
+            m[i] = [(pv * x - mi * y) // prev for x, y in zip(m[i], top)]
+        prev = pv
         rank += 1
-        if row == len(m):
-            break
     return rank
 
 
@@ -80,7 +107,103 @@ def is_vertex_ray(matching: Sequence[Sequence[int]], vec: tuple[int, ...]) -> bo
     cols = [i for i, x in enumerate(vec) if x]
     if not cols:
         return False
-    return len(cols) - rank_of_columns(matching, cols) == 1
+    rows = [row for row in ([r[c] for c in cols] for r in matching) if any(row)]
+    values = [vec[c] for c in cols]
+    if len(cols) - _rank_mod_p(rows) == 1 and not any(
+        sum(map(mul, row, values)) for row in rows
+    ):
+        return True
+    return len(cols) - _exact_rank(rows) == 1
+
+
+def _unit_supports(ntet: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed support words, shape (ceil(7t/64), 7t), and quad words, shape
+    (ceil(t/21), 7t), of the unit vectors e_0 .. e_{7t-1}."""
+    n = 7 * ntet
+    index = np.arange(n)
+    words = np.zeros((-(-n // 64), n), dtype=np.uint64)
+    words[index // 64, index] = np.uint64(1) << (index % 64).astype(np.uint64)
+    quads = np.zeros((-(-ntet // _TETS_PER_WORD), n), dtype=np.uint64)
+    quad = index[index % 7 >= 4]
+    word, lane = np.divmod(quad // 7, _TETS_PER_WORD)
+    quads[word, quad] = np.uint64(1) << (3 * lane + quad % 7 - 4).astype(np.uint64)
+    return words, quads
+
+
+def _admissible_block(
+    quads: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of u x v, as two index arrays in row-major order, whose
+    union has at most one quad type in every tetrahedron."""
+    ok = np.ones((len(u), len(v)), dtype=bool)
+    for word in quads:
+        # with a, b, c the bits of one tetrahedron's quad types, lane bit 3i
+        # of q & (q >> 1) is a & b, of q & (q >> 2) is a & c, and of
+        # (q & (q >> 1)) >> 1 is b & c; shifted in place, at most three
+        # blocks are alive at once
+        q = word[u][:, None] | word[v][None, :]
+        ab = q >> 1
+        ab &= q
+        q &= q >> 2
+        q |= ab
+        ab >>= 1
+        q |= ab
+        q &= _LANE
+        ok &= q == 0
+    i, j = np.nonzero(ok)
+    return u[i], v[j]
+
+
+def _admissible_pairs(
+    quads: np.ndarray, pos: np.ndarray, neg: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The admissible pos x neg pairs, one block of at most `_CHUNK` pairs
+    at a time."""
+    cols = min(len(neg), _CHUNK)
+    rows = max(1, _CHUNK // cols)
+    for r0 in range(0, len(pos), rows):
+        u = pos[r0:r0 + rows]
+        for c0 in range(0, len(neg), cols):
+            us, vs = _admissible_block(quads, u, neg[c0:c0 + cols])
+            if len(us):
+                yield us, vs
+
+
+def _adjacent_pairs(
+    words: np.ndarray,
+    kind: np.ndarray,
+    order: np.ndarray,
+    us: np.ndarray,
+    vs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (us[i], vs[i]) with no third support inside their union,
+    that is no ray whose support lies in supp(u) | supp(v) and is neither
+    supp(u) nor supp(v) (`kind` numbers the distinct supports).  The rays
+    are scanned in `order`, a tile at a time, and a pair is dropped at the
+    first tile holding a third support."""
+    tile = isqrt(_CHUNK)
+    unions = [w[us] | w[vs] for w in words]
+    ku, kv = kind[us], kind[vs]
+    live = np.arange(len(us))
+    for r0 in range(0, len(order), tile):
+        block = order[r0:r0 + tile]
+        step = _CHUNK // len(block)
+        cols = [w[block] for w in words]
+        present = np.bincount(kind[block], minlength=len(kind))
+        own = present[ku[live]] + np.where(
+            ku[live] == kv[live], 0, present[kv[live]]
+        )
+        inside = np.empty(len(live), dtype=np.intp)
+        for k0 in range(0, len(live), step):
+            union = [x[live[k0:k0 + step], None] for x in unions]
+            hit = (cols[0] | union[0]) == union[0]
+            for col, word in zip(cols[1:], union[1:]):
+                hit &= (col | word) == word
+            inside[k0:k0 + step] = hit.sum(axis=1)
+        live = live[inside == own]
+        if not len(live):
+            break
+    return us[live], vs[live]
 
 
 def enumerate_vertex_solutions(
@@ -95,51 +218,39 @@ def enumerate_vertex_solutions(
     require_closed(tri)
     matching = matching_system(tri)
     n = 7 * tri.size
-    forbidden = _forbidden_quad_masks(tri.size)
 
-    rays: list[tuple[tuple[int, ...], int]] = []
-    for i in range(n):
-        vec = [0] * n
-        vec[i] = 1
-        rays.append((tuple(vec), 1 << i))
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    words, quads = _unit_supports(tri.size)
 
     rows = [r for r in matching if any(r)]
     # most-zeros-first insertion heuristic; full row as deterministic tiebreak
     rows.sort(key=lambda r: (sum(1 for c in r if c), r))
 
     for a in rows:
-        zero: list[tuple[tuple[int, ...], int]] = []
-        pos: list[tuple[tuple[int, ...], int, int]] = []
-        neg: list[tuple[tuple[int, ...], int, int]] = []
-        for vec, supp in rays:
-            d = sum(c * x for c, x in zip(a, vec) if c)
-            if d == 0:
-                zero.append((vec, supp))
-            elif d > 0:
-                pos.append((vec, supp, d))
-            else:
-                neg.append((vec, supp, d))
-        supports = [supp for _, supp in rays]
-        new: dict[tuple[int, ...], int] = {vec: supp for vec, supp in zero}
-        for uvec, usupp, du in pos:
-            for vvec, vsupp, dv in neg:
-                union = usupp | vsupp
-                if not _admissible(union, forbidden):
-                    continue
-                if not _adjacent(usupp, vsupp, union, supports):
-                    continue
-                comb = [du * y - dv * x for x, y in zip(uvec, vvec)]
-                vec = _reduce(comb)
-                new.setdefault(vec, union)
-        rays = sorted(new.items())
+        terms = [(j, c) for j, c in enumerate(a) if c]
+        dots = [sum(c * vec[j] for j, c in terms) for vec in rays]
+        # each new ray remembers the two rays its support is the union of
+        new: dict[tuple[int, ...], tuple[int, int]] = {
+            vec: (k, k) for k, vec in enumerate(rays) if dots[k] == 0
+        }
+        pos = np.array([k for k, d in enumerate(dots) if d > 0], dtype=np.intp)
+        neg = np.array([k for k, d in enumerate(dots) if d < 0], dtype=np.intp)
+        if len(pos) and len(neg):
+            numbers: dict[tuple[int, ...], int] = {}
+            supports = zip(*words.tolist())
+            kind = np.array([numbers.setdefault(s, len(numbers)) for s in supports])
+            # small supports first: they are the likeliest third supports
+            size = [n - vec.count(0) for vec in rays]
+            order = np.array(sorted(range(len(rays)), key=size.__getitem__))
+            for us, vs in _admissible_pairs(quads, pos, neg):
+                adjacent = _adjacent_pairs(words, kind, order, us, vs)
+                for u, v in zip(*(x.tolist() for x in adjacent)):
+                    du, dv = dots[u], dots[v]
+                    comb = [du * y - dv * x for x, y in zip(rays[u], rays[v])]
+                    new.setdefault(_reduce(comb), (u, v))
+        rays = sorted(new)
+        parents = np.array([new[vec] for vec in rays], dtype=np.intp).reshape(-1, 2)
+        words = words[:, parents[:, 0]] | words[:, parents[:, 1]]
+        quads = quads[:, parents[:, 0]] | quads[:, parents[:, 1]]
 
-    out = [vec for vec, _ in rays if is_vertex_ray(matching, vec)]
-    out.sort()
-    return out
-
-
-def _adjacent(usupp: int, vsupp: int, union: int, supports: list[int]) -> bool:
-    for w in supports:
-        if w != usupp and w != vsupp and (w | union) == union:
-            return False
-    return True
+    return [vec for vec in rays if is_vertex_ray(matching, vec)]

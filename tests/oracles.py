@@ -3,16 +3,21 @@
 Nothing here imports the algorithms it is checking: distances come from
 exhaustive chain enumeration, homology from sympy's Smith normal form,
 vertex rays from sympy matrix ranks, and normal solutions from a direct
-backtracking search over bounded coordinates.
+backtracking search over bounded coordinates.  The list-of-tuples double
+description engine with its `Fraction` rank, which the numpy engine in
+`kneser.vertex_enum` replaced, is kept here as the reference enumeration.
 """
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import gcd
+from typing import Sequence
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from kneser.normal import matching_system
+from kneser.normal import matching_system, quad_index
 from kneser.triangulation import FACE_VERTICES, Triangulation, skeleton
 
 
@@ -127,6 +132,98 @@ def is_vertex_ray_sympy(tri: Triangulation, coords) -> bool:
         return False
     m = sympy.Matrix([[row[c] for c in support] for row in matching])
     return len(support) - m.rank() == 1
+
+
+def rank_of_columns(rows: Sequence[Sequence[int]], cols: list[int]) -> int:
+    """Exact rank of the submatrix of `rows` on the given columns, by
+    Gaussian elimination over `Fraction`."""
+    m = [[Fraction(r[c]) for c in cols] for r in rows if any(r[c] for c in cols)]
+    rank = 0
+    ncols = len(cols)
+    row = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(row, len(m)):
+            if m[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        pv = m[row][col]
+        for i in range(len(m)):
+            if i != row and m[i][col] != 0:
+                factor = m[i][col] / pv
+                for j in range(col, ncols):
+                    m[i][j] -= factor * m[row][j]
+        row += 1
+        rank += 1
+        if row == len(m):
+            break
+    return rank
+
+
+def is_vertex_ray_reference(matching, vec) -> bool:
+    """{x : Mx = 0, x zero outside supp(vec)} is 1-dimensional, decided by
+    the `Fraction` rank alone."""
+    cols = [i for i, x in enumerate(vec) if x]
+    if not cols:
+        return False
+    return len(cols) - rank_of_columns(matching, cols) == 1
+
+
+def enumerate_vertex_solutions_reference(tri: Triangulation) -> list[tuple[int, ...]]:
+    """Admissible vertex rays of the matching cone by the double description
+    method on Python tuples and int bitsets, one pair at a time."""
+    matching = matching_system(tri)
+    n = 7 * tri.size
+    forbidden = []
+    for i in range(tri.size):
+        q = [1 << quad_index(i, j) for j in range(3)]
+        forbidden += [q[0] | q[1], q[0] | q[2], q[1] | q[2]]
+
+    rays: list[tuple[tuple[int, ...], int]] = []
+    for i in range(n):
+        vec = [0] * n
+        vec[i] = 1
+        rays.append((tuple(vec), 1 << i))
+
+    rows = [r for r in matching if any(r)]
+    rows.sort(key=lambda r: (sum(1 for c in r if c), r))
+
+    for a in rows:
+        zero, pos, neg = [], [], []
+        for vec, supp in rays:
+            d = sum(c * x for c, x in zip(a, vec) if c)
+            if d == 0:
+                zero.append((vec, supp))
+            elif d > 0:
+                pos.append((vec, supp, d))
+            else:
+                neg.append((vec, supp, d))
+        supports = [supp for _, supp in rays]
+        new = {vec: supp for vec, supp in zero}
+        for uvec, usupp, du in pos:
+            for vvec, vsupp, dv in neg:
+                union = usupp | vsupp
+                if any((union & m) == m for m in forbidden):
+                    continue
+                if any(
+                    w != usupp and w != vsupp and (w | union) == union
+                    for w in supports
+                ):
+                    continue
+                comb = [du * y - dv * x for x, y in zip(uvec, vvec)]
+                g = 0
+                for x in comb:
+                    g = gcd(g, x)
+                vec = tuple(x // g for x in comb) if g > 1 else tuple(comb)
+                new.setdefault(vec, union)
+        rays = sorted(new.items())
+
+    out = [vec for vec, _ in rays if is_vertex_ray_reference(matching, vec)]
+    out.sort()
+    return out
 
 
 def brute_force_solutions(

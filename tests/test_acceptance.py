@@ -191,7 +191,7 @@ def test_criterion_6_reconstruction(closed_corpus, bd4):
     ok = True
     for tri in closed_corpus.values():
         for coords in enumerate_vertex_solutions(tri):
-            surface = reconstruct(tri, coords)  # internal cross-check assert
+            surface = reconstruct(tri, coords)  # internal cross-checks raise
             ok = ok and surface.euler_characteristic == euler_from_coordinates(
                 tri, coords
             )

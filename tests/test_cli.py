@@ -7,12 +7,18 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from kneser import cli
 from kneser.cli import (
     cmd_decompose,
     cmd_enumerate,
     cmd_generate,
     cmd_montecarlo,
     run,
+)
+from kneser.errors import (
+    ConsistencyCheckFailed,
+    InvalidAfterCrush,
+    TerminationGuardTripped,
 )
 from kneser.fileio import parse_surface_dump, parse_tri
 from kneser.reports import emit_json
@@ -112,6 +118,27 @@ class TestUnreadableInput:
         result = run([command, str(path)])
         assert (result.exit_code, result.payload) == (2, None)
         assert result.diagnostics.startswith(f"bad {what}: ")
+
+
+@pytest.mark.parametrize(
+    "error", [InvalidAfterCrush, TerminationGuardTripped, ConsistencyCheckFailed]
+)
+@pytest.mark.parametrize(
+    "command, target",
+    [("decompose", "decompose"), ("enumerate", "enumerate_vertex_solutions")],
+)
+class TestInternalError:
+    def test_exits_four_without_payload(
+        self, corpus_dir, monkeypatch, capsys, command, target, error
+    ):
+        def fail(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, target, fail)
+        code = cli.main([command, str(corpus_dir / "bd4simplex.tri")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert err == f"internal error: {error.__name__}: injected failure\n"
 
 
 class TestEnumerateCommand:

@@ -247,8 +247,18 @@ class TestReconstruct:
             for i in range(35)
         ) == both
 
+    def test_euler_cross_check_raises(self, bd4, monkeypatch):
+        import importlib
+
+        from kneser.errors import ConsistencyCheckFailed
+
+        module = importlib.import_module("kneser.reconstruct")
+        monkeypatch.setattr(module, "euler_from_coordinates", lambda t, c: 0)
+        with pytest.raises(ConsistencyCheckFailed, match="coordinate formula"):
+            reconstruct(bd4, vertex_link_coordinates(bd4, 0))
+
     def test_euler_cross_check_whole_corpus(self, closed_corpus):
-        # reconstruct() internally asserts cell-count chi == coordinate chi;
+        # reconstruct() internally checks cell-count chi == coordinate chi;
         # also verify the equality explicitly here
         for tri in closed_corpus.values():
             for coords in enumerate_vertex_solutions(tri):

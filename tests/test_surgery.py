@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kneser
 from kneser import corpus
-from kneser.errors import VertexLinkingRejected
+from kneser.errors import ConsistencyCheckFailed, VertexLinkingRejected
 from kneser.homology import homology
 from kneser.normal import vertex_link_coordinates
 from kneser.reconstruct import reconstruct
@@ -9,6 +15,10 @@ from kneser.surgery import cap_boundary, crush, cut_and_cap, cut_complex
 from kneser.triangulation import validate
 from kneser.vertex_enum import enumerate_vertex_solutions
 from oracles import sympy_homology
+
+# one tetrahedron with face 0 glued to face 1: a solid torus, whose boundary
+# is a torus made of the two free faces
+SOLID_TORUS = [[(0, 1, (1, 2, 3, 0)), (0, 0, (3, 0, 1, 2)), None, None]]
 
 
 def sphere_solutions(tri):
@@ -39,6 +49,33 @@ class TestCapBoundary:
 
     def test_closed_input_unchanged(self, bd4):
         assert cap_boundary(bd4) is bd4
+
+    def test_torus_boundary_raises(self):
+        with pytest.raises(ConsistencyCheckFailed, match="Euler characteristic 0"):
+            cap_boundary(validate(SOLID_TORUS, require_closed=False))
+
+    def test_checks_survive_optimize_flag(self):
+        # the torus boundary trips the chi == 2 check even with asserts off
+        code = (
+            "from kneser.errors import ConsistencyCheckFailed\n"
+            "from kneser.surgery import cap_boundary\n"
+            "from kneser.triangulation import validate\n"
+            "from test_surgery import SOLID_TORUS\n"
+            "try:\n"
+            "    cap_boundary(validate(SOLID_TORUS, require_closed=False))\n"
+            "except ConsistencyCheckFailed:\n"
+            "    print('raised', __debug__)\n"
+        )
+        here = Path(__file__).resolve().parent
+        src = Path(kneser.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=str(here),
+            env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{here}"},
+        )
+        assert proc.stdout == "raised False\n", proc.stderr
 
 
 class TestCutAndCap:
