@@ -2,10 +2,11 @@
 
 Exit codes: 0 success; 1 a mathematical property failed (a theorem check or
 oracle verdict, so CI can tell violations from bad input); 2 input or parse
-error; 3 enumeration budget exceeded; 4 internal error (an internal
-consistency check of `decompose` or `enumerate` failed, which is a bug).
-Stdout carries a JSON payload exactly when the exit code is 0 or 1;
-diagnostics go to stderr.
+error; 3 enumeration budget exceeded; 4 internal error (any other exception
+from a command, such as a failed internal consistency check or a payload
+that is not finite JSON, which is a bug).  Stdout carries a JSON payload
+exactly when the exit code is 0 or 1; diagnostics go to stderr, and no
+command ends in a traceback.
 
 The only environment variable consulted is KNESER_THREADS, which changes
 wall time, never output bytes.
@@ -59,10 +60,6 @@ def _load(path: str, parse, what: str):
         return CommandResult(2, None, f"bad {what}: {exc}")
 
 
-def _internal_error(exc: KneserError) -> CommandResult:
-    return CommandResult(4, None, f"internal error: {type(exc).__name__}: {exc}")
-
-
 def cmd_decompose(
     path: str,
     budget: int = DEFAULT_BUDGET,
@@ -76,8 +73,6 @@ def cmd_decompose(
         report = decompose(tri, budget=budget, oracle_check=oracle_check)
     except BudgetExceeded as exc:
         return CommandResult(3, None, str(exc))
-    except KneserError as exc:
-        return _internal_error(exc)
     payload = decomposition_dict(report, input_name=Path(path).name)
     payload["input"]["seed"] = seed
     code = 0
@@ -132,8 +127,6 @@ def cmd_enumerate(
         )
     except BudgetExceeded as exc:
         return CommandResult(3, None, str(exc))
-    except KneserError as exc:
-        return _internal_error(exc)
     payload = {
         "input": {"name": Path(path).name, "ntet": tri.size},
         "length_model": LENGTH_MODEL,
@@ -341,9 +334,13 @@ def run(argv: list[str]) -> CommandResult:
 
 
 def main(argv: list[str] | None = None) -> int:
-    result = run(sys.argv[1:] if argv is None else argv)
-    if result.payload is not None:
-        sys.stdout.write(emit_json(result.payload) + "\n")
+    try:
+        result = run(sys.argv[1:] if argv is None else argv)
+        out = "" if result.payload is None else emit_json(result.payload) + "\n"
+    except Exception as exc:
+        diagnostics = f"internal error: {type(exc).__name__}: {exc}"
+        result, out = CommandResult(4, None, diagnostics), ""
+    sys.stdout.write(out)
     if result.diagnostics:
         sys.stderr.write(result.diagnostics + "\n")
     return result.exit_code

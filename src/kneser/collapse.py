@@ -56,20 +56,10 @@ def _check_sphere(triangles: Sequence[Triangle]) -> dict:
     chi = len(verts) - len(edges) + len(triangles)
     if chi != 2:
         raise ValueError(f"Euler characteristic {chi}, expected a sphere")
-    seen = {0}
-    stack = [0]
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(triangles))}
-    for inc in edges.values():
-        (a, _), (b, _) = inc
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    while stack:
-        x = stack.pop()
-        for y in adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(triangles):
+    whole = _UnionFind(len(triangles))
+    for (a, _), (b, _) in edges.values():
+        whole.union(a, b, False)
+    if len(whole.classes()) != 1:
         raise ValueError("sphere is not connected")
     return edges
 
@@ -105,17 +95,13 @@ def collapse_extract(
     # untouched, so the bouquet pieces are the components of nondegenerate
     # triangles under adjacency across surviving edges.  The listed order
     # only orders the homotopy equivalences; the quotient is order-free.
-    live = [i for i, img in enumerate(image) if img is not None]
     comp = _UnionFind(len(triangles))
-    for inc in edges.values():
-        (a, _), (b, _) = inc
+    for (a, _), (b, _) in edges.values():
         if image[a] is not None and image[b] is not None:
             comp.union(a, b, False)
-
-    groups: dict[int, list[int]] = {}
-    for i in live:
-        groups.setdefault(comp.find(i)[0], []).append(i)
+    # a degenerate triangle is never joined, so it is a class on its own
     return [
-        BouquetGenerator(triangles=tuple(sorted(g)))
-        for g in sorted(groups.values(), key=min)
+        BouquetGenerator(triangles=tuple(g))
+        for g in comp.classes()
+        if image[g[0]] is not None
     ]

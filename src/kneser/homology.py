@@ -21,6 +21,7 @@ from .triangulation import (
     EDGE_VERTICES,
     FACE_VERTICES,
     Triangulation,
+    perm_sign,
     skeleton,
 )
 
@@ -240,19 +241,8 @@ def _face_orientation_table(tri: Triangulation) -> dict[tuple[int, int], int]:
         if g is None:
             continue
         images = [g.perm[v] for v in FACE_VERTICES[f]]
-        rel[(g.tet, g.face)] = _sort_parity(images)
+        rel[(g.tet, g.face)] = perm_sign(images)
     return rel
-
-
-def _sort_parity(seq: list[int]) -> int:
-    swaps = 0
-    s = list(seq)
-    for i in range(len(s)):
-        for j in range(len(s) - 1 - i):
-            if s[j] > s[j + 1]:
-                s[j], s[j + 1] = s[j + 1], s[j]
-                swaps += 1
-    return -1 if swaps % 2 else 1
 
 
 @lru_cache(maxsize=512)

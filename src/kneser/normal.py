@@ -115,10 +115,17 @@ def matching_system(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
 
 
 def satisfies_matching(tri: Triangulation, coords: Sequence[int]) -> bool:
-    return all(
-        sum(c * x for c, x in zip(row, coords)) == 0
-        for row in matching_system(tri)
-    )
+    """True when coords satisfies every row of `matching_system`: each face
+    orbit sees the same arc counts from its two sides."""
+    require_closed(tri)
+    for orbit in skeleton(tri).face_orbits:
+        i, f = orbit[0]
+        g = tri.gluings[i][f]
+        for v in FACE_VERTICES[f]:
+            other_side = arc_count(coords, g.tet, g.face, g.perm[v])
+            if arc_count(coords, i, f, v) != other_side:
+                return False
+    return True
 
 
 def satisfies_quad_constraint(coords: Sequence[int], ntet: int) -> bool:
@@ -129,13 +136,8 @@ def satisfies_quad_constraint(coords: Sequence[int], ntet: int) -> bool:
     return True
 
 
-def check_coordinates(
-    tri: Triangulation,
-    coords: Sequence[int],
-    *,
-    require_quads: bool = True,
-) -> NormalCoordinates:
-    """Validate shape, nonnegativity, matching and (optionally) quads."""
+def check_coordinates(tri: Triangulation, coords: Sequence[int]) -> NormalCoordinates:
+    """Validate shape, nonnegativity, matching and the quad constraint."""
     coords = tuple(int(c) for c in coords)
     if len(coords) != 7 * tri.size:
         raise ValueError(
@@ -145,7 +147,7 @@ def check_coordinates(
         raise ValueError("normal coordinates must be nonnegative")
     if not satisfies_matching(tri, coords):
         raise ValueError("matching equations fail")
-    if require_quads and not satisfies_quad_constraint(coords, tri.size):
+    if not satisfies_quad_constraint(coords, tri.size):
         raise ValueError("quad constraint fails")
     return coords
 

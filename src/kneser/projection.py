@@ -264,15 +264,15 @@ def _subdivide(tris: np.ndarray) -> np.ndarray:
     return children.reshape(-1, 3, 3)
 
 
-def _integrate_jacobian(u, tris, jac, tol=QUAD_TOLERANCE, max_depth=QUAD_MAX_DEPTH):
+def _integrate_jacobian(tris, jac):
     """Adaptive triangle quadrature of a pointwise Jacobian `jac(points,
     normals) -> values`: 7-point rule, refined by midpoint subdivision until
     the change is below the tolerance or the depth cap is reached.
 
-    The tolerance is on the total (relative 1e-4): a piece is accepted when
-    its coarse-to-fine change is small relative to its own value or within
-    its area-proportional share of the global error budget, which keeps the
-    summed error below tol times the integral.
+    The tolerance is on the total (relative QUAD_TOLERANCE): a piece is
+    accepted when its coarse-to-fine change is small relative to its own
+    value or within its area-proportional share of the global error budget,
+    which keeps the summed error below QUAD_TOLERANCE times the integral.
     """
 
     def rule(batch, areas, normals):
@@ -287,16 +287,17 @@ def _integrate_jacobian(u, tris, jac, tol=QUAD_TOLERANCE, max_depth=QUAD_MAX_DEP
     total = 0.0
     active = tris
     coarse = rule(active, areas, normals)
-    budget = tol * max(abs(float(np.sum(coarse))), 1e-300) / float(np.sum(areas))
-    for depth in range(max_depth + 1):
+    scale = max(abs(float(np.sum(coarse))), 1e-300)
+    budget = QUAD_TOLERANCE * scale / float(np.sum(areas))
+    for depth in range(QUAD_MAX_DEPTH + 1):
         children = _subdivide(active)
         child_areas = np.repeat(areas / 4, 4)
         child_normals = np.repeat(normals, 4, axis=0)
         fine4 = rule(children, child_areas, child_normals).reshape(-1, 4)
         fine = np.sum(fine4, axis=1)
         err = np.abs(fine - coarse)
-        allowance = np.maximum(tol * np.abs(fine), budget * areas)
-        done = (err <= allowance) | np.full(fine.shape, depth == max_depth)
+        allowance = np.maximum(QUAD_TOLERANCE * np.abs(fine), budget * areas)
+        done = (err <= allowance) | np.full(fine.shape, depth == QUAD_MAX_DEPTH)
         total += float(np.sum(fine[done]))
         if np.all(done):
             return total
@@ -340,7 +341,7 @@ def projected_area(
             raise JacobianBoundExceeded("area Jacobian exceeded the radial bound")
         return vals
 
-    return total + _integrate_jacobian(u, near, jac)
+    return total + _integrate_jacobian(near, jac)
 
 
 def boundary_projected_area(
@@ -374,7 +375,7 @@ def boundary_projected_area(
         f2 = t * (t2 - w * (np.sum(n_face * t2, axis=1) / ndotw)[:, None])
         return np.sqrt(np.sum(np.cross(f1, f2) ** 2, axis=1))
 
-    return _integrate_jacobian(u, patch.triangles, jac)
+    return _integrate_jacobian(patch.triangles, jac)
 
 
 def _orthonormal_tangent(normals: np.ndarray) -> np.ndarray:

@@ -292,43 +292,19 @@ def reconstruct(tri: Triangulation, coords) -> ReconstructedSurface:
     coords = complex_.coordinates
     incidences = _arc_direction_checks(complex_)
 
-    ndisks = len(complex_.disks)
-    uf = _UnionFind(ndisks)
-    for inc in incidences.values():
-        uf.union(inc[0][0], inc[1][0], False)
-
-    groups: dict[int, list[int]] = {}
-    for di in range(ndisks):
-        groups.setdefault(uf.find(di)[0], []).append(di)
-    ordered = sorted(groups.values(), key=lambda g: complex_.disks[g[0]])
-
-    # orientability: 2-color disks so adjacent disks traverse each shared
-    # arc in opposite directions
-    color = [0] * ndisks
-    adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(ndisks)}
-    for inc in incidences.values():
-        (d1, s1), (d2, s2) = inc
-        adjacency[d1].append((d2, -s1 * s2))
-        adjacency[d2].append((d1, -s1 * s2))
-
-    def orientable_group(group: list[int]) -> bool:
-        ok = True
-        color[group[0]] = 1
-        stack = [group[0]]
-        while stack:
-            x = stack.pop()
-            for y, rel in adjacency[x]:
-                want = color[x] * rel
-                if color[y] == 0:
-                    color[y] = want
-                    stack.append(y)
-                elif color[y] != want:
-                    ok = False
-        return ok
+    # one class per component; the bit 2-colours the disks so that adjacent
+    # disks traverse their shared arc in opposite directions, and a failed
+    # union marks its class non-orientable
+    uf = _UnionFind(len(complex_.disks))
+    twisted = []
+    for (d1, s1), (d2, s2) in incidences.values():
+        if not uf.union(d1, d2, s1 == s2):
+            twisted.append(d1)
+    non_orientable = {uf.find(d)[0] for d in twisted}
+    ordered = sorted(uf.classes(), key=lambda g: complex_.disks[g[0]])
 
     components = []
     for group in ordered:
-        group_orientable = orientable_group(group)
         disk_ids = [complex_.disks[i] for i in group]
         comp_coords = [0] * (7 * tri.size)
         for tet, kind, which, _copy in disk_ids:
@@ -350,7 +326,7 @@ def reconstruct(tri: Triangulation, coords) -> ReconstructedSurface:
                 arc_count=len(arc_ids),
                 crossing_count=len(crossings),
                 euler_characteristic=chi,
-                orientable=group_orientable,
+                orientable=group[0] not in non_orientable,
                 vertex_linking=all(
                     comp_coords[quad_index(t, j)] == 0
                     for t in range(tri.size)

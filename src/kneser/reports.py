@@ -2,10 +2,12 @@
 
 All floats are serialized with 17 significant digits (full round-trip for
 IEEE doubles) and dictionaries keep their construction order, so identical
-inputs always produce byte-identical output.
+inputs always produce byte-identical output.  A non-finite float raises
+ValueError, because NaN and infinity are not JSON.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .decomposition import DecompositionReport
@@ -36,6 +38,8 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite float {obj!r}")
         out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(_escape(obj))

@@ -535,15 +535,12 @@ def cap_boundary(tri: Triangulation) -> Triangulation:
         for x, y in (((i, f, u), (i2, f2, u2)), ((i, f, v), (i2, f2, v2))):
             corner_classes.union(corner_index[x], corner_index[y], False)
 
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for s in slots:
-        groups.setdefault(face_classes.find(slot_index[s])[0], []).append(s)
-    for comp in groups.values():
+    for comp in face_classes.classes():
         f_count = len(comp)
         e_count = 3 * f_count // 2
         corners = {
             corner_classes.find(corner_index[(i, f, w)])[0]
-            for i, f in comp
+            for i, f in (slots[n] for n in comp)
             for w in FACE_VERTICES[f]
         }
         chi = len(corners) - e_count + f_count

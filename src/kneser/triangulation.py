@@ -18,7 +18,7 @@ may be glued to each other.  A face glued to itself is always rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -32,8 +32,6 @@ from .errors import (
 )
 
 Perm = tuple[int, int, int, int]
-
-IDENTITY_PERM: Perm = (0, 1, 2, 3)
 
 # Edge e has endpoints EDGE_VERTICES[e], listed ascending so that the edge
 # index determines a canonical local direction.
@@ -51,10 +49,12 @@ FACE_VERTICES: tuple[tuple[int, int, int], ...] = (
 )
 
 
-def perm_sign(p: Perm) -> int:
-    """Sign of a permutation of {0,1,2,3}: +1 even, -1 odd."""
+def perm_sign(p: Sequence[int]) -> int:
+    """Sign of the permutation that sorts the distinct values p: +1 even,
+    -1 odd."""
+    n = len(p)
     inversions = sum(
-        1 for a in range(4) for b in range(a + 1, 4) if p[a] > p[b]
+        1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b]
     )
     return -1 if inversions % 2 else 1
 
@@ -90,13 +90,14 @@ class Triangulation:
 
     gluings[i][f] is the Gluing of face f of tet i, or None for a boundary
     face.  orientations is a per-tet +1/-1 assignment witnessing orientation
-    coherence, or None if the triangulation is non-orientable.
+    coherence, +1 on the least tet of each component, or None if the
+    triangulation is non-orientable.  Both orientations and closed are
+    functions of the gluings, so only the gluings are compared and hashed.
     """
 
     gluings: tuple[tuple[Gluing | None, ...], ...]
-    orientations: tuple[int, ...] | None
-    closed: bool
-    labels: tuple[str, ...] | None = None
+    orientations: tuple[int, ...] | None = field(compare=False)
+    closed: bool = field(compare=False)
 
     @property
     def size(self) -> int:
@@ -105,9 +106,6 @@ class Triangulation:
     @property
     def orientable(self) -> bool:
         return self.orientations is not None
-
-    def gluing(self, tet: int, face: int) -> Gluing | None:
-        return self.gluings[tet][face]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +116,9 @@ class SkeletonTable:
     which makes every downstream output byte-deterministic.  Each edge slot
     additionally records whether its canonical local direction (ascending
     local vertices) is reversed relative to the orbit direction (the
-    representative slot's ascending direction).
+    representative slot's ascending direction).  reversed_edge is the first
+    (tet, edge) slot whose gluings identify the edge with itself in reverse,
+    or None.
     """
 
     vertex_orbits: tuple[tuple[tuple[int, int], ...], ...]
@@ -129,6 +129,7 @@ class SkeletonTable:
     face_orbit_of: dict[tuple[int, int], int]
     edge_degrees: tuple[int, ...]
     tet_count: int
+    reversed_edge: tuple[int, int] | None
 
     @property
     def vertex_count(self) -> int:
@@ -160,7 +161,12 @@ class SupportMetrics:
 
 
 class _UnionFind:
-    """Union-find where each slot carries an XOR bit relative to its root."""
+    """Union-find where each slot carries an XOR bit relative to its root.
+
+    The root of each class is its least member, so the bit of a slot is
+    relative to that member: a 2-colouring that gives the least member
+    bit 0.
+    """
 
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -185,9 +191,18 @@ class _UnionFind:
         ry, by = self.find(y)
         if rx == ry:
             return (bx ^ by) == rel
+        if ry < rx:
+            rx, ry = ry, rx
         self.parent[ry] = rx
         self.bit[ry] = bx ^ rel ^ by
         return True
+
+    def classes(self) -> list[list[int]]:
+        """The classes, each ascending, in order of least member."""
+        groups: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            groups.setdefault(self.find(x)[0], []).append(x)
+        return list(groups.values())
 
 
 def _check_structure(table: Sequence[Sequence[RawGluing]]) -> None:
@@ -212,29 +227,22 @@ def _check_structure(table: Sequence[Sequence[RawGluing]]) -> None:
                 )
 
 
-def _orient(table: Sequence[Sequence[RawGluing]]) -> tuple[int, ...]:
-    """Coherent +1/-1 orientations; raises NonOrientable on conflict."""
-    t = len(table)
-    orient = [0] * t
-    for seed in range(t):
-        if orient[seed]:
-            continue
-        orient[seed] = 1
-        stack = [seed]
-        while stack:
-            i = stack.pop()
-            for f in range(4):
-                entry = table[i][f]
-                if entry is None:
-                    continue
-                j, _, p = entry
-                want = -orient[i] * perm_sign(tuple(p))
-                if orient[j] == 0:
-                    orient[j] = want
-                    stack.append(j)
-                elif orient[j] != want:
-                    raise NonOrientable(i, f)
-    return tuple(orient)
+def _tet_unionfind(
+    table: Sequence[Sequence[RawGluing]],
+) -> tuple[_UnionFind, tuple[int, int] | None]:
+    """Union-find over the tets, one union per gluing, whose bit says the
+    orientation flips (the gluing permutation is even); also reports the
+    first (tet, face) whose gluing contradicts a coherent orientation."""
+    uf = _UnionFind(len(table))
+    bad: tuple[int, int] | None = None
+    for i, row in enumerate(table):
+        for f, entry in enumerate(row):
+            if entry is None:
+                continue
+            j, _, p = entry
+            if not uf.union(i, j, perm_sign(p) > 0):
+                bad = bad or (i, f)
+    return uf, bad
 
 
 def validate(
@@ -242,7 +250,6 @@ def validate(
     *,
     require_closed: bool = True,
     require_orientable: bool = True,
-    labels: Sequence[str] | None = None,
 ) -> Triangulation:
     """Check a raw gluing table and build a Triangulation.
 
@@ -274,13 +281,12 @@ def validate(
                     i, f, f"(tet {j}, face {k}) does not glue back with the inverse"
                 )
 
-    orientations: tuple[int, ...] | None
-    try:
-        orientations = _orient(table)
-    except NonOrientable:
-        if require_orientable:
-            raise
-        orientations = None
+    tets, bad = _tet_unionfind(table)
+    orientations: tuple[int, ...] | None = None
+    if bad is None:
+        orientations = tuple(-1 if tets.find(i)[1] else 1 for i in range(t))
+    elif require_orientable:
+        raise NonOrientable(*bad)
 
     rows = []
     for row in table:
@@ -293,20 +299,10 @@ def validate(
                 cells.append(Gluing(j, k, tuple(p)))
         rows.append(tuple(cells))
 
-    tri = Triangulation(
-        gluings=tuple(rows),
-        orientations=orientations,
-        closed=False,
-        labels=tuple(labels) if labels is not None else None,
-    )
-    closed = _closedness(tri, demand=require_closed)
-    if closed:
-        tri = Triangulation(
-            gluings=tri.gluings,
-            orientations=orientations,
-            closed=True,
-            labels=tri.labels,
-        )
+    tri = Triangulation(gluings=tuple(rows), orientations=orientations, closed=False)
+    # closed is neither compared nor hashed, so setting it keeps the skeleton
+    # that _closedness caches under tri
+    object.__setattr__(tri, "closed", _closedness(tri, demand=require_closed))
     return tri
 
 
@@ -318,42 +314,18 @@ def _closedness(tri: Triangulation, demand: bool) -> bool:
                 if demand:
                     raise NotClosed(i, f)
                 return False
-    bad = _reversed_edge(tri)
-    if bad is not None:
+    sk = skeleton(tri)
+    if sk.reversed_edge is not None:
         if demand:
-            tet, edge = bad
+            tet, edge = sk.reversed_edge
             raise NotClosed(tet, edge, "edge identified with itself in reverse")
         return False
-    chi = skeleton(tri).euler_characteristic
+    chi = sk.euler_characteristic
     if chi != 0:
         if demand:
             raise NotClosed(0, 0, f"Euler characteristic {chi} != 0")
         return False
     return True
-
-
-def _edge_unionfind(tri: Triangulation) -> tuple[_UnionFind, tuple[int, int] | None]:
-    """Union-find over all 6t edge slots; also reports a reversed self-gluing."""
-    uf = _UnionFind(6 * tri.size)
-    bad: tuple[int, int] | None = None
-    for i in range(tri.size):
-        for f in range(4):
-            g = tri.gluings[i][f]
-            if g is None:
-                continue
-            for e, (u, v) in enumerate(EDGE_VERTICES):
-                if u == f or v == f:
-                    continue
-                pu, pv = g.perm[u], g.perm[v]
-                e2 = EDGE_INDEX[frozenset((pu, pv))]
-                rel = pu > pv  # gluing reverses the ascending direction
-                if not uf.union(6 * i + e, 6 * g.tet + e2, rel) and bad is None:
-                    bad = (i, e)
-    return uf, bad
-
-
-def _reversed_edge(tri: Triangulation) -> tuple[int, int] | None:
-    return _edge_unionfind(tri)[1]
 
 
 @lru_cache(maxsize=256)
@@ -362,8 +334,9 @@ def skeleton(tri: Triangulation) -> SkeletonTable:
     t = tri.size
 
     vf = _UnionFind(4 * t)
-    uf_e, _bad = _edge_unionfind(tri)
+    ef = _UnionFind(6 * t)
     ff = _UnionFind(4 * t)
+    reversed_edge: tuple[int, int] | None = None
 
     for i in range(t):
         for f in range(4):
@@ -375,51 +348,42 @@ def skeleton(tri: Triangulation) -> SkeletonTable:
                 if v == f:
                     continue
                 vf.union(4 * i + v, 4 * g.tet + g.perm[v], False)
+            for e, (u, v) in enumerate(EDGE_VERTICES):
+                if u == f or v == f:
+                    continue
+                pu, pv = g.perm[u], g.perm[v]
+                e2 = EDGE_INDEX[frozenset((pu, pv))]
+                rel = pu > pv  # gluing reverses the ascending direction
+                if not ef.union(6 * i + e, 6 * g.tet + e2, rel):
+                    reversed_edge = reversed_edge or (i, e)
 
-    def orbits(uf: _UnionFind, slots: int, width: int):
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for s in range(slots):
-            root, _ = uf.find(s)
-            groups.setdefault(root, []).append((s // width, s % width))
-        return sorted((sorted(v) for v in groups.values()), key=lambda g: g[0])
+    def slot_orbits(uf: _UnionFind, width: int):
+        return tuple(tuple(divmod(s, width) for s in c) for c in uf.classes())
 
-    vertex_orbits = tuple(tuple(g) for g in orbits(vf, 4 * t, 4))
-    face_orbits = tuple(tuple(g) for g in orbits(ff, 4 * t, 4))
+    def orbit_of(orbits):
+        return {slot: idx for idx, orbit in enumerate(orbits) for slot in orbit}
 
-    edge_groups: dict[int, list[tuple[tuple[int, int], bool]]] = {}
-    for s in range(6 * t):
-        root, bit = uf_e.find(s)
-        edge_groups.setdefault(root, []).append(((s // 6, s % 6), bit))
-    edge_sorted = sorted(edge_groups.values(), key=lambda g: min(x[0] for x in g))
-    edge_orbits = []
-    edge_orbit_of: dict[tuple[int, int], tuple[int, bool]] = {}
-    for idx, grp in enumerate(edge_sorted):
-        grp = sorted(grp)
-        rep_bit = grp[0][1]
-        members = []
-        for slot, bit in grp:
-            members.append(slot)
-            edge_orbit_of[slot] = (idx, bit ^ rep_bit)
-        edge_orbits.append(tuple(members))
-
-    vertex_orbit_of = {}
-    for idx, grp in enumerate(vertex_orbits):
-        for slot in grp:
-            vertex_orbit_of[slot] = idx
-    face_orbit_of = {}
-    for idx, grp in enumerate(face_orbits):
-        for slot in grp:
-            face_orbit_of[slot] = idx
+    vertex_orbits = slot_orbits(vf, 4)
+    edge_orbits = slot_orbits(ef, 6)
+    face_orbits = slot_orbits(ff, 4)
+    # the root of an edge orbit is its representative slot, so the bit of
+    # each slot is its direction relative to the representative's
+    edge_orbit_of = {
+        slot: (idx, ef.find(6 * slot[0] + slot[1])[1])
+        for idx, orbit in enumerate(edge_orbits)
+        for slot in orbit
+    }
 
     return SkeletonTable(
         vertex_orbits=vertex_orbits,
-        edge_orbits=tuple(edge_orbits),
+        edge_orbits=edge_orbits,
         face_orbits=face_orbits,
-        vertex_orbit_of=vertex_orbit_of,
+        vertex_orbit_of=orbit_of(vertex_orbits),
         edge_orbit_of=edge_orbit_of,
-        face_orbit_of=face_orbit_of,
+        face_orbit_of=orbit_of(face_orbits),
         edge_degrees=tuple(len(g) for g in edge_orbits),
         tet_count=t,
+        reversed_edge=reversed_edge,
     )
 
 
@@ -488,25 +452,9 @@ def support_metrics(tri: Triangulation, support: Iterable[int]) -> SupportMetric
 
 
 def connected_components(tri: Triangulation) -> list[list[int]]:
-    """Tet index classes connected through face gluings, each sorted."""
-    seen = [False] * tri.size
-    comps: list[list[int]] = []
-    for seed in range(tri.size):
-        if seen[seed]:
-            continue
-        comp = [seed]
-        seen[seed] = True
-        stack = [seed]
-        while stack:
-            i = stack.pop()
-            for f in range(4):
-                g = tri.gluings[i][f]
-                if g is not None and not seen[g.tet]:
-                    seen[g.tet] = True
-                    comp.append(g.tet)
-                    stack.append(g.tet)
-        comps.append(sorted(comp))
-    return comps
+    """Tet index classes connected through face gluings, each sorted, in
+    order of least tet."""
+    return _tet_unionfind(tri.gluings)[0].classes()
 
 
 def restrict(tri: Triangulation, tets: Sequence[int]) -> Triangulation:
@@ -524,14 +472,10 @@ def restrict(tri: Triangulation, tets: Sequence[int]) -> Triangulation:
                     raise ValueError("tet set is not closed under gluings")
                 cells.append((index[g.tet], g.face, g.perm))
         rows.append(cells)
-    labels = None
-    if tri.labels is not None:
-        labels = [tri.labels[old] for old in tets]
     return validate(
         rows,
         require_closed=tri.closed,
         require_orientable=tri.orientable,
-        labels=labels,
     )
 
 

@@ -5,7 +5,10 @@ exhaustive chain enumeration, homology from sympy's Smith normal form,
 vertex rays from sympy matrix ranks, and normal solutions from a direct
 backtracking search over bounded coordinates.  The list-of-tuples double
 description engine with its `Fraction` rank, which the numpy engine in
-`kneser.vertex_enum` replaced, is kept here as the reference enumeration.
+`kneser.vertex_enum` replaced, is kept here as the reference enumeration,
+and the depth-first walks that orientations and components of a gluing
+table came from before `kneser.triangulation` used its union-find are kept
+as the reference for both.
 """
 from __future__ import annotations
 
@@ -47,6 +50,55 @@ def exhaustive_chain_distance(tri: Triangulation, a: int, b: int) -> int | None:
         if best is not None:
             break
     return best
+
+
+def orientations_reference(table) -> tuple[int, ...] | None:
+    """Coherent +1/-1 tet orientations by depth-first search from the least
+    unvisited tet, which gets +1; None when some gluing contradicts them."""
+    t = len(table)
+    orient = [0] * t
+    for seed in range(t):
+        if orient[seed]:
+            continue
+        orient[seed] = 1
+        stack = [seed]
+        while stack:
+            i = stack.pop()
+            for f in range(4):
+                entry = table[i][f]
+                if entry is None:
+                    continue
+                j, _, p = entry
+                want = -orient[i] * _parity(p)
+                if orient[j] == 0:
+                    orient[j] = want
+                    stack.append(j)
+                elif orient[j] != want:
+                    return None
+    return tuple(orient)
+
+
+def connected_components_reference(tri: Triangulation) -> list[list[int]]:
+    """Tet index classes connected through face gluings, by depth-first
+    search from the least unvisited tet, each sorted."""
+    seen = [False] * tri.size
+    comps: list[list[int]] = []
+    for seed in range(tri.size):
+        if seen[seed]:
+            continue
+        comp = [seed]
+        seen[seed] = True
+        stack = [seed]
+        while stack:
+            i = stack.pop()
+            for f in range(4):
+                g = tri.gluings[i][f]
+                if g is not None and not seen[g.tet]:
+                    seen[g.tet] = True
+                    comp.append(g.tet)
+                    stack.append(g.tet)
+        comps.append(sorted(comp))
+    return comps
 
 
 def sympy_homology(tri: Triangulation, k: int) -> tuple[int, tuple[int, ...]]:

@@ -18,6 +18,7 @@ from kneser.cli import (
 from kneser.errors import (
     ConsistencyCheckFailed,
     InvalidAfterCrush,
+    JacobianBoundExceeded,
     TerminationGuardTripped,
 )
 from kneser.fileio import parse_surface_dump, parse_tri
@@ -121,11 +122,22 @@ class TestUnreadableInput:
 
 
 @pytest.mark.parametrize(
-    "error", [InvalidAfterCrush, TerminationGuardTripped, ConsistencyCheckFailed]
+    "error",
+    [
+        InvalidAfterCrush,
+        TerminationGuardTripped,
+        ConsistencyCheckFailed,
+        JacobianBoundExceeded,
+        IndexError,
+    ],
 )
 @pytest.mark.parametrize(
     "command, target",
-    [("decompose", "decompose"), ("enumerate", "enumerate_vertex_solutions")],
+    [
+        ("decompose", "decompose"),
+        ("enumerate", "enumerate_vertex_solutions"),
+        ("montecarlo", "projection_ratios"),
+    ],
 )
 class TestInternalError:
     def test_exits_four_without_payload(
@@ -135,10 +147,28 @@ class TestInternalError:
             raise error("injected failure")
 
         monkeypatch.setattr(cli, target, fail)
-        code = cli.main([command, str(corpus_dir / "bd4simplex.tri")])
+        name = "patch_sphere.patch" if command == "montecarlo" else "bd4simplex.tri"
+        code = cli.main([command, str(corpus_dir / name)])
         out, err = capsys.readouterr()
         assert (code, out) == (4, "")
         assert err == f"internal error: {error.__name__}: injected failure\n"
+
+
+class TestNonFinitePayload:
+    def test_emit_json_refuses_non_finite(self):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                emit_json({"estimate": [value]})
+
+    def test_exits_four_without_payload(self, monkeypatch, capsys):
+        def nan_payload(argv):
+            return cli.CommandResult(0, {"estimate": float("nan")})
+
+        monkeypatch.setattr(cli, "run", nan_payload)
+        code = cli.main(["montecarlo", "any.patch"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: ValueError: ")
 
 
 class TestEnumerateCommand:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kneser import vertex_enum
@@ -46,7 +48,9 @@ class TestMatchingSystem:
     def test_cache_leaves_answers_unchanged(self, closed_corpus, monkeypatch):
         """Vertex solution counts as pinned before the cache existed, the
         same solutions from a matrix rebuilt on every call, and the same
-        matching verdicts as a direct evaluation of the rebuilt matrix."""
+        matching verdicts as a direct evaluation of the rebuilt matrix, on
+        the solutions, the unit vectors, each solution with one coordinate
+        raised, and seeded random non-negative vectors."""
         counts = {
             "s3_one_tet": 3, "s3_two_tet": 7, "rp3_two_tet": 5,
             "l31_two_tet": 5, "s2xs1_two_tet": 4, "bd4_simplex": 15,
@@ -60,11 +64,18 @@ class TestMatchingSystem:
             m.setattr(vertex_enum, "matching_system", uncached)
             rebuilt = {n: enumerate_vertex_solutions(t) for n, t in closed_corpus.items()}
         assert cached == rebuilt
+        rng = random.Random(3)
         for name, tri in closed_corpus.items():
             assert len(cached[name]) == counts[name], name
             n = 7 * tri.size
             units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-            for coords in cached[name] + units:
+            raised = [
+                tuple(x + (i == k) for i, x in enumerate(sol))
+                for sol in cached[name]
+                for k in (rng.randrange(n),)
+            ]
+            noise = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(30)]
+            for coords in cached[name] + units + raised + noise:
                 direct = all(
                     sum(c * x for c, x in zip(row, coords)) == 0
                     for row in uncached(tri)
@@ -294,4 +305,4 @@ class TestReconstruct:
         two_quads[quad_index(0, 0)] = 1
         two_quads[quad_index(0, 1)] = 1
         with pytest.raises(ValueError):
-            check_coordinates(bd4, two_quads, require_quads=True)
+            check_coordinates(bd4, two_quads)

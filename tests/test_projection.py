@@ -279,8 +279,8 @@ def _chain_rhs(config, u, patch):
         rho2 = np.sum(w * w, axis=1)
         return np.where(rho2 < two_r ** 2, (two_r ** 2) / rho2, 0.0)
 
-    outside = _integrate_jacobian(u, patch.triangles, outside_part)
-    bound = _integrate_jacobian(u, patch.triangles, bound_part)
+    outside = _integrate_jacobian(patch.triangles, outside_part)
+    bound = _integrate_jacobian(patch.triangles, bound_part)
     return outside + bound
 
 

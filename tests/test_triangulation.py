@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from kneser.errors import (
     SelfGluedFace,
 )
 from kneser.triangulation import (
+    connected_components,
     disjoint_union,
     perm_compose,
     perm_inverse,
@@ -24,7 +26,12 @@ from kneser.triangulation import (
     support_metrics,
     validate,
 )
-from oracles import exhaustive_chain_distance
+from oracles import (
+    connected_components_reference,
+    exhaustive_chain_distance,
+    orientations_reference,
+)
+from test_census_sweep import two_tet_tables
 
 ALL_PERMS = list(itertools.permutations(range(4)))
 
@@ -56,6 +63,12 @@ class TestValidate:
                 o = bd4.orientations
                 assert perm_sign(g.perm) == -o[i] * o[g.tet]
         assert bd4.closed and bd4.orientable
+
+    def test_closed_table_builds_one_skeleton(self, bd4):
+        skeleton.cache_clear()
+        tri = validate(bd4.gluings)
+        skeleton(tri)
+        assert skeleton.cache_info().misses == 1
 
     def test_single_tet_not_closed_when_demanded(self):
         with pytest.raises(NotClosed):
@@ -90,6 +103,56 @@ class TestValidate:
             validate(table, require_closed=False, require_orientable=True)
         tri = validate(table, require_closed=False, require_orientable=False)
         assert not tri.orientable
+
+
+def random_tables(count: int, seed: int):
+    """Seeded random involutive gluing tables of 1-4 tets, some faces left
+    unglued; orientable or not, connected or not."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = rng.randint(1, 4)
+        slots = [(i, f) for i in range(t) for f in range(4)]
+        rng.shuffle(slots)
+        table = [[None] * 4 for _ in range(t)]
+        for n in range(rng.randint(0, 2 * t)):
+            (i, f), (j, k) = slots[2 * n], slots[2 * n + 1]
+            images = [v for v in range(4) if v != k]
+            rng.shuffle(images)
+            p = [0] * 4
+            p[f] = k
+            for v, w in zip((v for v in range(4) if v != f), images):
+                p[v] = w
+            table[i][f] = (j, k, tuple(p))
+            table[j][k] = (i, f, perm_inverse(tuple(p)))
+        yield table
+
+
+class TestAgainstWalks:
+    """Orientations, NonOrientable and components from the union-find agree
+    with the depth-first walks they replaced."""
+
+    def test_two_tet_census(self):
+        # every table glues all faces; components of non-orientable tables
+        # are compared on the random tables below
+        for table in two_tet_tables():
+            expected = orientations_reference(table)
+            try:
+                tri = validate(table, require_closed=False)
+            except NonOrientable:
+                assert expected is None
+                continue
+            assert tri.orientations == expected
+            assert connected_components(tri) == connected_components_reference(tri)
+
+    def test_random_tables(self):
+        for table in random_tables(3000, seed=5):
+            expected = orientations_reference(table)
+            if expected is None:
+                with pytest.raises(NonOrientable):
+                    validate(table, require_closed=False)
+            tri = validate(table, require_closed=False, require_orientable=False)
+            assert tri.orientations == expected
+            assert connected_components(tri) == connected_components_reference(tri)
 
 
 class TestSkeleton:
