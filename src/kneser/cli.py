@@ -8,12 +8,16 @@ that is not finite JSON, which is a bug).  Stdout carries a JSON payload
 exactly when the exit code is 0 or 1; diagnostics go to stderr, and no
 command ends in a traceback.
 
-The only environment variable consulted is KNESER_THREADS, which changes
-wall time, never output bytes.
+The side files of `enumerate --dump` and `montecarlo --csv` are opened
+before any work; a path that cannot be opened for writing exits 2.
+
+KNESER_THREADS is accepted for compatibility and changes nothing: every
+command runs in one thread.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -58,6 +62,18 @@ def _load(path: str, parse, what: str):
         return CommandResult(2, None, f"cannot read {path}: {exc}")
     except (KneserError, ValueError) as exc:
         return CommandResult(2, None, f"bad {what}: {exc}")
+
+
+def _open_side_file(path: str | None):
+    """The side file at `path` opened for writing, None for no path, or the
+    exit-2 result saying why it cannot be opened; commands open it before
+    their work so a bad path fails fast."""
+    if path is None:
+        return None
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        return CommandResult(2, None, f"cannot write {path}: {exc}")
 
 
 def cmd_decompose(
@@ -121,22 +137,24 @@ def cmd_enumerate(
     tri = _load(path, parse_tri, "triangulation")
     if isinstance(tri, CommandResult):
         return tri
-    try:
-        entries, all_pass = _surface_entries(
-            tri, enumerate_vertex_solutions(tri, budget), pl_area_flag, verify_diam
-        )
-    except BudgetExceeded as exc:
-        return CommandResult(3, None, str(exc))
+    dump = _open_side_file(dump_path)
+    if isinstance(dump, CommandResult):
+        return dump
+    with dump or contextlib.nullcontext():
+        try:
+            entries, all_pass = _surface_entries(
+                tri, enumerate_vertex_solutions(tri, budget), pl_area_flag, verify_diam
+            )
+        except BudgetExceeded as exc:
+            return CommandResult(3, None, str(exc))
+        if dump is not None:
+            dump.write("".join(e["dump"] + "\n" for e in entries))
     payload = {
         "input": {"name": Path(path).name, "ntet": tri.size},
         "length_model": LENGTH_MODEL,
         "count": len(entries),
         "surfaces": entries,
     }
-    if dump_path is not None:
-        Path(dump_path).write_text(
-            "".join(e["dump"] + "\n" for e in entries)
-        )
     if verify_diam and not all_pass:
         return CommandResult(1, payload, "diameter bound violated")
     return CommandResult(0, payload, "")
@@ -179,8 +197,14 @@ def cmd_montecarlo(
         return CommandResult(2, None, str(exc))
     if not all(math.isfinite(value) and value > 0 for value in nus):
         return CommandResult(2, None, "nu must be finite and positive")
-    ratios = projection_ratios(config, patch)
-    estimates = [estimate_from_ratios(config, ratios, value) for value in nus]
+    csv = _open_side_file(csv_path)
+    if isinstance(csv, CommandResult):
+        return csv
+    with csv or contextlib.nullcontext():
+        ratios = projection_ratios(config, patch)
+        estimates = [estimate_from_ratios(config, ratios, value) for value in nus]
+        if csv is not None:
+            csv.write(estimate_csv_rows(estimates))
     payload = {
         "input": {
             "name": Path(path).name,
@@ -192,8 +216,6 @@ def cmd_montecarlo(
         "samples": samples,
         "estimates": [estimate_dict(e) for e in estimates],
     }
-    if csv_path is not None:
-        Path(csv_path).write_text(estimate_csv_rows(estimates))
     if not all(e.passed for e in estimates):
         return CommandResult(1, payload, "bad-set bound violated")
     return CommandResult(0, payload, "")

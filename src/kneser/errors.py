@@ -89,7 +89,8 @@ class CenterOnSurface(KneserError):
 
 
 class JacobianBoundExceeded(KneserError):
-    """The area Jacobian of pi_u exceeded its radial bound (a bug)."""
+    """The closed-form projected area broke one of its invariants,
+    0 <= area(T cap D) <= area(T) or |Omega(T cap D)| <= 2 pi (a bug)."""
 
 
 class ZeroArea(KneserError):

@@ -13,12 +13,16 @@ the right side being the integrand of the classical bad-set estimate
 |A_nu|_3 <= (|B|_3 + K) / nu with K = integral of 4r^2/|z|^2 over B(0, 2r)
 = 32 pi r^3.  The threshold nu0 = 2(|B|_3 + K)/|B|_3 = 50 independently
 of r.
+
+projected_area integrates that scaling in closed form, with no quadrature:
+a triangle T meets B_u in a disk D of its plane, and pi_u maps T cap D onto
+the sphere of radius 2r, so T contributes area(T - D) + (2r)^2 |Omega|,
+Omega the solid angle T cap D subtends at u.  Only the boundary projection
+psi_u (boundary_projected_area) still uses adaptive quadrature.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +42,12 @@ K_COEFF = Fraction(32)
 
 QUAD_TOLERANCE = 1e-4
 QUAD_MAX_DEPTH = 6
+
+# (centre, triangle) pairs projected_area evaluates together: a block's
+# temporaries stay at a few hundred kilobytes
+PAIR_BLOCK = 4096
+# relative slack of the closed form's invariant checks, for rounding only
+_INVARIANT_SLACK = 1e-9
 
 _SQRT15 = math.sqrt(15.0)
 # 7-point degree-5 rule on the triangle (barycentric coordinates, weights)
@@ -141,23 +151,6 @@ def radial_project(config: ProjectionConfig, u: np.ndarray, x: np.ndarray) -> np
     return u + (2.0 * config.r / rho) * w
 
 
-def boundary_project(config: ProjectionConfig, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """psi_u: push x along the ray from u onto the boundary of sigma0."""
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
-    w = x - u
-    if float(np.sum(w * w)) == 0.0:
-        raise CenterHit("boundary projection evaluated at its center")
-    normals, offsets = _PLANES
-    heads = normals @ w
-    t_best = math.inf
-    for i in range(4):
-        if heads[i] > 0:
-            t = (offsets[i] - float(normals[i] @ u)) / heads[i]
-            t_best = min(t_best, t)
-    return u + t_best * w
-
-
 @dataclass(frozen=True)
 class TriangulatedPatch:
     """Flat triangles strictly inside sigma0; the surface Q being projected."""
@@ -194,14 +187,20 @@ def _unit_normals(tris: np.ndarray) -> np.ndarray:
     return cross / norm
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis of length 3."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def triangle_distances(p: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Euclidean distance from p to each closed flat triangle, vectorized
-    over an (n, 3, 3) batch via the standard closest-point region tests."""
+    """Euclidean distance from p to each closed flat triangle of an
+    (n, 3, 3) batch, by the standard closest-point region tests.  p is one
+    point (3,) or one point per triangle (n, 3)."""
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     ab, ac, bc = b - a, c - a, c - b
-    ap = p[None, :] - a
-    bp = p[None, :] - b
-    cp = p[None, :] - c
+    ap = p - a
+    bp = p - b
+    cp = p - c
     d1 = np.sum(ab * ap, axis=1)
     d2 = np.sum(ac * ap, axis=1)
     d3 = np.sum(ab * bp, axis=1)
@@ -220,7 +219,7 @@ def triangle_distances(p: np.ndarray, tris: np.ndarray) -> np.ndarray:
     t_bc = np.clip(safe_div(d4 - d3, (d4 - d3) + (d5 - d6)), 0.0, 1.0)[:, None]
     n = np.cross(ab, ac)
     n = n / np.sqrt(np.sum(n * n, axis=1, keepdims=True))
-    foot = p[None, :] - np.sum(n * ap, axis=1)[:, None] * n
+    foot = p - np.sum(n * ap, axis=1)[:, None] * n
 
     conditions = [
         (d1 <= 0) & (d2 <= 0),
@@ -236,7 +235,7 @@ def triangle_distances(p: np.ndarray, tris: np.ndarray) -> np.ndarray:
         choices,
         default=foot,
     )
-    diff = p[None, :] - closest
+    diff = p - closest
     return np.sqrt(np.sum(diff * diff, axis=1))
 
 
@@ -310,38 +309,116 @@ def _integrate_jacobian(tris, jac):
 
 
 def projected_area(
-    config: ProjectionConfig, u: np.ndarray, patch: TriangulatedPatch
-) -> float:
-    """|pi_u(Q)|_2 by adaptive quadrature of the exact area Jacobian.
+    config: ProjectionConfig, us: np.ndarray, patch: TriangulatedPatch
+) -> np.ndarray:
+    """|pi_u(Q)|_2 for each centre u in the rows of the (m, 3) array `us`,
+    in closed form; NaN for a centre on Q.
 
-    Every evaluated point checks the integrand bound Jacobian <= (2r/|x-u|)^2
-    of the bad-set estimate and raises JacobianBoundExceeded if it fails.
+    The (centre, triangle) pairs are taken in blocks of at most PAIR_BLOCK,
+    each with one paired triangle_distances call.  A triangle 2r or more from
+    u contributes its area (pi_u is the identity there); any other
+    contribution comes from _closed_form, whose invariant checks raise
+    JacobianBoundExceeded.
     """
-    u = np.asarray(u, dtype=float)
+    us = np.asarray(us, dtype=float)
+    if us.ndim != 2 or us.shape[1] != 3:
+        raise ValueError("centres must have shape (m, 3)")
     tris = patch.triangles
-    dist = triangle_distances(u, tris)
-    if np.any(dist <= 1e-12):
-        raise CenterOnSurface("projection center lies on the patch")
+    areas = _areas(tris)
+    out = np.empty(len(us))
+    step = max(1, PAIR_BLOCK // max(len(tris), 1))
+    for start in range(0, len(us), step):
+        centres = us[start:start + step]
+        rows = np.empty((len(centres), len(tris)))
+        for lo in range(0, len(tris), PAIR_BLOCK):
+            hi = lo + PAIR_BLOCK
+            rows[:, lo:hi] = _pair_areas(config, centres, tris[lo:hi], areas[lo:hi])
+        out[start:start + len(centres)] = np.sum(rows, axis=1)
+    return out
+
+
+def _pair_areas(config, centres, tris, areas):
+    """(k, t) contributions of t triangles seen from k centres; NaN where
+    the centre lies on the triangle."""
+    k, t = len(centres), len(tris)
+    u = np.repeat(centres, t, axis=0)
+    tri = np.tile(tris, (k, 1, 1))
+    dist = triangle_distances(u, tri)
+    out = np.tile(areas, k)
+    on_q = dist <= 1e-12
+    near = (dist < 2.0 * config.r) & ~on_q
+    out[near] = _closed_form(config, u[near], tri[near], out[near])
+    out[on_q] = math.nan
+    return out.reshape(k, t)
+
+
+def _closed_form(config, u, tri, area):
+    """area(T - D) + (2r)^2 |Omega(T cap D)| for pairs of centres u and
+    triangles T with areas `area`, each u off T and closer than 2r to it.
+
+    D is the disk where the plane of T meets B_u: its centre p is the foot
+    of u, its radius R = sqrt((2r)^2 - s^2) for the signed height s of u
+    over the plane, and Omega is the solid angle seen from u.  Both
+    area(T cap D) and Omega(T cap D) are signed fans from p over the edges
+    of T, each edge clipped to the circle of D into up to three pieces:
+    - a piece [w1, w2] inside D adds the triangle (p, w1, w2), with its
+      Van Oosterom-Strackee solid angle 2 atan2(a.(b x c), ...) for
+      a, b, c = p - u, w1 - u, w2 - u;
+    - a piece outside D adds the sector its ends span, of angle phi signed
+      about the normal: area R^2 phi / 2, solid angle
+      -sign(s) phi (1 - |s|/2r).
+    Pushing the boundary of T radially onto D keeps its winding number
+    about every point inside D, so the fans sum to T cap D exactly.
+    """
     two_r = 2.0 * config.r
-    centers_far = dist >= two_r
-    total = float(np.sum(_areas(tris[centers_far])))
-    near = tris[~centers_far]
-    if near.size == 0:
-        return total
-
-    def jac(points, normals):
-        w = points - u
-        rho2 = np.sum(w * w, axis=1)
-        rho = np.sqrt(rho2)
-        cos = np.abs(np.sum(w * normals, axis=1)) / rho
-        inside = rho < two_r
-        vals = np.where(inside, (two_r ** 2) * cos / rho2, 1.0)
-        bound = (two_r ** 2) / rho2
-        if not np.all(vals[inside] <= bound[inside] * (1 + 1e-12)):
-            raise JacobianBoundExceeded("area Jacobian exceeded the radial bound")
-        return vals
-
-    return total + _integrate_jacobian(near, jac)
+    # in-plane frame (e1, e2, n): e1 along the first edge, n the unit normal
+    n = _unit_normals(tri)
+    e1 = tri[:, 1] - tri[:, 0]
+    e1 /= np.sqrt(_dot(e1, e1))[:, None]
+    e2 = np.cross(n, e1)
+    # vertices relative to p, in (e1, e2); edge i runs from (x, y) to
+    # (x + dx, y + dy), counter-clockwise about n
+    rel = tri - u[:, None, :]
+    x, y = _dot(rel, e1[:, None, :]), _dot(rel, e2[:, None, :])
+    s = -_dot(rel[:, 0], n)
+    # below 1e-150 the triangle terms underflow while the sector terms keep
+    # sign(s); the true Omega is then below 1e-100, as u is 1e-12 off T
+    s = np.where(np.abs(s) < 1e-150, 0.0, s)[:, None]
+    s2 = s * s
+    r2 = np.maximum(two_r ** 2 - s2, 0.0)
+    dx, dy = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
+    qa = dx * dx + dy * dy
+    qb = x * dx + y * dy
+    disc = qb * qb - qa * (x * x + y * y - r2)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    meets = disc > 0
+    t1 = np.where(meets, np.clip((-qb - root) / qa, 0.0, 1.0), 1.0)
+    t2 = np.where(meets, np.clip((-qb + root) / qa, 0.0, 1.0), 1.0)
+    # pieces [v, w1] and [w2, v + d] lie outside D, [w1, w2] inside
+    w1x, w1y = x + t1 * dx, y + t1 * dy
+    w2x, w2y = x + t2 * dx, y + t2 * dy
+    phi = np.arctan2(x * w1y - y * w1x, x * w1x + y * w1y) + np.arctan2(
+        w2x * (y + dy) - w2y * (x + dx), w2x * (x + dx) + w2y * (y + dy)
+    )
+    fan = 0.5 * (w1x * w2y - w1y * w2x)
+    # a = p - u = -s n, b = w1 - s n, c = w2 - s n
+    h = np.abs(s)
+    lb = np.sqrt(w1x * w1x + w1y * w1y + s2)
+    lc = np.sqrt(w2x * w2x + w2y * w2y + s2)
+    num = -2.0 * s * fan
+    den = h * lb * lc + s2 * (lb + lc) + (w1x * w2x + w1y * w2y + s2) * h
+    cap = np.sign(s) * np.maximum(1.0 - h / two_r, 0.0)
+    inside = np.sum(fan + 0.5 * r2 * phi, axis=1)
+    omega = np.sum(2.0 * np.arctan2(num, den) - cap * phi, axis=1)
+    slack = _INVARIANT_SLACK
+    ok = (inside >= -slack * area) & (inside <= (1.0 + slack) * area)
+    ok &= np.abs(omega) <= 2.0 * math.pi * (1.0 + slack)
+    if not np.all(ok):
+        raise JacobianBoundExceeded(
+            "closed-form projected area broke 0 <= area(T cap D) <= area(T) "
+            "or |Omega(T cap D)| <= 2 pi"
+        )
+    return area - inside + two_r ** 2 * np.abs(omega)
 
 
 def boundary_projected_area(
@@ -399,34 +476,14 @@ class ProjectionEstimate:
     samples: int
 
 
-def worker_count() -> int:
-    try:
-        n = int(os.environ.get("KNESER_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(n, 64))
-
-
 def projection_ratios(config: ProjectionConfig, patch: TriangulatedPatch) -> np.ndarray:
     """|pi_u(Q)|_2 / |Q|_2 for each sampled center; NaN marks a center on
-    Q, where projected_area raises CenterOnSurface.
-
-    Every thread count (KNESER_THREADS) runs the same pool over the
-    independent samples, so it never changes the values, only the wall time.
-    """
+    Q."""
     area = patch.area
     if area <= 0:
         raise ZeroArea("patch has zero area")
     us = ball_samples(config.seed, 0, config.samples, config.r)
-
-    def ratio(u):
-        try:
-            return projected_area(config, u, patch) / area
-        except CenterOnSurface:
-            return math.nan
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return np.array(list(pool.map(ratio, us)))
+    return projected_area(config, us, patch) / area
 
 
 def estimate_from_ratios(
@@ -474,11 +531,8 @@ def find_good_center(config: ProjectionConfig, patch: TriangulatedPatch) -> Good
     nu0 = float(nu0_exact())
     for i in range(config.samples):
         u = ball_samples(config.seed, i, 1, config.r)[0]
-        try:
-            ratio = projected_area(config, u, patch) / area
-        except CenterOnSurface:
-            continue
-        if ratio <= nu0:
+        ratio = float(projected_area(config, u[None], patch)[0]) / area
+        if ratio <= nu0:  # False for NaN, a center on Q
             lam = boundary_projected_area(config, u, patch) / area
             return GoodCenter(
                 center=u, ratio=ratio, dilatation=lam, samples_used=i + 1

@@ -8,19 +8,30 @@ description engine with its `Fraction` rank, which the numpy engine in
 `kneser.vertex_enum` replaced, is kept here as the reference enumeration,
 and the depth-first walks that orientations and components of a gluing
 table came from before `kneser.triangulation` used its union-find are kept
-as the reference for both.
+as the reference for both.  Projected areas have two references: the
+adaptive quadrature of the pointwise area Jacobian that `kneser.projection`
+used before its closed form, and a polygon clipping that needs no
+quadrature at all.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+import numpy as np
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from kneser.errors import CenterHit, JacobianBoundExceeded
 from kneser.normal import matching_system, quad_index
+from kneser.projection import (
+    _integrate_jacobian,
+    simplex_planes,
+    triangle_distances,
+)
 from kneser.triangulation import FACE_VERTICES, Triangulation, skeleton
 
 
@@ -462,3 +473,121 @@ def shell_quadrature_k(r: float, shells: int = 20000) -> float:
         vol = 4.0 / 3.0 * math.pi * (rho1 ** 3 - rho0 ** 3)
         total += 4.0 * r * r / (mid * mid) * vol
     return total
+
+
+def boundary_project(config, u, x) -> np.ndarray:
+    """psi_u: push x along the ray from u onto the boundary of sigma0."""
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    w = x - u
+    if float(np.sum(w * w)) == 0.0:
+        raise CenterHit("boundary projection evaluated at its center")
+    normals, offsets = simplex_planes()
+    heads = normals @ w
+    t_best = math.inf
+    for i in range(4):
+        if heads[i] > 0:
+            t = (offsets[i] - float(normals[i] @ u)) / heads[i]
+            t_best = min(t_best, t)
+    return u + t_best * w
+
+
+def quadrature_projected_area(config, u, patch) -> float:
+    """|pi_u(Q)|_2 by adaptive quadrature of the pointwise area Jacobian
+    (2r)^2 |cos angle(normal, x - u)| / |x - u|^2 inside B_u, 1 outside;
+    triangles 2r or more from u add their area.
+
+    Every quadrature point checks the integrand bound Jacobian <=
+    (2r/|x-u|)^2 of the bad-set estimate and raises JacobianBoundExceeded
+    if it fails.
+    """
+    u = np.asarray(u, dtype=float)
+    tris = patch.triangles
+    two_r = 2.0 * config.r
+    far = triangle_distances(u, tris) >= two_r
+    cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    total = float(np.sum(0.5 * np.sqrt(np.sum(cross[far] ** 2, axis=1))))
+    if np.all(far):
+        return total
+
+    def jac(points, normals):
+        w = points - u
+        rho2 = np.sum(w * w, axis=1)
+        cos = np.abs(np.sum(w * normals, axis=1)) / np.sqrt(rho2)
+        inside = rho2 < two_r ** 2
+        vals = np.where(inside, (two_r ** 2) * cos / rho2, 1.0)
+        bound = (two_r ** 2) / rho2
+        if not np.all(vals[inside] <= bound[inside] * (1 + 1e-12)):
+            raise JacobianBoundExceeded("area Jacobian exceeded the radial bound")
+        return vals
+
+    return total + _integrate_jacobian(tris[~far], jac)
+
+
+def polygon_projected_area(config, u, tris, sides: int = 4000) -> float:
+    """Sum over the triangles T of area(T - D) + (2r)^2 |Omega(T cap D)|,
+    with the disk D where T's plane meets B(u, 2r) replaced by the regular
+    `sides`-gon of the same area and centre.
+
+    T cap D is the N-gon clipped to the three edge half-planes of T
+    (Sutherland-Hodgman), its area the shoelace sum, and its solid angle
+    Omega seen from u a fan of Van Oosterom-Strackee triangle angles from
+    its vertex mean.  The only approximation is the N-gon in place of the
+    disk; away from tangencies its error shrinks like 1/N^2 or faster.
+    """
+    u = np.asarray(u, dtype=float)
+    two_r = 2.0 * config.r
+    # circumradius rho of the N-gon of area pi R^2: N/2 rho^2 sin(2 pi/N) = pi R^2
+    stretch = math.sqrt(2.0 * math.pi / (sides * math.sin(2.0 * math.pi / sides)))
+    theta = 2.0 * math.pi * np.arange(sides) / sides
+    total = 0.0
+    for a, b, c in np.asarray(tris, dtype=float):
+        normal = np.cross(b - a, c - a)
+        area = 0.5 * float(np.linalg.norm(normal))
+        normal = normal / (2.0 * area)
+        s = float(normal @ (u - a))
+        if abs(s) >= two_r:
+            total += area
+            continue
+        e1 = (b - a) / np.linalg.norm(b - a)
+        e2 = np.cross(normal, e1)
+        rho = stretch * math.sqrt(two_r ** 2 - s * s)
+        poly = (u - s * normal) + rho * (
+            np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2
+        )
+        for x, y in ((a, b), (b, c), (c, a)):
+            poly = _clip_half_plane(poly, x, np.cross(normal, y - x))
+        if len(poly) < 3:
+            total += area
+            continue
+        rel = poly - poly[0]
+        clipped = 0.5 * float(np.sum(np.cross(rel[1:-1], rel[2:]) @ normal))
+        # fan from the vertex mean, inside the polygon: a fan from a vertex
+        # has slivers whose angles lose precision when u is just above them
+        qa = poly.mean(axis=0) - u
+        qb = poly - u
+        qc = np.roll(qb, -1, axis=0)
+        la = np.linalg.norm(qa)
+        lb = np.linalg.norm(qb, axis=1)
+        lc = np.linalg.norm(qc, axis=1)
+        num = np.cross(qb, qc) @ qa
+        den = la * lb * lc + (qb @ qa) * lc + (qc @ qa) * lb + np.sum(qb * qc, axis=1) * la
+        omega = 2.0 * float(np.sum(np.arctan2(num, den)))
+        total += area - clipped + two_r ** 2 * abs(omega)
+    return total
+
+
+def _clip_half_plane(poly, x, w):
+    """The convex polygon `poly` (rows in order) cut to (q - x).w >= 0."""
+    if len(poly) == 0:
+        return poly
+    dist = (poly - x) @ w
+    nxt = np.roll(poly, -1, axis=0)
+    dnext = np.roll(dist, -1)
+    keep = dist >= 0
+    crossing = keep != (dnext >= 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(crossing, dist / (dist - dnext), 0.0)
+    cut = poly + t[:, None] * (nxt - poly)
+    points = np.stack([poly, cut], axis=1).reshape(-1, 3)
+    return points[np.stack([keep, crossing], axis=1).reshape(-1)]

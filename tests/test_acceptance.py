@@ -75,8 +75,8 @@ def test_criterion_1_constants():
 
 def test_criterion_2_bad_set_bound():
     """Bad-set Monte Carlo at nu = 50 with 10^4 samples passes the one-sided
-    3-sigma test on five corpus patches; the per-sample Jacobian inequality
-    is asserted inside every projected_area call."""
+    3-sigma test on five corpus patches; projected_area checks the
+    invariants of its closed form on every (centre, triangle) pair."""
     start = time.time()
     ok = True
     for name, tris in corpus_patches().items():

@@ -154,6 +154,30 @@ class TestInternalError:
         assert err == f"internal error: {error.__name__}: injected failure\n"
 
 
+@pytest.mark.parametrize(
+    "command, name, flag, target",
+    [
+        ("enumerate", "bd4simplex.tri", "--dump", "enumerate_vertex_solutions"),
+        ("montecarlo", "patch_corner.patch", "--csv", "projection_ratios"),
+    ],
+)
+class TestUnwritableSideFile:
+    def test_exits_two_before_the_work(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, command, name, flag, target
+    ):
+        # the work would exit 4, so exit 2 shows the path was tried first
+        def work(*args, **kwargs):
+            raise RuntimeError("the work started")
+
+        monkeypatch.setattr(cli, target, work)
+        side = tmp_path / "nonexistent_dir" / "x.out"
+        code = cli.main([command, str(corpus_dir / name), flag, str(side)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot write {side}: ")
+        assert not side.parent.exists()
+
+
 class TestNonFinitePayload:
     def test_emit_json_refuses_non_finite(self):
         for value in (float("nan"), float("inf"), -float("inf")):

@@ -6,14 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kneser
 from kneser import corpus
 from kneser.errors import (
     CenterHit,
-    CenterOnSurface,
     JacobianBoundExceeded,
     SampleBudgetExhausted,
     ZeroArea,
@@ -24,7 +23,6 @@ from kneser.projection import (
     ProjectionConfig,
     TriangulatedPatch,
     bad_set_volume,
-    boundary_project,
     boundary_projected_area,
     constants,
     estimate_from_ratios,
@@ -38,7 +36,12 @@ from kneser.projection import (
     triangle_distances,
 )
 from kneser.rng import ball_samples, philox2x32
-from oracles import shell_quadrature_k
+from oracles import (
+    boundary_project,
+    polygon_projected_area,
+    quadrature_projected_area,
+    shell_quadrature_k,
+)
 
 CFG = ProjectionConfig(seed=7, samples=400)
 
@@ -164,52 +167,70 @@ class TestPatch:
             assert np.all(fast <= brute + 1e-9)
             assert np.all(brute - fast < 0.08)
 
+    def test_paired_call_bitwise_equals_per_point_calls(self):
+        rng = np.random.default_rng(6)
+        tris = rng.normal(size=(40, 3, 3))
+        points = rng.normal(size=(40, 3))
+        points[:5] = tris[:5, 0]  # on a vertex
+        points[5:10] = tris[5:10].mean(axis=1)  # inside the triangle
+        paired = triangle_distances(points, tris)
+        single = [triangle_distances(p, tris[i : i + 1])[0] for i, p in enumerate(points)]
+        assert paired.tobytes() == np.array(single).tobytes()
+
 
 class TestProjectedArea:
     def test_patch_on_boundary_sphere_fixed(self):
         u = np.array([0.0, 0.0, CFG.r / 2])
         patch = TriangulatedPatch(corpus.sphere_patch(2 * CFG.r, refine=5) + u)
-        out = projected_area(CFG, u, patch)
+        [out] = projected_area(CFG, u[None], patch)
         assert out == pytest.approx(patch.area, rel=1e-3)
 
     def test_concentric_scaling(self):
         u = np.array([0.0, 0.0, CFG.r / 2])
         d = CFG.r
         patch = TriangulatedPatch(corpus.sphere_patch(d, refine=5) + u)
-        out = projected_area(CFG, u, patch)
+        [out] = projected_area(CFG, u[None], patch)
         assert out / patch.area == pytest.approx((2 * CFG.r / d) ** 2, rel=1e-3)
 
     def test_far_patch_exact(self):
         patch = corner_patch()
-        out = projected_area(CFG, np.zeros(3), patch)
+        [out] = projected_area(CFG, np.zeros((1, 3)), patch)
         assert out == patch.area  # bitwise: the identity branch
 
     def test_center_on_surface_rejected(self):
         patch = TriangulatedPatch(
             corpus.tilted_square_patch([0.0, 0.0, 0.01], [0, 0, 1], 0.03)
         )
-        u = np.array([0.0, 0.0, 0.01])
-        with pytest.raises(CenterOnSurface):
-            projected_area(CFG, u, patch)
+        us = np.array([[0.0, 0.0, 0.01], [0.0, 0.0, 0.02]])
+        out = projected_area(CFG, us, patch)
+        assert math.isnan(out[0])
+        assert math.isfinite(out[1])
+
+    def test_centres_must_be_rows(self):
+        with pytest.raises(ValueError, match="shape"):
+            projected_area(CFG, np.zeros(3), corner_patch())
 
     def test_jacobian_bound_violation_raises(self, monkeypatch):
+        # halved triangle areas: the square lies inside D, so the fan gives
+        # area(T cap D) = area(T), twice the area the kernel is told
         import kneser.projection as kp
 
-        unit_normals = kp._unit_normals
-        monkeypatch.setattr(kp, "_unit_normals", lambda t: 2.0 * unit_normals(t))
+        areas = kp._areas
+        monkeypatch.setattr(kp, "_areas", lambda t: 0.5 * areas(t))
         with pytest.raises(JacobianBoundExceeded):
-            projected_area(CFG, *_near_flat_case())
+            u, patch = _near_flat_case()
+            projected_area(CFG, u[None], patch)
 
     def test_jacobian_bound_survives_optimize_flag(self):
-        # doubled normals give |cos| up to 2 directly above u, past the bound
         code = (
             "import kneser.projection as kp\n"
             "from kneser.errors import JacobianBoundExceeded\n"
             "from test_projection import CFG, _near_flat_case\n"
-            "unit_normals = kp._unit_normals\n"
-            "kp._unit_normals = lambda t: 2.0 * unit_normals(t)\n"
+            "areas = kp._areas\n"
+            "kp._areas = lambda t: 0.5 * areas(t)\n"
             "try:\n"
-            "    kp.projected_area(CFG, *_near_flat_case())\n"
+            "    u, patch = _near_flat_case()\n"
+            "    kp.projected_area(CFG, u[None], patch)\n"
             "except JacobianBoundExceeded:\n"
             "    print('raised', __debug__)\n"
         )
@@ -242,7 +263,7 @@ class TestProjectedArea:
             )
             if patch_distance(u, patch) <= 1e-6:
                 continue
-            lhs = projected_area(CFG, u, patch)
+            [lhs] = projected_area(CFG, u[None], patch)
             rhs = _chain_rhs(CFG, u, patch)
             assert lhs <= rhs + 1e-6
             checked += 1
@@ -255,6 +276,117 @@ class TestProjectedArea:
         fast = boundary_projected_area(CFG, u, patch)
         ref = _dense_psi_reference(CFG, u, patch)
         assert fast == pytest.approx(ref, rel=2e-3)
+
+
+SMALL = ProjectionConfig(r=DEFAULT_R / 4)  # keeps every drawn triangle in sigma0
+PAIR_KINDS = ("generic", "s_zero", "s_near_2r", "p_on_edge", "p_at_vertex", "t_in_d", "d_in_t")
+
+
+@st.composite
+def centre_triangle_pairs(draw):
+    """(kind, u, T): a centre and one triangle, built around the foot p of u
+    in T's plane at signed height s, so that the disk D of radius
+    R = sqrt((2r)^2 - s^2) about p meets T in the way `kind` names."""
+    two_r = 2 * SMALL.r
+    kind = draw(st.sampled_from(PAIR_KINDS))
+    coord = st.floats(-1.5, 1.5)
+    if kind == "s_zero":
+        s = 0.0
+    elif kind == "s_near_2r":
+        s = draw(st.sampled_from([-1.0, 1.0])) * (two_r - draw(st.floats(0.0, 1e-9)))
+    else:
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        s = sign * draw(st.floats(1e-3, 0.999)) * two_r
+    radius = math.sqrt(max(two_r ** 2 - s * s, 0.0))
+    scale = draw(st.sampled_from([two_r, radius])) if radius > 1e-3 * two_r else two_r
+    plane = np.array([[draw(coord), draw(coord)] for _ in range(3)])
+    if kind == "p_at_vertex":
+        plane[0] = 0.0
+    elif kind == "p_on_edge":
+        plane[1] = -draw(st.floats(0.1, 1.0)) * plane[0]
+    elif kind == "t_in_d":
+        scale = radius
+        rho = np.array([draw(st.floats(0.0, 0.99)) for _ in range(3)])
+        theta = np.array([draw(st.floats(0.0, 2 * math.pi)) for _ in range(3)])
+        plane = rho[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    elif kind == "d_in_t":
+        # 120 degrees apart at distance >= 2.05 R: every edge clears the disk
+        scale = radius
+        rho = np.array([draw(st.floats(2.05, 3.0)) for _ in range(3)])
+        theta = draw(st.floats(0.0, 2 * math.pi)) + 2 * math.pi * np.arange(3) / 3
+        plane = rho[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    normal = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    assume(np.linalg.norm(normal) > 0.1)
+    normal /= np.linalg.norm(normal)
+    e1 = np.cross(normal, [1.0, 0.0, 0.0] if abs(normal[0]) < 0.9 else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    u = np.array([draw(st.floats(-0.01, 0.01)) for _ in range(3)])
+    foot = u - s * normal
+    tri = foot + scale * (plane[:, :1] * e1 + plane[:, 1:] * e2)
+    area = 0.5 * np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
+    assume(area > 1e-3 * scale ** 2 and area > 1e-12)
+    return kind, u, tri
+
+
+def _pair_tolerance(tri, want):
+    # relative 1e-8; a pair whose contribution rounds away (u in the plane
+    # of a triangle inside D) is held to 1e-8 of its area instead
+    area = 0.5 * np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
+    return 1e-8 * max(abs(want), area)
+
+
+class TestClosedForm:
+    """The closed form against the polygon oracle and the quadrature of
+    the pointwise Jacobian that it replaced."""
+
+    @pytest.mark.parametrize("name", ["sphere_small", "sphere_large", "square_center",
+                                      "square_tilted", "corner"])
+    def test_matches_polygon_oracle_on_corpus(self, name):
+        from test_acceptance import corpus_patches
+
+        patch = TriangulatedPatch(corpus_patches()[name])
+        cfg = ProjectionConfig(seed=0, samples=2000)
+        # every 97th centre, and centre 218, where the quadrature at
+        # tolerance 1e-10 stalls on square_center
+        picks = sorted(set(range(0, 2000, 97)) | {218})
+        us = ball_samples(cfg.seed, 0, cfg.samples, cfg.r)[picks]
+        got = projected_area(cfg, us, patch)
+        for u, value in zip(us, got):
+            want = polygon_projected_area(cfg, u, patch.triangles)
+            assert value == pytest.approx(want, rel=1e-8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(centre_triangle_pairs())
+    def test_matches_polygon_oracle_on_single_pairs(self, case):
+        kind, u, tri = case
+        [got] = projected_area(SMALL, u[None], TriangulatedPatch(tri[None]))
+        dist = triangle_distances(u, tri[None])[0]
+        if dist <= 1e-12:
+            assert math.isnan(got)  # u on T
+            return
+        # closer than this, one rounding step of u moves Omega by more than
+        # the tolerance, in the closed form and the oracle alike
+        assume(dist > 1e-6 * 2 * SMALL.r)
+        # a 4000-gon is off by up to 1e-13 on a partial arc, too much for
+        # a triangle of area 1e-6
+        want = polygon_projected_area(SMALL, u, tri[None], sides=16000)
+        assert abs(got - want) <= _pair_tolerance(tri, want), kind
+
+    def test_quadrature_of_pointwise_jacobian(self):
+        # the quadrature checks Jacobian <= (2r/|x-u|)^2 at every point it
+        # evaluates; its default tolerance is loose, so only its median
+        # error against the closed form is held tight
+        from test_acceptance import corpus_patches
+
+        cfg = ProjectionConfig(seed=3, samples=40)
+        us = ball_samples(cfg.seed, 0, cfg.samples, cfg.r)
+        for tris in corpus_patches().values():
+            patch = TriangulatedPatch(tris)
+            closed = projected_area(cfg, us, patch)
+            quad = np.array([quadrature_projected_area(cfg, u, patch) for u in us])
+            assert np.median(np.abs(quad - closed) / closed) < 1e-5
+            assert np.all(np.abs(quad - closed) <= 0.5 * closed)
 
 
 def _near_flat_case():
@@ -394,21 +526,35 @@ class TestCenterOnPatch:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_one_distance_pass_per_center(self, monkeypatch, threads):
+        # every (centre, triangle) pair asks for its distance exactly once
         import kneser.projection as kp
 
-        calls = []
+        lengths = []
         distances = kp.triangle_distances
 
         def counted(p, tris):
-            calls.append(1)
-            return distances(p, tris)
+            result = distances(p, tris)
+            lengths.append(len(result))
+            return result
 
-        cfg = ProjectionConfig(seed=4, samples=30)
+        cfg = ProjectionConfig(seed=4, samples=300)
         _, patch = _patch_through_first_center(cfg)
         monkeypatch.setattr(kp, "triangle_distances", counted)
         monkeypatch.setenv("KNESER_THREADS", threads)
         projection_ratios(cfg, patch)
-        assert len(calls) == cfg.samples
+        assert sum(lengths) == cfg.samples * len(patch.triangles)
+        assert max(lengths) <= kp.PAIR_BLOCK
+
+    def test_block_size_never_changes_values(self, monkeypatch):
+        # a block smaller than the patch splits each centre's triangles
+        import kneser.projection as kp
+
+        cfg = ProjectionConfig(seed=4, samples=30)
+        _, patch = _patch_through_first_center(cfg)
+        whole = projection_ratios(cfg, patch)
+        monkeypatch.setattr(kp, "PAIR_BLOCK", 5)
+        assert len(patch.triangles) > 5
+        assert projection_ratios(cfg, patch).tobytes() == whole.tobytes()
 
 
 class TestGoodCenter:
@@ -424,7 +570,7 @@ class TestGoodCenter:
         gc = find_good_center(CFG, patch)
         assert gc.ratio <= 50.0
         # recompute the ratio directly
-        again = projected_area(CFG, gc.center, patch) / patch.area
+        again = projected_area(CFG, gc.center[None], patch)[0] / patch.area
         assert again == pytest.approx(gc.ratio, rel=1e-12)
 
     def test_deterministic(self):
@@ -448,7 +594,7 @@ class TestGoodCenter:
             if patch_distance(u, near) <= 1e-12:
                 bad_seed = seed
                 break
-            if projected_area(cfg, u, near) / near.area > 50.0:
+            if projected_area(cfg, u[None], near)[0] / near.area > 50.0:
                 bad_seed = seed
                 break
         assert bad_seed is not None, "no bad first sample among 256 seeds"
