@@ -17,8 +17,10 @@ of r.
 projected_area integrates that scaling in closed form, with no quadrature:
 a triangle T meets B_u in a disk D of its plane, and pi_u maps T cap D onto
 the sphere of radius 2r, so T contributes area(T - D) + (2r)^2 |Omega|,
-Omega the solid angle T cap D subtends at u.  Only the boundary projection
-psi_u (boundary_projected_area) still uses adaptive quadrature.
+Omega the solid angle T cap D subtends at u.  boundary_projected_area is
+exact as well: it clips T to the cones from u over the faces of sigma0 and
+takes the shoelace area of each clipped polygon's image.  Nothing here
+integrates numerically.
 """
 from __future__ import annotations
 
@@ -40,33 +42,11 @@ DEFAULT_R = INRADIUS / 3.0
 BALL_COEFF = Fraction(4, 3)
 K_COEFF = Fraction(32)
 
-QUAD_TOLERANCE = 1e-4
-QUAD_MAX_DEPTH = 6
-
 # (centre, triangle) pairs projected_area evaluates together: a block's
 # temporaries stay at a few hundred kilobytes
 PAIR_BLOCK = 4096
 # relative slack of the closed form's invariant checks, for rounding only
 _INVARIANT_SLACK = 1e-9
-
-_SQRT15 = math.sqrt(15.0)
-# 7-point degree-5 rule on the triangle (barycentric coordinates, weights)
-_QUAD_BARY = np.array(
-    [
-        [1 / 3, 1 / 3, 1 / 3],
-        [(6 - _SQRT15) / 21, (6 - _SQRT15) / 21, (9 + 2 * _SQRT15) / 21],
-        [(6 - _SQRT15) / 21, (9 + 2 * _SQRT15) / 21, (6 - _SQRT15) / 21],
-        [(9 + 2 * _SQRT15) / 21, (6 - _SQRT15) / 21, (6 - _SQRT15) / 21],
-        [(6 + _SQRT15) / 21, (6 + _SQRT15) / 21, (9 - 2 * _SQRT15) / 21],
-        [(6 + _SQRT15) / 21, (9 - 2 * _SQRT15) / 21, (6 + _SQRT15) / 21],
-        [(9 - 2 * _SQRT15) / 21, (6 + _SQRT15) / 21, (6 + _SQRT15) / 21],
-    ]
-)
-_QUAD_W = np.array(
-    [9 / 40]
-    + [(155 - _SQRT15) / 1200] * 3
-    + [(155 + _SQRT15) / 1200] * 3
-)
 
 
 def simplex_planes() -> tuple[np.ndarray, np.ndarray]:
@@ -239,75 +219,6 @@ def triangle_distances(p: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=1))
 
 
-def patch_distance(u: np.ndarray, patch: TriangulatedPatch) -> float:
-    return float(np.min(triangle_distances(u, patch.triangles)))
-
-
-def _quad_points(tris: np.ndarray) -> np.ndarray:
-    """(k, 7, 3) quadrature points of a (k, 3, 3) triangle batch."""
-    return np.einsum("qb,kbd->kqd", _QUAD_BARY, tris)
-
-
-def _subdivide(tris: np.ndarray) -> np.ndarray:
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    children = np.stack(
-        [
-            np.stack([a, ab, ca], axis=1),
-            np.stack([b, bc, ab], axis=1),
-            np.stack([c, ca, bc], axis=1),
-            np.stack([ab, bc, ca], axis=1),
-        ],
-        axis=1,
-    )
-    return children.reshape(-1, 3, 3)
-
-
-def _integrate_jacobian(tris, jac):
-    """Adaptive triangle quadrature of a pointwise Jacobian `jac(points,
-    normals) -> values`: 7-point rule, refined by midpoint subdivision until
-    the change is below the tolerance or the depth cap is reached.
-
-    The tolerance is on the total (relative QUAD_TOLERANCE): a piece is
-    accepted when its coarse-to-fine change is small relative to its own
-    value or within its area-proportional share of the global error budget,
-    which keeps the summed error below QUAD_TOLERANCE times the integral.
-    """
-
-    def rule(batch, areas, normals):
-        pts = _quad_points(batch)
-        rep = np.repeat(normals[:, None, :], 7, axis=1)
-        vals = jac(pts.reshape(-1, 3), rep.reshape(-1, 3)).reshape(-1, 7)
-        return areas * (vals @ _QUAD_W)
-
-    # a midpoint child keeps its parent's normal and a quarter of its area
-    areas = _areas(tris)
-    normals = _unit_normals(tris)
-    total = 0.0
-    active = tris
-    coarse = rule(active, areas, normals)
-    scale = max(abs(float(np.sum(coarse))), 1e-300)
-    budget = QUAD_TOLERANCE * scale / float(np.sum(areas))
-    for depth in range(QUAD_MAX_DEPTH + 1):
-        children = _subdivide(active)
-        child_areas = np.repeat(areas / 4, 4)
-        child_normals = np.repeat(normals, 4, axis=0)
-        fine4 = rule(children, child_areas, child_normals).reshape(-1, 4)
-        fine = np.sum(fine4, axis=1)
-        err = np.abs(fine - coarse)
-        allowance = np.maximum(QUAD_TOLERANCE * np.abs(fine), budget * areas)
-        done = (err <= allowance) | np.full(fine.shape, depth == QUAD_MAX_DEPTH)
-        total += float(np.sum(fine[done]))
-        if np.all(done):
-            return total
-        keep = ~done
-        active = children.reshape(-1, 4, 3, 3)[keep].reshape(-1, 3, 3)
-        areas = child_areas.reshape(-1, 4)[keep].reshape(-1)
-        normals = child_normals.reshape(-1, 4, 3)[keep].reshape(-1, 3)
-        coarse = fine4[keep].reshape(-1)
-    return total
-
-
 def projected_area(
     config: ProjectionConfig, us: np.ndarray, patch: TriangulatedPatch
 ) -> np.ndarray:
@@ -424,44 +335,59 @@ def _closed_form(config, u, tri, area):
 def boundary_projected_area(
     config: ProjectionConfig, u: np.ndarray, patch: TriangulatedPatch
 ) -> float:
-    """|psi_u(Q)|_2: area of the patch pushed radially onto the simplex
-    boundary, by the same adaptive quadrature."""
+    """|psi_u(Q)|_2 for a centre u in sigma0 off Q, exactly.
+
+    The cones from u over the four faces of sigma0 partition space, cone i
+    cut out by the three planes through u and an edge of face i.  Each
+    triangle T is clipped to each cone (Sutherland-Hodgman), leaving a
+    convex polygon, and its vertices go along their rays from u to face
+    i's plane, at t = h_i / n_i.(x - u) with h_i = d_i - n_i.u.  A ray from
+    u meets T's plane at most once, so psi_u is injective on T, and central
+    projection maps segments to segments: the image is the polygon of the
+    projected vertices, and the shoelace sum gives its area.
+    """
     u = np.asarray(u, dtype=float)
-    if patch_distance(u, patch) <= 1e-12:
+    tris = patch.triangles
+    if len(tris) and triangle_distances(u, tris).min() <= 1e-12:
         raise CenterOnSurface("projection center lies on the patch")
-    normals_pl, offsets_pl = _PLANES
-
-    def jac(points, normals):
-        w = points - u
-        heads = w @ normals_pl.T
-        with np.errstate(divide="ignore"):
-            ts = np.where(
-                heads > 0,
-                (offsets_pl - u @ normals_pl.T)[None, :] / heads,
-                np.inf,
-            )
-        face = np.argmin(ts, axis=1)
-        t = ts[np.arange(len(points)), face][:, None]
-        n_face = normals_pl[face]
-        ndotw = np.sum(n_face * w, axis=1)
-        # dF = t (I - w n^T / (n.w)); the area factor is the norm of the
-        # cross product of the mapped orthonormal tangent frame
-        t1 = _orthonormal_tangent(normals)
-        t2 = np.cross(normals, t1)
-        f1 = t * (t1 - w * (np.sum(n_face * t1, axis=1) / ndotw)[:, None])
-        f2 = t * (t2 - w * (np.sum(n_face * t2, axis=1) / ndotw)[:, None])
-        return np.sqrt(np.sum(np.cross(f1, f2) ** 2, axis=1))
-
-    return _integrate_jacobian(patch.triangles, jac)
+    normals, offsets = _PLANES
+    corners = regular_tetrahedron()
+    total = 0.0
+    for i in range(4):
+        # inward normals of cone i's sides: side j spans the rays to face
+        # corners j+1 and j+2 and keeps corner j
+        f = np.delete(corners, i, axis=0) - u
+        sides = np.cross(np.roll(f, -1, axis=0), np.roll(f, -2, axis=0))
+        sides *= np.sign(np.linalg.det(f))
+        height = offsets[i] - float(normals[i] @ u)
+        for tri in tris:
+            poly = tri
+            for w in sides:
+                poly = _clip_half_plane(poly, u, w)
+            if len(poly) < 3:
+                continue
+            rel = poly - u
+            image = (height / (rel @ normals[i]))[:, None] * rel
+            image -= image[0]
+            fan = np.cross(image[1:-1], image[2:]) @ normals[i]
+            total += 0.5 * abs(float(np.sum(fan)))
+    return total
 
 
-def _orthonormal_tangent(normals: np.ndarray) -> np.ndarray:
-    ref = np.zeros_like(normals)
-    small = np.abs(normals[:, 0]) < 0.9
-    ref[small, 0] = 1.0
-    ref[~small, 1] = 1.0
-    t = np.cross(normals, ref)
-    return t / np.sqrt(np.sum(t * t, axis=1, keepdims=True))
+def _clip_half_plane(poly, x, w):
+    """The convex polygon `poly` (rows in order) cut to (q - x).w >= 0."""
+    dist = (poly - x) @ w
+    keep = dist >= 0
+    if keep.all():
+        return poly
+    nxt = np.roll(poly, -1, axis=0)
+    dnext = np.roll(dist, -1)
+    crossing = keep != (dnext >= 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(crossing, dist / (dist - dnext), 0.0)
+    cut = poly + t[:, None] * (nxt - poly)
+    points = np.stack([poly, cut], axis=1).reshape(-1, 3)
+    return points[np.stack([keep, crossing], axis=1).reshape(-1)]
 
 
 @dataclass(frozen=True)
@@ -518,13 +444,13 @@ def bad_set_volume(
 class GoodCenter:
     center: np.ndarray
     ratio: float
-    dilatation: float  # empirical lambda: |psi_u(Q)|_2 / |Q|_2
+    dilatation: float  # lambda = |psi_u(Q)|_2 / |Q|_2, exact
     samples_used: int
 
 
 def find_good_center(config: ProjectionConfig, patch: TriangulatedPatch) -> GoodCenter:
     """First sampled center with |pi_u(Q)|_2 <= nu0 |Q|_2 and u off Q; also
-    reports the empirical boundary-projection dilatation."""
+    reports its boundary-projection dilatation."""
     area = patch.area
     if area <= 0:
         raise ZeroArea("patch has zero area")

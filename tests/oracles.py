@@ -8,10 +8,12 @@ description engine with its `Fraction` rank, which the numpy engine in
 `kneser.vertex_enum` replaced, is kept here as the reference enumeration,
 and the depth-first walks that orientations and components of a gluing
 table came from before `kneser.triangulation` used its union-find are kept
-as the reference for both.  Projected areas have two references: the
-adaptive quadrature of the pointwise area Jacobian that `kneser.projection`
-used before its closed form, and a polygon clipping that needs no
-quadrature at all.
+as the reference for both.  Projected areas have two references: a
+polygon clipping that needs no quadrature at all, and the adaptive
+quadrature of the pointwise area Jacobian that `kneser.projection` used
+before its closed forms.  That quadrature (`_integrate_jacobian`, its
+7-point rule and its two constants) lives here now, and nothing in
+`kneser` integrates numerically.
 """
 from __future__ import annotations
 
@@ -28,7 +30,9 @@ from sympy.matrices.normalforms import smith_normal_form
 from kneser.errors import CenterHit, JacobianBoundExceeded
 from kneser.normal import matching_system, quad_index
 from kneser.projection import (
-    _integrate_jacobian,
+    _areas,
+    _clip_half_plane,
+    _unit_normals,
     simplex_planes,
     triangle_distances,
 )
@@ -476,20 +480,105 @@ def shell_quadrature_k(r: float, shells: int = 20000) -> float:
 
 
 def boundary_project(config, u, x) -> np.ndarray:
-    """psi_u: push x along the ray from u onto the boundary of sigma0."""
+    """psi_u: push x, one point (3,) or the rows of an (n, 3) array, along
+    the ray from u onto the boundary of sigma0."""
     u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
-    w = x - u
-    if float(np.sum(w * w)) == 0.0:
+    w = np.asarray(x, dtype=float) - u
+    if np.any(np.sum(w * w, axis=-1) == 0.0):
         raise CenterHit("boundary projection evaluated at its center")
     normals, offsets = simplex_planes()
-    heads = normals @ w
-    t_best = math.inf
-    for i in range(4):
-        if heads[i] > 0:
-            t = (offsets[i] - float(normals[i] @ u)) / heads[i]
-            t_best = min(t_best, t)
-    return u + t_best * w
+    heads = w @ normals.T
+    with np.errstate(divide="ignore"):
+        ts = np.where(heads > 0, (offsets - normals @ u) / heads, math.inf)
+    return u + np.min(ts, axis=-1)[..., None] * w
+
+
+QUAD_TOLERANCE = 1e-4
+QUAD_MAX_DEPTH = 6
+
+_SQRT15 = math.sqrt(15.0)
+# 7-point degree-5 rule on the triangle (barycentric coordinates, weights)
+_QUAD_BARY = np.array(
+    [
+        [1 / 3, 1 / 3, 1 / 3],
+        [(6 - _SQRT15) / 21, (6 - _SQRT15) / 21, (9 + 2 * _SQRT15) / 21],
+        [(6 - _SQRT15) / 21, (9 + 2 * _SQRT15) / 21, (6 - _SQRT15) / 21],
+        [(9 + 2 * _SQRT15) / 21, (6 - _SQRT15) / 21, (6 - _SQRT15) / 21],
+        [(6 + _SQRT15) / 21, (6 + _SQRT15) / 21, (9 - 2 * _SQRT15) / 21],
+        [(6 + _SQRT15) / 21, (9 - 2 * _SQRT15) / 21, (6 + _SQRT15) / 21],
+        [(9 - 2 * _SQRT15) / 21, (6 + _SQRT15) / 21, (6 + _SQRT15) / 21],
+    ]
+)
+_QUAD_W = np.array(
+    [9 / 40]
+    + [(155 - _SQRT15) / 1200] * 3
+    + [(155 + _SQRT15) / 1200] * 3
+)
+
+
+def _quad_points(tris: np.ndarray) -> np.ndarray:
+    """(k, 7, 3) quadrature points of a (k, 3, 3) triangle batch."""
+    return np.einsum("qb,kbd->kqd", _QUAD_BARY, tris)
+
+
+def _subdivide(tris: np.ndarray) -> np.ndarray:
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+    children = np.stack(
+        [
+            np.stack([a, ab, ca], axis=1),
+            np.stack([b, bc, ab], axis=1),
+            np.stack([c, ca, bc], axis=1),
+            np.stack([ab, bc, ca], axis=1),
+        ],
+        axis=1,
+    )
+    return children.reshape(-1, 3, 3)
+
+
+def _integrate_jacobian(tris, jac):
+    """Adaptive triangle quadrature of a pointwise Jacobian `jac(points,
+    normals) -> values`: 7-point rule, refined by midpoint subdivision until
+    the change is below the tolerance or the depth cap is reached.
+
+    The tolerance is on the total (relative QUAD_TOLERANCE): a piece is
+    accepted when its coarse-to-fine change is small relative to its own
+    value or within its area-proportional share of the global error budget,
+    which keeps the summed error below QUAD_TOLERANCE times the integral.
+    """
+
+    def rule(batch, areas, normals):
+        pts = _quad_points(batch)
+        rep = np.repeat(normals[:, None, :], 7, axis=1)
+        vals = jac(pts.reshape(-1, 3), rep.reshape(-1, 3)).reshape(-1, 7)
+        return areas * (vals @ _QUAD_W)
+
+    # a midpoint child keeps its parent's normal and a quarter of its area
+    areas = _areas(tris)
+    normals = _unit_normals(tris)
+    total = 0.0
+    active = tris
+    coarse = rule(active, areas, normals)
+    scale = max(abs(float(np.sum(coarse))), 1e-300)
+    budget = QUAD_TOLERANCE * scale / float(np.sum(areas))
+    for depth in range(QUAD_MAX_DEPTH + 1):
+        children = _subdivide(active)
+        child_areas = np.repeat(areas / 4, 4)
+        child_normals = np.repeat(normals, 4, axis=0)
+        fine4 = rule(children, child_areas, child_normals).reshape(-1, 4)
+        fine = np.sum(fine4, axis=1)
+        err = np.abs(fine - coarse)
+        allowance = np.maximum(QUAD_TOLERANCE * np.abs(fine), budget * areas)
+        done = (err <= allowance) | np.full(fine.shape, depth == QUAD_MAX_DEPTH)
+        total += float(np.sum(fine[done]))
+        if np.all(done):
+            return total
+        keep = ~done
+        active = children.reshape(-1, 4, 3, 3)[keep].reshape(-1, 3, 3)
+        areas = child_areas.reshape(-1, 4)[keep].reshape(-1)
+        normals = child_normals.reshape(-1, 4, 3)[keep].reshape(-1, 3)
+        coarse = fine4[keep].reshape(-1)
+    return total
 
 
 def quadrature_projected_area(config, u, patch) -> float:
@@ -576,18 +665,3 @@ def polygon_projected_area(config, u, tris, sides: int = 4000) -> float:
         total += area - clipped + two_r ** 2 * abs(omega)
     return total
 
-
-def _clip_half_plane(poly, x, w):
-    """The convex polygon `poly` (rows in order) cut to (q - x).w >= 0."""
-    if len(poly) == 0:
-        return poly
-    dist = (poly - x) @ w
-    nxt = np.roll(poly, -1, axis=0)
-    dnext = np.roll(dist, -1)
-    keep = dist >= 0
-    crossing = keep != (dnext >= 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(crossing, dist / (dist - dnext), 0.0)
-    cut = poly + t[:, None] * (nxt - poly)
-    points = np.stack([poly, cut], axis=1).reshape(-1, 3)
-    return points[np.stack([keep, crossing], axis=1).reshape(-1)]

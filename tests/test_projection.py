@@ -13,6 +13,7 @@ import kneser
 from kneser import corpus
 from kneser.errors import (
     CenterHit,
+    CenterOnSurface,
     JacobianBoundExceeded,
     SampleBudgetExhausted,
     ZeroArea,
@@ -28,7 +29,6 @@ from kneser.projection import (
     estimate_from_ratios,
     find_good_center,
     nu0_exact,
-    patch_distance,
     projected_area,
     projection_ratios,
     radial_project,
@@ -37,6 +37,8 @@ from kneser.projection import (
 )
 from kneser.rng import ball_samples, philox2x32
 from oracles import (
+    _integrate_jacobian,
+    _subdivide,
     boundary_project,
     polygon_projected_area,
     quadrature_projected_area,
@@ -261,7 +263,7 @@ class TestProjectedArea:
             patch = TriangulatedPatch(
                 corpus.tilted_square_patch(center, normal, 0.02, refine=1)
             )
-            if patch_distance(u, patch) <= 1e-6:
+            if triangle_distances(u, patch.triangles).min() <= 1e-6:
                 continue
             [lhs] = projected_area(CFG, u[None], patch)
             rhs = _chain_rhs(CFG, u, patch)
@@ -389,6 +391,83 @@ class TestClosedForm:
             assert np.all(np.abs(quad - closed) <= 0.5 * closed)
 
 
+class TestBoundaryProjection:
+    """psi_u against facts that need no quadrature."""
+
+    @pytest.mark.parametrize("name", ["sphere_small", "sphere_large"])
+    def test_enclosed_centre_covers_boundary_once(self, name):
+        # the sphere patch bounds a convex polyhedron: from a centre inside
+        # it every ray meets Q once, so psi_u(Q) is the whole boundary of
+        # sigma0, four unit equilateral faces of area sqrt(3) / 4
+        from test_acceptance import corpus_patches
+
+        patch = TriangulatedPatch(corpus_patches()[name])
+        tris = patch.triangles
+        cfg = ProjectionConfig(seed=0, samples=2000)
+        us = ball_samples(cfg.seed, 0, cfg.samples, cfg.r)
+        # enclosed: on the origin's side of every triangle's plane, which
+        # takes in centres near Q that |u| < radius / sqrt(3) leaves out
+        normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        heads = np.sum(normals * tris[:, 0], axis=1)
+        enclosed = np.all((us @ normals.T - heads) * np.sign(heads) < 0, axis=1)
+        picks = np.flatnonzero(enclosed)[:40]
+        assert len(picks) == 40
+        if name == "sphere_small":
+            # centre 23 is 1.4e-4 from Q; the quadrature gave 1.644 there
+            assert 23 in picks
+            assert triangle_distances(us[23], tris).min() < 2e-4
+        for u in us[picks]:
+            got = boundary_projected_area(cfg, u, patch)
+            assert got == pytest.approx(math.sqrt(3), rel=1e-12)
+
+    @pytest.mark.parametrize("face", range(4))
+    def test_triangle_in_one_cone_scales_by_height(self, face):
+        # a triangle parallel to face i at height s over u, inside the cone
+        # from u over face i: psi_u is the homothety by h_i / s about u
+        normals, offsets = simplex_planes()
+        n = normals[face]
+        corners = np.delete(corpus.regular_tetrahedron(), face, axis=0)
+        e1 = corners[1] - corners[0]
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(n, e1)
+        # in-plane offsets shorter than 0.2, inside the face's inradius 0.289
+        shape = 0.2 * np.array([[1.0, 0.0], [-0.5, 0.8], [-0.3, -0.9]])
+        for u in ball_samples(31, 0, 5, CFG.r):
+            h = offsets[face] - n @ u
+            for frac in (0.1, 0.5, 0.9):
+                # cone i at height frac * h is face i shrunk by frac about u
+                axis = u + frac * (corners.mean(axis=0) - u)
+                tri = axis + frac * (shape[:, :1] * e1 + shape[:, 1:] * e2)
+                patch = TriangulatedPatch(tri[None])
+                got = boundary_projected_area(CFG, u, patch)
+                assert got == pytest.approx(patch.area / frac ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["sphere_small", "sphere_large", "square_center",
+                                      "square_tilted", "corner"])
+    def test_split_and_scaling_about_centre_change_nothing(self, name):
+        # psi_u(Q) is the same set after Q is cut into midpoint children or
+        # shrunk towards u
+        from test_acceptance import corpus_patches
+
+        tris = corpus_patches()[name]
+        cfg = ProjectionConfig(seed=0, samples=2000)
+        for u in ball_samples(cfg.seed, 0, cfg.samples, cfg.r)[::97]:
+            want = boundary_projected_area(cfg, u, TriangulatedPatch(tris))
+            split = TriangulatedPatch(_subdivide(tris))
+            scaled = TriangulatedPatch(u + 0.6 * (tris - u))
+            assert boundary_projected_area(cfg, u, split) == pytest.approx(want, rel=1e-12)
+            assert boundary_projected_area(cfg, u, scaled) == pytest.approx(want, rel=1e-12)
+
+    def test_center_on_surface_rejected(self):
+        patch = TriangulatedPatch(
+            corpus.tilted_square_patch([0.0, 0.0, 0.01], [0, 0, 1], 0.03)
+        )
+        with pytest.raises(CenterOnSurface):
+            boundary_projected_area(CFG, np.array([0.0, 0.0, 0.01]), patch)
+        above = boundary_projected_area(CFG, np.array([0.0, 0.0, 0.01 + 1e-9]), patch)
+        assert math.isfinite(above) and above > 0
+
+
 def _near_flat_case():
     """A centre and a flat square facing it from 0.01 above."""
     u = np.array([0.0, 0.0, CFG.r / 2])
@@ -397,8 +476,6 @@ def _near_flat_case():
 
 
 def _chain_rhs(config, u, patch):
-    from kneser.projection import _integrate_jacobian
-
     two_r = 2 * config.r
 
     def outside_part(points, normals):
@@ -419,37 +496,28 @@ def _chain_rhs(config, u, patch):
 def _dense_psi_reference(config, u, patch, n=60):
     """Mean boundary-projection Jacobian over a dense barycentric grid,
     Jacobians taken by finite differences of boundary_project."""
-    total = 0.0
-    for tri in patch.triangles:
-        a, b, c = tri
-        area = 0.5 * np.linalg.norm(np.cross(b - a, c - a))
-        count = 0
-        acc = 0.0
-        for i in range(n):
-            for j in range(n - i):
-                x = (i + 0.5) / n
-                y = (j + 0.5) / n
-                if x + y >= 1:
-                    continue
-                p = a + x * (b - a) + y * (c - a)
-                acc += _psi_jacobian_at(config, u, p, np.cross(b - a, c - a))
-                count += 1
-        total += acc / count * area if count else 0.0
-    return total
-
-
-def _psi_jacobian_at(config, u, p, normal):
-    normal = normal / np.linalg.norm(normal)
+    i, j = np.divmod(np.arange(n * n), n)
+    x, y = (i + 0.5) / n, (j + 0.5) / n
+    inside = x + y < 1
+    x, y = x[inside, None], y[inside, None]
     eps = 1e-6
-    t1 = np.cross(normal, [1.0, 0.0, 0.0])
-    if np.linalg.norm(t1) < 1e-6:
-        t1 = np.cross(normal, [0.0, 1.0, 0.0])
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(normal, t1)
-    f0 = boundary_project(config, u, p)
-    f1 = boundary_project(config, u, p + eps * t1)
-    f2 = boundary_project(config, u, p + eps * t2)
-    return float(np.linalg.norm(np.cross((f1 - f0) / eps, (f2 - f0) / eps)))
+    total = 0.0
+    for a, b, c in patch.triangles:
+        normal = np.cross(b - a, c - a)
+        area = 0.5 * np.linalg.norm(normal)
+        normal = normal / np.linalg.norm(normal)
+        t1 = np.cross(normal, [1.0, 0.0, 0.0])
+        if np.linalg.norm(t1) < 1e-6:
+            t1 = np.cross(normal, [0.0, 1.0, 0.0])
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(normal, t1)
+        p = a + x * (b - a) + y * (c - a)
+        f0 = boundary_project(config, u, p)
+        f1 = boundary_project(config, u, p + eps * t1)
+        f2 = boundary_project(config, u, p + eps * t2)
+        jac = np.linalg.norm(np.cross((f1 - f0) / eps, (f2 - f0) / eps), axis=1)
+        total += float(np.mean(jac)) * area
+    return total
 
 
 class TestBadSet:
@@ -502,7 +570,7 @@ class TestBadSet:
 def _patch_through_first_center(cfg):
     u0 = ball_samples(cfg.seed, 0, 1, cfg.r)[0]
     patch = TriangulatedPatch(corpus.tilted_square_patch(u0, [1, 2, 3], 0.01))
-    assert patch_distance(u0, patch) <= 1e-12
+    assert triangle_distances(u0, patch.triangles).min() <= 1e-12
     return u0, patch
 
 
@@ -591,7 +659,7 @@ class TestGoodCenter:
         for seed in range(256):
             cfg = ProjectionConfig(seed=seed, samples=1)
             u = ball_samples(seed, 0, 1, cfg.r)[0]
-            if patch_distance(u, near) <= 1e-12:
+            if triangle_distances(u, near.triangles).min() <= 1e-12:
                 bad_seed = seed
                 break
             if projected_area(cfg, u[None], near)[0] / near.area > 50.0:
