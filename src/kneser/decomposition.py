@@ -7,6 +7,18 @@ coordinate vector) is crushed and the components re-enter the worklist.
 Crushing strictly decreases the total tetrahedron count, so the loop runs
 at most t0 times on an input with t0 tetrahedra.
 
+Both the test and the choice are read off linear data, with no surface
+reconstructed.  A vertex solution is the primitive integer vector on an
+extremal ray of the admissible cone, so it is connected: were it S1 + S2
+with both nonzero, both would lie on its ray and it would not be
+primitive.  A connected normal surface with no quadrilateral is a vertex
+link.  So a vertex solution is a connected non-vertex-linking sphere
+exactly when it has a nonzero quad coordinate and Euler characteristic 2
+(Jaco & Tollefson 1995; Jaco & Rubinstein 2003).  PL area compares the
+exact integer weight first, so only the witnesses of least weight need a
+length.  `crush` still reconstructs the sphere it cuts along and checks
+that it is a connected non-vertex-linking sphere.
+
 A sphere bounding a ball may well be selected; crushing it is harmless and
 still makes progress.  Crushing can also silently discard summands in
 degenerate situations; the homology ledger in the report makes any such
@@ -22,9 +34,14 @@ from dataclasses import dataclass
 
 from .errors import TerminationGuardTripped
 from .homology import AbelianInvariants, homology
-from .normal import NormalCoordinates
+from .normal import (
+    NormalCoordinates,
+    check_coordinates,
+    euler_from_coordinates,
+    quad_index,
+    weight,
+)
 from .pl_area import PLArea, pl_area, verify_diameter_bound
-from .reconstruct import reconstruct
 from .surgery import crush, cut_and_cap
 from .triangulation import (
     Perm,
@@ -132,15 +149,19 @@ class DecompositionReport:
 def sphere_witnesses(
     tri: Triangulation, solutions: list[NormalCoordinates]
 ) -> list[NormalCoordinates]:
-    """Vertex solutions that are connected non-vertex-linking 2-spheres."""
+    """Vertex solutions that are connected non-vertex-linking 2-spheres.
+
+    Each solution is validated, then kept when it has a quad and Euler
+    characteristic 2.  A vertex solution is primitive on an extremal ray,
+    hence connected, and a connected quad-free normal surface is a vertex
+    link, so these two linear tests decide the definition exactly."""
     out = []
     for coords in solutions:
-        surface = reconstruct(tri, coords)
-        if (
-            surface.connected
-            and surface.euler_characteristic == 2
-            and not surface.vertex_linking
-        ):
+        coords = check_coordinates(tri, coords)
+        has_quad = any(
+            coords[quad_index(t, j)] for t in range(tri.size) for j in range(3)
+        )
+        if has_quad and euler_from_coordinates(tri, coords) == 2:
             out.append(coords)
     return out
 
@@ -167,9 +188,13 @@ def certify_weakly_irreducible(
 def _least_candidate(
     tri: Triangulation, candidates: tuple[NormalCoordinates, ...]
 ) -> tuple[NormalCoordinates, PLArea]:
+    # PL area compares weight first, so only the least-weight candidates can
+    # win and only they need a length
+    weights = {coords: weight(tri, coords) for coords in candidates}
+    least = min(weights.values())
     best = None
     best_area = None
-    for coords in sorted(candidates):
+    for coords in sorted(c for c, w in weights.items() if w == least):
         area = pl_area(tri, coords)
         if best is None or area.less_than(best_area):
             best, best_area = coords, area

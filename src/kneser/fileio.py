@@ -140,23 +140,3 @@ def surface_dump_line(coords, weight: int, chi: int, vertex_linking: bool) -> st
     """One solution in the dump format `S <7t ints> # wt=.. chi=.. vl=..`."""
     body = " ".join(str(int(c)) for c in coords)
     return f"S {body} # wt={weight} chi={chi} vl={1 if vertex_linking else 0}"
-
-
-def parse_surface_dump(text: str) -> list[tuple[list[int], int, int, bool]]:
-    """Parse dump lines back into (coords, wt, chi, vl) tuples."""
-    out = []
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        if "#" not in raw:
-            raise ParseError(f"bad dump line {raw!r}")
-        head, tail = raw.split("#", 1)
-        parts = head.split()
-        if not parts or parts[0] != "S":
-            raise ParseError(f"bad dump line {raw!r}")
-        coords = [int(x) for x in parts[1:]]
-        fields = dict(kv.split("=", 1) for kv in tail.split())
-        out.append(
-            (coords, int(fields["wt"]), int(fields["chi"]), fields["vl"] == "1")
-        )
-    return out

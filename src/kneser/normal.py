@@ -62,19 +62,6 @@ def arc_count(coords: Sequence[int], tet: int, face: int, corner: int) -> int:
     return coords[tri_index(tet, corner)] + coords[quad_index(tet, qt)]
 
 
-def zero_coordinates(tri: Triangulation) -> NormalCoordinates:
-    return (0,) * (7 * tri.size)
-
-
-def vertex_link_coordinates(tri: Triangulation, vertex_orbit: int) -> NormalCoordinates:
-    """The triangle vector of the link of the given vertex orbit."""
-    sk = skeleton(tri)
-    coords = [0] * (7 * tri.size)
-    for tet, v in sk.vertex_orbits[vertex_orbit]:
-        coords[tri_index(tet, v)] += 1
-    return tuple(coords)
-
-
 def require_closed(tri: Triangulation) -> None:
     if tri.closed:
         return

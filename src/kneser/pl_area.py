@@ -18,7 +18,6 @@ metric, not the infimum; reports flag it as length_model "canonical-h1".
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -51,38 +50,6 @@ class PLArea:
             self.weight == other.weight
             and abs(self.length - other.length) <= LENGTH_TOLERANCE
         )
-
-
-def hyperbolic_distance(z: complex, w: complex) -> float:
-    """Geodesic distance in the upper half-plane."""
-    cosh_d = 1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-    return math.acosh(cosh_d)
-
-
-def _rho(z: complex) -> complex:
-    """Order-3 isometry of the ideal triangle, 0 -> 1 -> inf -> 0."""
-    return 1.0 / (1.0 - z)
-
-
-def point_on_edge(edge: int, s: float) -> complex:
-    """Edges: 0 = (0, inf), 2 = (0, 1), 1 = (1, inf); s from the midpoint.
-
-    Positive s runs toward inf on edge 0; the other two edges carry the
-    directions induced by the order-3 isometry.
-    """
-    base = cmath.exp(s) * 1j
-    if edge == 0:
-        return base
-    if edge == 2:
-        return _rho(base)
-    if edge == 1:
-        return _rho(_rho(base))
-    raise ValueError("edge must be 0, 1 or 2")
-
-
-def arc_length(edge_a: int, s: float, edge_b: int, u: float) -> float:
-    """Distance between parametrized points on two edges of the model."""
-    return hyperbolic_distance(point_on_edge(edge_a, s), point_on_edge(edge_b, u))
 
 
 def corner_arc_length(delta1: float, delta2: float) -> float:

@@ -335,7 +335,7 @@ def _closed_form(config, u, tri, area):
 def boundary_projected_area(
     config: ProjectionConfig, u: np.ndarray, patch: TriangulatedPatch
 ) -> float:
-    """|psi_u(Q)|_2 for a centre u in sigma0 off Q, exactly.
+    """|psi_u(Q)|_2 for a centre u inside sigma0 and off Q, exactly.
 
     The cones from u over the four faces of sigma0 partition space, cone i
     cut out by the three planes through u and an edge of face i.  Each
@@ -344,13 +344,18 @@ def boundary_projected_area(
     i's plane, at t = h_i / n_i.(x - u) with h_i = d_i - n_i.u.  A ray from
     u meets T's plane at most once, so psi_u is injective on T, and central
     projection maps segments to segments: the image is the polygon of the
-    projected vertices, and the shoelace sum gives its area.
+    projected vertices, and the shoelace sum gives its area.  Outside the
+    open simplex the cones no longer partition space, so a centre with
+    some h_i <= 0 raises ValueError.
     """
     u = np.asarray(u, dtype=float)
+    normals, offsets = _PLANES
+    heights = [offsets[i] - float(normals[i] @ u) for i in range(4)]
+    if min(heights) <= 0:
+        raise ValueError("projection center must lie inside sigma0")
     tris = patch.triangles
     if len(tris) and triangle_distances(u, tris).min() <= 1e-12:
         raise CenterOnSurface("projection center lies on the patch")
-    normals, offsets = _PLANES
     corners = regular_tetrahedron()
     total = 0.0
     for i in range(4):
@@ -359,7 +364,6 @@ def boundary_projected_area(
         f = np.delete(corners, i, axis=0) - u
         sides = np.cross(np.roll(f, -1, axis=0), np.roll(f, -2, axis=0))
         sides *= np.sign(np.linalg.det(f))
-        height = offsets[i] - float(normals[i] @ u)
         for tri in tris:
             poly = tri
             for w in sides:
@@ -367,7 +371,7 @@ def boundary_projected_area(
             if len(poly) < 3:
                 continue
             rel = poly - u
-            image = (height / (rel @ normals[i]))[:, None] * rel
+            image = (heights[i] / (rel @ normals[i]))[:, None] * rel
             image -= image[0]
             fan = np.cross(image[1:-1], image[2:]) @ normals[i]
             total += 0.5 * abs(float(np.sum(fan)))

@@ -482,22 +482,3 @@ def restrict(tri: Triangulation, tets: Sequence[int]) -> Triangulation:
 def split_components(tri: Triangulation) -> list[Triangulation]:
     """Connected components as separate triangulations, in sorted tet order."""
     return [restrict(tri, comp) for comp in connected_components(tri)]
-
-
-def disjoint_union(a: Triangulation, b: Triangulation) -> Triangulation:
-    rows: list[list[RawGluing]] = []
-    for i in range(a.size):
-        rows.append([
-            (g.tet, g.face, g.perm) if g is not None else None
-            for g in a.gluings[i]
-        ])
-    for i in range(b.size):
-        rows.append([
-            (g.tet + a.size, g.face, g.perm) if g is not None else None
-            for g in b.gluings[i]
-        ])
-    return validate(
-        rows,
-        require_closed=a.closed and b.closed,
-        require_orientable=a.orientable and b.orientable,
-    )

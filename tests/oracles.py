@@ -13,10 +13,16 @@ polygon clipping that needs no quadrature at all, and the adaptive
 quadrature of the pointwise area Jacobian that `kneser.projection` used
 before its closed forms.  That quadrature (`_integrate_jacobian`, its
 7-point rule and its two constants) lives here now, and nothing in
-`kneser` integrates numerically.
+`kneser` integrates numerically.  The definition of a sphere witness by
+reconstruction, and the loop that computed the PL area of every witness,
+are kept as references for the linear rule and the least-weight shortcut
+in `kneser.decomposition`.  Small constructors and readers that only the
+tests call (vertex-link and zero vectors, disjoint unions, surface dumps,
+points and distances of the hyperbolic model) live here too.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -27,8 +33,9 @@ import numpy as np
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from kneser.errors import CenterHit, JacobianBoundExceeded
-from kneser.normal import matching_system, quad_index
+from kneser.errors import CenterHit, JacobianBoundExceeded, ParseError
+from kneser.normal import NormalCoordinates, matching_system, quad_index, tri_index
+from kneser.pl_area import PLArea, pl_area
 from kneser.projection import (
     _areas,
     _clip_half_plane,
@@ -36,7 +43,14 @@ from kneser.projection import (
     simplex_planes,
     triangle_distances,
 )
-from kneser.triangulation import FACE_VERTICES, Triangulation, skeleton
+from kneser.reconstruct import reconstruct
+from kneser.triangulation import (
+    FACE_VERTICES,
+    RawGluing,
+    Triangulation,
+    skeleton,
+    validate,
+)
 
 
 def exhaustive_chain_distance(tri: Triangulation, a: int, b: int) -> int | None:
@@ -665,3 +679,117 @@ def polygon_projected_area(config, u, tris, sides: int = 4000) -> float:
         total += area - clipped + two_r ** 2 * abs(omega)
     return total
 
+
+def reconstruct_sphere_witnesses(
+    tri: Triangulation, solutions: list[NormalCoordinates]
+) -> list[NormalCoordinates]:
+    """The solutions whose reconstructed surface is a connected
+    non-vertex-linking 2-sphere, read off the full disk complex."""
+    out = []
+    for coords in solutions:
+        surface = reconstruct(tri, coords)
+        if (
+            surface.connected
+            and surface.euler_characteristic == 2
+            and not surface.vertex_linking
+        ):
+            out.append(coords)
+    return out
+
+
+def least_pl_area_reference(
+    tri: Triangulation, candidates
+) -> tuple[NormalCoordinates, PLArea]:
+    """Least PL area over every candidate, ties within tolerance going to
+    the lexicographically smaller vector."""
+    best = None
+    best_area = None
+    for coords in sorted(candidates):
+        area = pl_area(tri, coords)
+        if best is None or area.less_than(best_area):
+            best, best_area = coords, area
+    return best, best_area
+
+
+def zero_coordinates(tri: Triangulation) -> NormalCoordinates:
+    return (0,) * (7 * tri.size)
+
+
+def vertex_link_coordinates(tri: Triangulation, vertex_orbit: int) -> NormalCoordinates:
+    """The triangle vector of the link of the given vertex orbit."""
+    sk = skeleton(tri)
+    coords = [0] * (7 * tri.size)
+    for tet, v in sk.vertex_orbits[vertex_orbit]:
+        coords[tri_index(tet, v)] += 1
+    return tuple(coords)
+
+
+def disjoint_union(a: Triangulation, b: Triangulation) -> Triangulation:
+    rows: list[list[RawGluing]] = []
+    for i in range(a.size):
+        rows.append([
+            (g.tet, g.face, g.perm) if g is not None else None
+            for g in a.gluings[i]
+        ])
+    for i in range(b.size):
+        rows.append([
+            (g.tet + a.size, g.face, g.perm) if g is not None else None
+            for g in b.gluings[i]
+        ])
+    return validate(
+        rows,
+        require_closed=a.closed and b.closed,
+        require_orientable=a.orientable and b.orientable,
+    )
+
+
+def parse_surface_dump(text: str) -> list[tuple[list[int], int, int, bool]]:
+    """Parse dump lines back into (coords, wt, chi, vl) tuples."""
+    out = []
+    for raw in text.splitlines():
+        if not raw.strip():
+            continue
+        if "#" not in raw:
+            raise ParseError(f"bad dump line {raw!r}")
+        head, tail = raw.split("#", 1)
+        parts = head.split()
+        if not parts or parts[0] != "S":
+            raise ParseError(f"bad dump line {raw!r}")
+        coords = [int(x) for x in parts[1:]]
+        fields = dict(kv.split("=", 1) for kv in tail.split())
+        out.append(
+            (coords, int(fields["wt"]), int(fields["chi"]), fields["vl"] == "1")
+        )
+    return out
+
+
+def hyperbolic_distance(z: complex, w: complex) -> float:
+    """Geodesic distance in the upper half-plane."""
+    cosh_d = 1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
+    return math.acosh(cosh_d)
+
+
+def _rho(z: complex) -> complex:
+    """Order-3 isometry of the ideal triangle, 0 -> 1 -> inf -> 0."""
+    return 1.0 / (1.0 - z)
+
+
+def point_on_edge(edge: int, s: float) -> complex:
+    """Edges: 0 = (0, inf), 2 = (0, 1), 1 = (1, inf); s from the midpoint.
+
+    Positive s runs toward inf on edge 0; the other two edges carry the
+    directions induced by the order-3 isometry.
+    """
+    base = cmath.exp(s) * 1j
+    if edge == 0:
+        return base
+    if edge == 2:
+        return _rho(base)
+    if edge == 1:
+        return _rho(_rho(base))
+    raise ValueError("edge must be 0, 1 or 2")
+
+
+def arc_length(edge_a: int, s: float, edge_b: int, u: float) -> float:
+    """Distance between parametrized points on two edges of the model."""
+    return hyperbolic_distance(point_on_edge(edge_a, s), point_on_edge(edge_b, u))

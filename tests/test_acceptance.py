@@ -184,7 +184,8 @@ def test_criterion_6_reconstruction(closed_corpus, bd4):
     """Cell-count chi equals the coordinate formula everywhere; the vertex
     links of the 4-simplex boundary are (4, 6, 4) spheres of PL area
     (4, 12 arccosh(3/2)) within 1e-9."""
-    from kneser.normal import euler_from_coordinates, vertex_link_coordinates
+    from kneser.normal import euler_from_coordinates
+    from oracles import vertex_link_coordinates
     from kneser.triangulation import skeleton
 
     start = time.time()

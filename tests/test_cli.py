@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -21,8 +22,9 @@ from kneser.errors import (
     JacobianBoundExceeded,
     TerminationGuardTripped,
 )
-from kneser.fileio import parse_surface_dump, parse_tri
+from kneser.fileio import parse_tri
 from kneser.reports import emit_json
+from oracles import parse_surface_dump
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "payloads.schema.json")
@@ -58,6 +60,43 @@ class TestGenerate:
             else:
                 patch = TriangulatedPatch(parse_patch(text))
                 assert patch.area > 0
+
+
+# exit code and sha256 of stdout of `decompose <file> --oracle-check`,
+# recorded when witnesses came from reconstructing every vertex ray and
+# every witness got a PL area; rp3_rp3.tri is
+# connected_sum(rp3_octahedral, rp3_octahedral), not a corpus file
+GOLDEN_DECOMPOSE = {
+    "bd4simplex.tri": (0, "a78e73fcf221cedd11ae82a1be48ba4dd6406228871a973dcd650559d4d10c86"),
+    "chain7.tri": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "l31_two_tet.tri": (1, "f3b9cd2cd8081fffa128873f83a9a8fa927447b13f4dce14c6ee6da7cc0b16be"),
+    "rp3_octahedral.tri": (0, "007527ac1d6eb49f7bc68fdad5067df730824276930185628289aca77176d654"),
+    "rp3_rp3.tri": (0, "8fc3de577cd42b048ce79422b2e497c23b36d28967c36cbfad8cbf2482c474a0"),
+    "rp3_two_tet.tri": (0, "eb62244399968f4362bbc007081abd6855f4f410199d4934b4651b075bdd195d"),
+    "s2xs1_two_tet.tri": (0, "19a529ab75170c9d170a5ffa4d83ceedc970cb2ddaa89360e7f45e55f8d867d9"),
+    "s3_one_tet.tri": (0, "157f5c3d138be6924054652a5766813e76553b441cf6b210a7a090f8f53ac76b"),
+    "s3_two_tet.tri": (0, "1c49576de31cc10f08145883f521dc15b2c81587a012c7e845acbdec258ae5fe"),
+    "sum_bd4_bd4.tri": (0, "6d5e26b803c856db487aaedba9d60b73df2164dd54ee51ca39d99363fd710e34"),
+    "sum_bd4_rp3.tri": (0, "323d8065b583828b4e3eb57fec75e879df2262cdb005c6d24248c29dfee02099"),
+    "sum_s3_rp3.tri": (0, "beb3e2896a0edf32099117defb6ca908be81cd7d52f3550913b09e0aca9f7a0f"),
+}
+
+
+class TestGoldenStdout:
+    def test_decompose_oracle_check(self, corpus_dir, tmp_path, capsys):
+        from kneser import corpus
+        from kneser.decomposition import connected_sum
+        from kneser.fileio import format_tri
+
+        rp3 = corpus.rp3_octahedral()
+        (tmp_path / "rp3_rp3.tri").write_text(format_tri(connected_sum(rp3, rp3)))
+        paths = sorted(corpus_dir.glob("*.tri")) + [tmp_path / "rp3_rp3.tri"]
+        assert sorted(p.name for p in paths) == sorted(GOLDEN_DECOMPOSE)
+        for path in paths:
+            code = cli.main(["decompose", str(path), "--oracle-check"])
+            out = capsys.readouterr().out
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert (code, digest) == GOLDEN_DECOMPOSE[path.name], path.name
 
 
 class TestDecomposeCommand:

@@ -1,8 +1,10 @@
 import pytest
 
 from kneser import corpus
+from kneser.cli import CORPUS_FILES
 from kneser.decomposition import (
     HomologyLedger,
+    _least_candidate,
     certify_weakly_irreducible,
     connected_sum,
     decompose,
@@ -10,11 +12,19 @@ from kneser.decomposition import (
     sphere_witnesses,
 )
 from kneser.errors import BudgetExceeded
+from kneser.fileio import parse_tri
 from kneser.homology import AbelianInvariants, homology
 from kneser.pl_area import pl_area
 from kneser.reconstruct import reconstruct
 from kneser.vertex_enum import enumerate_vertex_solutions
-from oracles import brute_force_solutions, sympy_homology
+from oracles import (
+    brute_force_solutions,
+    disjoint_union,
+    least_pl_area_reference,
+    reconstruct_sphere_witnesses,
+    sympy_homology,
+)
+from test_census_sweep import closed_two_tet
 
 
 class TestConnectedSum:
@@ -74,6 +84,57 @@ class TestCertify:
     def test_budget_propagates(self, bd4):
         with pytest.raises(BudgetExceeded):
             certify_weakly_irreducible(bd4, budget=2)
+
+
+def _closed_corpus_files():
+    """Every closed `.tri` the corpus generator writes, and rp3#rp3."""
+    out = {}
+    for name, make in CORPUS_FILES:
+        if name.endswith(".tri"):
+            tri = parse_tri(make(), require_closed=False)
+            if tri.closed:
+                out[name] = tri
+    rp3 = corpus.rp3_octahedral()
+    out["rp3#rp3"] = connected_sum(rp3, rp3)
+    return out
+
+
+class TestLinearWitnessRule:
+    """A vertex solution is a connected non-vertex-linking sphere exactly
+    when it has a quad and Euler characteristic 2; reconstructing its disk
+    complex must agree on every vertex ray."""
+
+    def test_agrees_with_reconstruction_on_corpus(self):
+        files = _closed_corpus_files()
+        assert len(files) == 11
+        for name, tri in files.items():
+            solutions = enumerate_vertex_solutions(tri)
+            want = reconstruct_sphere_witnesses(tri, solutions)
+            assert sphere_witnesses(tri, solutions) == want, name
+
+    def test_agrees_with_reconstruction_on_census(self):
+        tables = closed_two_tet()
+        rays = 0
+        for tri in tables:
+            solutions = enumerate_vertex_solutions(tri)
+            want = reconstruct_sphere_witnesses(tri, solutions)
+            assert sphere_witnesses(tri, solutions) == want, tri.gluings
+            rays += len(solutions)
+        assert (len(tables), rays) == (5088, 17808)
+
+    def test_least_weight_shortcut_keeps_the_choice(self):
+        # PL area compares weight first, so pl_area on the least-weight
+        # witnesses alone must pick what the loop over all of them picks
+        pieces = list(_closed_corpus_files().values()) + list(closed_two_tet()[::7])
+        compared = 0
+        for tri in pieces:
+            witnesses = sphere_witnesses(tri, enumerate_vertex_solutions(tri))
+            if not witnesses:
+                continue
+            got = _least_candidate(tri, tuple(witnesses))
+            assert got == least_pl_area_reference(tri, witnesses), tri.gluings
+            compared += 1
+        assert compared >= 20
 
 
 class TestFindEssentialSphere:
@@ -170,8 +231,6 @@ class TestDecompose:
         assert all(p.certificate.certified for p in report.pieces)
 
     def test_disconnected_input(self, bd4):
-        from kneser.triangulation import disjoint_union
-
         rp3 = corpus.rp3_octahedral()
         both = disjoint_union(bd4, rp3)
         report = decompose(both)

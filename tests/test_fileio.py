@@ -8,10 +8,10 @@ from kneser.fileio import (
     format_patch,
     format_tri,
     parse_patch,
-    parse_surface_dump,
     parse_tri,
     surface_dump_line,
 )
+from oracles import parse_surface_dump
 
 
 class TestTriFormat:

@@ -9,8 +9,7 @@ from kneser.homology import (
     elementary_divisors,
     homology,
 )
-from kneser.triangulation import disjoint_union
-from oracles import sympy_homology
+from oracles import disjoint_union, sympy_homology
 
 EXPECTED_H1 = {
     "s3_one_tet": (0, ()),

@@ -11,14 +11,17 @@ from kneser.normal import (
     quad_index,
     satisfies_matching,
     satisfies_quad_constraint,
-    vertex_link_coordinates,
     weight,
-    zero_coordinates,
 )
 from kneser.reconstruct import build_complex, reconstruct
 from kneser.triangulation import skeleton, validate
 from kneser.vertex_enum import enumerate_vertex_solutions, is_vertex_ray
-from oracles import brute_force_solutions, is_vertex_ray_sympy
+from oracles import (
+    brute_force_solutions,
+    is_vertex_ray_sympy,
+    vertex_link_coordinates,
+    zero_coordinates,
+)
 
 
 class TestMatchingSystem:

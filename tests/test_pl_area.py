@@ -5,18 +5,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kneser.errors import EmptySurface
-from kneser.normal import vertex_link_coordinates, zero_coordinates
 from kneser.pl_area import (
     MIDPOINT_ARC,
     PLArea,
-    arc_length,
     corner_arc_length,
-    hyperbolic_distance,
     pl_area,
-    point_on_edge,
     verify_diameter_bound,
 )
 from kneser.vertex_enum import enumerate_vertex_solutions
+from oracles import (
+    arc_length,
+    hyperbolic_distance,
+    point_on_edge,
+    vertex_link_coordinates,
+    zero_coordinates,
+)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 

@@ -467,6 +467,20 @@ class TestBoundaryProjection:
         above = boundary_projected_area(CFG, np.array([0.0, 0.0, 0.01 + 1e-9]), patch)
         assert math.isfinite(above) and above > 0
 
+    def test_centre_outside_simplex_rejected(self):
+        # outside the open simplex the four face cones from u no longer
+        # partition space, so their clipped areas do not add up to psi_u(Q)
+        from test_acceptance import corpus_patches
+
+        patch = TriangulatedPatch(corpus_patches()["corner"])
+        with pytest.raises(ValueError, match="inside sigma0"):
+            boundary_projected_area(CFG, np.array([2.0, 2.0, 2.0]), patch)
+        normals, offsets = simplex_planes()
+        for n, d in zip(normals, offsets):
+            # just beyond face i, where only h_i is negative
+            with pytest.raises(ValueError, match="inside sigma0"):
+                boundary_projected_area(CFG, 1.001 * d * n, patch)
+
 
 def _near_flat_case():
     """A centre and a flat square facing it from 0.01 above."""

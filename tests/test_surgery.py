@@ -9,12 +9,11 @@ import kneser
 from kneser import corpus
 from kneser.errors import ConsistencyCheckFailed, VertexLinkingRejected
 from kneser.homology import homology
-from kneser.normal import vertex_link_coordinates
 from kneser.reconstruct import reconstruct
 from kneser.surgery import cap_boundary, crush, cut_and_cap, cut_complex
 from kneser.triangulation import validate
 from kneser.vertex_enum import enumerate_vertex_solutions
-from oracles import sympy_homology
+from oracles import sympy_homology, vertex_link_coordinates
 
 # one tetrahedron with face 0 glued to face 1: a solid torus, whose boundary
 # is a torus made of the two free faces

@@ -16,7 +16,6 @@ from kneser.errors import (
 )
 from kneser.triangulation import (
     connected_components,
-    disjoint_union,
     perm_compose,
     perm_inverse,
     perm_sign,
@@ -28,6 +27,7 @@ from kneser.triangulation import (
 )
 from oracles import (
     connected_components_reference,
+    disjoint_union,
     exhaustive_chain_distance,
     orientations_reference,
 )
