@@ -82,6 +82,8 @@ def cmd_decompose(
     seed: int = 0,
     oracle_check: bool = False,
 ) -> CommandResult:
+    if budget < 0:
+        return CommandResult(2, None, "--budget must be nonnegative")
     tri = _load(path, parse_tri, "triangulation")
     if isinstance(tri, CommandResult):
         return tri
@@ -134,6 +136,8 @@ def cmd_enumerate(
     verify_diam: bool = False,
     dump_path: str | None = None,
 ) -> CommandResult:
+    if budget < 0:
+        return CommandResult(2, None, "--budget must be nonnegative")
     tri = _load(path, parse_tri, "triangulation")
     if isinstance(tri, CommandResult):
         return tri
@@ -181,6 +185,8 @@ def cmd_montecarlo(
     sweep: str | None = None,
     csv_path: str | None = None,
 ) -> CommandResult:
+    if samples < 1:
+        return CommandResult(2, None, "--samples must be at least 1")
     triangles = _load(path, parse_patch, "patch")
     if isinstance(triangles, CommandResult):
         return triangles

@@ -38,7 +38,6 @@ from .normal import (
     NormalCoordinates,
     check_coordinates,
     euler_from_coordinates,
-    quad_index,
     weight,
 )
 from .pl_area import PLArea, pl_area, verify_diameter_bound
@@ -158,9 +157,7 @@ def sphere_witnesses(
     out = []
     for coords in solutions:
         coords = check_coordinates(tri, coords)
-        has_quad = any(
-            coords[quad_index(t, j)] for t in range(tri.size) for j in range(3)
-        )
+        has_quad = any(coords[4::7]) or any(coords[5::7]) or any(coords[6::7])
         if has_quad and euler_from_coordinates(tri, coords) == 2:
             out.append(coords)
     return out

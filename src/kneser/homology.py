@@ -6,14 +6,39 @@ against the orbit representative.  Because valid closed orientable gluings
 never identify a cell with itself orientation-reversingly, this is the
 cellular chain complex of the quotient CW structure.
 
-Smith normal form runs in two phases: a sparse elimination over unit pivots
-(which is all a boundary matrix usually needs and never grows coefficients),
-then a textbook integer SNF on the small remaining core.
+H_k needs the rank of d_k and the rank and elementary divisors of d_{k+1}.
+Two of the boundary maps need no full matrix (cellular H_1 via spanning
+trees, Hatcher, Algebraic Topology, sections 1.2 and 2.2):
+
+- d_1 is a signed incidence matrix of the 1-skeleton, totally unimodular
+  with rank V - c, c its number of components: the number of edges in a
+  spanning forest, read off a union-find with no elimination.
+- d_2 keeps its rank and divisors when the rows of a spanning forest of the
+  1-skeleton and the columns of a spanning forest of the dual graph (tets
+  joined by face orbits of two slots) are deleted.  Rows: the image of d_2
+  lies in the cycles, and projecting away the forest edges maps the cycles
+  isomorphically onto the remaining coordinates (a cycle on a forest is
+  zero), a direct summand of C_1.  Columns: peel the dual forest from a
+  leaf tet; its parent face occurs once in d_3 of the tet, with
+  coefficient +-1, so d_2 d_3 = 0 makes that face's column a unit
+  combination of the tet's other faces, and the column lattice is
+  unchanged.  What is left is (E - V + c) x (F - T + c), which is
+  (T + 1) x (T + 1) for a connected closed triangulation, against the
+  (V + T) x 2T of the full d_2.
+
+d_3 (only H_2 needs it) keeps its full matrix.  Smith normal form runs in
+two phases: a sparse elimination over unit pivots (which is all a boundary
+matrix usually needs and never grows coefficients), then a textbook integer
+SNF on the small remaining core.  The sparse phase takes the least-cost
+unit pivot first (Markowitz, Management Sci. 3, 1957) from a heap whose
+keys are pushed again when their row or column changes and are checked
+again when popped, so no pivot rescans the matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import gcd
 
 from .triangulation import (
@@ -21,6 +46,7 @@ from .triangulation import (
     EDGE_VERTICES,
     FACE_VERTICES,
     Triangulation,
+    _UnionFind,
     perm_sign,
     skeleton,
 )
@@ -48,6 +74,28 @@ Entry = tuple[int, int, int]  # (row, col, value)
 
 def elementary_divisors(entries: list[Entry], nrows: int, ncols: int) -> tuple[int, list[int]]:
     """Rank and nontrivial elementary divisors (>1) of an integer matrix."""
+    rank, rows = _unit_eliminate(entries)
+    if not rows:
+        return rank, []
+
+    # Dense phase on the remaining core.
+    live_rows = sorted(rows)
+    live_cols = sorted({c for rd in rows.values() for c in rd})
+    core = [[rows[r].get(c, 0) for c in live_cols] for r in live_rows]
+    divisors = _dense_snf(core)
+    rank += len(divisors)
+    nontrivial = sorted(d for d in divisors if d > 1)
+    return rank, nontrivial
+
+
+def _unit_eliminate(entries: list[Entry]) -> tuple[int, dict[int, dict[int, int]]]:
+    """Eliminate with +-1 pivots, cheapest fill first: the pivot is the least
+    (cost, row, col) over the unit entries, cost being (row length - 1) *
+    (column length - 1).  Returns the number of pivots and the rows left.
+
+    Keys wait in a heap.  An entry's key is pushed again whenever its row or
+    column changes, and a popped key is used only if it is still current, so
+    the first current key popped is the least one."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, c, v in entries:
@@ -64,26 +112,35 @@ def elementary_divisors(entries: list[Entry], nrows: int, ncols: int) -> tuple[i
         for c in rowdata:
             cols.setdefault(c, set()).add(r)
 
+    def cost(r: int, c: int) -> int:
+        return (len(rows[r]) - 1) * (len(cols[c]) - 1)
+
+    heap: list[tuple[int, int, int]] = []
+
+    def push_row(r: int) -> None:
+        for c, v in rows[r].items():
+            if v in (1, -1):
+                heappush(heap, (cost(r, c), r, c))
+
+    def push_col(c: int) -> None:
+        for r in cols[c]:
+            if rows[r][c] in (1, -1):
+                heappush(heap, (cost(r, c), r, c))
+
+    for r in rows:
+        push_row(r)
     rank = 0
-    # Sparse phase: eliminate with +-1 pivots, cheapest fill first.
-    while True:
-        best = None
-        for r, rowdata in rows.items():
-            rcost = len(rowdata) - 1
-            for c, v in rowdata.items():
-                if v in (1, -1):
-                    cost = rcost * (len(cols[c]) - 1)
-                    key = (cost, r, c)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        _, pr, pc = best
-        pv = rows[pr][pc]
+    while heap:
+        key, pr, pc = heappop(heap)
+        rowdata = rows.get(pr)
+        if rowdata is None or rowdata.get(pc) not in (1, -1) or key != cost(pr, pc):
+            continue
+        pv = rowdata[pc]
         pivot_row = rows.pop(pr)
         for c in pivot_row:
             cols[c].discard(pr)
-        for r in sorted(cols[pc]):
+        touched = sorted(cols[pc])
+        for r in touched:
             factor = rows[r][pc] * pv  # pv in {1,-1}: exact quotient
             for c, v in pivot_row.items():
                 new = rows[r].get(c, 0) - factor * v
@@ -98,18 +155,15 @@ def elementary_divisors(entries: list[Entry], nrows: int, ncols: int) -> tuple[i
                 del rows[r]
         cols.pop(pc, None)
         rank += 1
-
-    if not rows:
-        return rank, []
-
-    # Dense phase on the remaining core.
-    live_rows = sorted(rows)
-    live_cols = sorted({c for rd in rows.values() for c in rd})
-    core = [[rows[r].get(c, 0) for c in live_cols] for r in live_rows]
-    divisors = _dense_snf(core)
-    rank += len(divisors)
-    nontrivial = sorted(d for d in divisors if d > 1)
-    return rank, nontrivial
+        # row lengths change only in the touched rows, column lengths only
+        # in the pivot row's columns
+        for r in touched:
+            if r in rows:
+                push_row(r)
+        for c in pivot_row:
+            if c != pc:
+                push_col(c)
+    return rank, rows
 
 
 def _dense_snf(m: list[list[int]]) -> list[int]:
@@ -186,24 +240,13 @@ def _dense_snf(m: list[list[int]]) -> list[int]:
 
 
 def boundary_entries(tri: Triangulation, k: int) -> tuple[list[Entry], int, int]:
-    """Sparse entries of the boundary map C_k -> C_{k-1} of the orbit complex.
+    """Sparse entries of the boundary map C_k -> C_{k-1} of the orbit complex,
+    k in {2, 3} (d_1 needs no matrix, see the module docstring).
 
     Returns (entries, nrows, ncols) with rows indexed by (k-1)-orbits and
     columns by k-orbits.
     """
     sk = skeleton(tri)
-    if k == 0:
-        return [], 0, sk.vertex_count
-    if k == 1:
-        entries = []
-        for idx, orbit in enumerate(sk.edge_orbits):
-            tet, e = orbit[0]
-            u, v = EDGE_VERTICES[e]
-            head = sk.vertex_orbit_of[(tet, v)]
-            tail = sk.vertex_orbit_of[(tet, u)]
-            entries.append((head, idx, 1))
-            entries.append((tail, idx, -1))
-        return entries, sk.vertex_count, sk.edge_count
     if k == 2:
         entries = []
         for idx, orbit in enumerate(sk.face_orbits):
@@ -223,7 +266,7 @@ def boundary_entries(tri: Triangulation, k: int) -> tuple[list[Entry], int, int]
                 sign = (-1) ** f * rel[(i, f)]
                 entries.append((fidx, i, sign))
         return entries, sk.face_count, tri.size
-    raise ValueError("k must be 0, 1, 2 or 3")
+    raise ValueError("k must be 2 or 3")
 
 
 def _face_orientation_table(tri: Triangulation) -> dict[tuple[int, int], int]:
@@ -245,14 +288,68 @@ def _face_orientation_table(tri: Triangulation) -> dict[tuple[int, int], int]:
     return rel
 
 
+def _spanning_forest(n: int, ends: list[tuple[int, int]]) -> set[int]:
+    """Indices of the edges, among `ends` of a graph on nodes 0..n-1, that
+    a greedy pass takes into a spanning forest.  Loops are never taken."""
+    uf = _UnionFind(n)
+    forest = set()
+    for idx, (a, b) in enumerate(ends):
+        if uf.find(a)[0] != uf.find(b)[0]:
+            uf.union(a, b, False)
+            forest.add(idx)
+    return forest
+
+
+def _forests(tri: Triangulation) -> tuple[set[int], set[int]]:
+    """A spanning forest of the 1-skeleton (edge orbits joining vertex
+    orbits) and one of the dual graph (face orbits of two slots joining
+    their tets)."""
+    sk = skeleton(tri)
+    edge_ends = []
+    for tet, e in (orbit[0] for orbit in sk.edge_orbits):
+        u, v = EDGE_VERTICES[e]
+        edge_ends.append((sk.vertex_orbit_of[(tet, u)], sk.vertex_orbit_of[(tet, v)]))
+    face_ends = [
+        (orbit[0][0], orbit[-1][0]) if len(orbit) == 2 else (orbit[0][0],) * 2
+        for orbit in sk.face_orbits
+    ]
+    return (
+        _spanning_forest(sk.vertex_count, edge_ends),
+        _spanning_forest(tri.size, face_ends),
+    )
+
+
+def _boundary_invariants(
+    tri: Triangulation, k: int, forests: tuple[set[int], set[int]]
+) -> tuple[int, list[int]]:
+    """Rank and nontrivial elementary divisors of the boundary map out of
+    C_k, given `_forests(tri)`."""
+    edge_forest, face_forest = forests
+    if k == 0:
+        return 0, []
+    if k == 1:
+        # a signed incidence matrix: totally unimodular, rank V - c
+        return len(edge_forest), []
+    entries, nrows, ncols = boundary_entries(tri, k)
+    if k == 2:
+        # the dual-forest argument needs d2 d3 = 0 on every tet
+        if skeleton(tri).reversed_edge is not None:
+            face_forest = set()
+        entries = [
+            (r, c, v) for r, c, v in entries
+            if r not in edge_forest and c not in face_forest
+        ]
+    return elementary_divisors(entries, nrows, ncols)
+
+
 @lru_cache(maxsize=512)
 def homology(tri: Triangulation, k: int) -> AbelianInvariants:
     """H_k of the underlying space, k in {0, 1, 2}, exact over Z."""
     if k not in (0, 1, 2):
         raise ValueError("homology implemented for k = 0, 1, 2")
-    ek, nr_k, nk = boundary_entries(tri, k)
-    rank_k, _ = elementary_divisors(ek, nr_k, nk)
-    ek1, nr1, nc1 = boundary_entries(tri, k + 1)
-    rank_k1, torsion = elementary_divisors(ek1, nr1, nc1)
-    betti = nk - rank_k - rank_k1
-    return AbelianInvariants(rank=betti, torsion=tuple(torsion))
+    sk = skeleton(tri)
+    forests = _forests(tri)
+    rank_k, _ = _boundary_invariants(tri, k, forests)
+    rank_k1, torsion = _boundary_invariants(tri, k + 1, forests)
+    nk = (sk.vertex_count, sk.edge_count, sk.face_count)[k]
+    return AbelianInvariants(rank=nk - rank_k - rank_k1, torsion=tuple(torsion))

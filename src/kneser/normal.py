@@ -9,11 +9,23 @@ and misses the two edges inside them.
 In a face F = {x, y, v} of a tet with opposite vertex w, the normal arcs
 cutting off corner v come from the triangles at v and from the quads of the
 type separating {x, y} from {v, w}.
+
+The linear tests read one index table per triangulation,
+`coordinate_table`, built once from the skeleton and cached like
+`matching_system`: the four indices (a, b | c, d) of each matching row,
+meaning x[a] + x[b] = x[c] + x[d]; the four indices (two triangles, two
+quads) that cross each slot of each edge orbit; and the number of normal
+arcs each coordinate contributes, face orbits counted on their
+representative slots.  Matching, edge weights and the Euler characteristic
+are then sums over fixed index tuples, with no per-slot lookup of gluings
+or vertex lists; the quad constraint reads the three quads of each tet at
+stride 7.
 """
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InconsistentCrossings, NotClosed
 from .triangulation import (
@@ -55,11 +67,17 @@ def quad_index(tet: int, j: int) -> int:
     return 7 * tet + 4 + j
 
 
+def _arc_indices(tet: int, face: int, corner: int) -> tuple[int, int]:
+    """The triangle and quad indices whose disks cut off `corner` in face
+    `face` of tet `tet`."""
+    others = [x for x in FACE_VERTICES[face] if x != corner]
+    return tri_index(tet, corner), quad_index(tet, quad_type_separating(*others))
+
+
 def arc_count(coords: Sequence[int], tet: int, face: int, corner: int) -> int:
     """Arcs cutting off `corner` in face `face` of tet `tet`."""
-    others = [x for x in FACE_VERTICES[face] if x != corner]
-    qt = quad_type_separating(others[0], others[1])
-    return coords[tri_index(tet, corner)] + coords[quad_index(tet, qt)]
+    a, b = _arc_indices(tet, face, corner)
+    return coords[a] + coords[b]
 
 
 def require_closed(tri: Triangulation) -> None:
@@ -72,6 +90,53 @@ def require_closed(tri: Triangulation) -> None:
     raise NotClosed(0, 0, "not a closed 3-manifold")
 
 
+class CoordinateTable(NamedTuple):
+    """Coordinate indices that the linear tests of one triangulation read.
+
+    matching[r] = (a, b, c, d): row r of `matching_system` says
+    x[a] + x[b] == x[c] + x[d], the arc count of one corner seen from the
+    two sides of a face orbit (a triangle and a quad index on each side).
+    edge_slots[e] lists, for each slot of edge orbit e, the four indices
+    (two triangles, two quads) whose sum crosses the edge in that slot.
+    arcs[i] is how many normal arcs one disk of coordinate i contributes
+    when each face orbit is counted on its representative slot."""
+
+    matching: tuple[tuple[int, int, int, int], ...]
+    edge_slots: tuple[tuple[tuple[int, int, int, int], ...], ...]
+    arcs: tuple[int, ...]
+
+
+@lru_cache(maxsize=256)
+def coordinate_table(tri: Triangulation) -> CoordinateTable:
+    """The index table of tri, built once from its skeleton and shared by
+    every caller.  Matching rows come from the face orbits whose
+    representative slot is glued."""
+    sk = skeleton(tri)
+    matching = []
+    arcs = [0] * (7 * tri.size)
+    for orbit in sk.face_orbits:
+        i, f = orbit[0]
+        g = tri.gluings[i][f]
+        for v in FACE_VERTICES[f]:
+            near = _arc_indices(i, f, v)
+            for x in near:
+                arcs[x] += 1
+            if g is not None:
+                matching.append(near + _arc_indices(g.tet, g.face, g.perm[v]))
+    edge_slots = []
+    for orbit in sk.edge_orbits:
+        slots = []
+        for tet, e in orbit:
+            u, v = EDGE_VERTICES[e]
+            j1, j2 = quad_types_crossing_edge(e)
+            slots.append((
+                tri_index(tet, u), tri_index(tet, v),
+                quad_index(tet, j1), quad_index(tet, j2),
+            ))
+        edge_slots.append(tuple(slots))
+    return CoordinateTable(tuple(matching), tuple(edge_slots), tuple(arcs))
+
+
 @lru_cache(maxsize=256)
 def matching_system(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
     """Integer matrix of the matching equations: 3 rows per face orbit,
@@ -80,24 +145,15 @@ def matching_system(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
 
     Cached per triangulation and shared by every caller, hence immutable."""
     require_closed(tri)
-    sk = skeleton(tri)
-    rows: list[tuple[int, ...]] = []
     n = 7 * tri.size
-    for orbit in sk.face_orbits:
-        i, f = orbit[0]
-        g = tri.gluings[i][f]
-        assert g is not None
-        j, k = g.tet, g.face
-        for v in FACE_VERTICES[f]:
-            row = [0] * n
-            others = [x for x in FACE_VERTICES[f] if x != v]
-            row[tri_index(i, v)] += 1
-            row[quad_index(i, quad_type_separating(*others))] += 1
-            w = g.perm[v]
-            others2 = [g.perm[x] for x in others]
-            row[tri_index(j, w)] -= 1
-            row[quad_index(j, quad_type_separating(*others2))] -= 1
-            rows.append(tuple(row))
+    rows: list[tuple[int, ...]] = []
+    for a, b, c, d in coordinate_table(tri).matching:
+        row = [0] * n
+        row[a] += 1
+        row[b] += 1
+        row[c] -= 1
+        row[d] -= 1
+        rows.append(tuple(row))
     return tuple(rows)
 
 
@@ -105,22 +161,19 @@ def satisfies_matching(tri: Triangulation, coords: Sequence[int]) -> bool:
     """True when coords satisfies every row of `matching_system`: each face
     orbit sees the same arc counts from its two sides."""
     require_closed(tri)
-    for orbit in skeleton(tri).face_orbits:
-        i, f = orbit[0]
-        g = tri.gluings[i][f]
-        for v in FACE_VERTICES[f]:
-            other_side = arc_count(coords, g.tet, g.face, g.perm[v])
-            if arc_count(coords, i, f, v) != other_side:
-                return False
-    return True
+    x = coords
+    return all(
+        x[a] + x[b] == x[c] + x[d] for a, b, c, d in coordinate_table(tri).matching
+    )
 
 
 def satisfies_quad_constraint(coords: Sequence[int], ntet: int) -> bool:
     """At most one nonzero quad coordinate per tetrahedron."""
-    for i in range(ntet):
-        if sum(1 for j in range(3) if coords[quad_index(i, j)] > 0) > 1:
-            return False
-    return True
+    x = coords
+    return not any(
+        (x[q] > 0) + (x[q + 1] > 0) + (x[q + 2] > 0) > 1
+        for q in range(4, 7 * ntet, 7)
+    )
 
 
 def check_coordinates(tri: Triangulation, coords: Sequence[int]) -> NormalCoordinates:
@@ -139,21 +192,12 @@ def check_coordinates(tri: Triangulation, coords: Sequence[int]) -> NormalCoordi
     return coords
 
 
-def edge_weight_in(coords: Sequence[int], tet: int, edge: int) -> int:
-    """Crossings of edge `edge` of tet `tet`, counted inside that tet."""
-    u, v = EDGE_VERTICES[edge]
-    total = coords[tri_index(tet, u)] + coords[tri_index(tet, v)]
-    for j in quad_types_crossing_edge(edge):
-        total += coords[quad_index(tet, j)]
-    return total
-
-
 def edge_weights(tri: Triangulation, coords: Sequence[int]) -> list[int]:
     """Crossing count per edge orbit; raises if incident tets disagree."""
-    sk = skeleton(tri)
+    x = coords
     out = []
-    for idx, orbit in enumerate(sk.edge_orbits):
-        counts = {edge_weight_in(coords, tet, e) for tet, e in orbit}
+    for idx, slots in enumerate(coordinate_table(tri).edge_slots):
+        counts = {x[a] + x[b] + x[c] + x[d] for a, b, c, d in slots}
         if len(counts) != 1:
             raise InconsistentCrossings(
                 f"edge orbit {idx} sees crossing counts {sorted(counts)}"
@@ -171,12 +215,5 @@ def euler_from_coordinates(tri: Triangulation, coords: Sequence[int]) -> int:
     """Euler characteristic from cell counts read off the coordinates:
     V = edge crossings, E = normal arcs, F = normal disks.  Used as the
     independent cross-check against the reconstructed complex."""
-    v = weight(tri, coords)
-    sk = skeleton(tri)
-    e = 0
-    for orbit in sk.face_orbits:
-        i, f = orbit[0]
-        for corner in FACE_VERTICES[f]:
-            e += arc_count(coords, i, f, corner)
-    f_cells = sum(coords)
-    return v - e + f_cells
+    arcs = coordinate_table(tri).arcs
+    return weight(tri, coords) - sum(map(operator.mul, arcs, coords)) + sum(coords)

@@ -173,6 +173,12 @@ class _UnionFind:
         self.bit = [False] * n
 
     def find(self, x: int) -> tuple[int, bool]:
+        parent = self.parent[x]
+        if parent == x:
+            return x, False
+        if self.parent[parent] == parent:
+            # a direct child's bit is already relative to the root
+            return parent, self.bit[x]
         path = []
         root = x
         while self.parent[root] != root:
@@ -183,7 +189,7 @@ class _UnionFind:
             acc ^= self.bit[y]
             self.parent[y] = root
             self.bit[y] = acc
-        return root, (self.bit[x] if path else False)
+        return root, self.bit[x]
 
     def union(self, x: int, y: int, rel: bool) -> bool:
         """Join x, y so that bit(x) ^ bit(y) == rel; False on conflict."""

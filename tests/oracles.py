@@ -16,8 +16,15 @@ before its closed forms.  That quadrature (`_integrate_jacobian`, its
 `kneser` integrates numerically.  The definition of a sphere witness by
 reconstruction, and the loop that computed the PL area of every witness,
 are kept as references for the linear rule and the least-weight shortcut
-in `kneser.decomposition`.  Small constructors and readers that only the
-tests call (vertex-link and zero vectors, disjoint unions, surface dumps,
+in `kneser.decomposition`.  Homology from the full boundary matrices (with
+the incidence matrix d_1 that `kneser.homology` no longer builds) is the
+reference for its spanning-forest presentation; it shares
+`elementary_divisors` and the d_2 and d_3 entries with the library, which
+the sympy references check on their own.  The unit elimination that
+rescanned every entry for each pivot is the reference for the pivot heap,
+and the per-slot matching, edge-weight and Euler formulas are the
+references for the index table of `kneser.normal`.  Small constructors and
+readers that only the tests call (vertex-link and zero vectors, disjoint unions, surface dumps,
 points and distances of the hyperbolic model) live here too.
 """
 from __future__ import annotations
@@ -33,8 +40,22 @@ import numpy as np
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from kneser.errors import CenterHit, JacobianBoundExceeded, ParseError
-from kneser.normal import NormalCoordinates, matching_system, quad_index, tri_index
+from kneser.errors import (
+    CenterHit,
+    InconsistentCrossings,
+    JacobianBoundExceeded,
+    ParseError,
+)
+from kneser.homology import boundary_entries, elementary_divisors
+from kneser.normal import (
+    NormalCoordinates,
+    arc_count,
+    matching_system,
+    quad_index,
+    quad_types_crossing_edge,
+    require_closed,
+    tri_index,
+)
 from kneser.pl_area import PLArea, pl_area
 from kneser.projection import (
     _areas,
@@ -45,6 +66,7 @@ from kneser.projection import (
 )
 from kneser.reconstruct import reconstruct
 from kneser.triangulation import (
+    EDGE_VERTICES,
     FACE_VERTICES,
     RawGluing,
     Triangulation,
@@ -151,6 +173,91 @@ def sympy_homology(tri: Triangulation, k: int) -> tuple[int, tuple[int, ...]]:
         if abs(snf[i, i]) > 1
     )
     return betti, tuple(torsion)
+
+
+def orbit_complex_homology(tri: Triangulation, k: int) -> tuple[int, tuple[int, ...]]:
+    """H_k invariants from the full boundary matrices of the orbit complex:
+    rank of d_k and rank and elementary divisors of d_{k+1}, with no
+    spanning-forest reduction (the definition `kneser.homology` used before
+    it reduced d_1 and d_2)."""
+    if k not in (0, 1, 2):
+        raise ValueError("homology implemented for k = 0, 1, 2")
+    ek, nr_k, nk = full_boundary_entries(tri, k)
+    rank_k, _ = elementary_divisors(ek, nr_k, nk)
+    ek1, nr1, nc1 = full_boundary_entries(tri, k + 1)
+    rank_k1, torsion = elementary_divisors(ek1, nr1, nc1)
+    return nk - rank_k - rank_k1, tuple(torsion)
+
+
+def full_boundary_entries(tri: Triangulation, k: int):
+    """`kneser.homology.boundary_entries`, extended to the zero map out of
+    C_0 and to the full incidence matrix d_1 of the 1-skeleton."""
+    sk = skeleton(tri)
+    if k == 0:
+        return [], 0, sk.vertex_count
+    if k == 1:
+        entries = []
+        for idx, orbit in enumerate(sk.edge_orbits):
+            tet, e = orbit[0]
+            u, v = EDGE_VERTICES[e]
+            entries.append((sk.vertex_orbit_of[(tet, v)], idx, 1))
+            entries.append((sk.vertex_orbit_of[(tet, u)], idx, -1))
+        return entries, sk.vertex_count, sk.edge_count
+    return boundary_entries(tri, k)
+
+
+def unit_elimination_rescan(entries) -> tuple[int, dict[int, dict[int, int]]]:
+    """The sparse phase of `kneser.homology.elementary_divisors` as it was
+    before its pivot heap: every unit entry is rescanned for each pivot, and
+    the least (cost, row, col) is eliminated.  Returns the number of pivots
+    and the rows left."""
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for r, c, v in entries:
+        if v == 0:
+            continue
+        rows.setdefault(r, {})
+        rows[r][c] = rows[r].get(c, 0) + v
+        if rows[r][c] == 0:
+            del rows[r][c]
+    for r in list(rows):
+        if not rows[r]:
+            del rows[r]
+    for r, rowdata in rows.items():
+        for c in rowdata:
+            cols.setdefault(c, set()).add(r)
+    rank = 0
+    while True:
+        best = None
+        for r, rowdata in rows.items():
+            rcost = len(rowdata) - 1
+            for c, v in rowdata.items():
+                if v in (1, -1):
+                    key = (rcost * (len(cols[c]) - 1), r, c)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            return rank, rows
+        _, pr, pc = best
+        pv = rows[pr][pc]
+        pivot_row = rows.pop(pr)
+        for c in pivot_row:
+            cols[c].discard(pr)
+        for r in sorted(cols[pc]):
+            factor = rows[r][pc] * pv
+            for c, v in pivot_row.items():
+                new = rows[r].get(c, 0) - factor * v
+                if new == 0:
+                    rows[r].pop(c, None)
+                    cols[c].discard(r)
+                else:
+                    if c not in rows[r]:
+                        cols.setdefault(c, set()).add(r)
+                    rows[r][c] = new
+            if not rows[r]:
+                del rows[r]
+        cols.pop(pc, None)
+        rank += 1
 
 
 def _boundary_matrix(tri: Triangulation, k: int) -> sympy.Matrix:
@@ -320,8 +427,6 @@ def brute_force_solutions(
     (crossing counts of a completed solution agree across incidences, so
     that sum is a valid lower bound).
     """
-    from kneser.normal import edge_weight_in
-
     t = tri.size
     sk = skeleton(tri)
     patterns = _tet_patterns(cmax)
@@ -709,6 +814,64 @@ def least_pl_area_reference(
         if best is None or area.less_than(best_area):
             best, best_area = coords, area
     return best, best_area
+
+
+def satisfies_matching_per_slot(tri: Triangulation, coords) -> bool:
+    """Matching read off the gluings one face orbit at a time: each orbit
+    must see the same arc counts from its two sides."""
+    require_closed(tri)
+    for orbit in skeleton(tri).face_orbits:
+        i, f = orbit[0]
+        g = tri.gluings[i][f]
+        for v in FACE_VERTICES[f]:
+            other_side = arc_count(coords, g.tet, g.face, g.perm[v])
+            if arc_count(coords, i, f, v) != other_side:
+                return False
+    return True
+
+
+def quad_constraint_per_tet(coords, ntet: int) -> bool:
+    """At most one nonzero quad coordinate in each tet, by quad index."""
+    for i in range(ntet):
+        if sum(1 for j in range(3) if coords[quad_index(i, j)] > 0) > 1:
+            return False
+    return True
+
+
+def edge_weight_in(coords, tet: int, edge: int) -> int:
+    """Crossings of edge `edge` of tet `tet`, counted inside that tet."""
+    u, v = EDGE_VERTICES[edge]
+    total = coords[tri_index(tet, u)] + coords[tri_index(tet, v)]
+    for j in quad_types_crossing_edge(edge):
+        total += coords[quad_index(tet, j)]
+    return total
+
+
+def edge_weights_per_slot(tri: Triangulation, coords) -> list[int]:
+    """Crossing count per edge orbit from every slot of the orbit; raises
+    InconsistentCrossings, with the message `kneser.normal.edge_weights`
+    gives, if two slots disagree."""
+    out = []
+    for idx, orbit in enumerate(skeleton(tri).edge_orbits):
+        counts = {edge_weight_in(coords, tet, e) for tet, e in orbit}
+        if len(counts) != 1:
+            raise InconsistentCrossings(
+                f"edge orbit {idx} sees crossing counts {sorted(counts)}"
+            )
+        out.append(counts.pop())
+    return out
+
+
+def euler_per_slot(tri: Triangulation, coords) -> int:
+    """Euler characteristic as edge crossings - normal arcs + normal disks,
+    the arcs counted on the representative slot of each face orbit."""
+    v = sum(edge_weights_per_slot(tri, coords))
+    e = 0
+    for orbit in skeleton(tri).face_orbits:
+        i, f = orbit[0]
+        for corner in FACE_VERTICES[f]:
+            e += arc_count(coords, i, f, corner)
+    return v - e + sum(coords)
 
 
 def zero_coordinates(tri: Triangulation) -> NormalCoordinates:

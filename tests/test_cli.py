@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneser import cli
 from kneser.cli import (
@@ -158,6 +163,29 @@ class TestUnreadableInput:
         result = run([command, str(path)])
         assert (result.exit_code, result.payload) == (2, None)
         assert result.diagnostics.startswith(f"bad {what}: ")
+
+
+class TestBadCountFlags:
+    @pytest.mark.parametrize("command", ["decompose", "enumerate"])
+    @pytest.mark.parametrize("budget", ["-1", "-20"])
+    def test_negative_budget_exits_two(self, corpus_dir, capsys, command, budget):
+        path = corpus_dir / "bd4simplex.tri"
+        code = cli.main([command, str(path), "--budget", budget])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "--budget must be nonnegative\n"
+
+    def test_zero_budget_is_exceeded(self, corpus_dir):
+        result = run(["decompose", str(corpus_dir / "bd4simplex.tri"), "--budget", "0"])
+        assert (result.exit_code, result.payload) == (3, None)
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_exits_two(self, corpus_dir, capsys, samples):
+        path = corpus_dir / "patch_corner.patch"
+        code = cli.main(["montecarlo", str(path), "--samples", samples])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "--samples must be at least 1\n"
 
 
 @pytest.mark.parametrize(
@@ -359,3 +387,91 @@ class TestDeterminism:
 
     def test_emit_json_escapes(self):
         assert emit_json({"a\n": 'x"y'}) == '{"a\\n":"x\\"y"}'
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+_SMALL_FILES = {
+    name: make()
+    for name, make in cli.CORPUS_FILES
+    if name in {
+        "s3_one_tet.tri", "s3_two_tet.tri", "rp3_two_tet.tri",
+        "l31_two_tet.tri", "s2xs1_two_tet.tri", "bd4simplex.tri", "chain7.tri",
+        "patch_corner.patch", "patch_square_tilted.patch",
+    }
+}
+_COMMANDS = {
+    ".tri": [
+        ["decompose", "--oracle-check"],
+        ["enumerate", "--verify-diam", "--pl-area"],
+    ],
+    ".patch": [["montecarlo", "--samples", "20", "--sweep", "1:60:3"]],
+}
+
+
+@st.composite
+def _mutated_input(draw):
+    """A small corpus file with a few token, character and line edits, and
+    a command that reads it."""
+    name = draw(st.sampled_from(sorted(_SMALL_FILES)))
+    text = _SMALL_FILES[name]
+    for _ in range(draw(st.integers(0, 4))):
+        lines = text.split("\n")
+        kind = draw(st.sampled_from(
+            ["token", "token", "char", "insert", "delete", "dup", "drop", "swap"]
+        ))
+        spans = [m.span() for m in re.finditer(r"\S+", text)]
+        if kind == "token" and spans:
+            # swapping two whitespace tokens often keeps the file readable
+            (a, b), (c, d) = sorted(
+                draw(st.sampled_from(spans)) for _ in range(2)
+            )
+            if b <= c:
+                text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+        elif kind in ("char", "insert", "delete") and text:
+            at = draw(st.integers(0, len(text) - 1))
+            new = draw(st.sampled_from(list("0123456789:b -.#en\n") + ["", "1e9", "nan", "99"]))
+            if kind == "char":
+                text = text[:at] + new + text[at + 1:]
+            elif kind == "insert":
+                text = text[:at] + new + text[at:]
+            else:
+                text = text[:at] + text[at + 1:]
+        else:
+            i = draw(st.integers(0, len(lines) - 1))
+            j = draw(st.integers(0, len(lines) - 1))
+            if kind == "dup":
+                lines.insert(j, lines[i])
+            elif kind == "drop":
+                del lines[i]
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+    suffix = name[name.rindex("."):]
+    command = draw(st.sampled_from(_COMMANDS[suffix]))
+    return suffix, text, command
+
+
+class TestFuzzContract:
+    """The CLI contract on mutated corpus files: an exit code in 0..4, strict
+    JSON on stdout that validates against the schema exactly when the exit
+    code is 0 or 1, nothing on stdout otherwise, and no traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_mutated_input())
+    def test_mutated_inputs_keep_the_contract(self, tmp_path_factory, case):
+        suffix, text, command = case
+        path = tmp_path_factory.getbasetemp() / f"fuzz{suffix}"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command[0], str(path), *command[1:]])
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code in (0, 1):
+            payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            validate_schema(payload)
+        else:
+            assert out.getvalue() == ""

@@ -1,15 +1,28 @@
+import itertools
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kneser import corpus
-from kneser.decomposition import connected_sum
+from kneser import corpus, decomposition
+from kneser.decomposition import connected_sum, decompose
+from kneser.errors import KneserError
 from kneser.homology import (
     AbelianInvariants,
-    boundary_entries,
+    _unit_eliminate,
     elementary_divisors,
     homology,
 )
-from oracles import disjoint_union, sympy_homology
+from kneser.triangulation import skeleton, validate
+from oracles import (
+    disjoint_union,
+    full_boundary_entries,
+    orbit_complex_homology,
+    sympy_homology,
+    unit_elimination_rescan,
+)
+from test_census_sweep import closed_two_tet, two_tet_tables
+from test_decomposition import _closed_corpus_files
 
 EXPECTED_H1 = {
     "s3_one_tet": (0, ()),
@@ -56,6 +69,91 @@ class TestElementaryDivisors:
             int(abs(snf[i, i])) for i in range(5) if abs(snf[i, i]) > 1
         )
         assert divisors == expect
+
+
+_MATRIX = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-3, 3)),
+    max_size=30,
+)
+
+
+class TestPivotHeap:
+    """The heap picks the pivot the full rescan picks, so both leave the
+    same rows for the dense phase."""
+
+    @given(_MATRIX)
+    def test_same_core_as_rescan(self, entries):
+        assert _unit_eliminate(entries) == unit_elimination_rescan(entries)
+
+    def test_same_core_on_boundary_matrices(self):
+        tris = list(_closed_corpus_files().values()) + list(closed_two_tet()[::50])
+        for tri in tris:
+            for k in (1, 2, 3):
+                entries = full_boundary_entries(tri, k)[0]
+                assert _unit_eliminate(entries) == unit_elimination_rescan(entries)
+
+
+def _cut_and_cap_pieces():
+    """Every piece `cut_and_cap` returns while `decompose --oracle-check`
+    runs on the connected sums of the decompose-sums benchmark."""
+    files = _closed_corpus_files()
+    inputs = ["sum_bd4_bd4.tri", "sum_s3_rp3.tri", "sum_bd4_rp3.tri", "rp3#rp3"]
+    pieces = []
+    real = decomposition.cut_and_cap
+
+    def record(tri, coords):
+        out = real(tri, coords)
+        pieces.extend(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(decomposition, "cut_and_cap", record)
+        for name in inputs:
+            decompose(files[name], oracle_check=True)
+    return pieces
+
+
+class TestReducedPresentation:
+    """Spanning-forest presentations give the homology of the full boundary
+    matrices."""
+
+    @staticmethod
+    def assert_agree(tris):
+        for tri in tris:
+            for k in (0, 1, 2):
+                h = homology(tri, k)
+                assert (h.rank, h.torsion) == orbit_complex_homology(tri, k), (
+                    tri.gluings, k,
+                )
+
+    def test_corpus_files(self):
+        files = _closed_corpus_files()
+        assert "rp3#rp3" in files
+        self.assert_agree(files.values())
+
+    def test_cut_and_cap_pieces(self):
+        pieces = _cut_and_cap_pieces()
+        assert len(pieces) >= 10
+        self.assert_agree(pieces)
+
+    def test_edges_reversed_onto_themselves(self):
+        # d_2 d_3 = 0 fails when an edge is glued to itself in reverse, so
+        # there only the rows are reduced
+        reversed_ = []
+        for table in itertools.islice(two_tet_tables(), 0, None, 97):
+            try:
+                tri = validate(table, require_closed=False, require_orientable=False)
+            except (KneserError, ValueError):
+                continue
+            if skeleton(tri).reversed_edge is not None:
+                reversed_.append(tri)
+        assert len(reversed_) >= 50
+        self.assert_agree(reversed_)
+
+    def test_closed_two_tet_census(self):
+        tables = closed_two_tet()
+        assert len(tables) == 5088
+        self.assert_agree(tables)
 
 
 class TestHomology:
@@ -112,7 +210,7 @@ class TestBoundaryMatrices:
         for tri in closed_corpus.values():
             mats = {}
             for k in (1, 2, 3):
-                entries, nr, nc = boundary_entries(tri, k)
+                entries, nr, nc = full_boundary_entries(tri, k)
                 m = sympy.zeros(nr, nc)
                 for r, c, v in entries:
                     m[r, c] += v

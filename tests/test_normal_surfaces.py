@@ -1,11 +1,15 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kneser import vertex_enum
 from kneser.errors import BudgetExceeded, NotClosed
 from kneser.normal import (
     check_coordinates,
+    edge_weights,
     euler_from_coordinates,
     matching_system,
     quad_index,
@@ -18,10 +22,85 @@ from kneser.triangulation import skeleton, validate
 from kneser.vertex_enum import enumerate_vertex_solutions, is_vertex_ray
 from oracles import (
     brute_force_solutions,
+    edge_weights_per_slot,
+    euler_per_slot,
     is_vertex_ray_sympy,
+    quad_constraint_per_tet,
+    satisfies_matching_per_slot,
     vertex_link_coordinates,
     zero_coordinates,
 )
+from test_decomposition import _closed_corpus_files
+
+_FILES = _closed_corpus_files()
+
+
+@functools.lru_cache(maxsize=None)
+def _rays(name):
+    return enumerate_vertex_solutions(_FILES[name])
+
+
+def _outcome(f, *args):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return "value", f(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_table_matches_slots(tri, coords):
+    for table, slots in (
+        (satisfies_matching, satisfies_matching_per_slot),
+        (edge_weights, edge_weights_per_slot),
+        (weight, lambda t, c: sum(edge_weights_per_slot(t, c))),
+        (euler_from_coordinates, euler_per_slot),
+    ):
+        assert _outcome(table, tri, coords) == _outcome(slots, tri, coords), (
+            table.__name__, coords,
+        )
+    assert satisfies_quad_constraint(coords, tri.size) == quad_constraint_per_tet(
+        coords, tri.size
+    )
+
+
+@st.composite
+def _tri_and_vector(draw):
+    """A closed corpus file and a vector on it: noise, or a vertex ray or
+    the sum of two, with one coordinate moved so that matching may fail."""
+    name = draw(st.sampled_from(sorted(_FILES)))
+    n = 7 * _FILES[name].size
+    if draw(st.booleans()):
+        vec = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    else:
+        rays = st.sampled_from(_rays(name))
+        a, b, m = draw(rays), draw(rays), draw(st.integers(0, 2))
+        vec = [x + m * y for x, y in zip(a, b)]
+        vec[draw(st.integers(0, n - 1))] += draw(st.integers(-1, 2))
+    return name, tuple(vec)
+
+
+class TestCoordinateTable:
+    """The table-driven tests agree with the per-slot definitions, value for
+    value and exception for exception."""
+
+    def test_every_corpus_vertex_ray(self):
+        checked = 0
+        for name, tri in _FILES.items():
+            for coords in _rays(name):
+                _assert_table_matches_slots(tri, coords)
+                checked += 1
+        assert checked == 345
+
+    @given(_tri_and_vector())
+    def test_hypothesis_vectors(self, case):
+        name, coords = case
+        _assert_table_matches_slots(_FILES[name], coords)
+
+    def test_inconsistent_crossings_message(self, bd4):
+        bad = list(zero_coordinates(bd4))
+        bad[0] = 1
+        assert _outcome(edge_weights, bd4, bad)[0] == "InconsistentCrossings"
+        _assert_table_matches_slots(bd4, tuple(bad))
 
 
 class TestMatchingSystem:

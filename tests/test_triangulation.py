@@ -15,6 +15,7 @@ from kneser.errors import (
     SelfGluedFace,
 )
 from kneser.triangulation import (
+    _UnionFind,
     connected_components,
     perm_compose,
     perm_inverse,
@@ -253,3 +254,40 @@ class TestSupportMetrics:
                 }
                 m = support_metrics(tri, support)
                 assert m.diameter <= m.size - 1
+
+
+class TestUnionFind:
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()),
+            max_size=25,
+        )
+    )
+    def test_roots_and_bits_against_graph_search(self, constraints):
+        """After each union, every find gives the least member of its class
+        and the parity of its path to it over the accepted constraints."""
+        uf = _UnionFind(10)
+        adj = {x: [] for x in range(10)}
+
+        def parities(start):
+            seen = {start: False}
+            stack = [start]
+            while stack:
+                a = stack.pop()
+                for b, r in adj[a]:
+                    if b not in seen:
+                        seen[b] = seen[a] ^ r
+                        stack.append(b)
+            return seen
+
+        for x, y, rel in constraints:
+            colour = parities(x)
+            consistent = y not in colour or colour[y] == rel
+            assert uf.union(x, y, rel) == consistent
+            if y not in colour:
+                adj[x].append((y, rel))
+                adj[y].append((x, rel))
+            for z in range(10):
+                seen = parities(z)
+                root = min(seen)
+                assert uf.find(z) == (root, seen[root])
