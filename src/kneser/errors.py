@@ -53,7 +53,8 @@ class EmptySupport(KneserError):
 
 
 class BudgetExceeded(KneserError):
-    """Enumeration refused: tetrahedron count above the configured budget."""
+    """Enumeration refused or stopped: tetrahedron count above the configured
+    budget, or intermediate rays above `vertex_enum.MAX_RAYS`."""
 
 
 class InconsistentCrossings(KneserError):

@@ -283,7 +283,7 @@ def _face_orientation_table(tri: Triangulation) -> dict[tuple[int, int], int]:
         g = tri.gluings[tet][f]
         if g is None:
             continue
-        images = [g.perm[v] for v in FACE_VERTICES[f]]
+        images = tuple(g.perm[v] for v in FACE_VERTICES[f])
         rel[(g.tet, g.face)] = perm_sign(images)
     return rel
 

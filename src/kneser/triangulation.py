@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations, permutations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -49,14 +50,19 @@ FACE_VERTICES: tuple[tuple[int, int, int], ...] = (
 )
 
 
-def perm_sign(p: Sequence[int]) -> int:
-    """Sign of the permutation that sorts the distinct values p: +1 even,
-    -1 odd."""
-    n = len(p)
-    inversions = sum(
-        1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b]
-    )
-    return -1 if inversions % 2 else 1
+# (-1) ** (number of inversions) of every 3- and 4-tuple of distinct values
+# in 0..3
+_PERM_SIGNS: dict[tuple[int, ...], int] = {
+    p: (-1) ** sum(a > b for a, b in combinations(p, 2))
+    for r in (3, 4)
+    for p in permutations(range(4), r)
+}
+
+
+def perm_sign(p: tuple[int, ...]) -> int:
+    """Sign of the permutation that sorts p, a 3- or 4-tuple of distinct
+    values in 0..3: +1 even, -1 odd."""
+    return _PERM_SIGNS[p]
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -93,11 +99,20 @@ class Triangulation:
     coherence, +1 on the least tet of each component, or None if the
     triangulation is non-orientable.  Both orientations and closed are
     functions of the gluings, so only the gluings are compared and hashed.
+    The hash is computed once, since every cache keyed on a triangulation
+    hashes it on each lookup.
     """
 
     gluings: tuple[tuple[Gluing | None, ...], ...]
     orientations: tuple[int, ...] | None = field(compare=False)
     closed: bool = field(compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.gluings))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -246,7 +261,7 @@ def _tet_unionfind(
             if entry is None:
                 continue
             j, _, p = entry
-            if not uf.union(i, j, perm_sign(p) > 0):
+            if not uf.union(i, j, perm_sign(tuple(p)) > 0):
                 bad = bad or (i, f)
     return uf, bad
 

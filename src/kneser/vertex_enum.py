@@ -8,12 +8,20 @@ and the support of a combination is the union of its parents' supports, so
 every admissible extreme ray of the final cone still gets generated and the
 combinatorial adjacency test stays exact on the pruned sets.
 
-Coordinates stay Python ints; only supports live in numpy.  Each ray's
-support is packed into ceil(7t/64) uint64 words, and its quad bits into
-ceil(t/21) uint64 words, three bits per tetrahedron (one word up to the
-default budget of 20 tetrahedra).  For each hyperplane the pos x neg pairs
-are tested in blocks, and no temporary of the pair tests holds more than
-`_CHUNK` elements:
+The rays are the rows of one 2-D integer array.  Before each hyperplane a,
+the array is widened once its bound calls for it, so that no value ever
+wraps: with top the largest entry and s = sum |a_j|, every dot product is
+at most top * s and every combination at most 2 * top**2 * s in absolute
+value, and the rows are int32 while that bound is below 2**31, int64 while
+it is below 2**63, and Python ints in an object array beyond.  No
+intermediate entry exceeds 6 on the corpus and rp3#rp3, so int32 is the
+working dtype.
+
+Each ray's support is packed into ceil(7t/64) uint64 words, and its quad
+bits into ceil(t/21) uint64 words, three bits per tetrahedron (one word up
+to the default budget of 20 tetrahedra).  For each hyperplane the pos x neg
+pairs are tested in blocks, and no temporary of the pair tests holds more
+than `_CHUNK` elements:
 
 - a pair is admissible iff no tetrahedron has two quad types in the union
   of its quad bits: with a, b, c the three types' bits shifted onto one
@@ -27,7 +35,17 @@ are tested in blocks, and no temporary of the pair tests holds more than
   first tile whose two counts differ, which settles most pairs within the
   first tile.
 
-Only adjacent pairs come back to Python for the integer combination.
+The gcd-reduced combinations of the adjacent pairs fill one array sized by
+the adjacent-pair count, a block of at most `_CHUNK` elements at a time,
+after the rays that lie on the hyperplane.  A stable lexsort and a
+comparison of neighbouring rows drop duplicates; rows are nonnegative, so
+this order is the order of the coordinate tuples.  The order in which rays
+are produced cannot change the output: the rays kept after each
+hyperplane are a set, stored sorted, the adjacency test depends on that set
+and not on the scan order, and a duplicate's support is the support of the
+vector itself, so which copy's parents give the support words changes
+nothing.  `MAX_RAYS` bounds the work: a run whose ray set outgrows it after
+any hyperplane raises `BudgetExceeded`.
 
 Each surviving ray is finally re-checked to span an extreme ray (the linear
 space of solutions vanishing outside its support must be 1-dimensional), so
@@ -39,8 +57,7 @@ Every other case is decided by exact fraction-free (Bareiss) elimination.
 """
 from __future__ import annotations
 
-from math import gcd, isqrt
-from operator import mul
+from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -50,6 +67,8 @@ from .normal import NormalCoordinates, matching_system, require_closed
 from .triangulation import Triangulation
 
 DEFAULT_BUDGET = 20
+# Most intermediate rays a run may hold after any hyperplane.
+MAX_RAYS = 100_000
 
 # Largest number of elements in any numpy temporary of the pair tests.
 _CHUNK = 1 << 14
@@ -58,26 +77,28 @@ _PRIME = 2_147_483_647
 # Tetrahedra per quad word: three bits each, and `_LANE` marks their first.
 _TETS_PER_WORD = 21
 _LANE = np.uint64(sum(1 << (3 * i) for i in range(_TETS_PER_WORD)))
+# Rays are int32 while every combination of the next hyperplane stays below
+# `_INT32_LIMIT` in absolute value, int64 while it stays below
+# `_INT64_LIMIT`, and Python ints in an object array beyond.
+_INT32_LIMIT = 1 << 31
+_INT64_LIMIT = 1 << 63
 
 
-def _reduce(vec: list[int]) -> tuple[int, ...]:
-    g = gcd(*vec)
-    if g > 1:
-        return tuple(x // g for x in vec)
-    return tuple(vec)
-
-
-def _rank_mod_p(rows: list[list[int]]) -> int:
-    """Rank of `rows` over the integers modulo `_PRIME`."""
+def _rank_mod_p(m: np.ndarray) -> int:
+    """Rank of the integer matrix `m` modulo `_PRIME`.  Each nonzero row in
+    turn pivots on its first nonzero column, and only the later rows with
+    an entry there are updated."""
     p = _PRIME
-    m = np.array([[x % p for x in r] for r in rows], dtype=np.int64)
+    m = m % p
     rank = 0
     while len(m):
         top, m = m[0], m[1:]
-        lead = np.flatnonzero(top)
+        lead = top.nonzero()[0]
         if len(lead):
             col = lead[0]
-            m = (m * top[col] - m[:, col, None] * top) % p
+            hit = m[:, col].nonzero()[0]
+            rows = m[hit]
+            m[hit] = (rows * top[col] - rows[:, col, None] * top) % p
             rank += 1
     return rank
 
@@ -107,13 +128,17 @@ def is_vertex_ray(matching: Sequence[Sequence[int]], vec: tuple[int, ...]) -> bo
     cols = [i for i, x in enumerate(vec) if x]
     if not cols:
         return False
-    rows = [row for row in ([r[c] for c in cols] for r in matching) if any(row)]
+    sub = np.asarray(matching, dtype=np.int64)[:, cols]
+    sub = sub[sub.any(axis=1)]
     values = [vec[c] for c in cols]
-    if len(cols) - _rank_mod_p(rows) == 1 and not any(
-        sum(map(mul, row, values)) for row in rows
-    ):
+    # int64 products stay exact for entries below 2**31 and small matching rows
+    exact = np.int64 if max(map(abs, values)) < _INT32_LIMIT else object
+    kernel = not (sub @ np.array(values, dtype=exact)).any()
+    # a support usually meets more matching rows than it has columns, and
+    # the elimination takes one step per row of its input
+    if kernel and len(cols) - _rank_mod_p(sub.T) == 1:
         return True
-    return len(cols) - _exact_rank(rows) == 1
+    return len(cols) - _exact_rank(sub.tolist()) == 1
 
 
 def _unit_supports(ntet: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,6 +231,52 @@ def _adjacent_pairs(
     return us[live], vs[live]
 
 
+def _widened(rays: np.ndarray, a: Sequence[int]) -> np.ndarray:
+    """`rays` in a dtype that holds every dot product with the hyperplane
+    `a` and every combination it makes.  With top the largest entry and
+    s = sum |a_j|, |dot| <= top * s and |comb| <= 2 * top**2 * s."""
+    bound = 2 * int(rays.max(initial=0)) ** 2 * sum(map(abs, a))
+    if rays.dtype == np.int32 and bound >= _INT32_LIMIT:
+        rays = rays.astype(np.int64)
+    if rays.dtype == np.int64 and bound >= _INT64_LIMIT:
+        rays = rays.astype(object)
+    return rays
+
+
+def _combine(
+    rays: np.ndarray, dots: np.ndarray, us: np.ndarray, vs: np.ndarray, z: int
+) -> np.ndarray:
+    """One row per pair (us[i], vs[i]): for the first `z` pairs, rays on the
+    hyperplane paired with themselves, a copy of the ray, and for the rest
+    the gcd-reduced combination dots[u] * rays[v] - dots[v] * rays[u],
+    written in blocks of at most `_CHUNK` elements."""
+    out = np.empty((len(us), rays.shape[1]), dtype=rays.dtype)
+    out[:z] = rays[us[:z]]
+    step = max(1, _CHUNK // rays.shape[1])
+    for r0 in range(z, len(us), step):
+        u, v = us[r0:r0 + step], vs[r0:r0 + step]
+        block = out[r0:r0 + step]
+        np.multiply(rays[v], dots[u, None], out=block)
+        block -= rays[u] * dots[v, None]
+        block //= np.gcd.reduce(block, axis=1)[:, None]
+    return out
+
+
+def _first_copies(rays: np.ndarray) -> np.ndarray:
+    """Indices of the first copy of each distinct row, in lexicographic
+    order of the rows."""
+    order = np.lexsort(rays.T[::-1])
+    first = np.ones(len(order), dtype=bool)
+    # neighbours in that order are compared a block of rows at a time, so
+    # no sorted copy of `rays` is made
+    step = max(1, _CHUNK // rays.shape[1])
+    for r0 in range(1, len(order), step):
+        rows = order[r0:r0 + step]
+        before = order[r0 - 1:r0 - 1 + len(rows)]
+        first[r0:r0 + step] = (rays[rows] != rays[before]).any(axis=1)
+    return order[first]
+
+
 def enumerate_vertex_solutions(
     tri: Triangulation, budget: int = DEFAULT_BUDGET
 ) -> list[NormalCoordinates]:
@@ -219,7 +290,7 @@ def enumerate_vertex_solutions(
     matching = matching_system(tri)
     n = 7 * tri.size
 
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = np.eye(n, dtype=np.int32)
     words, quads = _unit_supports(tri.size)
 
     rows = [r for r in matching if any(r)]
@@ -227,30 +298,37 @@ def enumerate_vertex_solutions(
     rows.sort(key=lambda r: (sum(1 for c in r if c), r))
 
     for a in rows:
-        terms = [(j, c) for j, c in enumerate(a) if c]
-        dots = [sum(c * vec[j] for j, c in terms) for vec in rays]
+        rays = _widened(rays, a)
+        dots = rays @ np.array(a, dtype=rays.dtype)
+        zero = (dots == 0).nonzero()[0]
+        pos = (dots > 0).nonzero()[0]
+        neg = (dots < 0).nonzero()[0]
         # each new ray remembers the two rays its support is the union of
-        new: dict[tuple[int, ...], tuple[int, int]] = {
-            vec: (k, k) for k, vec in enumerate(rays) if dots[k] == 0
-        }
-        pos = np.array([k for k, d in enumerate(dots) if d > 0], dtype=np.intp)
-        neg = np.array([k for k, d in enumerate(dots) if d < 0], dtype=np.intp)
+        us, vs = [zero], [zero]
         if len(pos) and len(neg):
             numbers: dict[tuple[int, ...], int] = {}
             supports = zip(*words.tolist())
             kind = np.array([numbers.setdefault(s, len(numbers)) for s in supports])
             # small supports first: they are the likeliest third supports
-            size = [n - vec.count(0) for vec in rays]
-            order = np.array(sorted(range(len(rays)), key=size.__getitem__))
-            for us, vs in _admissible_pairs(quads, pos, neg):
-                adjacent = _adjacent_pairs(words, kind, order, us, vs)
-                for u, v in zip(*(x.tolist() for x in adjacent)):
-                    du, dv = dots[u], dots[v]
-                    comb = [du * y - dv * x for x, y in zip(rays[u], rays[v])]
-                    new.setdefault(_reduce(comb), (u, v))
-        rays = sorted(new)
-        parents = np.array([new[vec] for vec in rays], dtype=np.intp).reshape(-1, 2)
-        words = words[:, parents[:, 0]] | words[:, parents[:, 1]]
-        quads = quads[:, parents[:, 0]] | quads[:, parents[:, 1]]
+            order = np.argsort(np.count_nonzero(rays, axis=1), kind="stable")
+            for pairs in _admissible_pairs(quads, pos, neg):
+                u, v = _adjacent_pairs(words, kind, order, *pairs)
+                us.append(u)
+                vs.append(v)
+        us, vs = np.concatenate(us), np.concatenate(vs)
+        if len(us) > len(zero):
+            rays = _combine(rays, dots, us, vs, len(zero))
+            first = _first_copies(rays)
+            rays, us, vs = rays[first], us[first], vs[first]
+        else:  # rows of a sorted set of distinct rows stay sorted and distinct
+            rays = rays[zero]
+        words = words[:, us] | words[:, vs]
+        quads = quads[:, us] | quads[:, vs]
+        if len(rays) > MAX_RAYS:
+            raise BudgetExceeded(
+                f"the double description reached {len(rays)} intermediate rays, "
+                f"above the work budget of {MAX_RAYS}"
+            )
 
-    return [vec for vec in rays if is_vertex_ray(matching, vec)]
+    matching = np.array(matching, dtype=np.int64)
+    return [vec for vec in map(tuple, rays.tolist()) if is_vertex_ray(matching, vec)]

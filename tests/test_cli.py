@@ -179,6 +179,22 @@ class TestBadCountFlags:
         result = run(["decompose", str(corpus_dir / "bd4simplex.tri"), "--budget", "0"])
         assert (result.exit_code, result.payload) == (3, None)
 
+    @pytest.mark.parametrize("command", ["decompose", "enumerate"])
+    def test_ray_budget_exits_three(self, tmp_path, monkeypatch, capsys, command):
+        """rp3#rp3 peaks at 1483 intermediate rays, above a budget of 1000."""
+        from kneser import corpus, vertex_enum
+        from kneser.decomposition import connected_sum
+        from kneser.fileio import format_tri
+
+        rp3 = corpus.rp3_octahedral()
+        path = tmp_path / "rp3_rp3.tri"
+        path.write_text(format_tri(connected_sum(rp3, rp3)))
+        monkeypatch.setattr(vertex_enum, "MAX_RAYS", 1000)
+        code = cli.main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert "above the work budget of 1000" in err
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples_exits_two(self, corpus_dir, capsys, samples):
         path = corpus_dir / "patch_corner.patch"

@@ -15,6 +15,7 @@ from kneser.errors import (
     SelfGluedFace,
 )
 from kneser.triangulation import (
+    Triangulation,
     _UnionFind,
     connected_components,
     perm_compose,
@@ -46,6 +47,12 @@ class TestPermutations:
     def test_sign_multiplicative(self, p, q):
         assert perm_sign(perm_compose(p, q)) == perm_sign(p) * perm_sign(q)
 
+    def test_sign_is_inversion_parity(self):
+        for r in (3, 4):
+            for p in itertools.permutations(range(4), r):
+                inversions = sum(p[a] > p[b] for a in range(r) for b in range(a + 1, r))
+                assert perm_sign(p) == (-1 if inversions % 2 else 1)
+
     @given(st.sampled_from(ALL_PERMS))
     def test_inverse(self, p):
         assert perm_compose(p, perm_inverse(p)) == (0, 1, 2, 3)
@@ -64,6 +71,18 @@ class TestValidate:
                 o = bd4.orientations
                 assert perm_sign(g.perm) == -o[i] * o[g.tet]
         assert bd4.closed and bd4.orientable
+
+    def test_tables_built_apart_hash_equal(self, bd4):
+        raw = [
+            [None if g is None else (g.tet, g.face, list(g.perm)) for g in row]
+            for row in bd4.gluings
+        ]
+        again = validate(raw)
+        assert again is not bd4 and again == bd4 and hash(again) == hash(bd4)
+
+    def test_closed_and_orientations_not_hashed(self, bd4):
+        other = Triangulation(bd4.gluings, orientations=None, closed=not bd4.closed)
+        assert other == bd4 and hash(other) == hash(bd4)
 
     def test_closed_table_builds_one_skeleton(self, bd4):
         skeleton.cache_clear()

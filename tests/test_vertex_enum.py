@@ -1,11 +1,14 @@
 """The numpy double description engine against the reference engine, and
 the modular vertex-ray certificate against exact ranks."""
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from kneser import corpus, vertex_enum
 from kneser.decomposition import connected_sum
+from kneser.errors import BudgetExceeded
 from kneser.normal import matching_system
 from kneser.vertex_enum import enumerate_vertex_solutions, is_vertex_ray
 from oracles import (
@@ -25,24 +28,98 @@ def reference_lists(closed_corpus):
     return [(tri, enumerate_vertex_solutions_reference(tri)) for tri in cases]
 
 
+# promotion limits of 0 store the rays as int64, or as Python ints, from the
+# first hyperplane on
+RAY_DTYPES = {
+    "int64-rays": {"_INT32_LIMIT": 0},
+    "object-rays": {"_INT32_LIMIT": 0, "_INT64_LIMIT": 0},
+}
+
+
+@pytest.fixture(scope="module")
+def rp3_sum():
+    rp3 = corpus.rp3_octahedral()
+    return connected_sum(rp3, rp3)
+
+
+@pytest.fixture(scope="module")
+def rp3_sum_reference(rp3_sum):
+    return enumerate_vertex_solutions_reference(rp3_sum)
+
+
 class TestAgainstReferenceEngine:
     @pytest.mark.parametrize(
-        "name, value",
-        [(None, None), ("_CHUNK", 1), ("_TETS_PER_WORD", 1)],
-        ids=["default", "one-element-blocks", "one-tet-per-quad-word"],
+        "patches",
+        [
+            {},
+            {"_CHUNK": 1},
+            {"_TETS_PER_WORD": 1},
+            RAY_DTYPES["int64-rays"],
+            RAY_DTYPES["object-rays"],
+        ],
+        ids=[
+            "default",
+            "one-element-blocks",
+            "one-tet-per-quad-word",
+            "int64-rays",
+            "object-rays",
+        ],
     )
-    def test_identical_lists(self, reference_lists, monkeypatch, name, value):
-        if name is not None:
+    def test_identical_lists(self, reference_lists, monkeypatch, patches):
+        for name, value in patches.items():
             monkeypatch.setattr(vertex_enum, name, value)
         for tri, expected in reference_lists:
             assert enumerate_vertex_solutions(tri) == expected
 
-    def test_identical_on_rp3_sum(self):
-        rp3 = corpus.rp3_octahedral()
-        tri = connected_sum(rp3, rp3)
-        expected = enumerate_vertex_solutions_reference(tri)
-        assert len(expected) == 162
-        assert enumerate_vertex_solutions(tri) == expected
+    def test_identical_on_rp3_sum(self, rp3_sum, rp3_sum_reference):
+        assert len(rp3_sum_reference) == 162
+        assert enumerate_vertex_solutions(rp3_sum) == rp3_sum_reference
+
+    @pytest.mark.parametrize("patches", list(RAY_DTYPES.values()), ids=list(RAY_DTYPES))
+    def test_identical_on_rp3_sum_in_wider_dtypes(
+        self, rp3_sum, rp3_sum_reference, monkeypatch, patches
+    ):
+        for name, value in patches.items():
+            monkeypatch.setattr(vertex_enum, name, value)
+        assert enumerate_vertex_solutions(rp3_sum) == rp3_sum_reference
+
+
+class TestRayStorage:
+    def test_widened_at_the_combination_bound(self):
+        """2 * top**2 * sum |a_j| below 2**31 keeps int32, from 2**31 on
+        int64, from 2**63 on Python ints; a wider dtype is never narrowed."""
+        top = 2**15  # 2 * top**2 = 2**31
+        rays = np.array([[0, top - 1]], dtype=np.int32)
+        assert vertex_enum._widened(rays, (1, 0)).dtype == np.int32
+        wide = vertex_enum._widened(np.array([[0, top]], dtype=np.int32), (1, 0))
+        assert wide.dtype == np.int64
+        assert vertex_enum._widened(wide, (0, 0)).dtype == np.int64
+        huge = vertex_enum._widened(np.array([[2**31]], dtype=np.int64), (1,))
+        assert huge.dtype == object and huge[0, 0] == 2**31
+        assert vertex_enum._widened(huge, (0,)).dtype == object
+
+    def test_peak_memory_on_rp3_sum(self, rp3_sum):
+        """int32 rows, one combination buffer per hyperplane and no sorted
+        copy of it keep the traced peak of an rp3#rp3 enumeration near
+        1.7 MB; int64 rows reach 3.0 MB, and tuples of Python ints 2.7 MB."""
+        enumerate_vertex_solutions(rp3_sum)  # fill the per-triangulation caches
+        tracemalloc.start()
+        try:
+            enumerate_vertex_solutions(rp3_sum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_500_000
+
+
+class TestRayBudget:
+    def test_rp3_sum_exceeds_a_lowered_budget(self, rp3_sum, monkeypatch):
+        """rp3#rp3 peaks at 1483 intermediate rays."""
+        monkeypatch.setattr(vertex_enum, "MAX_RAYS", 1000)
+        with pytest.raises(BudgetExceeded, match="above the work budget of 1000"):
+            enumerate_vertex_solutions(rp3_sum)
+        monkeypatch.setattr(vertex_enum, "MAX_RAYS", 1483)
+        assert len(enumerate_vertex_solutions(rp3_sum)) == 162
 
 
 class TestVertexCertificate:
