@@ -36,7 +36,7 @@ from .errors import TerminationGuardTripped
 from .homology import AbelianInvariants, homology
 from .normal import (
     NormalCoordinates,
-    check_coordinates,
+    check_coordinate_rows,
     euler_from_coordinates,
     weight,
 )
@@ -150,13 +150,13 @@ def sphere_witnesses(
 ) -> list[NormalCoordinates]:
     """Vertex solutions that are connected non-vertex-linking 2-spheres.
 
-    Each solution is validated, then kept when it has a quad and Euler
-    characteristic 2.  A vertex solution is primitive on an extremal ray,
-    hence connected, and a connected quad-free normal surface is a vertex
-    link, so these two linear tests decide the definition exactly."""
+    The solutions are validated in one `check_coordinate_rows` pass, then
+    each is kept when it has a quad and Euler characteristic 2.  A vertex
+    solution is primitive on an extremal ray, hence connected, and a
+    connected quad-free normal surface is a vertex link, so these two
+    linear tests decide the definition exactly."""
     out = []
-    for coords in solutions:
-        coords = check_coordinates(tri, coords)
+    for coords in check_coordinate_rows(tri, solutions):
         has_quad = any(coords[4::7]) or any(coords[5::7]) or any(coords[6::7])
         if has_quad and euler_from_coordinates(tri, coords) == 2:
             out.append(coords)

@@ -27,6 +27,8 @@ import operator
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import InconsistentCrossings, NotClosed
 from .triangulation import (
     EDGE_VERTICES,
@@ -190,6 +192,35 @@ def check_coordinates(tri: Triangulation, coords: Sequence[int]) -> NormalCoordi
     if not satisfies_quad_constraint(coords, tri.size):
         raise ValueError("quad constraint fails")
     return coords
+
+
+def check_coordinate_rows(
+    tri: Triangulation, rows: Sequence[Sequence[int]]
+) -> list[NormalCoordinates]:
+    """`check_coordinates` on every vector of `rows`, each check one numpy
+    test over all of them; the vectors come back as tuples of ints.  Where
+    several vectors fail, the first failing check in `check_coordinates`'
+    order names the error."""
+    require_closed(tri)
+    n = 7 * tri.size
+    for coords in rows:
+        if len(coords) != n:
+            raise ValueError(f"expected {n} coordinates, got {len(coords)}")
+    try:
+        x = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    except OverflowError:  # entries beyond int64
+        x = np.array([[int(c) for c in v] for v in rows], dtype=object).reshape(len(rows), n)
+    if x.min(initial=0) < 0:
+        raise ValueError("normal coordinates must be nonnegative")
+    if x.max(initial=0) >= 1 << 61:
+        # four entries of a matching row sum exactly in int64 below 2**61
+        x = x.astype(object)
+    a, b, c, d = np.array(coordinate_table(tri).matching, dtype=np.intp).reshape(-1, 4).T
+    if (x[:, a] + x[:, b] != x[:, c] + x[:, d]).any():
+        raise ValueError("matching equations fail")
+    if ((x.reshape(len(rows), tri.size, 7)[:, :, 4:] > 0).sum(axis=2) > 1).any():
+        raise ValueError("quad constraint fails")
+    return list(map(tuple, x.tolist()))
 
 
 def edge_weights(tri: Triangulation, coords: Sequence[int]) -> list[int]:

@@ -1,51 +1,94 @@
 """Vertex normal surfaces by the double description method, over exact ints.
 
-The solution cone is {x >= 0, Mx = 0} for the matching matrix M.  We start
-from the nonnegative orthant (extreme rays: unit vectors) and cut with one
-matching hyperplane at a time.  Rays violating the quad constraint are
-discarded as soon as they appear: admissibility only depends on the support,
-and the support of a combination is the union of its parents' supports, so
-every admissible extreme ray of the final cone still gets generated and the
-combinatorial adjacency test stays exact on the pruned sets.
+The output is the sorted list of admissible vertex rays of the standard
+cone {x >= 0, Mx = 0} for the matching matrix M, each gcd-reduced.  It is
+computed in two double-description phases that share one step function,
+`_step`: a quad phase in the 3t quad coordinates, then a conversion phase
+that cuts the lifted quad cone down to the standard cone, one triangle
+coordinate at a time (Tollefson, "Normal surface Q-theory", 1998; Burton,
+"Converting between quadrilateral and standard solution sets", 2009).
 
-The rays are the rows of one 2-D integer array.  Before each hyperplane a,
-the array is widened once its bound calls for it, so that no value ever
-wraps: with top the largest entry and s = sum |a_j|, every dot product is
-at most top * s and every combination at most 2 * top**2 * s in absolute
-value, and the rows are int32 while that bound is below 2**31, int64 while
-it is below 2**63, and Python ints in an object array beyond.  No
-intermediate entry exceeds 6 on the corpus and rp3#rp3, so int32 is the
-working dtype.
+Vertex-link trees.  Every matching row reads t_a + q_b = t_c + q_d, with
+a, c triangle and b, d quad coordinates.  Taken as edges between triangle
+coordinates, the rows split the 4t triangle coordinates into one connected
+component per vertex link.  A breadth-first tree of each component, rooted
+at its least coordinate, writes every triangle coordinate as its root's
+value plus an integer linear form in the quads, one tree edge
+t_c = t_a + q_b - q_d at a time.  With every root at 0 these forms are the
+lift matrix L (7t x 3t, the identity on the quad columns).  A quad vector q
+lifts to a solution of Mx = 0 iff the propagation closes up on every
+non-tree row r, that is iff M_r L q = 0.  So the nonzero rows M_r L,
+gcd-reduced, sign-fixed and deduplicated (the Q-matching rows), cut out
+exactly the projection of ker M onto quad space, and every x in ker M is
+L q plus a combination of the vertex links (1 on the triangles of one
+link, 0 elsewhere).
 
-Each ray's support is packed into ceil(7t/64) uint64 words, and its quad
-bits into ceil(t/21) uint64 words, three bits per tetrahedron (one word up
-to the default budget of 20 tetrahedra).  For each hyperplane the pos x neg
-pairs are tested in blocks, and no temporary of the pair tests holds more
-than `_CHUNK` elements:
+Quad phase.  The cone {q >= 0, Eq = 0} for the Q-matching rows E is cut
+from the nonnegative orthant (extreme rays: unit vectors) by one row at a
+time, most zeros first: a step keeps the rays on the hyperplane and adds
+the combinations of the adjacent (pos, neg) pairs.
+
+Lift.  P0 = {x : Mx = 0, quads >= 0, roots >= 0} is pointed, and the quads
+and roots are coordinates on it, so its extreme rays are the lifts L q of
+the quad vertex rays and the vertex links.  Each lift and each link is
+checked to satisfy Mx = 0 exactly; a failure raises
+`ConsistencyCheckFailed`.  A lift contains q, so it is integral and
+primitive when q is.
+
+Conversion phase.  Each non-root triangle coordinate i, in index order, is
+cut as the half space x_i >= 0: the rays with x_i >= 0 stay, and the
+adjacent (pos, neg) pairs add their combinations, which lie on x_i = 0.  A
+coordinate with no negative entry cuts nothing.  After the last cut the
+cone is {x >= 0, Mx = 0}, so the rays left are its admissible extreme rays,
+the set a double description in standard coordinates gives, and they are
+sorted.
+
+Pruning and adjacency.  Rays violating the quad constraint are discarded as
+soon as they appear, in both phases: admissibility only depends on the quad
+support, and a combination's quad support is the union of its parents', so
+every admissible extreme ray of each intermediate cone is still generated.
+A ray's support is the set of inequalities it does not meet with equality:
+its nonzero quads in the quad phase, and its nonzero quads, roots and
+already-cut triangle coordinates in the conversion phase.  Supports are
+packed into uint64 words, and the quad bits into ceil(t/21) uint64 words,
+three bits per tetrahedron (one word up to the default budget of 20
+tetrahedra).  For each step the pos x neg pairs are tested in blocks, and
+no temporary of the pair tests holds more than `_CHUNK` elements:
 
 - a pair is admissible iff no tetrahedron has two quad types in the union
   of its quad bits: with a, b, c the three types' bits shifted onto one
   lane, (a & b) | (a & c) | (b & c) == 0;
 - an admissible pair u, v is adjacent iff no third support lies inside
   U = supp(u) | supp(v): no ray whose support is inside U and is neither
-  supp(u) nor supp(v).  Supports need not be distinct, so the test counts
-  the rays with support inside U and compares the count with the number of
-  rays whose support is supp(u) or supp(v).  The rays are scanned in tiles
-  of isqrt(`_CHUNK`), smallest supports first, and a pair drops out at the
-  first tile whose two counts differ, which settles most pairs within the
-  first tile.
+  supp(u) nor supp(v).  Any such ray has its quad bits inside U, so it is
+  admissible and was kept: the test is exact on the pruned sets.  Supports
+  need not be distinct, so the test counts the rays with support inside U
+  and compares the count with the number of rays whose support is supp(u)
+  or supp(v).  The rays are scanned in tiles of isqrt(`_CHUNK`), fewest
+  nonzero entries first, and a pair drops out at the first tile whose two
+  counts differ, which settles most pairs within the first tile.
 
 The gcd-reduced combinations of the adjacent pairs fill one array sized by
-the adjacent-pair count, a block of at most `_CHUNK` elements at a time,
-after the rays that lie on the hyperplane.  A stable lexsort and a
-comparison of neighbouring rows drop duplicates; rows are nonnegative, so
-this order is the order of the coordinate tuples.  The order in which rays
-are produced cannot change the output: the rays kept after each
-hyperplane are a set, stored sorted, the adjacency test depends on that set
-and not on the scan order, and a duplicate's support is the support of the
-vector itself, so which copy's parents give the support words changes
-nothing.  `MAX_RAYS` bounds the work: a run whose ray set outgrows it after
-any hyperplane raises `BudgetExceeded`.
+the pair count, a block of at most `_CHUNK` elements at a time, after the
+rays kept.  A stable lexsort and a comparison of neighbouring rows drop
+duplicates.  The order in which rays are produced cannot change the output:
+the rays kept after each step are a set, the adjacency test depends on that
+set and not on the scan order, and a duplicate's support is the support of
+the vector itself, so which copy's parents give the support words changes
+nothing.  `MAX_RAYS` bounds the work of both phases: a step about to write
+more rows raises `BudgetExceeded` before it allocates them.
+
+The rays are the rows of one 2-D integer array, widened once its bound
+calls for it so that no value ever wraps.  With top the largest absolute
+value of an entry (conversion rays carry negative triangle entries, so it
+may be a negative one) and s = sum |a_j| for the next constraint a, every
+dot product is at most top * s and every combination at most
+2 * top**2 * s in absolute value.  The rows are int32 while that bound is
+below 2**31, int64 while it is below 2**63, and Python ints in an object
+array beyond.  The lifts are computed in int64, or in Python ints when
+their own bound calls for it, and narrowed by the same rule (s = 1 for a
+half space).  No intermediate entry exceeds 3 in absolute value on the
+corpus and rp3#rp3 (6 on rp3#rp3#rp3), so int32 is the working dtype.
 
 Each surviving ray is finally re-checked to span an extreme ray (the linear
 space of solutions vanishing outside its support must be 1-dimensional), so
@@ -57,17 +100,23 @@ Every other case is decided by exact fraction-free (Bareiss) elimination.
 """
 from __future__ import annotations
 
+from collections import deque
 from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded
-from .normal import NormalCoordinates, matching_system, require_closed
-from .triangulation import Triangulation
+from .errors import BudgetExceeded, ConsistencyCheckFailed
+from .normal import (
+    NormalCoordinates,
+    coordinate_table,
+    matching_system,
+    require_closed,
+)
+from .triangulation import Triangulation, skeleton
 
 DEFAULT_BUDGET = 20
-# Most intermediate rays a run may hold after any hyperplane.
+# Most rows a double-description step may write.
 MAX_RAYS = 100_000
 
 # Largest number of elements in any numpy temporary of the pair tests.
@@ -77,7 +126,7 @@ _PRIME = 2_147_483_647
 # Tetrahedra per quad word: three bits each, and `_LANE` marks their first.
 _TETS_PER_WORD = 21
 _LANE = np.uint64(sum(1 << (3 * i) for i in range(_TETS_PER_WORD)))
-# Rays are int32 while every combination of the next hyperplane stays below
+# Rays are int32 while every combination of the next step stays below
 # `_INT32_LIMIT` in absolute value, int64 while it stays below
 # `_INT64_LIMIT`, and Python ints in an object array beyond.
 _INT32_LIMIT = 1 << 31
@@ -139,20 +188,6 @@ def is_vertex_ray(matching: Sequence[Sequence[int]], vec: tuple[int, ...]) -> bo
     if kernel and len(cols) - _rank_mod_p(sub.T) == 1:
         return True
     return len(cols) - _exact_rank(sub.tolist()) == 1
-
-
-def _unit_supports(ntet: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed support words, shape (ceil(7t/64), 7t), and quad words, shape
-    (ceil(t/21), 7t), of the unit vectors e_0 .. e_{7t-1}."""
-    n = 7 * ntet
-    index = np.arange(n)
-    words = np.zeros((-(-n // 64), n), dtype=np.uint64)
-    words[index // 64, index] = np.uint64(1) << (index % 64).astype(np.uint64)
-    quads = np.zeros((-(-ntet // _TETS_PER_WORD), n), dtype=np.uint64)
-    quad = index[index % 7 >= 4]
-    word, lane = np.divmod(quad // 7, _TETS_PER_WORD)
-    quads[word, quad] = np.uint64(1) << (3 * lane + quad % 7 - 4).astype(np.uint64)
-    return words, quads
 
 
 def _admissible_block(
@@ -231,23 +266,11 @@ def _adjacent_pairs(
     return us[live], vs[live]
 
 
-def _widened(rays: np.ndarray, a: Sequence[int]) -> np.ndarray:
-    """`rays` in a dtype that holds every dot product with the hyperplane
-    `a` and every combination it makes.  With top the largest entry and
-    s = sum |a_j|, |dot| <= top * s and |comb| <= 2 * top**2 * s."""
-    bound = 2 * int(rays.max(initial=0)) ** 2 * sum(map(abs, a))
-    if rays.dtype == np.int32 and bound >= _INT32_LIMIT:
-        rays = rays.astype(np.int64)
-    if rays.dtype == np.int64 and bound >= _INT64_LIMIT:
-        rays = rays.astype(object)
-    return rays
-
-
 def _combine(
     rays: np.ndarray, dots: np.ndarray, us: np.ndarray, vs: np.ndarray, z: int
 ) -> np.ndarray:
-    """One row per pair (us[i], vs[i]): for the first `z` pairs, rays on the
-    hyperplane paired with themselves, a copy of the ray, and for the rest
+    """One row per pair (us[i], vs[i]): for the first `z` pairs, kept rays
+    paired with themselves, a copy of the ray, and for the rest
     the gcd-reduced combination dots[u] * rays[v] - dots[v] * rays[u],
     written in blocks of at most `_CHUNK` elements."""
     out = np.empty((len(us), rays.shape[1]), dtype=rays.dtype)
@@ -277,6 +300,189 @@ def _first_copies(rays: np.ndarray) -> np.ndarray:
     return order[first]
 
 
+
+
+def _packed(mask: np.ndarray, width: int) -> np.ndarray:
+    """The rows of the boolean matrix `mask` packed `width` columns to a
+    uint64 word, columns width*w .. width*w + width - 1 into bits 0 ..
+    width - 1 of word w; shape (words, rows)."""
+    rows, cols = mask.shape
+    count = -(-cols // width)
+    bits = np.zeros((rows, count * width), dtype=np.uint64)
+    bits[:, :cols] = mask
+    shifts = np.arange(width, dtype=np.uint64)
+    words = (bits.reshape(rows, count, width) << shifts).sum(axis=2, dtype=np.uint64)
+    return np.ascontiguousarray(words.T)
+
+
+def _magnitude(rays: np.ndarray) -> int:
+    """The largest absolute value of an entry of `rays`."""
+    return max(int(rays.max(initial=0)), -int(rays.min(initial=0)))
+
+
+def _dtype_for(bound: int, dtype: np.dtype) -> np.dtype:
+    """The narrowest of int32, int64 and object, no narrower than `dtype`,
+    whose values stay below `bound` in absolute value."""
+    if dtype == np.int32 and bound >= _INT32_LIMIT:
+        dtype = np.dtype(np.int64)
+    if dtype == np.int64 and bound >= _INT64_LIMIT:
+        dtype = np.dtype(object)
+    return dtype
+
+
+def _widened(rays: np.ndarray, a: Sequence[int]) -> np.ndarray:
+    """`rays` in a dtype that holds every dot product with the constraint
+    `a` and every combination it makes.  With top the largest absolute
+    value of an entry and s = sum |a_j|, |dot| <= top * s and
+    |comb| <= 2 * top**2 * s."""
+    bound = 2 * _magnitude(rays) ** 2 * sum(map(abs, a))
+    return rays.astype(_dtype_for(bound, rays.dtype), copy=False)
+
+
+def _step(
+    rays: np.ndarray,
+    words: np.ndarray,
+    quads: np.ndarray,
+    dots: np.ndarray,
+    keep: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One double-description step.  `dots` holds each ray's value on the
+    new constraint and `keep` the rays that meet it: on the hyperplane for
+    an equation, on its nonnegative side for a half space.  Returns the kept
+    rays and the gcd-reduced combinations of the admissible adjacent
+    (pos, neg) pairs, without duplicates, with their support and quad
+    words over the constraints cut before this one."""
+    pos = (dots > 0).nonzero()[0]
+    neg = (dots < 0).nonzero()[0]
+    # each new ray remembers the two rays its support is the union of
+    us, vs = [keep], [keep]
+    if len(pos) and len(neg):
+        numbers: dict[tuple[int, ...], int] = {}
+        supports = zip(*words.tolist())
+        kind = np.array([numbers.setdefault(s, len(numbers)) for s in supports])
+        # small supports first: they are the likeliest third supports
+        order = np.argsort(np.count_nonzero(rays, axis=1), kind="stable")
+        for pairs in _admissible_pairs(quads, pos, neg):
+            u, v = _adjacent_pairs(words, kind, order, *pairs)
+            us.append(u)
+            vs.append(v)
+    us, vs = np.concatenate(us), np.concatenate(vs)
+    if len(us) > MAX_RAYS:
+        raise BudgetExceeded(
+            f"a double-description step would write {len(us)} rays, "
+            f"above the work budget of {MAX_RAYS}"
+        )
+    if len(us) > len(keep):
+        rays = _combine(rays, dots, us, vs, len(keep))
+        first = _first_copies(rays)
+        rays, us, vs = rays[first], us[first], vs[first]
+    else:
+        rays = rays[keep]
+    return rays, words[:, us] | words[:, vs], quads[:, us] | quads[:, vs]
+
+
+def _link_forest(
+    tri: Triangulation,
+) -> tuple[list[int], list[tuple[int, int, int, int]], list[int]]:
+    """Breadth-first spanning trees of the vertex links, with the triangle
+    coordinates as nodes and the rows of `coordinate_table(tri).matching`
+    as edges.  Returns the roots, each the least coordinate of its link;
+    the tree steps (child, parent, plus, minus) in breadth-first order,
+    each meaning t_child = t_parent + x[plus] - x[minus]; and the indices
+    of the rows that are not tree edges."""
+    rows = coordinate_table(tri).matching
+    incident: dict[int, list[int]] = {}
+    for r, (a, _, c, _) in enumerate(rows):
+        incident.setdefault(a, []).append(r)
+        incident.setdefault(c, []).append(r)
+    seen: set[int] = set()
+    roots, steps, tree = [], [], set()
+    for root in (x for x in range(7 * tri.size) if x % 7 < 4):
+        if root in seen:
+            continue
+        roots.append(root)
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            parent = queue.popleft()
+            for r in incident.get(parent, ()):
+                a, b, c, d = rows[r]
+                # t_a + q_b = t_c + q_d, read from whichever end is known
+                child, plus, minus = (c, b, d) if parent == a else (a, d, b)
+                if child not in seen:
+                    seen.add(child)
+                    tree.add(r)
+                    steps.append((child, parent, plus, minus))
+                    queue.append(child)
+    return roots, steps, [r for r in range(len(rows)) if r not in tree]
+
+
+def _quad_columns(ntet: int) -> np.ndarray:
+    """The standard coordinates of the quads, in quad-space order."""
+    return np.arange(7 * ntet).reshape(ntet, 7)[:, 4:].ravel()
+
+
+def _propagated(rays: np.ndarray, steps: Sequence[tuple[int, int, int, int]]) -> np.ndarray:
+    """`rays` (standard coordinates, roots and quads set) with every other
+    triangle column filled in, one column operation per tree step."""
+    for child, parent, plus, minus in steps:
+        rays[:, child] = rays[:, parent] + rays[:, plus] - rays[:, minus]
+    return rays
+
+
+def _quad_rows(
+    ntet: int,
+    matching: np.ndarray,
+    steps: Sequence[tuple[int, int, int, int]],
+    loose: Sequence[int],
+) -> list[tuple[int, ...]]:
+    """The Q-matching rows: the nonzero forms M_r L of the non-tree rows r,
+    each divided by its gcd with its first nonzero entry positive, without
+    duplicates, most zeros first."""
+    # row j of `forms` lifts the j-th quad unit vector, so its column x is
+    # entry j of the form of coordinate x
+    forms = np.zeros((3 * ntet, 7 * ntet), dtype=np.int64)
+    forms[np.arange(3 * ntet), _quad_columns(ntet)] = 1
+    forms = _propagated(forms, steps)
+    rows = set()
+    for form in matching[loose] @ forms.T:
+        g = int(np.gcd.reduce(form))
+        if g:
+            form = form // g
+            if form[form.nonzero()[0][0]] < 0:
+                form = -form
+            rows.add(tuple(form.tolist()))
+    # most-zeros-first insertion heuristic; full row as deterministic tiebreak
+    return sorted(rows, key=lambda r: (sum(1 for c in r if c), r))
+
+
+def _lifted(
+    tri: Triangulation,
+    quad_rays: np.ndarray,
+    roots: Sequence[int],
+    steps: Sequence[tuple[int, int, int, int]],
+    matching: np.ndarray,
+) -> np.ndarray:
+    """The extreme rays of P0 in standard coordinates: every quad ray lifted
+    with its roots at 0, then the vertex links in the order of their roots,
+    each checked against every matching row.  The check ties the lift to
+    the forms that gave the Q-matching rows, which were propagated
+    separately.  Exact: the array is int64 while the lifts and the check
+    stay below 2**63, Python ints beyond."""
+    # each tree step adds at most 2 * top, and a matching row sums four entries
+    bound = 4 * (2 * len(steps) + 1) * _magnitude(quad_rays)
+    exact = np.int64 if bound < _INT64_LIMIT else object
+    rays = np.zeros((len(quad_rays) + len(roots), 7 * tri.size), dtype=exact)
+    rays[:len(quad_rays), _quad_columns(tri.size)] = quad_rays
+    rays[range(len(quad_rays), len(rays)), roots] = 1
+    rays = _propagated(rays, steps)
+    if (rays @ matching.T.astype(exact)).any():
+        raise ConsistencyCheckFailed(
+            "a lifted quad vertex ray or vertex link fails the matching equations"
+        )
+    return rays
+
+
 def enumerate_vertex_solutions(
     tri: Triangulation, budget: int = DEFAULT_BUDGET
 ) -> list[NormalCoordinates]:
@@ -287,48 +493,38 @@ def enumerate_vertex_solutions(
             f"{tri.size} tetrahedra exceeds the enumeration budget {budget}"
         )
     require_closed(tri)
-    matching = matching_system(tri)
-    n = 7 * tri.size
+    matching = np.array(matching_system(tri), dtype=np.int64)
+    roots, steps, loose = _link_forest(tri)
+    vertices = skeleton(tri).vertex_count
+    if len(roots) != vertices:
+        raise ConsistencyCheckFailed(
+            f"{len(roots)} vertex-link trees for {vertices} vertices"
+        )
 
-    rays = np.eye(n, dtype=np.int32)
-    words, quads = _unit_supports(tri.size)
-
-    rows = [r for r in matching if any(r)]
-    # most-zeros-first insertion heuristic; full row as deterministic tiebreak
-    rows.sort(key=lambda r: (sum(1 for c in r if c), r))
-
-    for a in rows:
+    # quad phase: {q >= 0, Eq = 0} from the unit vectors, one Q-matching row
+    # at a time
+    rays = np.eye(3 * tri.size, dtype=np.int32)
+    words, quads = _packed(rays != 0, 64), _packed(rays != 0, 3 * _TETS_PER_WORD)
+    for a in _quad_rows(tri.size, matching, steps, loose):
         rays = _widened(rays, a)
         dots = rays @ np.array(a, dtype=rays.dtype)
-        zero = (dots == 0).nonzero()[0]
-        pos = (dots > 0).nonzero()[0]
-        neg = (dots < 0).nonzero()[0]
-        # each new ray remembers the two rays its support is the union of
-        us, vs = [zero], [zero]
-        if len(pos) and len(neg):
-            numbers: dict[tuple[int, ...], int] = {}
-            supports = zip(*words.tolist())
-            kind = np.array([numbers.setdefault(s, len(numbers)) for s in supports])
-            # small supports first: they are the likeliest third supports
-            order = np.argsort(np.count_nonzero(rays, axis=1), kind="stable")
-            for pairs in _admissible_pairs(quads, pos, neg):
-                u, v = _adjacent_pairs(words, kind, order, *pairs)
-                us.append(u)
-                vs.append(v)
-        us, vs = np.concatenate(us), np.concatenate(vs)
-        if len(us) > len(zero):
-            rays = _combine(rays, dots, us, vs, len(zero))
-            first = _first_copies(rays)
-            rays, us, vs = rays[first], us[first], vs[first]
-        else:  # rows of a sorted set of distinct rows stay sorted and distinct
-            rays = rays[zero]
-        words = words[:, us] | words[:, vs]
-        quads = quads[:, us] | quads[:, vs]
-        if len(rays) > MAX_RAYS:
-            raise BudgetExceeded(
-                f"the double description reached {len(rays)} intermediate rays, "
-                f"above the work budget of {MAX_RAYS}"
-            )
+        rays, words, quads = _step(rays, words, quads, dots, (dots == 0).nonzero()[0])
 
-    matching = np.array(matching, dtype=np.int64)
+    # conversion phase: from the extreme rays of P0, cut x_i >= 0 for every
+    # triangle coordinate i that is not a root
+    rays = _lifted(tri, rays, roots, steps, matching)
+    rays = rays.astype(_dtype_for(2 * _magnitude(rays) ** 2, np.dtype(np.int32)))
+    quad = _quad_columns(tri.size)
+    cut = np.zeros(7 * tri.size, dtype=bool)
+    cut[quad] = cut[roots] = True
+    words = _packed((rays != 0) & cut, 64)
+    quads = _packed(rays[:, quad] != 0, 3 * _TETS_PER_WORD)
+    for i in (~cut).nonzero()[0].tolist():
+        if (rays[:, i] < 0).any():
+            rays = _widened(rays, (1,))
+            dots = rays[:, i]
+            rays, words, quads = _step(rays, words, quads, dots, (dots >= 0).nonzero()[0])
+        words[i // 64] |= (rays[:, i] > 0).astype(np.uint64) << np.uint64(i % 64)
+
+    rays = rays[np.lexsort(rays.T[::-1])]
     return [vec for vec in map(tuple, rays.tolist()) if is_vertex_ray(matching, vec)]

@@ -181,7 +181,7 @@ class TestBadCountFlags:
 
     @pytest.mark.parametrize("command", ["decompose", "enumerate"])
     def test_ray_budget_exits_three(self, tmp_path, monkeypatch, capsys, command):
-        """rp3#rp3 peaks at 1483 intermediate rays, above a budget of 1000."""
+        """A step of rp3#rp3 writes 162 rows, above a budget of 161."""
         from kneser import corpus, vertex_enum
         from kneser.decomposition import connected_sum
         from kneser.fileio import format_tri
@@ -189,11 +189,11 @@ class TestBadCountFlags:
         rp3 = corpus.rp3_octahedral()
         path = tmp_path / "rp3_rp3.tri"
         path.write_text(format_tri(connected_sum(rp3, rp3)))
-        monkeypatch.setattr(vertex_enum, "MAX_RAYS", 1000)
+        monkeypatch.setattr(vertex_enum, "MAX_RAYS", 161)
         code = cli.main([command, str(path)])
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
-        assert "above the work budget of 1000" in err
+        assert "above the work budget of 161" in err
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples_exits_two(self, corpus_dir, capsys, samples):

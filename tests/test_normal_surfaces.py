@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kneser import vertex_enum
 from kneser.errors import BudgetExceeded, NotClosed
 from kneser.normal import (
+    check_coordinate_rows,
     check_coordinates,
     edge_weights,
     euler_from_coordinates,
@@ -388,3 +389,26 @@ class TestReconstruct:
         two_quads[quad_index(0, 1)] = 1
         with pytest.raises(ValueError):
             check_coordinates(bd4, two_quads)
+
+    def test_row_check_agrees_with_check_coordinates(self, bd4):
+        """Each bad vector gets the error of `check_coordinates`, alone or
+        among valid ones, and valid rows come back as tuples of ints."""
+        good = enumerate_vertex_solutions(bd4)
+        huge = tuple(2**70 * c for c in good[0])
+        assert check_coordinate_rows(bd4, [list(v) for v in good]) == good
+        assert check_coordinate_rows(bd4, [huge]) == [check_coordinates(bd4, huge)]
+        n = 7 * bd4.size
+        negative = list(good[0])
+        negative[negative.index(0)] = -1
+        isolated = list(zero_coordinates(bd4))
+        isolated[0] = 1
+        isolated_huge = [2**70 * c for c in isolated]
+        # a sum of two solutions satisfies matching, not the quad constraint
+        sums = ([a + b for a, b in zip(u, v)] for u in good for v in good)
+        two_quads = next(s for s in sums if not satisfies_quad_constraint(s, bd4.size))
+        for bad in ([0] * (n - 1), negative, isolated, isolated_huge, two_quads):
+            with pytest.raises(ValueError) as single:
+                check_coordinates(bd4, bad)
+            with pytest.raises(ValueError) as rows:
+                check_coordinate_rows(bd4, [*good, bad])
+            assert str(rows.value) == str(single.value)

@@ -1,14 +1,20 @@
-"""The numpy double description engine against the reference engine, and
-the modular vertex-ray certificate against exact ranks."""
+"""The two-phase double description engine against the reference engine,
+its vertex-link lift and Q-matching rows, and the modular vertex-ray
+certificate against exact ranks."""
+import hashlib
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kneser import corpus, vertex_enum
 from kneser.decomposition import connected_sum
-from kneser.errors import BudgetExceeded
+from kneser.errors import BudgetExceeded, ConsistencyCheckFailed
 from kneser.normal import matching_system
 from kneser.vertex_enum import enumerate_vertex_solutions, is_vertex_ray
 from oracles import (
@@ -98,10 +104,24 @@ class TestRayStorage:
         assert huge.dtype == object and huge[0, 0] == 2**31
         assert vertex_enum._widened(huge, (0,)).dtype == object
 
+    def test_widened_by_a_negative_magnitude(self):
+        """Conversion rays carry negative triangle entries: the bound reads
+        the largest absolute value, here a negative entry."""
+        top = 2**15
+        rays = np.array([[1, -(top - 1)]], dtype=np.int32)
+        assert vertex_enum._widened(rays, (1, 0)).dtype == np.int32
+        rays = np.array([[1, -top]], dtype=np.int32)
+        assert vertex_enum._widened(rays, (1, 0)).dtype == np.int64
+        rays = np.array([[1, -(2**31 - 1)]], dtype=np.int64)
+        assert vertex_enum._widened(rays, (1,)).dtype == np.int64
+        huge = vertex_enum._widened(np.array([[1, -(2**31)]], dtype=np.int64), (1,))
+        assert huge.dtype == object and huge[0, 1] == -(2**31)
+
     def test_peak_memory_on_rp3_sum(self, rp3_sum):
-        """int32 rows, one combination buffer per hyperplane and no sorted
-        copy of it keep the traced peak of an rp3#rp3 enumeration near
-        1.7 MB; int64 rows reach 3.0 MB, and tuples of Python ints 2.7 MB."""
+        """int32 rows, one combination buffer per step and no sorted copy
+        of it keep the traced peak of an rp3#rp3 enumeration near 0.55 MB
+        (0.68 MB with int64 rows); the engine that cut the matching
+        hyperplanes in standard coordinates peaked at 1.7 MB."""
         enumerate_vertex_solutions(rp3_sum)  # fill the per-triangulation caches
         tracemalloc.start()
         try:
@@ -109,17 +129,128 @@ class TestRayStorage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2_500_000
+        assert peak < 1_000_000
 
 
 class TestRayBudget:
     def test_rp3_sum_exceeds_a_lowered_budget(self, rp3_sum, monkeypatch):
-        """rp3#rp3 peaks at 1483 intermediate rays."""
-        monkeypatch.setattr(vertex_enum, "MAX_RAYS", 1000)
-        with pytest.raises(BudgetExceeded, match="above the work budget of 1000"):
+        """No step of rp3#rp3 writes more than 162 rows."""
+        monkeypatch.setattr(vertex_enum, "MAX_RAYS", 161)
+        with pytest.raises(BudgetExceeded, match="above the work budget of 161"):
             enumerate_vertex_solutions(rp3_sum)
-        monkeypatch.setattr(vertex_enum, "MAX_RAYS", 1483)
+        monkeypatch.setattr(vertex_enum, "MAX_RAYS", 162)
         assert len(enumerate_vertex_solutions(rp3_sum)) == 162
+
+    def test_checked_before_the_rows_are_written(self, rp3_sum, monkeypatch):
+        """The step that would cross the budget raises before `_combine`
+        allocates its rows."""
+        written = []
+        combine = vertex_enum._combine
+        monkeypatch.setattr(
+            vertex_enum,
+            "_combine",
+            lambda rays, *args: written.append(len(args[1])) or combine(rays, *args),
+        )
+        monkeypatch.setattr(vertex_enum, "MAX_RAYS", 161)
+        with pytest.raises(BudgetExceeded):
+            enumerate_vertex_solutions(rp3_sum)
+        assert max(written) <= 161
+
+
+class TestQuadPhaseAndLift:
+    @staticmethod
+    def quad_rows(tri):
+        matching = np.array(matching_system(tri), dtype=np.int64)
+        _, steps, loose = vertex_enum._link_forest(tri)
+        return np.array(vertex_enum._quad_rows(tri.size, matching, steps, loose))
+
+    def test_quad_rows_vanish_on_vertex_solutions(
+        self, closed_corpus, reference_lists, rp3_sum, rp3_sum_reference
+    ):
+        """Every Q-matching row vanishes on the quad part of every vertex
+        solution of the closed corpus and rp3#rp3 (the quad part of a
+        solution is in the projection of ker M they cut out)."""
+        cases = reference_lists[:len(closed_corpus)] + [(rp3_sum, rp3_sum_reference)]
+        for tri, solutions in cases:
+            rows = self.quad_rows(tri)
+            quads = np.array(solutions)[:, vertex_enum._quad_columns(tri.size)]
+            assert not (quads @ rows.T).any(), tri.gluings
+
+    def test_one_tree_per_vertex_link(self, closed_corpus, rp3_sum):
+        for tri in [*closed_corpus.values(), rp3_sum]:
+            roots, steps, loose = vertex_enum._link_forest(tri)
+            assert len(roots) + len(steps) == 4 * tri.size
+            assert len(steps) + len(loose) == len(matching_system(tri))
+            assert roots == sorted(roots)
+
+    def test_corrupted_tree_step_fails_the_lift_check(self, rp3_sum, monkeypatch):
+        """The lift swaps the two quads of its first tree step, while the
+        Q-matching rows keep the true forms."""
+        lifted = vertex_enum._lifted
+
+        def corrupted(tri, rays, roots, steps, matching):
+            child, parent, plus, minus = steps[0]
+            steps = [(child, parent, minus, plus), *steps[1:]]
+            return lifted(tri, rays, roots, steps, matching)
+
+        monkeypatch.setattr(vertex_enum, "_lifted", corrupted)
+        with pytest.raises(ConsistencyCheckFailed, match="matching equations"):
+            enumerate_vertex_solutions(rp3_sum)
+
+    def test_corrupted_tree_step_fails_under_python_O(self):
+        """The lift check is an explicit raise, not an assert."""
+        script = textwrap.dedent(
+            """
+            from kneser import corpus, vertex_enum
+            from kneser.decomposition import connected_sum
+            from kneser.errors import ConsistencyCheckFailed
+
+            lifted = vertex_enum._lifted
+
+            def corrupted(tri, rays, roots, steps, matching):
+                child, parent, plus, minus = steps[0]
+                steps = [(child, parent, minus, plus), *steps[1:]]
+                return lifted(tri, rays, roots, steps, matching)
+
+            vertex_enum._lifted = corrupted
+            rp3 = corpus.rp3_octahedral()
+            try:
+                vertex_enum.enumerate_vertex_solutions(connected_sum(rp3, rp3))
+            except ConsistencyCheckFailed:
+                print("raised")
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert result.stdout.strip() == "raised", result.stderr
+
+    def test_missing_vertex_link_tree_raises(self, rp3_sum, monkeypatch):
+        forest = vertex_enum._link_forest
+
+        def one_root_short(tri):
+            roots, steps, loose = forest(tri)
+            return roots[1:], steps, loose
+
+        monkeypatch.setattr(vertex_enum, "_link_forest", one_root_short)
+        with pytest.raises(ConsistencyCheckFailed, match="vertex-link trees"):
+            enumerate_vertex_solutions(rp3_sum)
+
+    def test_rp3_triple_sum_matches_the_standard_engine(self):
+        """rp3#rp3#rp3 (20 tetrahedra) gives the 1969 rays that the double
+        description in standard coordinates gave, as one sha256 of the list."""
+        rp3 = corpus.rp3_octahedral()
+        tri = connected_sum(connected_sum(rp3, rp3), rp3)
+        solutions = enumerate_vertex_solutions(tri)
+        assert len(solutions) == 1969
+        assert hashlib.sha256(repr(solutions).encode()).hexdigest() == (
+            "a105449a91435f5bc923d90402e4bedaf70f313fe836a2effad4bd240987362f"
+        )
 
 
 class TestVertexCertificate:
