@@ -218,10 +218,11 @@ def decompose(
 ) -> DecompositionReport:
     """Worklist loop: certify, else crush the least essential sphere.
 
-    With oracle_check, every crush is audited against cut_and_cap: the
-    direct sums of the two sets of pieces' H_1 must be isomorphic."""
+    tri must be closed and orientable, as `parse_tri` demands.  With
+    oracle_check, every crush is audited against cut_and_cap: the direct
+    sums of the two sets of pieces' H_1 must be isomorphic."""
     t0 = tri.size
-    components = split_components(tri)
+    components = split_components(tri.gluings)
     input_h1 = tuple(homology(c, 1) for c in components)
     worklist = deque(components)
     spheres: list[SphereRecord] = []

@@ -21,13 +21,9 @@ def _payload_lines(text: str) -> list[str]:
     return lines
 
 
-def parse_tri(
-    text: str,
-    *,
-    require_closed: bool = True,
-    require_orientable: bool = True,
-) -> Triangulation:
-    """Parse the "tri v1" format and validate the gluing table.
+def parse_tri(text: str, *, require_closed: bool = True) -> Triangulation:
+    """Parse the "tri v1" format and validate the gluing table, which must
+    be orientable.
 
     Format::
 
@@ -80,11 +76,7 @@ def parse_tri(
             perm = tuple(int(c) for c in parts[2])
             row.append((j, k, perm))
         table.append(row)
-    return validate(
-        table,
-        require_closed=require_closed,
-        require_orientable=require_orientable,
-    )
+    return validate(table, require_closed=require_closed)
 
 
 def format_tri(tri: Triangulation) -> str:

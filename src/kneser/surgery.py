@@ -77,8 +77,8 @@ def crush(tri: Triangulation, coords) -> list[Triangulation]:
 
     Deletes quad-bearing tetrahedra (at least one, so the total count
     strictly drops), re-glues the surviving faces across the flattened
-    wedges, validates the result as closed and orientable, and returns its
-    connected components.
+    wedges, and returns the connected components of the result, each
+    validated once as closed and orientable by `split_components`.
     """
     surface = reconstruct(tri, coords)
     coords = surface.coordinates
@@ -114,10 +114,9 @@ def crush(tri: Triangulation, coords) -> list[Triangulation]:
         table.append(row)
 
     try:
-        crushed = validate(table)
+        return split_components(table)
     except (KneserError, ValueError) as exc:
         raise InvalidAfterCrush(f"crush produced an invalid gluing table: {exc}")
-    return split_components(crushed)
 
 
 # --------------------------------------------------------------------------
@@ -157,12 +156,6 @@ def _disk_regions(tcount, qtype, q, disk) -> tuple[RegionId, RegionId]:
     return near, far
 
 
-def _lone_corner(face: int, qtype: int) -> int:
-    """The corner of `face` cut by quad arcs: the pair-mate of the missing
-    vertex."""
-    return _quad_partner(qtype, face)
-
-
 def _patch_region(tcount, qtype, q, face: int, corner: int, i: int) -> RegionId:
     """Region behind the patch between arcs i and i+1 at `corner` (slot-local).
 
@@ -170,7 +163,7 @@ def _patch_region(tcount, qtype, q, face: int, corner: int, i: int) -> RegionId:
     """
     if i < tcount[corner]:
         return ("corner", corner, i)
-    assert qtype is not None and corner == _lone_corner(face, qtype)
+    assert qtype is not None and corner == _quad_partner(qtype, face)
     n = i - tcount[corner]
     if n == 0:
         side = 0 if corner in QUAD_PAIRS[qtype][0] else 1
@@ -183,7 +176,8 @@ def _patch_region(tcount, qtype, q, face: int, corner: int, i: int) -> RegionId:
 def _central_patch_region(tcount, qtype, q, face: int) -> RegionId:
     if qtype is None:
         return ("central",)
-    lone = _lone_corner(face, qtype)
+    # the corner of `face` cut by quad arcs
+    lone = _quad_partner(qtype, face)
     side = 0 if lone in QUAD_PAIRS[qtype][0] else 1
     return ("wedge", 1 - side)
 
@@ -489,7 +483,7 @@ def cut_complex(tri: Triangulation, coords) -> Triangulation:
         rows[i1][f1] = (i2, f2, tuple(perm1))
         rows[i2][f2] = (i1, f1, tuple(perm2))
 
-    return validate(rows, require_closed=False, require_orientable=True)
+    return validate(rows, require_closed=False)
 
 
 def _boundary_neighbor(tri: Triangulation, tet: int, face: int, u: int, v: int):
@@ -504,16 +498,18 @@ def _boundary_neighbor(tri: Triangulation, tet: int, face: int, u: int, v: int):
         cur_tet, avoid, cu, cv = g.tet, g.face, g.perm[cu], g.perm[cv]
 
 
-def cap_boundary(tri: Triangulation) -> Triangulation:
-    """Cone off every boundary component; each must be a 2-sphere."""
+def cap_boundary(tri: Triangulation) -> list[list]:
+    """Cone off every boundary component; each must be a 2-sphere.
+
+    Returns raw rows, left to `split_components` to validate: tri's rows
+    with each boundary face glued to a cap tet, the caps appended in
+    (tet, face) order.  tri's own validation ends each edge rotation."""
     slots = [
         (i, f)
         for i in range(tri.size)
         for f in range(4)
         if tri.gluings[i][f] is None
     ]
-    if not slots:
-        return tri
 
     neighbors: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
     for i, f in slots:
@@ -549,12 +545,7 @@ def cap_boundary(tri: Triangulation) -> Triangulation:
                 f"boundary component has Euler characteristic {chi}"
             )
 
-    rows: list[list] = []
-    for i in range(tri.size):
-        rows.append([
-            (g.tet, g.face, g.perm) if g is not None else None
-            for g in tri.gluings[i]
-        ])
+    rows = [list(row) for row in tri.gluings]
 
     cap_of = {s: tri.size + n for n, s in enumerate(slots)}
     for (i, f), cap in cap_of.items():
@@ -587,11 +578,15 @@ def cap_boundary(tri: Triangulation) -> Triangulation:
         face1 = loc_of[(i, f, w)]
         rows[cap1][face1] = (cap2, p[face1], tuple(p))
 
-    return validate(rows, require_closed=True, require_orientable=True)
+    return rows
 
 
 def cut_and_cap(tri: Triangulation, coords) -> list[Triangulation]:
     """Cut along the surface and cap every boundary sphere with a cone;
-    topologically faithful (no summand is lost).  Returns the pieces."""
-    cut = cut_complex(tri, coords)
-    return [cap_boundary(piece) for piece in split_components(cut)]
+    topologically faithful (no summand is lost).  Returns the pieces.
+
+    `cut_complex` validates the cut rows, boundary allowed, and
+    `split_components` each capped component as closed and orientable.
+    The cut rows sit unchanged inside the capped table, and capping
+    before the split renumbers no tet."""
+    return split_components(cap_boundary(cut_complex(tri, coords)))

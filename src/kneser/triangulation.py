@@ -472,34 +472,37 @@ def support_metrics(tri: Triangulation, support: Iterable[int]) -> SupportMetric
     return SupportMetrics(support=sup, size=len(sup), diameter=diam)
 
 
-def connected_components(tri: Triangulation) -> list[list[int]]:
-    """Tet index classes connected through face gluings, each sorted, in
-    order of least tet."""
-    return _tet_unionfind(tri.gluings)[0].classes()
+def connected_components(table: Sequence[Sequence[RawGluing]]) -> list[list[int]]:
+    """Tet index classes of a gluing table connected through face gluings,
+    each sorted, in order of least tet."""
+    return _tet_unionfind(table)[0].classes()
 
 
-def restrict(tri: Triangulation, tets: Sequence[int]) -> Triangulation:
-    """Sub-triangulation on the given tets (which must be gluing-closed)."""
+def restrict(
+    table: Sequence[Sequence[RawGluing]], tets: Sequence[int]
+) -> Triangulation:
+    """Closed orientable sub-triangulation on the given tets of a gluing
+    table, in the given order; the tets must be closed under gluings."""
     index = {old: new for new, old in enumerate(tets)}
     rows = []
     for old in tets:
         cells = []
-        for f in range(4):
-            g = tri.gluings[old][f]
-            if g is None:
+        for entry in table[old]:
+            if entry is None:
                 cells.append(None)
             else:
-                if g.tet not in index:
+                j, k, p = entry
+                if j not in index:
                     raise ValueError("tet set is not closed under gluings")
-                cells.append((index[g.tet], g.face, g.perm))
+                cells.append((index[j], k, p))
         rows.append(cells)
-    return validate(
-        rows,
-        require_closed=tri.closed,
-        require_orientable=tri.orientable,
-    )
+    return validate(rows)
 
 
-def split_components(tri: Triangulation) -> list[Triangulation]:
-    """Connected components as separate triangulations, in sorted tet order."""
-    return [restrict(tri, comp) for comp in connected_components(tri)]
+def split_components(table: Sequence[Sequence[RawGluing]]) -> list[Triangulation]:
+    """Components of a gluing table as closed orientable triangulations, in
+    sorted tet order.  Past a structural check of the whole table,
+    `restrict` validates each component once; every gluing stays inside
+    one component, so together they check every row."""
+    _check_structure(table)
+    return [restrict(table, comp) for comp in connected_components(table)]

@@ -55,7 +55,7 @@ def census(ntet, cross_only=False):
                 tri = validate(table)
             except (KneserError, ValueError):
                 continue
-            if len(connected_components(tri)) != 1:
+            if len(connected_components(tri.gluings)) != 1:
                 continue
             h1 = homology(tri, 1)
             key = (h1.rank, h1.torsion)
@@ -102,7 +102,7 @@ class TestOctahedralRp3:
         tri = corpus.rp3_octahedral()
         for lead in range(tri.size):
             rotated = restrict(
-                tri, [lead] + [i for i in range(tri.size) if i != lead]
+                tri.gluings, [lead] + [i for i in range(tri.size) if i != lead]
             )
             assert _tet0_embedded(rotated)
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,8 +7,13 @@ from pathlib import Path
 import pytest
 
 import kneser
-from kneser import corpus
-from kneser.errors import ConsistencyCheckFailed, VertexLinkingRejected
+from kneser import corpus, surgery, triangulation
+from kneser.errors import (
+    ConsistencyCheckFailed,
+    InvalidAfterCrush,
+    KneserError,
+    VertexLinkingRejected,
+)
 from kneser.homology import homology
 from kneser.reconstruct import reconstruct
 from kneser.surgery import cap_boundary, crush, cut_and_cap, cut_complex
@@ -37,17 +43,82 @@ def h1_multiset(pieces):
     )
 
 
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run `code` under `python -O`, with this directory and the kneser
+    sources importable."""
+    here = Path(__file__).resolve().parent
+    src = Path(kneser.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=str(here),
+        env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{here}"},
+    )
+
+
+def swap_images(perm):
+    """perm with the images of vertices 0 and 1 swapped."""
+    return (perm[1], perm[0], perm[2], perm[3])
+
+
+def corrupted_cut_and_cap(tri, coords):
+    """cut_and_cap with the last cap's gluing (face 3, glued to the cut
+    complex) given a wrong permutation: it still sends face 3 to the same
+    face, but is no longer the inverse of the gluing back."""
+    real = surgery.cap_boundary
+
+    def corrupt(cut):
+        rows = real(cut)
+        j, k, perm = rows[-1][3]
+        rows[-1][3] = (j, k, swap_images(perm))
+        return rows
+
+    surgery.cap_boundary = corrupt
+    try:
+        return surgery.cut_and_cap(tri, coords)
+    finally:
+        surgery.cap_boundary = real
+
+
+def corrupted_crush(tri, coords):
+    """crush with the first wedge hop of its walk composing to a wrong
+    permutation, so one entry of the walked table is wrong."""
+    real = surgery.perm_compose
+    calls = []
+
+    def corrupt(p, q):
+        calls.append(1)
+        out = real(p, q)
+        return swap_images(out) if len(calls) == 1 else out
+
+    surgery.perm_compose = corrupt
+    try:
+        return surgery.crush(tri, coords)
+    finally:
+        surgery.perm_compose = real
+        assert calls, "the walk made no wedge hop"
+
+
+def crushable_sphere(tri):
+    """The first non-vertex-linking sphere vertex solution whose crush
+    keeps a tetrahedron."""
+    return next(
+        c for c, vl in sphere_solutions(tri) if not vl and crush(tri, c)
+    )
+
+
 class TestCapBoundary:
     def test_single_tet_caps_to_sphere(self):
         ball = validate([[None] * 4], require_closed=False)
-        capped = cap_boundary(ball)
+        capped = validate(cap_boundary(ball))
         assert capped.closed and capped.orientable
         assert capped.size == 5
         assert homology(capped, 1).trivial
         assert homology(capped, 0).rank == 1
 
     def test_closed_input_unchanged(self, bd4):
-        assert cap_boundary(bd4) is bd4
+        assert cap_boundary(bd4) == [list(row) for row in bd4.gluings]
 
     def test_torus_boundary_raises(self):
         with pytest.raises(ConsistencyCheckFailed, match="Euler characteristic 0"):
@@ -65,15 +136,7 @@ class TestCapBoundary:
             "except ConsistencyCheckFailed:\n"
             "    print('raised', __debug__)\n"
         )
-        here = Path(__file__).resolve().parent
-        src = Path(kneser.__file__).resolve().parent.parent
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True,
-            text=True,
-            cwd=str(here),
-            env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{here}"},
-        )
+        proc = run_optimized(code)
         assert proc.stdout == "raised False\n", proc.stderr
 
 
@@ -180,3 +243,102 @@ class TestCrush:
         s2xs1 = corpus.s2xs1_two_tet()
         nonvl = [c for c, vl in sphere_solutions(s2xs1) if not vl]
         assert crush(s2xs1, nonvl[0]) == []
+
+
+# sha256 of the piece gluing tables that crush and cut_and_cap give on every
+# non-vertex-linking sphere vertex solution of PINNED_INPUTS, recorded when
+# cut_and_cap still split the cut complex before capping each component
+PINNED_INPUTS = ("bd4_simplex", "sum_bd4_bd4", "sum_bd4_rp3", "sum_s3_rp3")
+PIECE_TABLES_SHA256 = (
+    "b023256e80e3bb8146713a282c611c6316735b07a019de295cbeb8ac79bdd6eb"
+)
+
+
+def piece_rows(piece):
+    return tuple(
+        tuple(None if g is None else (g.tet, g.face, tuple(g.perm)) for g in row)
+        for row in piece.gluings
+    )
+
+
+@pytest.fixture
+def validated_rows(monkeypatch):
+    """Row counts of the tables `validate` checks, call by call, wherever a
+    kneser module binds it."""
+    counted = []
+    real = triangulation.validate
+
+    def counting(table, **kwargs):
+        counted.append(len(table))
+        return real(table, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kneser" and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counting)
+    return counted
+
+
+class TestValidateOnce:
+    def test_each_table_validated_once(self, closed_corpus, validated_rows):
+        """crush validates only its pieces; cut_and_cap validates the cut
+        complex and its capped pieces, so each cut row twice in all."""
+        tri = closed_corpus["sum_bd4_rp3"]
+        nonvl = [c for c, vl in sphere_solutions(tri) if not vl]
+        assert nonvl
+        for coords in nonvl:
+            validated_rows.clear()
+            pieces = crush(tri, coords)
+            assert sum(validated_rows) == sum(p.size for p in pieces)
+
+            cut_size = cut_complex(tri, coords).size
+            validated_rows.clear()
+            pieces = cut_and_cap(tri, coords)
+            assert sum(validated_rows) == cut_size + sum(p.size for p in pieces)
+
+    def test_piece_tables_pinned(self, closed_corpus):
+        out = []
+        for name in PINNED_INPUTS:
+            tri = closed_corpus[name]
+            for coords, vl in sphere_solutions(tri):
+                if vl:
+                    continue
+                out.append((
+                    name,
+                    tuple(int(x) for x in coords),
+                    [piece_rows(p) for p in crush(tri, coords)],
+                    [piece_rows(p) for p in cut_and_cap(tri, coords)],
+                ))
+        assert len(out) == 80
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == PIECE_TABLES_SHA256
+
+
+class TestCorruptedTablesRaise:
+    def test_corrupted_cap_gluing_raises(self, bd4):
+        with pytest.raises(KneserError):
+            corrupted_cut_and_cap(bd4, vertex_link_coordinates(bd4, 0))
+
+    def test_corrupted_crush_walk_raises(self, bd4):
+        with pytest.raises(InvalidAfterCrush):
+            corrupted_crush(bd4, crushable_sphere(bd4))
+
+    def test_checks_survive_optimize_flag(self):
+        code = (
+            "from kneser import corpus\n"
+            "from kneser.errors import InvalidAfterCrush, KneserError\n"
+            "from oracles import vertex_link_coordinates\n"
+            "from test_surgery import (\n"
+            "    corrupted_crush, corrupted_cut_and_cap, crushable_sphere,\n"
+            ")\n"
+            "bd4 = corpus.bd4_simplex()\n"
+            "try:\n"
+            "    corrupted_cut_and_cap(bd4, vertex_link_coordinates(bd4, 0))\n"
+            "except KneserError:\n"
+            "    print('cap raised', __debug__)\n"
+            "try:\n"
+            "    corrupted_crush(bd4, crushable_sphere(bd4))\n"
+            "except InvalidAfterCrush:\n"
+            "    print('crush raised', __debug__)\n"
+        )
+        proc = run_optimized(code)
+        assert proc.stdout == "cap raised False\ncrush raised False\n", proc.stderr

@@ -162,7 +162,7 @@ class TestAgainstWalks:
                 assert expected is None
                 continue
             assert tri.orientations == expected
-            assert connected_components(tri) == connected_components_reference(tri)
+            assert connected_components(tri.gluings) == connected_components_reference(tri)
 
     def test_random_tables(self):
         for table in random_tables(3000, seed=5):
@@ -172,7 +172,7 @@ class TestAgainstWalks:
                     validate(table, require_closed=False)
             tri = validate(table, require_closed=False, require_orientable=False)
             assert tri.orientations == expected
-            assert connected_components(tri) == connected_components_reference(tri)
+            assert connected_components(tri.gluings) == connected_components_reference(tri)
 
 
 class TestSkeleton:
@@ -190,7 +190,7 @@ class TestSkeleton:
         two = disjoint_union(bd4, bd4)
         sk = skeleton(two)
         assert (sk.vertex_count, sk.edge_count, sk.face_count) == (10, 20, 20)
-        assert len(split_components(two)) == 2
+        assert len(split_components(two.gluings)) == 2
 
     def test_every_corpus_triangulation_has_chi_zero(self, closed_corpus):
         for name, tri in closed_corpus.items():
