@@ -45,6 +45,7 @@ from .surgery import crush, cut_and_cap
 from .triangulation import (
     Perm,
     Triangulation,
+    connected_components,
     perm_compose,
     perm_inverse,
     skeleton,
@@ -218,11 +219,17 @@ def decompose(
 ) -> DecompositionReport:
     """Worklist loop: certify, else crush the least essential sphere.
 
-    tri must be closed and orientable, as `parse_tri` demands.  With
+    tri must be closed and orientable, as `parse_tri` demands.  A
+    connected tri validated as closed and orientable is its own component;
+    any other is split, and each component is validated as closed and
+    orientable, which raises as `parse_tri` would.  With
     oracle_check, every crush is audited against cut_and_cap: the direct
     sums of the two sets of pieces' H_1 must be isomorphic."""
     t0 = tri.size
-    components = split_components(tri.gluings)
+    if tri.closed and tri.orientable and len(connected_components(tri.gluings)) == 1:
+        components = [tri]
+    else:
+        components = split_components(tri.gluings)
     input_h1 = tuple(homology(c, 1) for c in components)
     worklist = deque(components)
     spheres: list[SphereRecord] = []

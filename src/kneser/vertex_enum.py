@@ -92,11 +92,17 @@ corpus and rp3#rp3 (6 on rp3#rp3#rp3), so int32 is the working dtype.
 
 Each surviving ray is finally re-checked to span an extreme ray (the linear
 space of solutions vanishing outside its support must be 1-dimensional), so
-correctness does not rest on the insertion heuristic.  The check first takes
-the rank modulo the prime `_PRIME`.  Rank mod p never exceeds the rational
-rank, so nullity 1 mod p bounds the rational nullity by 1, and a nonzero
+correctness does not rest on the insertion heuristic.  The check has three
+tiers.  After an exact M vec = 0 test it takes the rank over GF(2) of the
+support columns, each column's parities packed into one Python int and
+inserted into an XOR basis; then, if that leaves a nullity above 1, the rank
+modulo the prime `_PRIME`.  A rank modulo a prime never exceeds the rational
+rank, since a minor that is nonzero modulo the prime is a nonzero integer.
+So nullity 1 modulo 2 or p bounds the rational nullity by 1, and a nonzero
 `vec` with M vec = 0 bounds it from below: the two together prove nullity 1.
 Every other case is decided by exact fraction-free (Bareiss) elimination.
+GF(2) decides every ray of the connected sums of the decompose benchmark,
+and all but 54 of the 1969 of rp3#rp3#rp3.
 """
 from __future__ import annotations
 
@@ -131,6 +137,24 @@ _LANE = np.uint64(sum(1 << (3 * i) for i in range(_TETS_PER_WORD)))
 # `_INT64_LIMIT`, and Python ints in an object array beyond.
 _INT32_LIMIT = 1 << 31
 _INT64_LIMIT = 1 << 63
+
+
+def _rank_mod_2(m: np.ndarray) -> int:
+    """Rank over GF(2) of the columns of the integer matrix `m`.  Each
+    column's parities are packed into one int and inserted into an XOR
+    basis keyed by the leading bit."""
+    width = max(1, -(-len(m) // 8))
+    packed = np.packbits(m.T & 1, axis=1).tobytes()
+    basis: dict[int, int] = {}
+    for start in range(0, len(packed), width):
+        v = int.from_bytes(packed[start:start + width], "big")
+        while v:
+            lead = v.bit_length()
+            if lead not in basis:
+                basis[lead] = v
+                break
+            v ^= basis[lead]
+    return len(basis)
 
 
 def _rank_mod_p(m: np.ndarray) -> int:
@@ -173,7 +197,13 @@ def _exact_rank(rows: list[list[int]]) -> int:
 
 
 def is_vertex_ray(matching: Sequence[Sequence[int]], vec: tuple[int, ...]) -> bool:
-    """True iff {x : Mx = 0, x zero outside supp(vec)} is 1-dimensional."""
+    """True iff {x : Mx = 0, x zero outside supp(vec)} is 1-dimensional.
+
+    Three tiers, cheapest first.  When M vec = 0 exactly, the nullity of
+    the support columns is at least 1, and a rank modulo 2, then modulo
+    `_PRIME`, that leaves nullity 1 proves it: a minor that is nonzero
+    modulo a prime is a nonzero integer, so no modular rank exceeds the
+    rational one.  Every other case is decided by exact elimination."""
     cols = [i for i, x in enumerate(vec) if x]
     if not cols:
         return False
@@ -184,8 +214,10 @@ def is_vertex_ray(matching: Sequence[Sequence[int]], vec: tuple[int, ...]) -> bo
     exact = np.int64 if max(map(abs, values)) < _INT32_LIMIT else object
     kernel = not (sub @ np.array(values, dtype=exact)).any()
     # a support usually meets more matching rows than it has columns, and
-    # the elimination takes one step per row of its input
-    if kernel and len(cols) - _rank_mod_p(sub.T) == 1:
+    # the mod-p elimination takes one step per row of its input
+    if kernel and (
+        len(cols) - _rank_mod_2(sub) == 1 or len(cols) - _rank_mod_p(sub.T) == 1
+    ):
         return True
     return len(cols) - _exact_rank(sub.tolist()) == 1
 

@@ -1,8 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
-from kneser import corpus
+from kneser import corpus, triangulation
+from kneser.cli import CORPUS_FILES
 from kneser.decomposition import connected_sum
+from kneser.fileio import parse_tri
 
 settings.register_profile(
     "ci",
@@ -50,6 +54,19 @@ def closed_corpus(small_corpus):
 
 
 @pytest.fixture(scope="session")
+def benchmark_sums():
+    """The inputs of the decompose benchmark: three corpus files as the CLI
+    parses them, and rp3#rp3."""
+    files = dict(CORPUS_FILES)
+    inputs = [
+        parse_tri(files[name]())
+        for name in ("sum_bd4_bd4.tri", "sum_s3_rp3.tri", "sum_bd4_rp3.tri")
+    ]
+    rp3 = corpus.rp3_octahedral()
+    return inputs + [connected_sum(rp3, rp3)]
+
+
+@pytest.fixture(scope="session")
 def sum_pairs():
     """Summand pairs for the decomposition acceptance runs."""
     return {
@@ -57,3 +74,20 @@ def sum_pairs():
         "bd4+rp3": (corpus.bd4_simplex(), corpus.rp3_octahedral()),
         "s3+rp3": (corpus.s3_two_tet(), corpus.rp3_octahedral()),
     }
+
+
+@pytest.fixture
+def validated_rows(monkeypatch):
+    """Row counts of the tables `validate` checks, call by call, wherever a
+    kneser module binds it."""
+    counted = []
+    real = triangulation.validate
+
+    def counting(table, **kwargs):
+        counted.append(len(table))
+        return real(table, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kneser" and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counting)
+    return counted

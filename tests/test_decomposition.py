@@ -11,11 +11,12 @@ from kneser.decomposition import (
     find_essential_sphere,
     sphere_witnesses,
 )
-from kneser.errors import BudgetExceeded
+from kneser.errors import BudgetExceeded, NonOrientable, NotClosed
 from kneser.fileio import parse_tri
 from kneser.homology import AbelianInvariants, homology
 from kneser.pl_area import pl_area
 from kneser.reconstruct import reconstruct
+from kneser.triangulation import validate
 from kneser.vertex_enum import enumerate_vertex_solutions
 from oracles import (
     brute_force_solutions,
@@ -236,6 +237,36 @@ class TestDecompose:
         report = decompose(both)
         assert len(report.ledger.input_h1) == 2
         assert report.ledger.balanced
+
+    def test_connected_input_is_its_own_component(
+        self, benchmark_sums, validated_rows
+    ):
+        """A validated connected input is not validated again: on the four
+        connected sums of the decompose benchmark only the crush and
+        cut-and-cap tables are validated, 40 of them."""
+        counts = []
+        for tri in benchmark_sums:
+            validated_rows.clear()
+            report = decompose(tri, oracle_check=True)
+            assert report.crushes and report.ledger.balanced
+            counts.append(len(validated_rows))
+        assert counts == [11, 8, 12, 9]
+
+    def test_open_or_nonorientable_input_raises(self):
+        ball = validate([[None] * 4], require_closed=False)
+        with pytest.raises(NotClosed):
+            decompose(ball)
+        # a closed non-orientable 2-tet table
+        table = [
+            [(1, 0, (0, 1, 3, 2)), (1, 1, (0, 1, 3, 2)),
+             (1, 2, (1, 3, 2, 0)), (1, 3, (2, 0, 1, 3))],
+            [(0, 0, (0, 1, 3, 2)), (0, 1, (0, 1, 3, 2)),
+             (0, 2, (3, 0, 2, 1)), (0, 3, (1, 2, 0, 3))],
+        ]
+        tri = validate(table, require_orientable=False)
+        assert tri.closed and not tri.orientable
+        with pytest.raises(NonOrientable):
+            decompose(tri)
 
     def test_deterministic(self, sum_pairs):
         a, b = sum_pairs["bd4+rp3"]

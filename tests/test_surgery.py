@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import kneser
-from kneser import corpus, surgery, triangulation
+from kneser import corpus, surgery
 from kneser.errors import (
     ConsistencyCheckFailed,
     InvalidAfterCrush,
@@ -259,23 +259,6 @@ def piece_rows(piece):
         tuple(None if g is None else (g.tet, g.face, tuple(g.perm)) for g in row)
         for row in piece.gluings
     )
-
-
-@pytest.fixture
-def validated_rows(monkeypatch):
-    """Row counts of the tables `validate` checks, call by call, wherever a
-    kneser module binds it."""
-    counted = []
-    real = triangulation.validate
-
-    def counting(table, **kwargs):
-        counted.append(len(table))
-        return real(table, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "kneser" and getattr(module, "validate", None) is real:
-            monkeypatch.setattr(module, "validate", counting)
-    return counted
 
 
 class TestValidateOnce:

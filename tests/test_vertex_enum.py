@@ -1,6 +1,6 @@
 """The two-phase double description engine against the reference engine,
-its vertex-link lift and Q-matching rows, and the modular vertex-ray
-certificate against exact ranks."""
+its vertex-link lift and Q-matching rows, and the three-tier vertex-ray
+certificate (GF(2), mod p, exact) against exact ranks."""
 import hashlib
 import random
 import subprocess
@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 from kneser import corpus, vertex_enum
-from kneser.decomposition import connected_sum
+from kneser.decomposition import connected_sum, decompose
 from kneser.errors import BudgetExceeded, ConsistencyCheckFailed
 from kneser.normal import matching_system
 from kneser.vertex_enum import enumerate_vertex_solutions, is_vertex_ray
@@ -40,6 +41,20 @@ RAY_DTYPES = {
     "int64-rays": {"_INT32_LIMIT": 0},
     "object-rays": {"_INT32_LIMIT": 0, "_INT64_LIMIT": 0},
 }
+
+
+def counted(monkeypatch, name):
+    """The arguments of every call of `vertex_enum.<name>`, recorded by a
+    wrapper installed with monkeypatch."""
+    calls = []
+    real = getattr(vertex_enum, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vertex_enum, name, counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -241,9 +256,11 @@ class TestQuadPhaseAndLift:
         with pytest.raises(ConsistencyCheckFailed, match="vertex-link trees"):
             enumerate_vertex_solutions(rp3_sum)
 
-    def test_rp3_triple_sum_matches_the_standard_engine(self):
+    def test_rp3_triple_sum_matches_the_standard_engine(self, monkeypatch):
         """rp3#rp3#rp3 (20 tetrahedra) gives the 1969 rays that the double
-        description in standard coordinates gave, as one sha256 of the list."""
+        description in standard coordinates gave, as one sha256 of the list;
+        the GF(2) rank certifies all but 54 of them."""
+        past_gf2 = counted(monkeypatch, "_rank_mod_p")
         rp3 = corpus.rp3_octahedral()
         tri = connected_sum(connected_sum(rp3, rp3), rp3)
         solutions = enumerate_vertex_solutions(tri)
@@ -251,21 +268,137 @@ class TestQuadPhaseAndLift:
         assert hashlib.sha256(repr(solutions).encode()).hexdigest() == (
             "a105449a91435f5bc923d90402e4bedaf70f313fe836a2effad4bd240987362f"
         )
+        assert len(past_gf2) == 54
+
+
+def certificate_cases(seed: int, count: int):
+    """Seeded (rows, vec) pairs: small random integer matrices, some with
+    rows r1 + r2 and r1 - r2 or a doubled column so that ranks drop mod 2,
+    each with integral kernel vectors (one basis vector, and the sum of two)
+    and vectors off the kernel."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 7), rng.randint(2, 8)
+        rows = [
+            [rng.choice((0, 0, 0, 1, -1, 2, -2, 3)) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if nrows > 1 and rng.random() < 0.5:
+            a, b = rows[0], rows[-1]
+            rows[0] = [x + y for x, y in zip(a, b)]
+            rows[-1] = [x - y for x, y in zip(a, b)]
+        if rng.random() < 0.3:
+            j, k = rng.sample(range(ncols), 2)
+            for row in rows:
+                row[k] = 2 * row[j]
+        kernel = []
+        for v in sympy.Matrix(rows).nullspace():
+            scale = sympy.ilcm(*(x.q for x in v))
+            kernel.append([int(x * scale) for x in v])
+        vectors = kernel[:1]
+        if len(kernel) > 1:
+            vectors.append([x + y for x, y in zip(kernel[0], kernel[1])])
+        vectors.append([rng.choice((0, 1, -1, 2)) for _ in range(ncols)])
+        if kernel:
+            vectors.append([x + (i == 0) for i, x in enumerate(kernel[0])])
+        for vec in vectors:
+            yield rows, tuple(vec)
 
 
 class TestVertexCertificate:
-    def test_modular_rank_decides_corpus_solutions(self, closed_corpus, monkeypatch):
-        """At the default prime no corpus solution needs the exact fallback."""
+    def test_three_tiers_match_the_rank_definition(self, monkeypatch):
+        """On random matrices and vectors, in and off the kernel, the
+        certificate gives the `Fraction` rank's answer, the GF(2) rank never
+        exceeds the rational one, and every tier decides some case."""
+        past_gf2 = counted(monkeypatch, "_rank_mod_p")
+        exact = counted(monkeypatch, "_exact_rank")
+        drops, deciders = 0, set()
+        for rows, vec in certificate_cases(seed=13, count=400):
+            cols = [i for i, x in enumerate(vec) if x]
+            if not cols:
+                continue
+            gf2 = vertex_enum._rank_mod_2(np.array(rows, dtype=np.int64)[:, cols])
+            rank = rank_of_columns(rows, cols)
+            assert gf2 <= rank
+            drops += gf2 < rank
+            before = len(past_gf2), len(exact)
+            assert is_vertex_ray(rows, vec) == is_vertex_ray_reference(rows, vec)
+            deciders.add(
+                "exact" if len(exact) > before[1]
+                else "mod p" if len(past_gf2) > before[0]
+                else "GF(2)"
+            )
+        assert drops
+        assert deciders == {"GF(2)", "mod p", "exact"}
+
+    def test_sum_of_two_vertex_rays_is_rejected(self, rp3_sum, rp3_sum_reference):
+        """A mutation: the sum of two accepted rays of rp3#rp3 lies in the
+        kernel, but on a support of nullity 2."""
+        matching = np.array(matching_system(rp3_sum), dtype=np.int64)
+        u, v = rp3_sum_reference[:2]
+        assert is_vertex_ray(matching, u) and is_vertex_ray(matching, v)
+        mixed = tuple(x + y for x, y in zip(u, v))
+        assert not (matching @ np.array(mixed)).any()
+        assert not is_vertex_ray(matching, mixed)
+
+    def test_injected_sum_is_dropped(self, rp3_sum, rp3_sum_reference, monkeypatch):
+        """A non-extreme ray appended to the output of the last
+        double-description step never reaches the enumeration's output."""
+        u, v = rp3_sum_reference[:2]
+        mixed = tuple(x + y for x, y in zip(u, v))
+        steps = counted(monkeypatch, "_step")
+        enumerate_vertex_solutions(rp3_sum)
+        last = len(steps)
+        monkeypatch.undo()
+
+        real = vertex_enum._step
         calls = []
-        exact = vertex_enum._exact_rank
-        monkeypatch.setattr(
-            vertex_enum, "_exact_rank", lambda rows: calls.append(1) or exact(rows)
-        )
-        for tri in closed_corpus.values():
+
+        def injecting(*args):
+            calls.append(1)
+            rays, words, quads = real(*args)
+            if len(calls) == last:
+                # in standard coordinates; the support words of the extra
+                # row, a copy of the first row's, are not read again
+                assert rays.shape[1] == len(mixed)
+                rays = np.vstack([rays, np.array([mixed], dtype=rays.dtype)])
+                words, quads = (
+                    np.hstack([w, w[:, :1]]) for w in (words, quads)
+                )
+            return rays, words, quads
+
+        monkeypatch.setattr(vertex_enum, "_step", injecting)
+        certified = counted(monkeypatch, "is_vertex_ray")
+        assert enumerate_vertex_solutions(rp3_sum) == rp3_sum_reference
+        assert len(calls) == last
+        assert any(vec == mixed for _, vec in certified)
+
+    def test_gf2_rank_decides_the_benchmark_sums(self, benchmark_sums, monkeypatch):
+        """Every ray the four connected sums of the decompose benchmark
+        enumerate, 401 in all, is certified by its GF(2) rank."""
+        past_gf2 = counted(monkeypatch, "_rank_mod_p")
+        certified = counted(monkeypatch, "is_vertex_ray")
+        for tri in benchmark_sums:
+            decompose(tri, oracle_check=True)
+        assert len(certified) == 401
+        assert not past_gf2
+
+    def test_modular_rank_decides_corpus_solutions(self, closed_corpus, monkeypatch):
+        """At the default prime no corpus solution needs the exact fallback,
+        and GF(2) decides all but one: a vertex solution of s2xs1_two_tet
+        whose six support columns have rank 5, but rank 4 mod 2."""
+        exact = counted(monkeypatch, "_exact_rank")
+        past_gf2 = counted(monkeypatch, "_rank_mod_p")
+        falls = {}
+        for name, tri in closed_corpus.items():
             matching = matching_system(tri)
-            for coords in enumerate_vertex_solutions(tri):
+            solutions = enumerate_vertex_solutions(tri)
+            before = len(past_gf2)
+            for coords in solutions:
                 assert is_vertex_ray(matching, coords)
-        assert not calls
+            falls[name] = len(past_gf2) - before
+        assert not exact
+        assert {name: n for name, n in falls.items() if n} == {"s2xs1_two_tet": 1}
 
     @pytest.mark.parametrize("prime", [2, 3])
     def test_small_prime_falls_back_to_exact(self, small_corpus, monkeypatch, prime):
