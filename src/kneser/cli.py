@@ -11,8 +11,8 @@ command ends in a traceback.
 The side files of `enumerate --dump` and `montecarlo --csv` are opened
 before any work; a path that cannot be opened for writing exits 2.
 
-KNESER_THREADS is accepted for compatibility and changes nothing: every
-command runs in one thread.
+No environment variable is read; every command runs in one thread, so a
+KNESER_THREADS setting changes nothing.
 """
 from __future__ import annotations
 

@@ -58,25 +58,28 @@ no temporary of the pair tests holds more than `_CHUNK` elements:
 - a pair is admissible iff no tetrahedron has two quad types in the union
   of its quad bits: with a, b, c the three types' bits shifted onto one
   lane, (a & b) | (a & c) | (b & c) == 0;
-- an admissible pair u, v is adjacent iff no third support lies inside
-  U = supp(u) | supp(v): no ray whose support is inside U and is neither
-  supp(u) nor supp(v).  Any such ray has its quad bits inside U, so it is
-  admissible and was kept: the test is exact on the pruned sets.  Supports
-  need not be distinct, so the test counts the rays with support inside U
-  and compares the count with the number of rays whose support is supp(u)
-  or supp(v).  The rays are scanned in tiles of isqrt(`_CHUNK`), fewest
-  nonzero entries first, and a pair drops out at the first tile whose two
-  counts differ, which settles most pairs within the first tile.
+- an admissible pair u, v is adjacent iff no third ray has its support
+  inside U = supp(u) | supp(v).  Any such ray has its quad bits inside U,
+  so it is admissible and was kept: the test is exact on the pruned sets.
+  In both phases the rays held after each step are the admissible extreme
+  rays of a pointed cone, and an extreme ray is fixed by the inequalities
+  it meets with equality, so no two rays share a support.  The rays are
+  scanned in tiles of isqrt(`_CHUNK`), fewest nonzero entries first, and a
+  pair drops out at the first tile holding more rays with support inside U
+  than the ones of u, v it holds, which settles most pairs within the
+  first tile.
 
 The gcd-reduced combinations of the adjacent pairs fill one array sized by
 the pair count, a block of at most `_CHUNK` elements at a time, after the
-rays kept.  A stable lexsort and a comparison of neighbouring rows drop
-duplicates.  The order in which rays are produced cannot change the output:
-the rays kept after each step are a set, the adjacency test depends on that
-set and not on the scan order, and a duplicate's support is the support of
-the vector itself, so which copy's parents give the support words changes
-nothing.  `MAX_RAYS` bounds the work of both phases: a step about to write
-more rows raises `BudgetExceeded` before it allocates them.
+rays kept.  Each adjacent (pos, neg) pair spans its own 2-face of the cone
+before the cut, and its combination lies inside that face, so no
+combination repeats another or a kept ray (Fukuda & Prodon, "Double
+description method revisited", 1996).  The order in which rays are produced
+cannot change the output: the rays kept after each step are a set, and the
+adjacency test depends on that set and not on the scan order.  The output
+is sorted as tuples, and two equal neighbours raise
+`ConsistencyCheckFailed`.  `MAX_RAYS` bounds the work of both phases: a step
+about to write more rows raises `BudgetExceeded` before it allocates them.
 
 The rays are the rows of one 2-D integer array, widened once its bound
 calls for it so that no value ever wraps.  With top the largest absolute
@@ -262,29 +265,23 @@ def _admissible_pairs(
 
 
 def _adjacent_pairs(
-    words: np.ndarray,
-    kind: np.ndarray,
-    order: np.ndarray,
-    us: np.ndarray,
-    vs: np.ndarray,
+    words: np.ndarray, order: np.ndarray, us: np.ndarray, vs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (us[i], vs[i]) with no third support inside their union,
-    that is no ray whose support lies in supp(u) | supp(v) and is neither
-    supp(u) nor supp(v) (`kind` numbers the distinct supports).  The rays
-    are scanned in `order`, a tile at a time, and a pair is dropped at the
-    first tile holding a third support."""
+    """The pairs (us[i], vs[i]) with no third ray whose support lies inside
+    supp(u) | supp(v); no two rays share a support.  The rays are scanned
+    in `order`, a tile at a time, and a pair is dropped at the first tile
+    holding a third ray."""
     tile = isqrt(_CHUNK)
     unions = [w[us] | w[vs] for w in words]
-    ku, kv = kind[us], kind[vs]
+    member = np.zeros(len(order), dtype=np.intp)
     live = np.arange(len(us))
     for r0 in range(0, len(order), tile):
         block = order[r0:r0 + tile]
         step = _CHUNK // len(block)
         cols = [w[block] for w in words]
-        present = np.bincount(kind[block], minlength=len(kind))
-        own = present[ku[live]] + np.where(
-            ku[live] == kv[live], 0, present[kv[live]]
-        )
+        member[block] = 1
+        own = member[us[live]] + member[vs[live]]
+        member[block] = 0
         inside = np.empty(len(live), dtype=np.intp)
         for k0 in range(0, len(live), step):
             union = [x[live[k0:k0 + step], None] for x in unions]
@@ -315,23 +312,6 @@ def _combine(
         block -= rays[u] * dots[v, None]
         block //= np.gcd.reduce(block, axis=1)[:, None]
     return out
-
-
-def _first_copies(rays: np.ndarray) -> np.ndarray:
-    """Indices of the first copy of each distinct row, in lexicographic
-    order of the rows."""
-    order = np.lexsort(rays.T[::-1])
-    first = np.ones(len(order), dtype=bool)
-    # neighbours in that order are compared a block of rows at a time, so
-    # no sorted copy of `rays` is made
-    step = max(1, _CHUNK // rays.shape[1])
-    for r0 in range(1, len(order), step):
-        rows = order[r0:r0 + step]
-        before = order[r0 - 1:r0 - 1 + len(rows)]
-        first[r0:r0 + step] = (rays[rows] != rays[before]).any(axis=1)
-    return order[first]
-
-
 
 
 def _packed(mask: np.ndarray, width: int) -> np.ndarray:
@@ -382,20 +362,18 @@ def _step(
     new constraint and `keep` the rays that meet it: on the hyperplane for
     an equation, on its nonnegative side for a half space.  Returns the kept
     rays and the gcd-reduced combinations of the admissible adjacent
-    (pos, neg) pairs, without duplicates, with their support and quad
-    words over the constraints cut before this one."""
+    (pos, neg) pairs, with their support and quad words over the
+    constraints cut before this one.  Each pair spans its own 2-face, so no
+    combination repeats another or a kept ray."""
     pos = (dots > 0).nonzero()[0]
     neg = (dots < 0).nonzero()[0]
     # each new ray remembers the two rays its support is the union of
     us, vs = [keep], [keep]
     if len(pos) and len(neg):
-        numbers: dict[tuple[int, ...], int] = {}
-        supports = zip(*words.tolist())
-        kind = np.array([numbers.setdefault(s, len(numbers)) for s in supports])
         # small supports first: they are the likeliest third supports
         order = np.argsort(np.count_nonzero(rays, axis=1), kind="stable")
         for pairs in _admissible_pairs(quads, pos, neg):
-            u, v = _adjacent_pairs(words, kind, order, *pairs)
+            u, v = _adjacent_pairs(words, order, *pairs)
             us.append(u)
             vs.append(v)
     us, vs = np.concatenate(us), np.concatenate(vs)
@@ -404,12 +382,7 @@ def _step(
             f"a double-description step would write {len(us)} rays, "
             f"above the work budget of {MAX_RAYS}"
         )
-    if len(us) > len(keep):
-        rays = _combine(rays, dots, us, vs, len(keep))
-        first = _first_copies(rays)
-        rays, us, vs = rays[first], us[first], vs[first]
-    else:
-        rays = rays[keep]
+    rays = _combine(rays, dots, us, vs, len(keep))
     return rays, words[:, us] | words[:, vs], quads[:, us] | quads[:, vs]
 
 
@@ -558,5 +531,7 @@ def enumerate_vertex_solutions(
             rays, words, quads = _step(rays, words, quads, dots, (dots >= 0).nonzero()[0])
         words[i // 64] |= (rays[:, i] > 0).astype(np.uint64) << np.uint64(i % 64)
 
-    rays = rays[np.lexsort(rays.T[::-1])]
-    return [vec for vec in map(tuple, rays.tolist()) if is_vertex_ray(matching, vec)]
+    rays = sorted(map(tuple, rays.tolist()))
+    if any(a == b for a, b in zip(rays, rays[1:])):
+        raise ConsistencyCheckFailed("the double description holds a ray twice")
+    return [vec for vec in rays if is_vertex_ray(matching, vec)]

@@ -302,6 +302,30 @@ class TestEnumerateCommand:
         assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["enumerate"],
+        ["enumerate", "--pl-area", "--verify-diam"],
+        ["decompose"],
+        ["decompose", "--oracle-check"],
+    ],
+)
+def test_no_tetrahedra_exits_zero(tmp_path, capsys, args):
+    """`ntet 0` has no vertex solutions and no pieces."""
+    path = tmp_path / "empty.tri"
+    path.write_text("tri 1\nntet 0\n")
+    code = cli.main([args[0], str(path), *args[1:]])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    validate_schema(payload)
+    if args[0] == "enumerate":
+        assert (payload["count"], payload["surfaces"]) == (0, [])
+    else:
+        assert payload["pieces"] == []
+
+
 class TestMontecarloCommand:
     def test_pass_at_nu0(self, corpus_dir):
         result = cmd_montecarlo(
@@ -471,7 +495,7 @@ def _mutated_input(draw):
 
 
 class TestFuzzContract:
-    """The CLI contract on mutated corpus files: an exit code in 0..4, strict
+    """The CLI contract on mutated corpus files: an exit code in 0..3, strict
     JSON on stdout that validates against the schema exactly when the exit
     code is 0 or 1, nothing on stdout otherwise, and no traceback."""
 
@@ -484,7 +508,7 @@ class TestFuzzContract:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([command[0], str(path), *command[1:]])
-        assert code in (0, 1, 2, 3, 4)
+        assert code in (0, 1, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
         if code in (0, 1):
             payload = json.loads(out.getvalue(), parse_constant=_reject_constant)

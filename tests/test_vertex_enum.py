@@ -1,6 +1,7 @@
 """The two-phase double description engine against the reference engine,
-its vertex-link lift and Q-matching rows, and the three-tier vertex-ray
-certificate (GF(2), mod p, exact) against exact ranks."""
+the distinct rays and supports of every step, its vertex-link lift and
+Q-matching rows, and the three-tier vertex-ray certificate (GF(2), mod p,
+exact) against exact ranks."""
 import hashlib
 import random
 import subprocess
@@ -170,6 +171,94 @@ class TestRayBudget:
         with pytest.raises(BudgetExceeded):
             enumerate_vertex_solutions(rp3_sum)
         assert max(written) <= 161
+
+
+def last_step(tri, monkeypatch):
+    """The number of `_step` calls an enumeration of `tri` makes."""
+    steps = counted(monkeypatch, "_step")
+    enumerate_vertex_solutions(tri)
+    monkeypatch.undo()
+    return len(steps)
+
+
+# `repeating` wraps `_step` and appends a copy of the first ray, with its
+# word columns, to the output of the call numbered LAST
+REPEAT_A_RAY = """
+import numpy as np
+from kneser import vertex_enum
+
+real = vertex_enum._step
+calls = []
+
+def repeating(*args):
+    calls.append(1)
+    rays, words, quads = real(*args)
+    if len(calls) == LAST:
+        rays = np.vstack([rays, rays[:1]])
+        words, quads = (np.hstack([w, w[:, :1]]) for w in (words, quads))
+    return rays, words, quads
+"""
+
+
+class TestDistinctRays:
+    def test_every_step_holds_distinct_rays_and_supports(
+        self, closed_corpus, rp3_sum, monkeypatch
+    ):
+        """After every step the rays are pairwise distinct, and so are their
+        support words: each ray held is an extreme ray, fixed by the
+        inequalities it meets with equality.  The engine keeps no duplicate
+        handling on the strength of this."""
+        real = vertex_enum._step
+        held = []
+
+        def checking(*args):
+            rays, words, quads = real(*args)
+            held.append(len(rays))
+            assert len(set(map(tuple, rays.tolist()))) == len(rays)
+            assert len(set(map(tuple, words.T.tolist()))) == len(rays)
+            return rays, words, quads
+
+        monkeypatch.setattr(vertex_enum, "_step", checking)
+        for tri in [*closed_corpus.values(), *closed_two_tet()[::4], rp3_sum]:
+            enumerate_vertex_solutions(tri)
+        assert len(held) > 1000 and max(held) == 162
+
+    def test_repeated_ray_raises(self, rp3_sum, monkeypatch):
+        """A ray repeated in the output of the last step is reported, not
+        returned twice."""
+        namespace = {"LAST": last_step(rp3_sum, monkeypatch)}
+        exec(REPEAT_A_RAY, namespace)
+        monkeypatch.setattr(vertex_enum, "_step", namespace["repeating"])
+        with pytest.raises(ConsistencyCheckFailed, match="ray twice"):
+            enumerate_vertex_solutions(rp3_sum)
+
+    def test_repeated_ray_raises_under_python_O(self, rp3_sum, monkeypatch):
+        """The final check is an explicit raise, not an assert."""
+        script = f"LAST = {last_step(rp3_sum, monkeypatch)}\n" + REPEAT_A_RAY + (
+            textwrap.dedent(
+                """
+                from kneser import corpus
+                from kneser.decomposition import connected_sum
+                from kneser.errors import ConsistencyCheckFailed
+
+                vertex_enum._step = repeating
+                rp3 = corpus.rp3_octahedral()
+                try:
+                    vertex_enum.enumerate_vertex_solutions(connected_sum(rp3, rp3))
+                except ConsistencyCheckFailed:
+                    print("raised")
+                """
+            )
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert result.stdout.strip() == "raised", result.stderr
 
 
 class TestQuadPhaseAndLift:
