@@ -34,7 +34,7 @@ from .projection import (
     estimate_from_ratios,
     projection_ratios,
 )
-from .reconstruct import reconstruct
+from .reconstruct import build_complex, reconstruct
 from .reports import (
     decomposition_dict,
     emit_json,
@@ -108,10 +108,11 @@ def _surface_entries(tri, solutions, pl_area_flag: bool, verify_diam: bool):
     entries = []
     all_pass = True
     for coords in solutions:
-        surface = reconstruct(tri, coords)
+        complex_ = build_complex(tri, coords)
+        surface = reconstruct(tri, complex_)
         kwargs = {}
         if pl_area_flag:
-            kwargs["lg"] = pl_area(tri, coords).length
+            kwargs["lg"] = pl_area(complex_).length
         if verify_diam:
             check = verify_diameter_bound(tri, coords)
             kwargs["diam"] = check.diameter

@@ -41,6 +41,7 @@ from .normal import (
     weight,
 )
 from .pl_area import PLArea, pl_area, verify_diameter_bound
+from .reconstruct import DiskComplex, build_complex
 from .surgery import crush, cut_and_cap
 from .triangulation import (
     Perm,
@@ -185,7 +186,9 @@ def certify_weakly_irreducible(
 
 def _least_candidate(
     tri: Triangulation, candidates: tuple[NormalCoordinates, ...]
-) -> tuple[NormalCoordinates, PLArea]:
+) -> tuple[DiskComplex, PLArea]:
+    """The complex of the least-PL-area candidate, which `crush` and
+    `cut_and_cap` reuse, and its area."""
     # PL area compares weight first, so only the least-weight candidates can
     # win and only they need a length
     weights = {coords: weight(tri, coords) for coords in candidates}
@@ -193,9 +196,10 @@ def _least_candidate(
     best = None
     best_area = None
     for coords in sorted(c for c, w in weights.items() if w == least):
-        area = pl_area(tri, coords)
+        complex_ = build_complex(tri, coords)
+        area = pl_area(complex_)
         if best is None or area.less_than(best_area):
-            best, best_area = coords, area
+            best, best_area = complex_, area
         # ties within tolerance keep the lexicographically smaller vector,
         # which sorted() already visited first
     return best, best_area
@@ -209,7 +213,8 @@ def find_essential_sphere(
     cert = certify_weakly_irreducible(tri, budget)
     if cert.certified:
         return None
-    return _least_candidate(tri, cert.witnesses)
+    complex_, area = _least_candidate(tri, cert.witnesses)
+    return complex_.coordinates, area
 
 
 def decompose(
@@ -252,7 +257,8 @@ def decompose(
                 )
             )
             continue
-        coords, area = _least_candidate(piece, cert.witnesses)
+        complex_, area = _least_candidate(piece, cert.witnesses)
+        coords = complex_.coordinates
         check = verify_diameter_bound(piece, coords)
         spheres.append(
             SphereRecord(
@@ -267,10 +273,10 @@ def decompose(
             raise TerminationGuardTripped(
                 f"attempted more than {t0} crushes on a {t0}-tet input"
             )
-        parts = crush(piece, coords)
+        parts = crush(piece, complex_)
         crushes += 1
         if oracle_check:
-            reference = cut_and_cap(piece, coords)
+            reference = cut_and_cap(piece, complex_)
             oracle_checked += 1
             if _direct_sum([homology(p, 1) for p in parts]) != _direct_sum(
                 [homology(p, 1) for p in reference]

@@ -42,7 +42,7 @@ from heapq import heappop, heappush
 from math import gcd
 
 from .triangulation import (
-    EDGE_INDEX,
+    EDGE_BETWEEN,
     EDGE_VERTICES,
     FACE_VERTICES,
     Triangulation,
@@ -253,8 +253,7 @@ def boundary_entries(tri: Triangulation, k: int) -> tuple[list[Entry], int, int]
             tet, f = orbit[0]
             a, b, c = FACE_VERTICES[f]
             for sign, (u, v) in ((1, (b, c)), (-1, (a, c)), (1, (a, b))):
-                e = EDGE_INDEX[frozenset((u, v))]
-                eidx, reversed_ = sk.edge_orbit_of[(tet, e)]
+                eidx, reversed_ = sk.edge_orbit_of[(tet, EDGE_BETWEEN[u][v])]
                 entries.append((eidx, idx, -sign if reversed_ else sign))
         return entries, sk.edge_count, sk.face_count
     if k == 3:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import EmptySurface
 from .normal import weight as coordinate_weight
-from .reconstruct import DiskComplex, build_complex
+from .reconstruct import DiskComplex
 from .triangulation import Triangulation, support_metrics
 
 LENGTH_TOLERANCE = 1e-9
@@ -92,11 +92,9 @@ def surface_length(complex_: DiskComplex) -> float:
     return total
 
 
-def pl_area(tri: Triangulation, coords) -> PLArea:
-    """Weight and canonical-placement length of a normal coordinate vector."""
-    if not any(coords):
-        return PLArea(weight=0, length=0.0)
-    complex_ = build_complex(tri, coords)
+def pl_area(complex_: DiskComplex) -> PLArea:
+    """Weight and canonical-placement length of the normal surface of
+    `build_complex(tri, coords)`."""
     return PLArea(
         weight=sum(complex_.weights_per_edge),
         length=surface_length(complex_),

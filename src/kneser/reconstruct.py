@@ -29,8 +29,9 @@ from .normal import (
     tri_index,
 )
 from .triangulation import (
-    EDGE_INDEX,
+    EDGE_BETWEEN,
     FACE_VERTICES,
+    SkeletonTable,
     Triangulation,
     _UnionFind,
     skeleton,
@@ -139,7 +140,7 @@ class ReconstructedSurface:
 
 
 def crossing_of(
-    tri: Triangulation,
+    sk: SkeletonTable,
     weights: list[int],
     tet: int,
     u: int,
@@ -148,12 +149,9 @@ def crossing_of(
 ) -> Crossing:
     """The i-th crossing (1-based) from vertex u along edge {u, v} of `tet`,
     as an orbit-level (edge orbit, slot) pair."""
-    sk = skeleton(tri)
-    e = EDGE_INDEX[frozenset((u, v))]
-    orbit, reversed_ = sk.edge_orbit_of[(tet, e)]
+    orbit, reversed_ = sk.edge_orbit_of[(tet, EDGE_BETWEEN[u][v])]
     m = weights[orbit]
-    lo, _hi = sorted((u, v))
-    pos = i if u == lo else m + 1 - i  # position along the ascending direction
+    pos = i if u < v else m + 1 - i  # position along the ascending direction
     slot = m + 1 - pos if reversed_ else pos
     return (orbit, slot)
 
@@ -191,8 +189,8 @@ def _arc_lookup(tri: Triangulation, coords, weights):
     def arc_data(face_orbit: int, rep_corner: int, n: int) -> ArcData:
         rep_tet, rep_face = sk.face_orbits[face_orbit][0]
         x, y = sorted(w for w in FACE_VERTICES[rep_face] if w != rep_corner)
-        c1 = crossing_of(tri, weights, rep_tet, rep_corner, x, n)
-        c2 = crossing_of(tri, weights, rep_tet, rep_corner, y, n)
+        c1 = crossing_of(sk, weights, rep_tet, rep_corner, x, n)
+        c2 = crossing_of(sk, weights, rep_tet, rep_corner, y, n)
         return ArcData(
             endpoints=(c1, c2),
             n_from_corner=n,
@@ -284,11 +282,10 @@ def _arc_direction_checks(complex_: DiskComplex) -> dict[ArcId, list[tuple[int, 
     return incidences
 
 
-def reconstruct(tri: Triangulation, coords) -> ReconstructedSurface:
-    """Split into components, compute Euler characteristics, orientability
-    and the vertex-linking flag; cross-check cell counts against the
-    coordinate formula."""
-    complex_ = build_complex(tri, coords)
+def reconstruct(tri: Triangulation, complex_: DiskComplex) -> ReconstructedSurface:
+    """Split the surface of `build_complex(tri, coords)` into components,
+    compute Euler characteristics, orientability and the vertex-linking
+    flag; cross-check cell counts against the coordinate formula."""
     coords = complex_.coordinates
     incidences = _arc_direction_checks(complex_)
 

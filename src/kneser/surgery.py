@@ -32,12 +32,13 @@ from .normal import (
     quad_index,
     tri_index,
 )
-from .reconstruct import build_complex, reconstruct
+from .reconstruct import DiskComplex, reconstruct
 from .triangulation import (
-    EDGE_INDEX,
+    EDGE_BETWEEN,
     EDGE_VERTICES,
     FACE_VERTICES,
     Perm,
+    SkeletonTable,
     Triangulation,
     _UnionFind,
     perm_compose,
@@ -72,15 +73,16 @@ def _quad_types(tri: Triangulation, coords) -> list[int | None]:
     return quads
 
 
-def crush(tri: Triangulation, coords) -> list[Triangulation]:
-    """Crush a connected, non-vertex-linking normal 2-sphere.
+def crush(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation]:
+    """Crush a connected, non-vertex-linking normal 2-sphere, given by its
+    complex `build_complex(tri, coords)`.
 
     Deletes quad-bearing tetrahedra (at least one, so the total count
     strictly drops), re-glues the surviving faces across the flattened
     wedges, and returns the connected components of the result, each
     validated once as closed and orientable by `split_components`.
     """
-    surface = reconstruct(tri, coords)
+    surface = reconstruct(tri, complex_)
     coords = surface.coordinates
     if not (surface.connected and surface.euler_characteristic == 2):
         raise ValueError("crush requires a connected normal 2-sphere")
@@ -206,19 +208,15 @@ class _Patch:
 
 def _crossing_node(w: int, u: int, n: int, m: int):
     """Node for the n-th crossing from w on local edge {w, u} of m crossings."""
-    lo, hi = min(w, u), max(w, u)
-    pos = n if w == lo else m + 1 - n
-    return ("x", EDGE_INDEX[frozenset((w, u))], pos)
+    pos = n if w < u else m + 1 - n
+    return ("x", EDGE_BETWEEN[w][u], pos)
 
 
 def _seg_side(w: int, u: int, interval_from_w: int, m: int) -> _PatchSide:
     """Edge segment side traversed away from w, with interval counted from w."""
-    lo = min(w, u)
-    if w == lo:
-        return _PatchSide("seg", (EDGE_INDEX[frozenset((w, u))], interval_from_w), 1)
-    return _PatchSide(
-        "seg", (EDGE_INDEX[frozenset((w, u))], m - interval_from_w), -1
-    )
+    if w < u:
+        return _PatchSide("seg", (EDGE_BETWEEN[w][u], interval_from_w), 1)
+    return _PatchSide("seg", (EDGE_BETWEEN[w][u], m - interval_from_w), -1)
 
 
 def _arc_side(face: int, w: int, start_third: int, n: int) -> _PatchSide:
@@ -227,14 +225,15 @@ def _arc_side(face: int, w: int, start_third: int, n: int) -> _PatchSide:
     return _PatchSide("arc", (w, n), 1 if start_third == x else -1)
 
 
-def _face_patches(tri: Triangulation, coords, weights, face_orbit: int) -> list[_Patch]:
-    sk = skeleton(tri)
+def _face_patches(
+    sk: SkeletonTable, coords, weights, face_orbit: int
+) -> list[_Patch]:
     tet, face = sk.face_orbits[face_orbit][0]
     corners = FACE_VERTICES[face]
     counts = {w: arc_count(coords, tet, face, w) for w in corners}
 
     def m_of(w, u):
-        orbit, _ = sk.edge_orbit_of[(tet, EDGE_INDEX[frozenset((w, u))])]
+        orbit, _ = sk.edge_orbit_of[(tet, EDGE_BETWEEN[w][u])]
         return weights[orbit]
 
     patches: list[_Patch] = []
@@ -332,10 +331,10 @@ def _edge_weight_local(sk, weights, tet: int, e: int) -> int:
     return weights[orbit]
 
 
-def cut_complex(tri: Triangulation, coords) -> Triangulation:
-    """The cut-open manifold: every complementary cell coned from an apex,
-    with the two sides of each normal disk left as boundary faces."""
-    complex_ = build_complex(tri, coords)
+def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
+    """The cut-open manifold along the surface of `build_complex(tri,
+    coords)`: every complementary cell coned from an apex, with the two
+    sides of each normal disk left as boundary faces."""
     coords = complex_.coordinates
     weights = list(complex_.weights_per_edge)
     sk = skeleton(tri)
@@ -355,7 +354,7 @@ def cut_complex(tri: Triangulation, coords) -> Triangulation:
         e, j = side.data
         u, v = EDGE_VERTICES[e]
         pu, pv = pi[u], pi[v]
-        e2 = EDGE_INDEX[frozenset((pu, pv))]
+        e2 = EDGE_BETWEEN[pu][pv]
         m = _edge_weight_local(sk, weights, tet, e2)
         if pu < pv:
             return ("seg", e2, j), side.direction
@@ -364,7 +363,7 @@ def cut_complex(tri: Triangulation, coords) -> Triangulation:
     # face patches, instantiated on both slots of each face orbit
     for fo, orbit in enumerate(sk.face_orbits):
         rep = orbit[0]
-        patches = _face_patches(tri, coords, weights, fo)
+        patches = _face_patches(sk, coords, weights, fo)
         g = tri.gluings[rep[0]][rep[1]]
         assert g is not None
         slots = [(rep, (0, 1, 2, 3)), ((g.tet, g.face), g.perm)]
@@ -581,12 +580,13 @@ def cap_boundary(tri: Triangulation) -> list[list]:
     return rows
 
 
-def cut_and_cap(tri: Triangulation, coords) -> list[Triangulation]:
-    """Cut along the surface and cap every boundary sphere with a cone;
-    topologically faithful (no summand is lost).  Returns the pieces.
+def cut_and_cap(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation]:
+    """Cut along the surface of `build_complex(tri, coords)` and cap every
+    boundary sphere with a cone; topologically faithful (no summand is
+    lost).  Returns the pieces.
 
     `cut_complex` validates the cut rows, boundary allowed, and
     `split_components` each capped component as closed and orientable.
     The cut rows sit unchanged inside the capped table, and capping
     before the split renumbers no tet."""
-    return split_components(cap_boundary(cut_complex(tri, coords)))
+    return split_components(cap_boundary(cut_complex(tri, complex_)))

@@ -40,13 +40,26 @@ EDGE_VERTICES: tuple[tuple[int, int], ...] = (
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
 )
 
-EDGE_INDEX: dict[frozenset[int], int] = {
-    frozenset(uv): e for e, uv in enumerate(EDGE_VERTICES)
-}
+# EDGE_BETWEEN[u][v] is the edge joining local vertices u != v (None when
+# u == v).
+EDGE_BETWEEN: tuple[tuple[int | None, ...], ...] = tuple(
+    tuple(
+        EDGE_VERTICES.index((min(u, v), max(u, v))) if u != v else None
+        for v in range(4)
+    )
+    for u in range(4)
+)
 
 # FACE_VERTICES[f] lists the vertices of face f (ascending).
 FACE_VERTICES: tuple[tuple[int, int, int], ...] = (
     (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2),
+)
+
+# _FACE_EDGES[f] lists the three edges of face f as (e, u, v), where
+# EDGE_VERTICES[e] == (u, v).
+_FACE_EDGES: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
+    tuple((e, u, v) for e, (u, v) in enumerate(EDGE_VERTICES) if f not in (u, v))
+    for f in range(4)
 )
 
 
@@ -77,8 +90,10 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
     return (p[q[0]], p[q[1]], p[q[2]], p[q[3]])
 
 
-def is_perm(p: Sequence[int]) -> bool:
-    return len(p) == 4 and sorted(p) == [0, 1, 2, 3]
+# every permutation of 0..3, mapped to its inverse
+_PERM_INVERSES: dict[Perm, Perm] = {
+    p: perm_inverse(p) for p in permutations(range(4))
+}
 
 
 class Gluing(NamedTuple):
@@ -218,11 +233,26 @@ class _UnionFind:
         self.bit[ry] = bx ^ rel ^ by
         return True
 
+    def resolve(self) -> tuple[list[int], list[bool]]:
+        """The root and the bit of every slot, in one ascending pass with no
+        find: a slot's parent is never greater than the slot, so its root
+        and bit are known by the time the slot is reached."""
+        roots: list[int] = []
+        bits: list[bool] = []
+        for x, (p, b) in enumerate(zip(self.parent, self.bit)):
+            if p == x:
+                roots.append(x)
+                bits.append(False)
+            else:
+                roots.append(roots[p])
+                bits.append(b ^ bits[p])
+        return roots, bits
+
     def classes(self) -> list[list[int]]:
         """The classes, each ascending, in order of least member."""
         groups: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            groups.setdefault(self.find(x)[0], []).append(x)
+        for x, root in enumerate(self.resolve()[0]):
+            groups.setdefault(root, []).append(x)
         return list(groups.values())
 
 
@@ -240,7 +270,7 @@ def _check_structure(table: Sequence[Sequence[RawGluing]]) -> None:
                 raise ValueError(f"(tet {i}, face {f}): malformed entry") from exc
             if not (0 <= j < t) or not (0 <= k < 4):
                 raise ValueError(f"(tet {i}, face {f}): target ({j},{k}) out of range")
-            if not is_perm(p):
+            if tuple(p) not in _PERM_INVERSES:
                 raise ValueError(f"(tet {i}, face {f}): {p} is not a permutation")
             if p[f] != k:
                 raise ValueError(
@@ -249,19 +279,26 @@ def _check_structure(table: Sequence[Sequence[RawGluing]]) -> None:
 
 
 def _tet_unionfind(
-    table: Sequence[Sequence[RawGluing]],
+    gluings: Sequence[Sequence[Gluing | None]],
 ) -> tuple[_UnionFind, tuple[int, int] | None]:
-    """Union-find over the tets, one union per gluing, whose bit says the
-    orientation flips (the gluing permutation is even); also reports the
-    first (tet, face) whose gluing contradicts a coherent orientation."""
-    uf = _UnionFind(len(table))
+    """Union-find over the tets of an involutive gluing table, one union per
+    gluing, whose bit says the orientation flips (the gluing permutation is
+    even); also reports the first (tet, face) whose gluing contradicts a
+    coherent orientation.
+
+    Each gluing is followed from its lesser slot only.  The other slot
+    holds the inverse permutation, of the same sign, so its union repeats
+    one already made: it can join nothing and contradict nothing first."""
+    uf = _UnionFind(len(gluings))
     bad: tuple[int, int] | None = None
-    for i, row in enumerate(table):
-        for f, entry in enumerate(row):
-            if entry is None:
+    for i, row in enumerate(gluings):
+        for f, g in enumerate(row):
+            if g is None:
                 continue
-            j, _, p = entry
-            if not uf.union(i, j, perm_sign(tuple(p)) > 0):
+            j, k, p = g
+            if j < i or (j == i and k < f):
+                continue
+            if not uf.union(i, j, _PERM_SIGNS[p] > 0):
                 bad = bad or (i, f)
     return uf, bad
 
@@ -282,43 +319,35 @@ def validate(
     links to be spheres).
     """
     _check_structure(table)
-    t = len(table)
 
-    for i in range(t):
-        for f in range(4):
-            entry = table[i][f]
+    rows = []
+    for i, row in enumerate(table):
+        cells = []
+        for f, entry in enumerate(row):
             if entry is None:
+                cells.append(None)
                 continue
             j, k, p = entry
-            p = tuple(p)
-            if (j, k) == (i, f):
+            if j == i and k == f:
                 raise SelfGluedFace(i, f)
             back = table[j][k]
             if back is None:
                 raise NonInvolutiveGluing(i, f, f"(tet {j}, face {k}) is unglued")
             j2, k2, q = back
-            if (j2, k2) != (i, f) or tuple(q) != perm_inverse(p):
+            p = tuple(p)
+            if j2 != i or k2 != f or tuple(q) != _PERM_INVERSES[p]:
                 raise NonInvolutiveGluing(
                     i, f, f"(tet {j}, face {k}) does not glue back with the inverse"
                 )
+            cells.append(Gluing(j, k, p))
+        rows.append(tuple(cells))
 
-    tets, bad = _tet_unionfind(table)
+    tets, bad = _tet_unionfind(rows)
     orientations: tuple[int, ...] | None = None
     if bad is None:
-        orientations = tuple(-1 if tets.find(i)[1] else 1 for i in range(t))
+        orientations = tuple(-1 if b else 1 for b in tets.resolve()[1])
     elif require_orientable:
         raise NonOrientable(*bad)
-
-    rows = []
-    for row in table:
-        cells = []
-        for entry in row:
-            if entry is None:
-                cells.append(None)
-            else:
-                j, k, p = entry
-                cells.append(Gluing(j, k, tuple(p)))
-        rows.append(tuple(cells))
 
     tri = Triangulation(gluings=tuple(rows), orientations=orientations, closed=False)
     # closed is neither compared nor hashed, so setting it keeps the skeleton
@@ -351,31 +380,36 @@ def _closedness(tri: Triangulation, demand: bool) -> bool:
 
 @lru_cache(maxsize=256)
 def skeleton(tri: Triangulation) -> SkeletonTable:
-    """Orbit tables of the 0-, 1- and 2-skeleton under the gluings."""
+    """Orbit tables of the 0-, 1- and 2-skeleton under the gluings.
+
+    The gluings of a Triangulation are involutive, so each gluing is
+    followed from its lesser slot only.  From the other slot it makes the
+    same identifications with the same directions, so it could neither
+    join two orbits nor be the first to find an edge reversed.  A face
+    orbit is a boundary slot alone or the two slots of one gluing.
+    """
     t = tri.size
 
     vf = _UnionFind(4 * t)
     ef = _UnionFind(6 * t)
-    ff = _UnionFind(4 * t)
+    face_orbits: list[tuple[tuple[int, int], ...]] = []
     reversed_edge: tuple[int, int] | None = None
 
-    for i in range(t):
-        for f in range(4):
-            g = tri.gluings[i][f]
+    for i, row in enumerate(tri.gluings):
+        for f, g in enumerate(row):
             if g is None:
+                face_orbits.append(((i, f),))
                 continue
-            ff.union(4 * i + f, 4 * g.tet + g.face, False)
-            for v in range(4):
-                if v == f:
-                    continue
-                vf.union(4 * i + v, 4 * g.tet + g.perm[v], False)
-            for e, (u, v) in enumerate(EDGE_VERTICES):
-                if u == f or v == f:
-                    continue
-                pu, pv = g.perm[u], g.perm[v]
-                e2 = EDGE_INDEX[frozenset((pu, pv))]
-                rel = pu > pv  # gluing reverses the ascending direction
-                if not ef.union(6 * i + e, 6 * g.tet + e2, rel):
+            j, k, p = g
+            if j < i or (j == i and k < f):
+                continue
+            face_orbits.append(((i, f), (j, k)))
+            for v in FACE_VERTICES[f]:
+                vf.union(4 * i + v, 4 * j + p[v], False)
+            for e, u, v in _FACE_EDGES[f]:
+                pu, pv = p[u], p[v]
+                # the bit: the gluing reverses the ascending direction
+                if not ef.union(6 * i + e, 6 * j + EDGE_BETWEEN[pu][pv], pu > pv):
                     reversed_edge = reversed_edge or (i, e)
 
     def slot_orbits(uf: _UnionFind, width: int):
@@ -386,11 +420,11 @@ def skeleton(tri: Triangulation) -> SkeletonTable:
 
     vertex_orbits = slot_orbits(vf, 4)
     edge_orbits = slot_orbits(ef, 6)
-    face_orbits = slot_orbits(ff, 4)
     # the root of an edge orbit is its representative slot, so the bit of
     # each slot is its direction relative to the representative's
+    edge_bits = ef.resolve()[1]
     edge_orbit_of = {
-        slot: (idx, ef.find(6 * slot[0] + slot[1])[1])
+        slot: (idx, edge_bits[6 * slot[0] + slot[1]])
         for idx, orbit in enumerate(edge_orbits)
         for slot in orbit
     }
@@ -398,7 +432,7 @@ def skeleton(tri: Triangulation) -> SkeletonTable:
     return SkeletonTable(
         vertex_orbits=vertex_orbits,
         edge_orbits=edge_orbits,
-        face_orbits=face_orbits,
+        face_orbits=tuple(face_orbits),
         vertex_orbit_of=orbit_of(vertex_orbits),
         edge_orbit_of=edge_orbit_of,
         face_orbit_of=orbit_of(face_orbits),
@@ -474,8 +508,17 @@ def support_metrics(tri: Triangulation, support: Iterable[int]) -> SupportMetric
 
 def connected_components(table: Sequence[Sequence[RawGluing]]) -> list[list[int]]:
     """Tet index classes of a gluing table connected through face gluings,
-    each sorted, in order of least tet."""
-    return _tet_unionfind(table)[0].classes()
+    each sorted, in order of least tet.
+
+    The table need not be involutive, so every entry is followed, and a
+    gluing twice, once from each of its slots: a one-sided gluing still
+    joins its two tets, and `validate` then names it as not involutive."""
+    uf = _UnionFind(len(table))
+    for i, row in enumerate(table):
+        for entry in row:
+            if entry is not None:
+                uf.union(i, entry[0], False)
+    return uf.classes()
 
 
 def restrict(

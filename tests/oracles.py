@@ -8,7 +8,12 @@ description engine with its `Fraction` rank, which the numpy engine in
 `kneser.vertex_enum` replaced, is kept here as the reference enumeration,
 and the depth-first walks that orientations and components of a gluing
 table came from before `kneser.triangulation` used its union-find are kept
-as the reference for both.  Projected areas have two references: a
+as the reference for both.  `skeleton`, the tet union-find of `validate`
+and `validate` itself as they were before they followed each gluing from
+its lesser slot only (every entry followed from both of its slots, face
+orbits from a union-find, permutations checked by sorting) are the
+references for the one-slot kernels; they share `_UnionFind` with the
+library, which its own test checks against a graph search.  Projected areas have two references: a
 polygon clipping that needs no quadrature at all, and the adaptive
 quadrature of the pointwise area Jacobian that `kneser.projection` used
 before its closed forms.  That quadrature (`_integrate_jacobian`, its
@@ -44,7 +49,11 @@ from kneser.errors import (
     CenterHit,
     InconsistentCrossings,
     JacobianBoundExceeded,
+    NonInvolutiveGluing,
+    NonOrientable,
+    NotClosed,
     ParseError,
+    SelfGluedFace,
 )
 from kneser.homology import boundary_entries, elementary_divisors
 from kneser.normal import (
@@ -64,12 +73,17 @@ from kneser.projection import (
     simplex_planes,
     triangle_distances,
 )
-from kneser.reconstruct import reconstruct
+from kneser.reconstruct import build_complex, reconstruct
 from kneser.triangulation import (
     EDGE_VERTICES,
     FACE_VERTICES,
+    Gluing,
     RawGluing,
+    SkeletonTable,
     Triangulation,
+    _UnionFind,
+    perm_inverse,
+    perm_sign,
     skeleton,
     validate,
 )
@@ -150,6 +164,159 @@ def connected_components_reference(tri: Triangulation) -> list[list[int]]:
                     stack.append(g.tet)
         comps.append(sorted(comp))
     return comps
+
+
+def tet_unionfind_reference(table) -> tuple[_UnionFind, tuple[int, int] | None]:
+    """Union-find over the tets, one union per gluing entry in both
+    directions, whose bit says the orientation flips (the gluing permutation
+    is even); also the first (tet, face) whose gluing contradicts a coherent
+    orientation."""
+    uf = _UnionFind(len(table))
+    bad = None
+    for i, row in enumerate(table):
+        for f, entry in enumerate(row):
+            if entry is None:
+                continue
+            j, _, p = entry
+            if not uf.union(i, j, perm_sign(tuple(p)) > 0):
+                bad = bad or (i, f)
+    return uf, bad
+
+
+def skeleton_reference(tri: Triangulation) -> SkeletonTable:
+    """Orbit tables from one union per gluing entry in both directions, the
+    face orbits from a union-find too; reversed_edge is the first (tet,
+    edge) slot whose union contradicts the edge directions."""
+    edge_index = {frozenset(uv): e for e, uv in enumerate(EDGE_VERTICES)}
+    t = tri.size
+    vf = _UnionFind(4 * t)
+    ef = _UnionFind(6 * t)
+    ff = _UnionFind(4 * t)
+    reversed_edge = None
+    for i in range(t):
+        for f in range(4):
+            g = tri.gluings[i][f]
+            if g is None:
+                continue
+            ff.union(4 * i + f, 4 * g.tet + g.face, False)
+            for v in range(4):
+                if v != f:
+                    vf.union(4 * i + v, 4 * g.tet + g.perm[v], False)
+            for e, (u, v) in enumerate(EDGE_VERTICES):
+                if u == f or v == f:
+                    continue
+                pu, pv = g.perm[u], g.perm[v]
+                e2 = edge_index[frozenset((pu, pv))]
+                if not ef.union(6 * i + e, 6 * g.tet + e2, pu > pv):
+                    reversed_edge = reversed_edge or (i, e)
+
+    def slot_orbits(uf, width):
+        return tuple(tuple(divmod(s, width) for s in c) for c in uf.classes())
+
+    def orbit_of(orbits):
+        return {slot: idx for idx, orbit in enumerate(orbits) for slot in orbit}
+
+    vertex_orbits = slot_orbits(vf, 4)
+    edge_orbits = slot_orbits(ef, 6)
+    face_orbits = slot_orbits(ff, 4)
+    return SkeletonTable(
+        vertex_orbits=vertex_orbits,
+        edge_orbits=edge_orbits,
+        face_orbits=face_orbits,
+        vertex_orbit_of=orbit_of(vertex_orbits),
+        edge_orbit_of={
+            slot: (idx, ef.find(6 * slot[0] + slot[1])[1])
+            for idx, orbit in enumerate(edge_orbits)
+            for slot in orbit
+        },
+        face_orbit_of=orbit_of(face_orbits),
+        edge_degrees=tuple(len(g) for g in edge_orbits),
+        tet_count=t,
+        reversed_edge=reversed_edge,
+    )
+
+
+def check_structure_reference(table) -> None:
+    """The structural checks of `validate_reference`, permutations checked
+    by sorting."""
+    t = len(table)
+    for i, row in enumerate(table):
+        if len(row) != 4:
+            raise ValueError(f"tet {i}: expected 4 face entries, got {len(row)}")
+        for f, entry in enumerate(row):
+            if entry is None:
+                continue
+            try:
+                j, k, p = entry
+            except Exception as exc:
+                raise ValueError(f"(tet {i}, face {f}): malformed entry") from exc
+            if not (0 <= j < t) or not (0 <= k < 4):
+                raise ValueError(f"(tet {i}, face {f}): target ({j},{k}) out of range")
+            if len(p) != 4 or sorted(p) != [0, 1, 2, 3]:
+                raise ValueError(f"(tet {i}, face {f}): {p} is not a permutation")
+            if p[f] != k:
+                raise ValueError(
+                    f"(tet {i}, face {f}): permutation must send face {f} to face {k}"
+                )
+
+
+def validate_reference(
+    table, *, require_closed: bool = True, require_orientable: bool = True
+) -> Triangulation:
+    """`validate` as it was before it followed each gluing from one slot
+    only: every entry checked and unioned from both sides, permutations
+    inverted one by one, over `skeleton_reference`."""
+    check_structure_reference(table)
+    t = len(table)
+    for i in range(t):
+        for f in range(4):
+            entry = table[i][f]
+            if entry is None:
+                continue
+            j, k, p = entry
+            p = tuple(p)
+            if (j, k) == (i, f):
+                raise SelfGluedFace(i, f)
+            back = table[j][k]
+            if back is None:
+                raise NonInvolutiveGluing(i, f, f"(tet {j}, face {k}) is unglued")
+            j2, k2, q = back
+            if (j2, k2) != (i, f) or tuple(q) != perm_inverse(p):
+                raise NonInvolutiveGluing(
+                    i, f, f"(tet {j}, face {k}) does not glue back with the inverse"
+                )
+    tets, bad = tet_unionfind_reference(table)
+    orientations = None
+    if bad is None:
+        orientations = tuple(-1 if tets.find(i)[1] else 1 for i in range(t))
+    elif require_orientable:
+        raise NonOrientable(*bad)
+    rows = tuple(
+        tuple(None if e is None else Gluing(e[0], e[1], tuple(e[2])) for e in row)
+        for row in table
+    )
+    tri = Triangulation(gluings=rows, orientations=orientations, closed=False)
+    closed = True
+    for i in range(t):
+        for f in range(4):
+            if rows[i][f] is None:
+                if require_closed:
+                    raise NotClosed(i, f)
+                closed = False
+    if closed:
+        sk = skeleton_reference(tri)
+        if sk.reversed_edge is not None:
+            if require_closed:
+                raise NotClosed(*sk.reversed_edge, "edge identified with itself in reverse")
+            closed = False
+        elif sk.euler_characteristic != 0:
+            if require_closed:
+                raise NotClosed(
+                    0, 0, f"Euler characteristic {sk.euler_characteristic} != 0"
+                )
+            closed = False
+    object.__setattr__(tri, "closed", closed)
+    return tri
 
 
 def sympy_homology(tri: Triangulation, k: int) -> tuple[int, tuple[int, ...]]:
@@ -263,8 +430,7 @@ def unit_elimination_rescan(entries) -> tuple[int, dict[int, dict[int, int]]]:
 def _boundary_matrix(tri: Triangulation, k: int) -> sympy.Matrix:
     """Boundary of the orbit chain complex, written independently of the
     library: signs from sorting parities of identified vertex tuples."""
-    from kneser.triangulation import EDGE_INDEX, EDGE_VERTICES
-
+    edge_index = {frozenset(uv): e for e, uv in enumerate(EDGE_VERTICES)}
     sk = skeleton(tri)
     if k == 1:
         m = sympy.zeros(sk.vertex_count, sk.edge_count)
@@ -280,7 +446,7 @@ def _boundary_matrix(tri: Triangulation, k: int) -> sympy.Matrix:
             tet, f = orbit[0]
             a, b, c = FACE_VERTICES[f]
             for sign, (u, v) in ((1, (b, c)), (-1, (a, c)), (1, (a, b))):
-                eidx, reversed_ = sk.edge_orbit_of[(tet, EDGE_INDEX[frozenset((u, v))])]
+                eidx, reversed_ = sk.edge_orbit_of[(tet, edge_index[frozenset((u, v))])]
                 m[eidx, idx] += -sign if reversed_ else sign
         return m
     if k == 3:
@@ -792,7 +958,7 @@ def reconstruct_sphere_witnesses(
     non-vertex-linking 2-sphere, read off the full disk complex."""
     out = []
     for coords in solutions:
-        surface = reconstruct(tri, coords)
+        surface = reconstruct(tri, build_complex(tri, coords))
         if (
             surface.connected
             and surface.euler_characteristic == 2
@@ -810,7 +976,7 @@ def least_pl_area_reference(
     best = None
     best_area = None
     for coords in sorted(candidates):
-        area = pl_area(tri, coords)
+        area = pl_area(build_complex(tri, coords))
         if best is None or area.less_than(best_area):
             best, best_area = coords, area
     return best, best_area

@@ -24,7 +24,7 @@ from kneser.projection import (
     constants,
     nu0_exact,
 )
-from kneser.reconstruct import reconstruct
+from kneser.reconstruct import build_complex, reconstruct
 from kneser.vertex_enum import enumerate_vertex_solutions
 from oracles import brute_force_solutions, shell_quadrature_k
 
@@ -152,7 +152,7 @@ def test_criterion_5_minimizer_sanity(small_corpus):
         for coords in pool:
             if not any(coords):
                 continue
-            surface = reconstruct(tri, coords)
+            surface = reconstruct(tri, build_complex(tri, coords))
             if (
                 surface.connected
                 and surface.euler_characteristic == 2
@@ -163,13 +163,13 @@ def test_criterion_5_minimizer_sanity(small_corpus):
         beaten = [
             other
             for other in candidates
-            if pl_area(tri, other).less_than(area)
+            if pl_area(build_complex(tri, other)).less_than(area)
         ]
         ok = ok and not beaten
         ties = [
             other
             for other in candidates
-            if pl_area(tri, other).tol_equal(area) and other < coords
+            if pl_area(build_complex(tri, other)).tol_equal(area) and other < coords
         ]
         ok = ok and not ties
         print(
@@ -192,17 +192,18 @@ def test_criterion_6_reconstruction(closed_corpus, bd4):
     ok = True
     for tri in closed_corpus.values():
         for coords in enumerate_vertex_solutions(tri):
-            surface = reconstruct(tri, coords)  # internal cross-checks raise
+            # internal cross-checks raise
+            surface = reconstruct(tri, build_complex(tri, coords))
             ok = ok and surface.euler_characteristic == euler_from_coordinates(
                 tri, coords
             )
     for orbit in range(skeleton(bd4).vertex_count):
         link = vertex_link_coordinates(bd4, orbit)
-        surface = reconstruct(bd4, link)
+        surface = reconstruct(bd4, build_complex(bd4, link))
         ok = ok and (
             surface.vertex_count, surface.arc_count, surface.disk_count
         ) == (4, 6, 4)
-        area = pl_area(bd4, link)
+        area = pl_area(build_complex(bd4, link))
         ok = ok and area.weight == 4
         ok = ok and abs(area.length - 12 * MIDPOINT_ARC) <= 1e-9
     verdict(6, "exact reconstruction and vertex-link areas", ok,

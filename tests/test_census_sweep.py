@@ -12,7 +12,7 @@ import itertools
 from kneser.errors import KneserError
 from kneser.homology import homology
 from kneser.pl_area import pl_area, verify_diameter_bound
-from kneser.reconstruct import reconstruct
+from kneser.reconstruct import build_complex, reconstruct
 from kneser.surgery import crush, cut_and_cap
 from kneser.triangulation import connected_components, validate
 from kneser.vertex_enum import enumerate_vertex_solutions
@@ -79,10 +79,11 @@ def test_census_sweep():
         solutions = enumerate_vertex_solutions(tri)
         assert solutions, "a closed triangulation always has vertex links"
         for coords in solutions:
-            surface = reconstruct(tri, coords)  # internal chi cross-checks
+            complex_ = build_complex(tri, coords)
+            surface = reconstruct(tri, complex_)  # internal chi cross-checks
             check = verify_diameter_bound(tri, coords)
             assert check.passed
-            area = pl_area(tri, coords)
+            area = pl_area(complex_)
             assert area.weight == check.weight
             assert area.length > 0
             if not (
@@ -91,9 +92,9 @@ def test_census_sweep():
                 and not surface.vertex_linking
             ):
                 continue
-            pieces = crush(tri, coords)  # raises InvalidAfterCrush on bugs
+            pieces = crush(tri, complex_)  # raises InvalidAfterCrush on bugs
             assert sum(p.size for p in pieces) < tri.size
-            reference = cut_and_cap(tri, coords)
+            reference = cut_and_cap(tri, complex_)
             assert len(reference) in (1, 2)
             for piece in pieces + reference:
                 assert piece.closed and piece.orientable

@@ -15,7 +15,7 @@ from kneser.errors import BudgetExceeded, NonOrientable, NotClosed
 from kneser.fileio import parse_tri
 from kneser.homology import AbelianInvariants, homology
 from kneser.pl_area import pl_area
-from kneser.reconstruct import reconstruct
+from kneser.reconstruct import build_complex, reconstruct
 from kneser.triangulation import validate
 from kneser.vertex_enum import enumerate_vertex_solutions
 from oracles import (
@@ -71,7 +71,7 @@ class TestCertify:
             cert = certify_weakly_irreducible(tri)
             assert not cert.certified
             for coords in cert.witnesses:
-                surface = reconstruct(tri, coords)
+                surface = reconstruct(tri, build_complex(tri, coords))
                 assert surface.connected
                 assert surface.euler_characteristic == 2
                 assert not surface.vertex_linking
@@ -125,15 +125,18 @@ class TestLinearWitnessRule:
 
     def test_least_weight_shortcut_keeps_the_choice(self):
         # PL area compares weight first, so pl_area on the least-weight
-        # witnesses alone must pick what the loop over all of them picks
+        # witnesses alone must pick what the loop over all of them picks;
+        # the winner comes with its own complex, which crush reuses
         pieces = list(_closed_corpus_files().values()) + list(closed_two_tet()[::7])
         compared = 0
         for tri in pieces:
             witnesses = sphere_witnesses(tri, enumerate_vertex_solutions(tri))
             if not witnesses:
                 continue
-            got = _least_candidate(tri, tuple(witnesses))
-            assert got == least_pl_area_reference(tri, witnesses), tri.gluings
+            complex_, area = _least_candidate(tri, tuple(witnesses))
+            coords, want = least_pl_area_reference(tri, witnesses)
+            assert (complex_.coordinates, area) == (coords, want), tri.gluings
+            assert complex_ == build_complex(tri, coords)
             compared += 1
         assert compared >= 20
 
@@ -147,7 +150,7 @@ class TestFindEssentialSphere:
         found = find_essential_sphere(tri)
         assert found is not None
         coords, area = found
-        surface = reconstruct(tri, coords)
+        surface = reconstruct(tri, build_complex(tri, coords))
         assert surface.connected and surface.euler_characteristic == 2
         assert not surface.vertex_linking
         assert any(coords[7 * i + 4 + j] for i in range(tri.size) for j in range(3))
@@ -162,7 +165,7 @@ class TestFindEssentialSphere:
             coords, area = found
             assert coords in witnesses
             for other in witnesses:
-                other_area = pl_area(tri, other)
+                other_area = pl_area(build_complex(tri, other))
                 assert not other_area.less_than(area), name
                 if other_area.tol_equal(area):
                     assert coords <= other
@@ -180,14 +183,14 @@ class TestFindEssentialSphere:
             for other in pool:
                 if not any(other):
                     continue
-                surface = reconstruct(tri, other)
+                surface = reconstruct(tri, build_complex(tri, other))
                 if not (
                     surface.connected
                     and surface.euler_characteristic == 2
                     and not surface.vertex_linking
                 ):
                     continue
-                other_area = pl_area(tri, other)
+                other_area = pl_area(build_complex(tri, other))
                 assert not other_area.less_than(area), (name, other)
 
 

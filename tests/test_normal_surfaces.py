@@ -309,7 +309,7 @@ class TestWeight:
 class TestReconstruct:
     def test_vertex_link_cells(self, bd4):
         coords = vertex_link_coordinates(bd4, 0)
-        surface = reconstruct(bd4, coords)
+        surface = reconstruct(bd4, build_complex(bd4, coords))
         assert surface.connected
         assert (surface.vertex_count, surface.arc_count, surface.disk_count) == (
             4, 6, 4,
@@ -327,13 +327,14 @@ class TestReconstruct:
                     for i in range(tri.size)
                     for j in range(3)
                 ):
-                    assert not reconstruct(tri, coords).vertex_linking
+                    surface = reconstruct(tri, build_complex(tri, coords))
+                    assert not surface.vertex_linking
 
     def test_two_disjoint_links(self, bd4):
         a = vertex_link_coordinates(bd4, 0)
         b = vertex_link_coordinates(bd4, 1)
         both = tuple(x + y for x, y in zip(a, b))
-        surface = reconstruct(bd4, both)
+        surface = reconstruct(bd4, build_complex(bd4, both))
         assert len(surface.components) == 2
         assert all(c.euler_characteristic == 2 for c in surface.components)
         assert tuple(
@@ -349,14 +350,14 @@ class TestReconstruct:
         module = importlib.import_module("kneser.reconstruct")
         monkeypatch.setattr(module, "euler_from_coordinates", lambda t, c: 0)
         with pytest.raises(ConsistencyCheckFailed, match="coordinate formula"):
-            reconstruct(bd4, vertex_link_coordinates(bd4, 0))
+            reconstruct(bd4, build_complex(bd4, vertex_link_coordinates(bd4, 0)))
 
     def test_euler_cross_check_whole_corpus(self, closed_corpus):
         # reconstruct() internally checks cell-count chi == coordinate chi;
         # also verify the equality explicitly here
         for tri in closed_corpus.values():
             for coords in enumerate_vertex_solutions(tri):
-                surface = reconstruct(tri, coords)
+                surface = reconstruct(tri, build_complex(tri, coords))
                 assert surface.euler_characteristic == euler_from_coordinates(
                     tri, coords
                 )
@@ -369,7 +370,7 @@ class TestReconstruct:
                 for orbit in range(sk.vertex_count)
             }
             for coords in enumerate_vertex_solutions(tri):
-                for comp in reconstruct(tri, coords).components:
+                for comp in reconstruct(tri, build_complex(tri, coords)).components:
                     if comp.vertex_linking:
                         assert comp.coordinates in links
 

@@ -15,7 +15,7 @@ from kneser.errors import (
     VertexLinkingRejected,
 )
 from kneser.homology import homology
-from kneser.reconstruct import reconstruct
+from kneser.reconstruct import build_complex, reconstruct
 from kneser.surgery import cap_boundary, crush, cut_and_cap, cut_complex
 from kneser.triangulation import validate
 from kneser.vertex_enum import enumerate_vertex_solutions
@@ -29,7 +29,7 @@ SOLID_TORUS = [[(0, 1, (1, 2, 3, 0)), (0, 0, (3, 0, 1, 2)), None, None]]
 def sphere_solutions(tri):
     out = []
     for coords in enumerate_vertex_solutions(tri):
-        surface = reconstruct(tri, coords)
+        surface = reconstruct(tri, build_complex(tri, coords))
         if surface.connected and surface.euler_characteristic == 2:
             out.append((coords, surface.vertex_linking))
     return out
@@ -76,7 +76,7 @@ def corrupted_cut_and_cap(tri, coords):
 
     surgery.cap_boundary = corrupt
     try:
-        return surgery.cut_and_cap(tri, coords)
+        return surgery.cut_and_cap(tri, build_complex(tri, coords))
     finally:
         surgery.cap_boundary = real
 
@@ -94,17 +94,34 @@ def corrupted_crush(tri, coords):
 
     surgery.perm_compose = corrupt
     try:
-        return surgery.crush(tri, coords)
+        return surgery.crush(tri, build_complex(tri, coords))
     finally:
         surgery.perm_compose = real
         assert calls, "the walk made no wedge hop"
+
+
+def corrupted_crush_table(tri, coords):
+    """crush with the first entry of its raw walked table blanked, so the
+    gluing back to that slot is one-sided."""
+    real = surgery.split_components
+
+    def corrupt(table):
+        table[0][0] = None
+        return real(table)
+
+    surgery.split_components = corrupt
+    try:
+        return surgery.crush(tri, build_complex(tri, coords))
+    finally:
+        surgery.split_components = real
 
 
 def crushable_sphere(tri):
     """The first non-vertex-linking sphere vertex solution whose crush
     keeps a tetrahedron."""
     return next(
-        c for c, vl in sphere_solutions(tri) if not vl and crush(tri, c)
+        c for c, vl in sphere_solutions(tri)
+        if not vl and crush(tri, build_complex(tri, c))
     )
 
 
@@ -142,7 +159,7 @@ class TestCapBoundary:
 
 class TestCutAndCap:
     def test_vertex_link_gives_two_trivial_pieces(self, bd4):
-        pieces = cut_and_cap(bd4, vertex_link_coordinates(bd4, 0))
+        pieces = cut_and_cap(bd4, build_complex(bd4, vertex_link_coordinates(bd4, 0)))
         assert len(pieces) == 2
         for p in pieces:
             assert p.closed and p.orientable
@@ -151,35 +168,35 @@ class TestCutAndCap:
     def test_vertex_link_always_separates(self, closed_corpus):
         for name, tri in closed_corpus.items():
             coords = vertex_link_coordinates(tri, 0)
-            pieces = cut_and_cap(tri, coords)
+            pieces = cut_and_cap(tri, build_complex(tri, coords))
             assert len(pieces) == 2, name
 
     def test_separating_count_is_one_or_two(self, small_corpus):
         for name, tri in small_corpus.items():
             for coords, _vl in sphere_solutions(tri):
-                pieces = cut_and_cap(tri, coords)
+                pieces = cut_and_cap(tri, build_complex(tri, coords))
                 assert len(pieces) in (1, 2), name
 
     def test_summand_recovery(self):
         # cutting rp3 along its vertex link: a ball and rp3-minus-ball
         rp3 = corpus.rp3_two_tet()
-        pieces = cut_and_cap(rp3, vertex_link_coordinates(rp3, 0))
+        pieces = cut_and_cap(rp3, build_complex(rp3, vertex_link_coordinates(rp3, 0)))
         assert h1_multiset(pieces) == [(0, (2,))]
         l31 = corpus.l31_two_tet()
-        pieces = cut_and_cap(l31, vertex_link_coordinates(l31, 0))
+        pieces = cut_and_cap(l31, build_complex(l31, vertex_link_coordinates(l31, 0)))
         assert h1_multiset(pieces) == [(0, (3,))]
 
     def test_nonseparating_sphere(self):
         s2xs1 = corpus.s2xs1_two_tet()
         nonvl = [c for c, vl in sphere_solutions(s2xs1) if not vl]
         assert nonvl
-        pieces = cut_and_cap(s2xs1, nonvl[0])
+        pieces = cut_and_cap(s2xs1, build_complex(s2xs1, nonvl[0]))
         assert len(pieces) == 1  # the sphere does not separate
         assert homology(pieces[0], 1).trivial  # S^2 x I capped twice
 
     def test_pieces_validate_and_match_sympy(self, bd4):
         for coords, _vl in sphere_solutions(bd4):
-            for piece in cut_and_cap(bd4, coords):
+            for piece in cut_and_cap(bd4, build_complex(bd4, coords)):
                 assert piece.closed and piece.orientable
                 h = homology(piece, 1)
                 assert (h.rank, h.torsion) == sympy_homology(piece, 1)
@@ -188,22 +205,22 @@ class TestCutAndCap:
         # the 1-tet sphere exercises faces glued to the same tetrahedron
         tri = corpus.s3_one_tet()
         for coords, _vl in sphere_solutions(tri):
-            cut = cut_complex(tri, coords)
+            cut = cut_complex(tri, build_complex(tri, coords))
             assert cut.orientable
-            pieces = cut_and_cap(tri, coords)
+            pieces = cut_and_cap(tri, build_complex(tri, coords))
             assert all(homology(p, 1).trivial for p in pieces)
 
 
 class TestCrush:
     def test_vertex_linking_rejected(self, bd4):
         with pytest.raises(VertexLinkingRejected):
-            crush(bd4, vertex_link_coordinates(bd4, 0))
+            crush(bd4, build_complex(bd4, vertex_link_coordinates(bd4, 0)))
 
     def test_bd4_edge_link_crush(self, bd4):
         nonvl = [c for c, vl in sphere_solutions(bd4) if not vl]
         assert nonvl
         for coords in nonvl:
-            pieces = crush(bd4, coords)
+            pieces = crush(bd4, build_complex(bd4, coords))
             assert sum(p.size for p in pieces) < 5
             for p in pieces:
                 assert p.closed and p.orientable
@@ -214,7 +231,7 @@ class TestCrush:
             for coords, vl in sphere_solutions(tri):
                 if vl:
                     continue
-                pieces = crush(tri, coords)
+                pieces = crush(tri, build_complex(tri, coords))
                 assert sum(p.size for p in pieces) < tri.size, name
 
     def test_crush_matches_cut_and_cap_up_to_trivial(self, closed_corpus):
@@ -226,8 +243,9 @@ class TestCrush:
             for coords, vl in sphere_solutions(tri):
                 if vl:
                     continue
-                crushed = h1_multiset(crush(tri, coords))
-                reference = h1_multiset(cut_and_cap(tri, coords))
+                complex_ = build_complex(tri, coords)
+                crushed = h1_multiset(crush(tri, complex_))
+                reference = h1_multiset(cut_and_cap(tri, complex_))
                 assert crushed == reference, (name, coords)
 
     def test_known_degenerate_losses(self):
@@ -236,13 +254,13 @@ class TestCrush:
         corpus and document the crush side effect."""
         l31 = corpus.l31_two_tet()
         nonvl = [c for c, vl in sphere_solutions(l31) if not vl]
-        pieces = crush(l31, nonvl[0])
-        assert pieces == []  # both tets carry quads
-        assert h1_multiset(cut_and_cap(l31, nonvl[0])) == [(0, (3,))]
+        complex_ = build_complex(l31, nonvl[0])
+        assert crush(l31, complex_) == []  # both tets carry quads
+        assert h1_multiset(cut_and_cap(l31, complex_)) == [(0, (3,))]
 
         s2xs1 = corpus.s2xs1_two_tet()
         nonvl = [c for c, vl in sphere_solutions(s2xs1) if not vl]
-        assert crush(s2xs1, nonvl[0]) == []
+        assert crush(s2xs1, build_complex(s2xs1, nonvl[0])) == []
 
 
 # sha256 of the piece gluing tables that crush and cut_and_cap give on every
@@ -269,13 +287,14 @@ class TestValidateOnce:
         nonvl = [c for c, vl in sphere_solutions(tri) if not vl]
         assert nonvl
         for coords in nonvl:
+            complex_ = build_complex(tri, coords)
             validated_rows.clear()
-            pieces = crush(tri, coords)
+            pieces = crush(tri, complex_)
             assert sum(validated_rows) == sum(p.size for p in pieces)
 
-            cut_size = cut_complex(tri, coords).size
+            cut_size = cut_complex(tri, complex_).size
             validated_rows.clear()
-            pieces = cut_and_cap(tri, coords)
+            pieces = cut_and_cap(tri, complex_)
             assert sum(validated_rows) == cut_size + sum(p.size for p in pieces)
 
     def test_piece_tables_pinned(self, closed_corpus):
@@ -285,11 +304,12 @@ class TestValidateOnce:
             for coords, vl in sphere_solutions(tri):
                 if vl:
                     continue
+                complex_ = build_complex(tri, coords)
                 out.append((
                     name,
                     tuple(int(x) for x in coords),
-                    [piece_rows(p) for p in crush(tri, coords)],
-                    [piece_rows(p) for p in cut_and_cap(tri, coords)],
+                    [piece_rows(p) for p in crush(tri, complex_)],
+                    [piece_rows(p) for p in cut_and_cap(tri, complex_)],
                 ))
         assert len(out) == 80
         digest = hashlib.sha256(repr(out).encode()).hexdigest()
@@ -305,13 +325,18 @@ class TestCorruptedTablesRaise:
         with pytest.raises(InvalidAfterCrush):
             corrupted_crush(bd4, crushable_sphere(bd4))
 
+    def test_corrupted_crush_table_raises(self, bd4):
+        with pytest.raises(InvalidAfterCrush, match="is not involutive"):
+            corrupted_crush_table(bd4, crushable_sphere(bd4))
+
     def test_checks_survive_optimize_flag(self):
         code = (
             "from kneser import corpus\n"
             "from kneser.errors import InvalidAfterCrush, KneserError\n"
             "from oracles import vertex_link_coordinates\n"
             "from test_surgery import (\n"
-            "    corrupted_crush, corrupted_cut_and_cap, crushable_sphere,\n"
+            "    corrupted_crush, corrupted_crush_table, corrupted_cut_and_cap,\n"
+            "    crushable_sphere,\n"
             ")\n"
             "bd4 = corpus.bd4_simplex()\n"
             "try:\n"
@@ -322,6 +347,12 @@ class TestCorruptedTablesRaise:
             "    corrupted_crush(bd4, crushable_sphere(bd4))\n"
             "except InvalidAfterCrush:\n"
             "    print('crush raised', __debug__)\n"
+            "try:\n"
+            "    corrupted_crush_table(bd4, crushable_sphere(bd4))\n"
+            "except InvalidAfterCrush as exc:\n"
+            "    print('table raised', 'is not involutive' in str(exc), __debug__)\n"
         )
         proc = run_optimized(code)
-        assert proc.stdout == "cap raised False\ncrush raised False\n", proc.stderr
+        assert proc.stdout == (
+            "cap raised False\ncrush raised False\ntable raised True False\n"
+        ), proc.stderr

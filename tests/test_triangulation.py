@@ -1,22 +1,27 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneser import corpus
 from kneser.errors import (
     Disconnected,
     EmptySupport,
+    KneserError,
     NonInvolutiveGluing,
     NonOrientable,
     NotClosed,
     SelfGluedFace,
 )
+from kneser.reconstruct import build_complex, reconstruct
+from kneser.surgery import cut_and_cap, cut_complex
 from kneser.triangulation import (
     Triangulation,
     _UnionFind,
+    _tet_unionfind,
     connected_components,
     perm_compose,
     perm_inverse,
@@ -27,13 +32,18 @@ from kneser.triangulation import (
     support_metrics,
     validate,
 )
+from kneser.vertex_enum import enumerate_vertex_solutions
 from oracles import (
+    check_structure_reference,
     connected_components_reference,
     disjoint_union,
     exhaustive_chain_distance,
     orientations_reference,
+    skeleton_reference,
+    tet_unionfind_reference,
+    validate_reference,
 )
-from test_census_sweep import two_tet_tables
+from test_census_sweep import closed_two_tet, two_tet_tables
 
 ALL_PERMS = list(itertools.permutations(range(4)))
 
@@ -136,14 +146,9 @@ def random_tables(count: int, seed: int):
         table = [[None] * 4 for _ in range(t)]
         for n in range(rng.randint(0, 2 * t)):
             (i, f), (j, k) = slots[2 * n], slots[2 * n + 1]
-            images = [v for v in range(4) if v != k]
-            rng.shuffle(images)
-            p = [0] * 4
-            p[f] = k
-            for v, w in zip((v for v in range(4) if v != f), images):
-                p[v] = w
-            table[i][f] = (j, k, tuple(p))
-            table[j][k] = (i, f, perm_inverse(tuple(p)))
+            p = _perm_sending(rng, f, k)
+            table[i][f] = (j, k, p)
+            table[j][k] = (i, f, perm_inverse(p))
         yield table
 
 
@@ -173,6 +178,185 @@ class TestAgainstWalks:
             tri = validate(table, require_closed=False, require_orientable=False)
             assert tri.orientations == expected
             assert connected_components(tri.gluings) == connected_components_reference(tri)
+
+
+DEFECTS = ("none", "open", "one_sided", "wrong_inverse", "self_glued", "redirect")
+
+
+def _perm_sending(rng, f: int, k: int):
+    """A random permutation of 0..3 that sends f to k."""
+    images = [v for v in range(4) if v != k]
+    rng.shuffle(images)
+    p = [0] * 4
+    p[f] = k
+    for v, w in zip((v for v in range(4) if v != f), images):
+        p[v] = w
+    return tuple(p)
+
+
+def build_raw_table(rng, defect: str):
+    """A raw gluing table of 1-3 tets: an involutive pairing of every face
+    slot (of some slots when `defect` is "open"), random permutations, then
+    at most one broken entry: one side of a gluing dropped ("one_sided"),
+    given another permutation ("wrong_inverse"), glued to its own slot
+    ("self_glued") or pointed at a random slot ("redirect")."""
+    t = rng.randint(1, 3)
+    slots = [(i, f) for i in range(t) for f in range(4)]
+    rng.shuffle(slots)
+    table = [[None] * 4 for _ in range(t)]
+    pairs = rng.randint(0, 2 * t - 1) if defect == "open" else 2 * t
+    for n in range(pairs):
+        (i, f), (j, k) = slots[2 * n], slots[2 * n + 1]
+        p = _perm_sending(rng, f, k)
+        table[i][f] = (j, k, p)
+        table[j][k] = (i, f, perm_inverse(p))
+    glued = sorted(s for s in slots if table[s[0]][s[1]] is not None)
+    if defect in ("one_sided", "wrong_inverse", "redirect") and glued:
+        i, f = rng.choice(glued)
+        j, k, p = table[i][f]
+        if defect == "one_sided":
+            table[i][f] = None
+        elif defect == "wrong_inverse":
+            others = [q for q in ALL_PERMS if q[f] == k and q != p]
+            table[i][f] = (j, k, rng.choice(others))
+        else:
+            j, k = rng.choice(sorted(slots))
+            table[i][f] = (j, k, _perm_sending(rng, f, k))
+    elif defect == "self_glued":
+        i, f = rng.choice(sorted(slots))
+        table[i][f] = (i, f, _perm_sending(rng, f, f))
+    return table
+
+
+@st.composite
+def raw_tables(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    return build_raw_table(rng, draw(st.sampled_from(DEFECTS)))
+
+
+def outcome(fn, *args, **kwargs):
+    """What fn returns, with each Triangulation as (gluings, orientations,
+    closed), or the type and message of the error it raises; the message
+    names the (tet, face) or (tet, edge)."""
+    try:
+        result = fn(*args, **kwargs)
+    except (KneserError, ValueError) as exc:
+        return type(exc), str(exc)
+
+    def key(tri):
+        return tri.gluings, tri.orientations, tri.closed
+
+    return [key(r) for r in result] if isinstance(result, list) else key(result)
+
+
+def split_reference(table):
+    """`split_components` over the references: a structural check, then
+    components by the union-find that follows every entry, each validated
+    by `validate_reference`."""
+    check_structure_reference(table)
+    pieces = []
+    for comp in tet_unionfind_reference(table)[0].classes():
+        index = {old: new for new, old in enumerate(comp)}
+        rows = [
+            [None if e is None else (index[e[0]], e[1], e[2]) for e in table[old]]
+            for old in comp
+        ]
+        pieces.append(validate_reference(rows))
+    return pieces
+
+
+FLAGS = [
+    {"require_closed": c, "require_orientable": o}
+    for c in (True, False) for o in (True, False)
+]
+
+
+def assert_matches_references(table):
+    """validate under every flag pair, connected_components and
+    split_components and, on a table that validates, skeleton and the tet
+    union-find agree with the references that follow each gluing from both
+    of its slots."""
+    for flags in FLAGS:
+        assert outcome(validate, table, **flags) == outcome(
+            validate_reference, table, **flags
+        ), flags
+    assert connected_components(table) == tet_unionfind_reference(table)[0].classes()
+    assert outcome(split_components, table) == outcome(split_reference, table)
+    try:
+        validate_reference(table, require_closed=False, require_orientable=False)
+    except (KneserError, ValueError):
+        pass
+    else:
+        tri = validate(table, require_closed=False, require_orientable=False)
+        ours, theirs = skeleton(tri), skeleton_reference(tri)
+        for field in dataclasses.fields(ours):
+            assert getattr(ours, field.name) == getattr(theirs, field.name), field.name
+        uf, bad = _tet_unionfind(tri.gluings)
+        ref, ref_bad = tet_unionfind_reference(table)
+        assert bad == ref_bad and uf.resolve() == ref.resolve()
+
+
+def raw(tri):
+    return [[None if g is None else tuple(g) for g in row] for row in tri.gluings]
+
+
+class TestOneSlotKernels:
+    """skeleton, the tet union-find under validate, validate itself and
+    split_components follow each gluing from its lesser slot only; they
+    agree field for field and error for error with the references that
+    follow both slots, and keep both slots where a table may be one-sided."""
+
+    @settings(max_examples=400)
+    @given(raw_tables())
+    def test_random_raw_tables(self, table):
+        assert_matches_references(table)
+
+    def test_every_defect_and_error_occurs(self):
+        seen = set()
+        for seed in range(300):
+            for defect in DEFECTS:
+                table = build_raw_table(random.Random(seed), defect)
+                assert_matches_references(table)
+                for flags in FLAGS:
+                    result = outcome(validate, table, **flags)
+                    if isinstance(result[0], type):
+                        seen.add((result[0], "reverse" in result[1]))
+                    else:
+                        seen.add((Triangulation, result[2]))
+        assert seen >= {
+            (Triangulation, True),
+            (Triangulation, False),
+            (NotClosed, True),
+            (NotClosed, False),
+            (NonOrientable, False),
+            (SelfGluedFace, False),
+            (NonInvolutiveGluing, False),
+        }
+
+    def test_closed_corpus_and_census(self, closed_corpus):
+        for tri in list(closed_corpus.values()) + list(closed_two_tet()[::4]):
+            assert_matches_references(raw(tri))
+
+    def test_cut_and_cap_outputs(self, small_corpus):
+        for tri in small_corpus.values():
+            for coords in enumerate_vertex_solutions(tri):
+                complex_ = build_complex(tri, coords)
+                surface = reconstruct(tri, complex_)
+                if not (surface.connected and surface.euler_characteristic == 2):
+                    continue
+                assert_matches_references(raw(cut_complex(tri, complex_)))
+                for piece in cut_and_cap(tri, complex_):
+                    assert_matches_references(raw(piece))
+
+    def test_one_sided_gluing_is_not_involutive(self):
+        # tet 1 glues face 0 to tet 0, which does not glue back: followed
+        # from the lesser slot only, the two tets would fall apart and
+        # tet 0 alone would fail as not closed
+        table = [[None] * 4, [(0, 0, (0, 1, 2, 3)), None, None, None]]
+        assert connected_components(table) == [[0, 1]]
+        with pytest.raises(NonInvolutiveGluing) as info:
+            split_components(table)
+        assert (info.value.tet, info.value.face) == (1, 0)
 
 
 class TestSkeleton:
@@ -263,8 +447,6 @@ class TestSupportMetrics:
 
     def test_connected_support_diameter_bound(self, closed_corpus):
         # a connected support of size s is covered by chains of length <= s
-        from kneser.vertex_enum import enumerate_vertex_solutions
-
         for tri in closed_corpus.values():
             for coords in enumerate_vertex_solutions(tri):
                 support = {
@@ -283,8 +465,9 @@ class TestUnionFind:
         )
     )
     def test_roots_and_bits_against_graph_search(self, constraints):
-        """After each union, every find gives the least member of its class
-        and the parity of its path to it over the accepted constraints."""
+        """After each union, every find, and `resolve` taken before them,
+        give the least member of its class and the parity of its path to it
+        over the accepted constraints."""
         uf = _UnionFind(10)
         adj = {x: [] for x in range(10)}
 
@@ -306,7 +489,9 @@ class TestUnionFind:
             if y not in colour:
                 adj[x].append((y, rel))
                 adj[y].append((x, rel))
+            resolved = uf.resolve()
             for z in range(10):
                 seen = parities(z)
                 root = min(seen)
+                assert (resolved[0][z], resolved[1][z]) == (root, seen[root])
                 assert uf.find(z) == (root, seen[root])
