@@ -108,11 +108,10 @@ def _surface_entries(tri, solutions, pl_area_flag: bool, verify_diam: bool):
     entries = []
     all_pass = True
     for coords in solutions:
-        complex_ = build_complex(tri, coords)
-        surface = reconstruct(tri, complex_)
+        surface = reconstruct(tri, build_complex(tri, coords))
         kwargs = {}
         if pl_area_flag:
-            kwargs["lg"] = pl_area(complex_).length
+            kwargs["lg"] = pl_area(tri, coords).length
         if verify_diam:
             check = verify_diameter_bound(tri, coords)
             kwargs["diam"] = check.diameter

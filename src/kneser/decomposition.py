@@ -16,8 +16,10 @@ link.  So a vertex solution is a connected non-vertex-linking sphere
 exactly when it has a nonzero quad coordinate and Euler characteristic 2
 (Jaco & Tollefson 1995; Jaco & Rubinstein 2003).  PL area compares the
 exact integer weight first, so only the witnesses of least weight need a
-length.  `crush` still reconstructs the sphere it cuts along and checks
-that it is a connected non-vertex-linking sphere.
+length, a sum over normal arcs that the coordinates and edge weights fix.
+Only the chosen sphere gets a disk complex, built once; `crush` (and
+`cut_and_cap` under the oracle) cut along it, and `crush` reconstructs it
+and checks that it is a connected non-vertex-linking sphere.
 
 A sphere bounding a ball may well be selected; crushing it is harmless and
 still makes progress.  Crushing can also silently discard summands in
@@ -41,7 +43,7 @@ from .normal import (
     weight,
 )
 from .pl_area import PLArea, pl_area, verify_diameter_bound
-from .reconstruct import DiskComplex, build_complex
+from .reconstruct import build_complex
 from .surgery import crush, cut_and_cap
 from .triangulation import (
     Perm,
@@ -186,9 +188,9 @@ def certify_weakly_irreducible(
 
 def _least_candidate(
     tri: Triangulation, candidates: tuple[NormalCoordinates, ...]
-) -> tuple[DiskComplex, PLArea]:
-    """The complex of the least-PL-area candidate, which `crush` and
-    `cut_and_cap` reuse, and its area."""
+) -> tuple[NormalCoordinates, PLArea]:
+    """The least-PL-area candidate and its area, read off the coordinates
+    with no complex built."""
     # PL area compares weight first, so only the least-weight candidates can
     # win and only they need a length
     weights = {coords: weight(tri, coords) for coords in candidates}
@@ -196,10 +198,9 @@ def _least_candidate(
     best = None
     best_area = None
     for coords in sorted(c for c, w in weights.items() if w == least):
-        complex_ = build_complex(tri, coords)
-        area = pl_area(complex_)
+        area = pl_area(tri, coords)
         if best is None or area.less_than(best_area):
-            best, best_area = complex_, area
+            best, best_area = coords, area
         # ties within tolerance keep the lexicographically smaller vector,
         # which sorted() already visited first
     return best, best_area
@@ -213,8 +214,7 @@ def find_essential_sphere(
     cert = certify_weakly_irreducible(tri, budget)
     if cert.certified:
         return None
-    complex_, area = _least_candidate(tri, cert.witnesses)
-    return complex_.coordinates, area
+    return _least_candidate(tri, cert.witnesses)
 
 
 def decompose(
@@ -257,8 +257,7 @@ def decompose(
                 )
             )
             continue
-        complex_, area = _least_candidate(piece, cert.witnesses)
-        coords = complex_.coordinates
+        coords, area = _least_candidate(piece, cert.witnesses)
         check = verify_diameter_bound(piece, coords)
         spheres.append(
             SphereRecord(
@@ -273,6 +272,7 @@ def decompose(
             raise TerminationGuardTripped(
                 f"attempted more than {t0} crushes on a {t0}-tet input"
             )
+        complex_ = build_complex(piece, coords)
         parts = crush(piece, complex_)
         crushes += 1
         if oracle_check:

@@ -82,6 +82,45 @@ def arc_count(coords: Sequence[int], tet: int, face: int, corner: int) -> int:
     return coords[a] + coords[b]
 
 
+def disk_boundaries(coords: Sequence[int]):
+    """Walk the boundary of every normal disk of a valid coordinate vector.
+
+    Yields (disk, arcs) per disk, tet by tet: the triangles at vertices
+    0..3, then the quads, copies in order.  disk is (tet, "tri", v, c) or
+    (tet, "quad", qtype, c) with copy c >= 1; arcs lists the boundary arcs
+    in cycle order, each as (tet, face, corner, n, start): the n-th arc
+    from `corner` in face `face`, entered on the edge {corner, start}.
+
+    Along a directed tet edge u -> v the crossings come in the order:
+    triangles at u (copy 1 first), then the quads of the crossing type,
+    then triangles at v (copy 1 last).  Quad copies are numbered from the
+    QUAD_PAIRS[qt][0] side."""
+    for tet in range(len(coords) // 7):
+        tcount = coords[7 * tet:7 * tet + 4]
+        for v in range(4):
+            w1, w2, w3 = (w for w in range(4) if w != v)
+            # boundary cycle: edge {v,w1} -> face missing w3 -> edge {v,w2}
+            # -> face missing w1 -> edge {v,w3} -> face missing w2 -> close
+            legs = ((w1, w3), (w2, w1), (w3, w2))
+            for c in range(1, tcount[v] + 1):
+                yield (tet, "tri", v, c), [(tet, missing, v, c, a) for a, missing in legs]
+
+        for qtype in range(3):
+            qcount = coords[quad_index(tet, qtype)]
+            if not qcount:
+                continue
+            (pa, pb), (pc, pd) = QUAD_PAIRS[qtype]
+            for c in range(1, qcount + 1):
+                d = qcount + 1 - c  # the same copy counted from the pc, pd side
+                # cycle x_{AC} -> x_{AD} -> x_{BD} -> x_{BC} -> x_{AC}
+                yield (tet, "quad", qtype, c), [
+                    (tet, pb, pa, tcount[pa] + c, pc),
+                    (tet, pc, pd, tcount[pd] + d, pa),
+                    (tet, pa, pb, tcount[pb] + c, pd),
+                    (tet, pd, pc, tcount[pc] + d, pb),
+                ]
+
+
 def require_closed(tri: Triangulation) -> None:
     if tri.closed:
         return

@@ -22,9 +22,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptySurface
+from .normal import check_coordinates, disk_boundaries, edge_weights
 from .normal import weight as coordinate_weight
-from .reconstruct import DiskComplex
-from .triangulation import Triangulation, support_metrics
+from .triangulation import (
+    EDGE_BETWEEN,
+    FACE_VERTICES,
+    Triangulation,
+    skeleton,
+    support_metrics,
+)
 
 LENGTH_TOLERANCE = 1e-9
 SPACING = 1.0
@@ -65,40 +71,35 @@ def corner_arc_length(delta1: float, delta2: float) -> float:
     return math.acosh(cosh_d)
 
 
-def _arc_offsets(n: int, m: int, h: float = SPACING) -> float:
+def _arc_offsets(n: int, m: int) -> float:
     """Away-from-corner offset of the n-th crossing from a corner on an edge
     with m crossings, under the canonical equal-spacing placement."""
-    return (n - (m + 1) / 2.0) * h
+    return (n - (m + 1) / 2.0) * SPACING
 
 
-def normal_arc_length(n: int, m1: int, m2: int, h: float = SPACING) -> float:
+def normal_arc_length(n: int, m1: int, m2: int) -> float:
     """Length of the n-th arc at a corner whose edges carry m1, m2 crossings."""
-    return corner_arc_length(_arc_offsets(n, m1, h), _arc_offsets(n, m2, h))
+    return corner_arc_length(_arc_offsets(n, m1), _arc_offsets(n, m2))
 
 
-def surface_length(complex_: DiskComplex) -> float:
-    """Sum over disks of their boundary arc lengths (each geometric arc lies
-    in one face and borders two disks, so is counted twice)."""
-    arc_len = {
-        aid: normal_arc_length(
-            data.n_from_corner, data.edge_weights[0], data.edge_weights[1]
-        )
-        for aid, data in sorted(complex_.arcs.items())
-    }
+def pl_area(tri: Triangulation, coords) -> PLArea:
+    """Weight and canonical-placement length of the normal surface of a
+    valid coordinate vector, read off the coordinates and edge weights.
+
+    The length sums `normal_arc_length` over the boundary arcs of every
+    disk of `disk_boundaries`, so each arc counts once per disk it
+    borders: twice, since it lies in one face orbit."""
+    coords = check_coordinates(tri, coords)
+    weights = edge_weights(tri, coords)
+    edge_orbit_of = skeleton(tri).edge_orbit_of
     total = 0.0
-    for disk in complex_.disks:
-        for arc_use in complex_.boundaries[disk]:
-            total += arc_len[arc_use.arc]
-    return total
-
-
-def pl_area(complex_: DiskComplex) -> PLArea:
-    """Weight and canonical-placement length of the normal surface of
-    `build_complex(tri, coords)`."""
-    return PLArea(
-        weight=sum(complex_.weights_per_edge),
-        length=surface_length(complex_),
-    )
+    for _disk, arcs in disk_boundaries(coords):
+        for tet, face, corner, n, _start in arcs:
+            x, y = (w for w in FACE_VERTICES[face] if w != corner)
+            m1 = weights[edge_orbit_of[(tet, EDGE_BETWEEN[corner][x])][0]]
+            m2 = weights[edge_orbit_of[(tet, EDGE_BETWEEN[corner][y])][0]]
+            total += normal_arc_length(n, m1, m2)
+    return PLArea(weight=sum(weights), length=total)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ glued face agree on them:
   where n counts arcs outward from that corner (1 = innermost);
 - disk: (tet, "tri", v, c) or (tet, "quad", qtype, c), copies c >= 1.
 
-Along a directed tet edge u -> v the crossings come in the order: triangles
-at u (copy 1 first), then the quads of the crossing type, then triangles at
-v (copy 1 last).  Quad copies are numbered from the QUAD_PAIRS[qt][0] side.
+Disks, their boundary arcs and the crossing order along each edge are those
+of `normal.disk_boundaries`.
 """
 from __future__ import annotations
 
@@ -20,9 +19,8 @@ from dataclasses import dataclass
 from .errors import ConsistencyCheckFailed
 from .normal import (
     NormalCoordinates,
-    QUAD_PAIRS,
-    arc_count,
     check_coordinates,
+    disk_boundaries,
     edge_weights,
     euler_from_coordinates,
     quad_index,
@@ -54,16 +52,6 @@ class ArcUse:
 
 
 @dataclass(frozen=True)
-class ArcData:
-    """A normal arc: its two crossings and the placement data needed for
-    hyperbolic length (count-from-corner and the two edge weights)."""
-
-    endpoints: tuple[Crossing, Crossing]
-    n_from_corner: int
-    edge_weights: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class DiskComplex:
     """The full cell complex of a normal coordinate vector, together with
     that vector as validated by `build_complex`."""
@@ -71,14 +59,14 @@ class DiskComplex:
     coordinates: NormalCoordinates
     disks: tuple[DiskId, ...]
     boundaries: dict  # DiskId -> tuple[ArcUse, ...] in cycle order
-    arcs: dict        # ArcId -> ArcData
+    arcs: dict        # ArcId -> (Crossing, Crossing), its two endpoints
     weights_per_edge: tuple[int, ...]
 
     @property
     def vertex_count(self) -> int:
         seen = set()
-        for data in self.arcs.values():
-            seen.update(data.endpoints)
+        for ends in self.arcs.values():
+            seen.update(ends)
         return len(seen)
 
     @property
@@ -156,109 +144,58 @@ def crossing_of(
     return (orbit, slot)
 
 
-def _arc_lookup(tri: Triangulation, coords, weights):
-    """Helpers mapping tet-local arc references to orbit-level ArcIds."""
+def _arc_lookup(tri: Triangulation, weights):
+    """Helpers mapping tet-local arc references to orbit-level arcs."""
     sk = skeleton(tri)
 
-    def rep_view(tet: int, face: int, corner: int):
+    def arc_use(tet: int, face: int, corner: int, n: int, start: int) -> ArcUse:
+        """The traversal of the n-th arc from `corner` in face `face` of
+        `tet` that enters on the edge {corner, start}.
+
+        Its direction is +1 when it starts at the arc's canonical first
+        endpoint, which lies on the representative edge {corner, x} with
+        the smaller third vertex x.
+        """
         orbit = sk.face_orbit_of[(tet, face)]
         rep = sk.face_orbits[orbit][0]
-        if (tet, face) == rep:
-            return orbit, rep, corner, None
-        g = tri.gluings[tet][face]
-        assert g is not None and (g.tet, g.face) == rep
-        return orbit, rep, g.perm[corner], g.perm
-
-    def arc_id(tet: int, face: int, corner: int, n: int) -> ArcId:
-        orbit, _rep, rep_corner, _ = rep_view(tet, face, corner)
-        return (orbit, rep_corner, n)
-
-    def arc_direction(tet: int, face: int, corner: int, from_vertex: int) -> int:
-        """+1 if traversing the arc starting at its canonical first endpoint.
-
-        The canonical first endpoint lies on the representative edge
-        {corner, x} with the smaller third vertex x.
-        """
-        orbit, rep, rep_corner, perm = rep_view(tet, face, corner)
-        x_rep, _y_rep = sorted(
-            w for w in FACE_VERTICES[rep[1]] if w != rep_corner
+        if (tet, face) != rep:
+            g = tri.gluings[tet][face]
+            assert g is not None and (g.tet, g.face) == rep
+            corner, start = g.perm[corner], g.perm[start]
+        x_rep = min(w for w in FACE_VERTICES[rep[1]] if w != corner)
+        return ArcUse(
+            arc=(orbit, corner, n),
+            direction=1 if start == x_rep else -1,
+            face_slot=(tet, face),
         )
-        start = from_vertex if perm is None else perm[from_vertex]
-        return 1 if start == x_rep else -1
 
-    def arc_data(face_orbit: int, rep_corner: int, n: int) -> ArcData:
+    def arc_crossings(face_orbit: int, rep_corner: int, n: int):
         rep_tet, rep_face = sk.face_orbits[face_orbit][0]
         x, y = sorted(w for w in FACE_VERTICES[rep_face] if w != rep_corner)
-        c1 = crossing_of(sk, weights, rep_tet, rep_corner, x, n)
-        c2 = crossing_of(sk, weights, rep_tet, rep_corner, y, n)
-        return ArcData(
-            endpoints=(c1, c2),
-            n_from_corner=n,
-            edge_weights=(weights[c1[0]], weights[c2[0]]),
+        return (
+            crossing_of(sk, weights, rep_tet, rep_corner, x, n),
+            crossing_of(sk, weights, rep_tet, rep_corner, y, n),
         )
 
-    return arc_id, arc_direction, arc_data
+    return arc_use, arc_crossings
 
 
 def build_complex(tri: Triangulation, coords) -> DiskComplex:
     """Build the disk/arc/crossing complex of a valid coordinate vector."""
     coords = check_coordinates(tri, coords)
     weights = edge_weights(tri, coords)
-    arc_id, arc_direction, arc_data = _arc_lookup(tri, coords, weights)
+    arc_use, arc_crossings = _arc_lookup(tri, weights)
 
     disks: list[DiskId] = []
     boundaries: dict[DiskId, tuple] = {}
-    arcs: dict[ArcId, ArcData] = {}
-
-    def record(disk: DiskId, cycle: list[ArcUse]):
+    arcs: dict[ArcId, tuple[Crossing, Crossing]] = {}
+    for disk, walk in disk_boundaries(coords):
+        cycle = tuple(arc_use(*arc) for arc in walk)
         disks.append(disk)
-        boundaries[disk] = tuple(cycle)
+        boundaries[disk] = cycle
         for use in cycle:
             if use.arc not in arcs:
-                arcs[use.arc] = arc_data(*use.arc)
-
-    def use(tet: int, face: int, corner: int, n: int, start: int) -> ArcUse:
-        return ArcUse(
-            arc=arc_id(tet, face, corner, n),
-            direction=arc_direction(tet, face, corner, start),
-            face_slot=(tet, face),
-        )
-
-    for tet in range(tri.size):
-        tcount = [coords[tri_index(tet, v)] for v in range(4)]
-        qtype = None
-        qcount = 0
-        for j in range(3):
-            if coords[quad_index(tet, j)]:
-                qtype = j
-                qcount = coords[quad_index(tet, j)]
-
-        for v in range(4):
-            others = [w for w in range(4) if w != v]
-            w1, w2, w3 = others
-            # boundary cycle: edge {v,w1} -> face missing w3 -> edge {v,w2}
-            # -> face missing w1 -> edge {v,w3} -> face missing w2 -> close
-            legs = ((w1, w2, w3), (w2, w3, w1), (w3, w1, w2))
-            for c in range(1, tcount[v] + 1):
-                cycle = [use(tet, missing, v, c, a) for a, b, missing in legs]
-                record((tet, "tri", v, c), cycle)
-
-        if qtype is not None:
-            (pa, pb), (pc, pd) = QUAD_PAIRS[qtype]
-            t = tcount
-            for c in range(1, qcount + 1):
-                n_a = t[pa] + c
-                n_b = t[pb] + c
-                n_c = t[pc] + (qcount + 1 - c)
-                n_d = t[pd] + (qcount + 1 - c)
-                # cycle x_{AC} -> x_{AD} -> x_{BD} -> x_{BC} -> x_{AC}
-                cycle = [
-                    use(tet, pb, pa, n_a, pc),
-                    use(tet, pc, pd, n_d, pa),
-                    use(tet, pa, pb, n_b, pd),
-                    use(tet, pd, pc, n_c, pb),
-                ]
-                record((tet, "quad", qtype, c), cycle)
+                arcs[use.arc] = arc_crossings(*use.arc)
 
     return DiskComplex(
         coordinates=coords,
@@ -314,7 +251,7 @@ def reconstruct(tri: Triangulation, complex_: DiskComplex) -> ReconstructedSurfa
             arc_ids.update(u.arc for u in complex_.boundaries[disk])
         crossings = set()
         for aid in arc_ids:
-            crossings.update(complex_.arcs[aid].endpoints)
+            crossings.update(complex_.arcs[aid])
         chi = len(crossings) - len(arc_ids) + len(disk_ids)
         components.append(
             SurfaceComponent(

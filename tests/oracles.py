@@ -21,7 +21,9 @@ before its closed forms.  That quadrature (`_integrate_jacobian`, its
 `kneser` integrates numerically.  The definition of a sphere witness by
 reconstruction, and the loop that computed the PL area of every witness,
 are kept as references for the linear rule and the least-weight shortcut
-in `kneser.decomposition`.  Homology from the full boundary matrices (with
+in `kneser.decomposition`; that loop reads the length off the disk complex
+(`complex_length`), as `kneser.pl_area` did before it walked the
+coordinates.  Homology from the full boundary matrices (with
 the incidence matrix d_1 that `kneser.homology` no longer builds) is the
 reference for its spanning-forest presentation; it shares
 `elementary_divisors` and the d_2 and d_3 entries with the library, which
@@ -65,7 +67,7 @@ from kneser.normal import (
     require_closed,
     tri_index,
 )
-from kneser.pl_area import PLArea, pl_area
+from kneser.pl_area import PLArea, normal_arc_length
 from kneser.projection import (
     _areas,
     _clip_half_plane,
@@ -73,7 +75,7 @@ from kneser.projection import (
     simplex_planes,
     triangle_distances,
 )
-from kneser.reconstruct import build_complex, reconstruct
+from kneser.reconstruct import DiskComplex, build_complex, reconstruct
 from kneser.triangulation import (
     EDGE_VERTICES,
     FACE_VERTICES,
@@ -968,15 +970,33 @@ def reconstruct_sphere_witnesses(
     return out
 
 
+def complex_length(complex_: DiskComplex) -> float:
+    """Canonical-placement length read off the disk complex: each arc's
+    length from its count from the corner (ArcId[2]) and the weights of the
+    edge orbits of its two crossings, summed over every disk boundary, so
+    each arc twice, in the complex's disk and cycle order."""
+    w = complex_.weights_per_edge
+    arc_len = {
+        aid: normal_arc_length(aid[2], w[c1[0]], w[c2[0]])
+        for aid, (c1, c2) in complex_.arcs.items()
+    }
+    total = 0.0
+    for disk in complex_.disks:
+        for arc_use in complex_.boundaries[disk]:
+            total += arc_len[arc_use.arc]
+    return total
+
+
 def least_pl_area_reference(
     tri: Triangulation, candidates
 ) -> tuple[NormalCoordinates, PLArea]:
-    """Least PL area over every candidate, ties within tolerance going to
-    the lexicographically smaller vector."""
+    """Least PL area over every candidate, read off its disk complex, ties
+    within tolerance going to the lexicographically smaller vector."""
     best = None
     best_area = None
     for coords in sorted(candidates):
-        area = pl_area(build_complex(tri, coords))
+        complex_ = build_complex(tri, coords)
+        area = PLArea(sum(complex_.weights_per_edge), complex_length(complex_))
         if best is None or area.less_than(best_area):
             best, best_area = coords, area
     return best, best_area

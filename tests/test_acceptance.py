@@ -163,13 +163,13 @@ def test_criterion_5_minimizer_sanity(small_corpus):
         beaten = [
             other
             for other in candidates
-            if pl_area(build_complex(tri, other)).less_than(area)
+            if pl_area(tri, other).less_than(area)
         ]
         ok = ok and not beaten
         ties = [
             other
             for other in candidates
-            if pl_area(build_complex(tri, other)).tol_equal(area) and other < coords
+            if pl_area(tri, other).tol_equal(area) and other < coords
         ]
         ok = ok and not ties
         print(
@@ -203,7 +203,7 @@ def test_criterion_6_reconstruction(closed_corpus, bd4):
         ok = ok and (
             surface.vertex_count, surface.arc_count, surface.disk_count
         ) == (4, 6, 4)
-        area = pl_area(build_complex(bd4, link))
+        area = pl_area(bd4, link)
         ok = ok and area.weight == 4
         ok = ok and abs(area.length - 12 * MIDPOINT_ARC) <= 1e-9
     verdict(6, "exact reconstruction and vertex-link areas", ok,

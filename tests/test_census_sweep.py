@@ -16,6 +16,7 @@ from kneser.reconstruct import build_complex, reconstruct
 from kneser.surgery import crush, cut_and_cap
 from kneser.triangulation import connected_components, validate
 from kneser.vertex_enum import enumerate_vertex_solutions
+from oracles import complex_length
 
 
 def two_tet_tables():
@@ -83,8 +84,10 @@ def test_census_sweep():
             surface = reconstruct(tri, complex_)  # internal chi cross-checks
             check = verify_diameter_bound(tri, coords)
             assert check.passed
-            area = pl_area(complex_)
+            area = pl_area(tri, coords)
             assert area.weight == check.weight
+            # the linear sum walks the same arcs in the same order
+            assert area.length == complex_length(complex_)
             assert area.length > 0
             if not (
                 surface.connected

@@ -87,6 +87,25 @@ GOLDEN_DECOMPOSE = {
 }
 
 
+# exit code and sha256 of stdout of `enumerate <file> --pl-area
+# --verify-diam`, which prints every vertex solution's `lg`; recorded when
+# pl_area read the length off each solution's disk complex
+GOLDEN_ENUMERATE = {
+    "bd4simplex.tri": (0, "840410812f699b23601d53d4cb46de2768fb8b2917689d020c724097c42d49c2"),
+    "chain7.tri": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "l31_two_tet.tri": (0, "5e9d059fc615ac739081ee12677f8173eafdde2cd4399654594e7a3c34e66b0f"),
+    "rp3_octahedral.tri": (0, "01e4d812355b08ea13704a5ef79e86eb21bdef217a561c953c6bcccdc76b5d97"),
+    "rp3_rp3.tri": (0, "8bb21c7ee635646428a6a0c6c82b9285721500c91fbf363b388aa1ca84a9d21d"),
+    "rp3_two_tet.tri": (0, "c1e0b446306736363531f001504973591df93519fbb027fae2fd021fb25604d2"),
+    "s2xs1_two_tet.tri": (0, "b9ff9aa0a37f0baa03bde901426837d2274b36a222fbf43fec3004f39b107e15"),
+    "s3_one_tet.tri": (0, "0d4b60e2c807dac669c6b0dbd1ffec90cf2500eaa3f132da2d57b2011aa9431c"),
+    "s3_two_tet.tri": (0, "2445ee4e7b9828d51895b0c8037254664568c42909cac610a6da56ee29c3e78a"),
+    "sum_bd4_bd4.tri": (0, "a4269754081856de0f32da81ba9c2db39a1ca8036133ed9c09146829ca20f833"),
+    "sum_bd4_rp3.tri": (0, "2d68f11557004c7d774a465b3f78e52a75fed40cb727a0e48ee915cda561f527"),
+    "sum_s3_rp3.tri": (0, "7252c5dd5fcf1c1f0fec2adbc6bb66777e8973d89cd155f8bfa6d5f20765ecc7"),
+}
+
+
 class TestGoldenStdout:
     def test_decompose_oracle_check(self, corpus_dir, tmp_path, capsys):
         from kneser import corpus
@@ -102,6 +121,23 @@ class TestGoldenStdout:
             out = capsys.readouterr().out
             digest = hashlib.sha256(out.encode()).hexdigest()
             assert (code, digest) == GOLDEN_DECOMPOSE[path.name], path.name
+
+
+class TestGoldenEnumerate:
+    def test_enumerate_pl_area_verify_diam(self, corpus_dir, tmp_path, capsys):
+        from kneser import corpus
+        from kneser.decomposition import connected_sum
+        from kneser.fileio import format_tri
+
+        rp3 = corpus.rp3_octahedral()
+        (tmp_path / "rp3_rp3.tri").write_text(format_tri(connected_sum(rp3, rp3)))
+        paths = sorted(corpus_dir.glob("*.tri")) + [tmp_path / "rp3_rp3.tri"]
+        assert sorted(p.name for p in paths) == sorted(GOLDEN_ENUMERATE)
+        for path in paths:
+            code = cli.main(["enumerate", str(path), "--pl-area", "--verify-diam"])
+            out = capsys.readouterr().out
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert (code, digest) == GOLDEN_ENUMERATE[path.name], path.name
 
 
 class TestDecomposeCommand:

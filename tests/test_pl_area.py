@@ -12,7 +12,6 @@ from kneser.pl_area import (
     pl_area,
     verify_diameter_bound,
 )
-from kneser.reconstruct import build_complex
 from kneser.vertex_enum import enumerate_vertex_solutions
 from oracles import (
     arc_length,
@@ -92,17 +91,23 @@ class TestLexicographicOrder:
 
 class TestPLArea:
     def test_vertex_link_area(self, bd4):
-        area = pl_area(build_complex(bd4, vertex_link_coordinates(bd4, 0)))
+        area = pl_area(bd4, vertex_link_coordinates(bd4, 0))
         assert area.weight == 4
         assert area.length == pytest.approx(12 * MIDPOINT_ARC, abs=1e-9)
 
+    def test_rejects_invalid_coordinates(self, bd4):
+        link = vertex_link_coordinates(bd4, 0)
+        for bad in (link[:-1], (-1,) + link[1:], (link[0] + 1,) + link[1:]):
+            with pytest.raises(ValueError):
+                pl_area(bd4, bad)
+
     def test_zero_vector(self, bd4):
-        assert pl_area(build_complex(bd4, zero_coordinates(bd4))) == PLArea(0, 0.0)
+        assert pl_area(bd4, zero_coordinates(bd4)) == PLArea(0, 0.0)
 
     def test_doubled_link_strictly_superadditive(self, bd4):
         link = vertex_link_coordinates(bd4, 0)
-        one = pl_area(build_complex(bd4, link))
-        two = pl_area(build_complex(bd4, tuple(2 * c for c in link)))
+        one = pl_area(bd4, link)
+        two = pl_area(bd4, tuple(2 * c for c in link))
         assert two.weight == 8
         assert two.length > 2 * one.length
 
@@ -110,7 +115,7 @@ class TestPLArea:
         # vertex links of the 4-simplex boundary are all equivalent under
         # relabeling; their lengths must agree to 1e-9
         lengths = {
-            round(pl_area(build_complex(bd4, link)).length, 9)
+            round(pl_area(bd4, link).length, 9)
             for link in (vertex_link_coordinates(bd4, orbit) for orbit in range(5))
         }
         assert len(lengths) == 1
@@ -125,7 +130,7 @@ class TestPLArea:
         shuffled = restrict(tri.gluings, [3, 0, 6, 1, 7, 2, 5, 4])
         def spectrum(t):
             areas = [
-                pl_area(build_complex(t, c)) for c in enumerate_vertex_solutions(t)
+                pl_area(t, c) for c in enumerate_vertex_solutions(t)
             ]
             return sorted((a.weight, round(a.length, 9)) for a in areas)
         assert spectrum(tri) == spectrum(shuffled)
