@@ -17,10 +17,14 @@ of r.
 projected_area integrates that scaling in closed form, with no quadrature:
 a triangle T meets B_u in a disk D of its plane, and pi_u maps T cap D onto
 the sphere of radius 2r, so T contributes area(T - D) + (2r)^2 |Omega|,
-Omega the solid angle T cap D subtends at u.  boundary_projected_area is
-exact as well: it clips T to the cones from u over the faces of sigma0 and
-takes the shoelace area of each clipped polygon's image.  Nothing here
-integrates numerically.
+Omega the solid angle T cap D subtends at u.  Each triangle's plane frame
+(normal, in-plane axes, vertex coordinates) is computed once per call; the
+(centre, triangle) pairs go in blocks, each with one triangle_distances
+pass that tells pairs on Q, near (closer than 2r) and far apart, and a
+near pair needs only the projections of its centre on the frame's axes.
+boundary_projected_area is exact as well: it clips T to the cones from u
+over the faces of sigma0 and takes the shoelace area of each clipped
+polygon's image.  Nothing here integrates numerically.
 """
 from __future__ import annotations
 
@@ -172,51 +176,54 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products along the last axis of length 3."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def triangle_distances(p: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Euclidean distance from p to each closed flat triangle of an
-    (n, 3, 3) batch, by the standard closest-point region tests.  p is one
-    point (3,) or one point per triangle (n, 3)."""
+    (n, 3, 3) batch of non-degenerate triangles (as a TriangulatedPatch
+    holds).  p is one point (3,) or one point per triangle (n, 3).
+
+    Where the foot of p in T's plane has barycentric coordinates all >= 0,
+    the distance is the height of p over the plane; elsewhere the closest
+    point lies on the boundary, and the distance is the least of the three
+    distances to the edges as clamped segments.  Every pair is evaluated
+    elementwise, so a pair's distance does not depend on the batch.
+    projected_area makes one call per block of (centre, triangle) pairs,
+    over every pair of the block, and reads both its on-Q test and its
+    near/far split off the result."""
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    ab, ac, bc = b - a, c - a, c - b
+    ab, ac = b - a, c - a
     ap = p - a
+    # barycentric coordinates of the foot, scaled by the Gram determinant
+    d00, d01, d11 = _dot(ab, ab), _dot(ab, ac), _dot(ac, ac)
+    d20, d21 = _dot(ap, ab), _dot(ap, ac)
+    gram = d00 * d11 - d01 * d01
+    wb = d11 * d20 - d01 * d21
+    wc = d00 * d21 - d01 * d20
+    inside = (wb >= 0) & (wc >= 0) & (wb + wc <= gram)
+    n = _cross(ab, ac)
+    height = _dot(n, ap)
+    plane2 = height * height / _dot(n, n)
+
+    def segment2(q, edge, q_edge, edge_edge):
+        # squared distance of q, taken from the edge's first vertex
+        w = q - np.clip(q_edge / edge_edge, 0.0, 1.0)[:, None] * edge
+        return _dot(w, w)
+
+    bc = c - b
     bp = p - b
-    cp = p - c
-    d1 = np.sum(ab * ap, axis=1)
-    d2 = np.sum(ac * ap, axis=1)
-    d3 = np.sum(ab * bp, axis=1)
-    d4 = np.sum(ac * bp, axis=1)
-    d5 = np.sum(ab * cp, axis=1)
-    d6 = np.sum(ac * cp, axis=1)
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
-
-    def safe_div(num, den):
-        return num / np.where(den == 0, 1e-300, den)
-
-    t_ab = np.clip(safe_div(d1, d1 - d3), 0.0, 1.0)[:, None]
-    t_ac = np.clip(safe_div(d2, d2 - d6), 0.0, 1.0)[:, None]
-    t_bc = np.clip(safe_div(d4 - d3, (d4 - d3) + (d5 - d6)), 0.0, 1.0)[:, None]
-    n = np.cross(ab, ac)
-    n = n / np.sqrt(np.sum(n * n, axis=1, keepdims=True))
-    foot = p - np.sum(n * ap, axis=1)[:, None] * n
-
-    conditions = [
-        (d1 <= 0) & (d2 <= 0),
-        (d3 >= 0) & (d4 <= d3),
-        (vc <= 0) & (d1 >= 0) & (d3 <= 0),
-        (d6 >= 0) & (d5 <= d6),
-        (vb <= 0) & (d2 >= 0) & (d6 <= 0),
-        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
-    ]
-    choices = [a, b, a + t_ab * ab, c, a + t_ac * ac, b + t_bc * bc]
-    closest = np.select(
-        [np.repeat(cond[:, None], 3, axis=1) for cond in conditions],
-        choices,
-        default=foot,
+    edge2 = np.minimum(
+        np.minimum(segment2(ap, ab, d20, d00), segment2(ap, ac, d21, d11)),
+        segment2(bp, bc, _dot(bp, bc), _dot(bc, bc)),
     )
-    diff = p - closest
-    return np.sqrt(np.sum(diff * diff, axis=1))
+    return np.sqrt(np.where(inside, plane2, edge2))
 
 
 def projected_area(
@@ -225,17 +232,22 @@ def projected_area(
     """|pi_u(Q)|_2 for each centre u in the rows of the (m, 3) array `us`,
     in closed form; NaN for a centre on Q.
 
-    The (centre, triangle) pairs are taken in blocks of at most PAIR_BLOCK,
-    each with one paired triangle_distances call.  A triangle 2r or more from
-    u contributes its area (pi_u is the identity there); any other
-    contribution comes from _closed_form, whose invariant checks raise
+    Each triangle's plane frame is computed once per call: its area, unit
+    normal n, in-plane axes e1 and e2, its vertices' in-plane coordinates
+    X and Y, and the plane's offset H = n . v0.  The (centre, triangle)
+    pairs are taken in blocks of at most PAIR_BLOCK, each with one
+    triangle_distances pass over all of its pairs.  A triangle 2r or more
+    from u contributes its area (pi_u is the identity there); a nearer one
+    gets _closed_form of its vertices relative to the foot of u,
+    X - u . e1 and Y - u . e2, and of the height s = u . n - H of u over
+    its plane.  The invariant checks of _closed_form raise
     JacobianBoundExceeded.
     """
     us = np.asarray(us, dtype=float)
     if us.ndim != 2 or us.shape[1] != 3:
         raise ValueError("centres must have shape (m, 3)")
     tris = patch.triangles
-    areas = _areas(tris)
+    frames = _plane_frames(tris)
     out = np.empty(len(us))
     step = max(1, PAIR_BLOCK // max(len(tris), 1))
     for start in range(0, len(us), step):
@@ -243,35 +255,58 @@ def projected_area(
         rows = np.empty((len(centres), len(tris)))
         for lo in range(0, len(tris), PAIR_BLOCK):
             hi = lo + PAIR_BLOCK
-            rows[:, lo:hi] = _pair_areas(config, centres, tris[lo:hi], areas[lo:hi])
+            part = tuple(f[lo:hi] for f in frames)
+            rows[:, lo:hi] = _pair_areas(config, centres, tris[lo:hi], *part)
         out[start:start + len(centres)] = np.sum(rows, axis=1)
     return out
 
 
-def _pair_areas(config, centres, tris, areas):
+def _plane_frames(tris):
+    """Per triangle: area, unit normal n, in-plane axes e1 (along the first
+    edge) and e2 = n x e1, vertex coordinates X = v . e1 and Y = v . e2 of
+    shape (t, 3), and plane offset H = n . v0."""
+    area = _areas(tris)
+    n = _unit_normals(tris)
+    e1 = tris[:, 1] - tris[:, 0]
+    e1 /= np.sqrt(_dot(e1, e1))[:, None]
+    e2 = _cross(n, e1)
+    x, y = _dot(tris, e1[:, None, :]), _dot(tris, e2[:, None, :])
+    return area, n, e1, e2, x, y, _dot(n, tris[:, 0])
+
+
+def _pair_areas(config, centres, tris, area, n, e1, e2, x, y, h):
     """(k, t) contributions of t triangles seen from k centres; NaN where
     the centre lies on the triangle."""
     k, t = len(centres), len(tris)
-    u = np.repeat(centres, t, axis=0)
-    tri = np.tile(tris, (k, 1, 1))
-    dist = triangle_distances(u, tri)
-    out = np.tile(areas, k)
+    dist = triangle_distances(np.repeat(centres, t, axis=0), np.tile(tris, (k, 1, 1)))
+    dist = dist.reshape(k, t)
+    out = np.tile(area, (k, 1))
     on_q = dist <= 1e-12
     near = (dist < 2.0 * config.r) & ~on_q
-    out[near] = _closed_form(config, u[near], tri[near], out[near])
+    c = centres[:, None, :]
+    # elementwise sums, not c @ e.T: a matrix product may round differently
+    # for different block shapes
+    xs = x[None] - _dot(c, e1[None])[:, :, None]
+    ys = y[None] - _dot(c, e2[None])[:, :, None]
+    s = _dot(c, n[None]) - h[None]
+    out[near] = _closed_form(config, xs[near], ys[near], s[near], out[near])
     out[on_q] = math.nan
-    return out.reshape(k, t)
+    return out
 
 
-def _closed_form(config, u, tri, area):
-    """area(T - D) + (2r)^2 |Omega(T cap D)| for pairs of centres u and
-    triangles T with areas `area`, each u off T and closer than 2r to it.
+def _closed_form(config, x, y, s, area):
+    """area(T - D) + (2r)^2 |Omega(T cap D)| for pairs of a centre u and a
+    triangle T of area `area`, u off T and closer than 2r to it.  Each pair
+    comes in T's plane frame (e1, e2, n), with no frame built here: the
+    rows of x and y hold the in-plane coordinates of T's vertices relative
+    to the foot p of u, and s is the signed height of u over the plane;
+    edge i runs from (x, y) to (x + dx, y + dy), counter-clockwise about n.
 
-    D is the disk where the plane of T meets B_u: its centre p is the foot
-    of u, its radius R = sqrt((2r)^2 - s^2) for the signed height s of u
-    over the plane, and Omega is the solid angle seen from u.  Both
-    area(T cap D) and Omega(T cap D) are signed fans from p over the edges
-    of T, each edge clipped to the circle of D into up to three pieces:
+    D is the disk where the plane of T meets B_u: its centre is p, its
+    radius R = sqrt((2r)^2 - s^2), and Omega is the solid angle seen from
+    u.  Both area(T cap D) and Omega(T cap D) are signed fans from p over
+    the edges of T, each edge clipped to the circle of D into up to three
+    pieces:
     - a piece [w1, w2] inside D adds the triangle (p, w1, w2), with its
       Van Oosterom-Strackee solid angle 2 atan2(a.(b x c), ...) for
       a, b, c = p - u, w1 - u, w2 - u;
@@ -282,22 +317,13 @@ def _closed_form(config, u, tri, area):
     about every point inside D, so the fans sum to T cap D exactly.
     """
     two_r = 2.0 * config.r
-    # in-plane frame (e1, e2, n): e1 along the first edge, n the unit normal
-    n = _unit_normals(tri)
-    e1 = tri[:, 1] - tri[:, 0]
-    e1 /= np.sqrt(_dot(e1, e1))[:, None]
-    e2 = np.cross(n, e1)
-    # vertices relative to p, in (e1, e2); edge i runs from (x, y) to
-    # (x + dx, y + dy), counter-clockwise about n
-    rel = tri - u[:, None, :]
-    x, y = _dot(rel, e1[:, None, :]), _dot(rel, e2[:, None, :])
-    s = -_dot(rel[:, 0], n)
     # below 1e-150 the triangle terms underflow while the sector terms keep
     # sign(s); the true Omega is then below 1e-100, as u is 1e-12 off T
     s = np.where(np.abs(s) < 1e-150, 0.0, s)[:, None]
     s2 = s * s
     r2 = np.maximum(two_r ** 2 - s2, 0.0)
-    dx, dy = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
+    nxt = [1, 2, 0]
+    dx, dy = x[:, nxt] - x, y[:, nxt] - y
     qa = dx * dx + dy * dy
     qb = x * dx + y * dy
     disc = qb * qb - qa * (x * x + y * y - r2)
@@ -319,8 +345,12 @@ def _closed_form(config, u, tri, area):
     num = -2.0 * s * fan
     den = h * lb * lc + s2 * (lb + lc) + (w1x * w2x + w1y * w2y + s2) * h
     cap = np.sign(s) * np.maximum(1.0 - h / two_r, 0.0)
-    inside = np.sum(fan + 0.5 * r2 * phi, axis=1)
-    omega = np.sum(2.0 * np.arctan2(num, den) - cap * phi, axis=1)
+    # the three edges summed column by column, in np.sum's order but without
+    # its overhead on a length-3 axis
+    inside = fan + 0.5 * r2 * phi
+    inside = inside[:, 0] + inside[:, 1] + inside[:, 2]
+    omega = 2.0 * np.arctan2(num, den) - cap * phi
+    omega = omega[:, 0] + omega[:, 1] + omega[:, 2]
     slack = _INVARIANT_SLACK
     ok = (inside >= -slack * area) & (inside <= (1.0 + slack) * area)
     ok &= np.abs(omega) <= 2.0 * math.pi * (1.0 + slack)

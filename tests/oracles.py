@@ -13,10 +13,14 @@ and `validate` itself as they were before they followed each gluing from
 its lesser slot only (every entry followed from both of its slots, face
 orbits from a union-find, permutations checked by sorting) are the
 references for the one-slot kernels; they share `_UnionFind` with the
-library, which its own test checks against a graph search.  Projected areas have two references: a
-polygon clipping that needs no quadrature at all, and the adaptive
-quadrature of the pointwise area Jacobian that `kneser.projection` used
-before its closed forms.  That quadrature (`_integrate_jacobian`, its
+library, which its own test checks against a graph search.  Projected
+areas have three references: a polygon clipping that needs no quadrature
+at all, the adaptive quadrature of the pointwise area Jacobian that
+`kneser.projection` used before its closed forms, and the closed form as
+it was before its per-triangle plane frames, which built each pair's frame
+from a tiled copy of the triangle and took distances by the six-region
+closest-point test (`projected_area_reference`,
+`triangle_distances_reference`).  That quadrature (`_integrate_jacobian`, its
 7-point rule and its two constants) lives here now, and nothing in
 `kneser` integrates numerically.  The definition of a sphere witness by
 reconstruction, and the loop that computed the PL area of every witness,
@@ -69,8 +73,11 @@ from kneser.normal import (
 )
 from kneser.pl_area import PLArea, normal_arc_length
 from kneser.projection import (
+    _INVARIANT_SLACK,
+    PAIR_BLOCK,
     _areas,
     _clip_half_plane,
+    _dot,
     _unit_normals,
     simplex_planes,
     triangle_distances,
@@ -951,6 +958,144 @@ def polygon_projected_area(config, u, tris, sides: int = 4000) -> float:
         omega = 2.0 * float(np.sum(np.arctan2(num, den)))
         total += area - clipped + two_r ** 2 * abs(omega)
     return total
+
+
+def triangle_distances_reference(p: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Euclidean distance from p to each closed flat triangle of an
+    (n, 3, 3) batch, by the standard closest-point region tests.  p is one
+    point (3,) or one point per triangle (n, 3)."""
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    ab, ac, bc = b - a, c - a, c - b
+    ap = p - a
+    bp = p - b
+    cp = p - c
+    d1 = np.sum(ab * ap, axis=1)
+    d2 = np.sum(ac * ap, axis=1)
+    d3 = np.sum(ab * bp, axis=1)
+    d4 = np.sum(ac * bp, axis=1)
+    d5 = np.sum(ab * cp, axis=1)
+    d6 = np.sum(ac * cp, axis=1)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    def safe_div(num, den):
+        return num / np.where(den == 0, 1e-300, den)
+
+    t_ab = np.clip(safe_div(d1, d1 - d3), 0.0, 1.0)[:, None]
+    t_ac = np.clip(safe_div(d2, d2 - d6), 0.0, 1.0)[:, None]
+    t_bc = np.clip(safe_div(d4 - d3, (d4 - d3) + (d5 - d6)), 0.0, 1.0)[:, None]
+    n = np.cross(ab, ac)
+    n = n / np.sqrt(np.sum(n * n, axis=1, keepdims=True))
+    foot = p - np.sum(n * ap, axis=1)[:, None] * n
+
+    conditions = [
+        (d1 <= 0) & (d2 <= 0),
+        (d3 >= 0) & (d4 <= d3),
+        (vc <= 0) & (d1 >= 0) & (d3 <= 0),
+        (d6 >= 0) & (d5 <= d6),
+        (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
+    ]
+    choices = [a, b, a + t_ab * ab, c, a + t_ac * ac, b + t_bc * bc]
+    closest = np.select(
+        [np.repeat(cond[:, None], 3, axis=1) for cond in conditions],
+        choices,
+        default=foot,
+    )
+    diff = p - closest
+    return np.sqrt(np.sum(diff * diff, axis=1))
+
+
+def projected_area_reference(config, us, patch) -> np.ndarray:
+    """|pi_u(Q)|_2 for each centre in the rows of `us`, NaN for a centre on
+    Q, by the per-pair closed form: every (centre, triangle) pair builds the
+    triangle's normal and in-plane frame from its own tiled copy."""
+    us = np.asarray(us, dtype=float)
+    if us.ndim != 2 or us.shape[1] != 3:
+        raise ValueError("centres must have shape (m, 3)")
+    tris = patch.triangles
+    areas = _areas(tris)
+    out = np.empty(len(us))
+    step = max(1, PAIR_BLOCK // max(len(tris), 1))
+    for start in range(0, len(us), step):
+        centres = us[start:start + step]
+        rows = np.empty((len(centres), len(tris)))
+        for lo in range(0, len(tris), PAIR_BLOCK):
+            hi = lo + PAIR_BLOCK
+            rows[:, lo:hi] = _pair_areas_reference(config, centres, tris[lo:hi], areas[lo:hi])
+        out[start:start + len(centres)] = np.sum(rows, axis=1)
+    return out
+
+
+def _pair_areas_reference(config, centres, tris, areas):
+    """(k, t) contributions of t triangles seen from k centres; NaN where
+    the centre lies on the triangle."""
+    k, t = len(centres), len(tris)
+    u = np.repeat(centres, t, axis=0)
+    tri = np.tile(tris, (k, 1, 1))
+    dist = triangle_distances_reference(u, tri)
+    out = np.tile(areas, k)
+    on_q = dist <= 1e-12
+    near = (dist < 2.0 * config.r) & ~on_q
+    out[near] = _closed_form_reference(config, u[near], tri[near], out[near])
+    out[on_q] = math.nan
+    return out.reshape(k, t)
+
+
+def _closed_form_reference(config, u, tri, area):
+    """area(T - D) + (2r)^2 |Omega(T cap D)| for pairs of centres u and
+    triangles T with areas `area`, each u off T and closer than 2r to it;
+    the fans of kneser.projection._closed_form in a frame built per pair."""
+    two_r = 2.0 * config.r
+    # in-plane frame (e1, e2, n): e1 along the first edge, n the unit normal
+    n = _unit_normals(tri)
+    e1 = tri[:, 1] - tri[:, 0]
+    e1 /= np.sqrt(_dot(e1, e1))[:, None]
+    e2 = np.cross(n, e1)
+    # vertices relative to p, in (e1, e2); edge i runs from (x, y) to
+    # (x + dx, y + dy), counter-clockwise about n
+    rel = tri - u[:, None, :]
+    x, y = _dot(rel, e1[:, None, :]), _dot(rel, e2[:, None, :])
+    s = -_dot(rel[:, 0], n)
+    # below 1e-150 the triangle terms underflow while the sector terms keep
+    # sign(s); the true Omega is then below 1e-100, as u is 1e-12 off T
+    s = np.where(np.abs(s) < 1e-150, 0.0, s)[:, None]
+    s2 = s * s
+    r2 = np.maximum(two_r ** 2 - s2, 0.0)
+    dx, dy = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
+    qa = dx * dx + dy * dy
+    qb = x * dx + y * dy
+    disc = qb * qb - qa * (x * x + y * y - r2)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    meets = disc > 0
+    t1 = np.where(meets, np.clip((-qb - root) / qa, 0.0, 1.0), 1.0)
+    t2 = np.where(meets, np.clip((-qb + root) / qa, 0.0, 1.0), 1.0)
+    # pieces [v, w1] and [w2, v + d] lie outside D, [w1, w2] inside
+    w1x, w1y = x + t1 * dx, y + t1 * dy
+    w2x, w2y = x + t2 * dx, y + t2 * dy
+    phi = np.arctan2(x * w1y - y * w1x, x * w1x + y * w1y) + np.arctan2(
+        w2x * (y + dy) - w2y * (x + dx), w2x * (x + dx) + w2y * (y + dy)
+    )
+    fan = 0.5 * (w1x * w2y - w1y * w2x)
+    # a = p - u = -s n, b = w1 - s n, c = w2 - s n
+    h = np.abs(s)
+    lb = np.sqrt(w1x * w1x + w1y * w1y + s2)
+    lc = np.sqrt(w2x * w2x + w2y * w2y + s2)
+    num = -2.0 * s * fan
+    den = h * lb * lc + s2 * (lb + lc) + (w1x * w2x + w1y * w2y + s2) * h
+    cap = np.sign(s) * np.maximum(1.0 - h / two_r, 0.0)
+    inside = np.sum(fan + 0.5 * r2 * phi, axis=1)
+    omega = np.sum(2.0 * np.arctan2(num, den) - cap * phi, axis=1)
+    slack = _INVARIANT_SLACK
+    ok = (inside >= -slack * area) & (inside <= (1.0 + slack) * area)
+    ok &= np.abs(omega) <= 2.0 * math.pi * (1.0 + slack)
+    if not np.all(ok):
+        raise JacobianBoundExceeded(
+            "closed-form projected area broke 0 <= area(T cap D) <= area(T) "
+            "or |Omega(T cap D)| <= 2 pi"
+        )
+    return area - inside + two_r ** 2 * np.abs(omega)
 
 
 def reconstruct_sphere_witnesses(

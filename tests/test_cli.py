@@ -106,6 +106,28 @@ GOLDEN_ENUMERATE = {
 }
 
 
+# exit code and sha256 of stdout of `montecarlo <patch> --samples 300 --seed
+# S --sweep 1:200:12` for each corpus patch and S in {0, 3, 7}, recorded
+# when every (centre, triangle) pair built its own plane frame
+GOLDEN_MONTECARLO = {
+    ("patch_corner.patch", 0): (0, "b5b494776fadd0406b274c3a01e24432bc8974f278ccfcb69c436ffd45034f84"),
+    ("patch_corner.patch", 3): (0, "b4da352c59deb71ce03ace4101f98b9502e97307946b2fa71c7431d3c9872549"),
+    ("patch_corner.patch", 7): (0, "15f803e99d17a950db54ed42faff2b1d49315e7c58579442a1adb7c04f84bfe4"),
+    ("patch_sphere.patch", 0): (0, "69d15ce5db877577ff349a680286f32edf2edb76893727e3627b43c07cab708e"),
+    ("patch_sphere.patch", 3): (0, "9233f5f1414d16ce0965b6d8b1a9762cba45ea6ad6812c6b1ae0a7fe4c8861d4"),
+    ("patch_sphere.patch", 7): (0, "6d7a6c6863ae82b634424188cc70b9de25b8e519c49f92a923c631d2777cb67b"),
+    ("patch_sphere_large.patch", 0): (0, "8e2df7a21a2883471498f76b62bec13de0b34b21c41d7a26d6acbb82ed0d9d4f"),
+    ("patch_sphere_large.patch", 3): (0, "d503eb4954a6138cad19e9972df7a896444b8162e4619ff335b98f41d35526e9"),
+    ("patch_sphere_large.patch", 7): (0, "dea7311c3bfbcaea447eb05d7b78e567cae02c6d3f417f1a622aee572a986357"),
+    ("patch_square_center.patch", 0): (0, "3d4211925ce9d33becac48e3d4412a478f9c4f87982ecf26da22279a8c3754eb"),
+    ("patch_square_center.patch", 3): (0, "f4bcec0646249b8de4b49f20447164208ead962fff9c07cc9ee6bfa1ed2eb59e"),
+    ("patch_square_center.patch", 7): (0, "df2922c78045d205d1ed6507e540eff631f486063e195f55275d7a9f37d70e1d"),
+    ("patch_square_tilted.patch", 0): (0, "bae21cdc3e47c8890edea7fcbff1364cec14540b1341e313d8a284ddc26b9c9b"),
+    ("patch_square_tilted.patch", 3): (0, "de8b6b0d6cf8232a526b833fe46ea9da90a6e37c32900d2190629c966e530c6c"),
+    ("patch_square_tilted.patch", 7): (0, "94d926c817a2779734d865972f20ea156e71b5557840f2bafe229e5c67317bd6"),
+}
+
+
 class TestGoldenStdout:
     def test_decompose_oracle_check(self, corpus_dir, tmp_path, capsys):
         from kneser import corpus
@@ -138,6 +160,21 @@ class TestGoldenEnumerate:
             out = capsys.readouterr().out
             digest = hashlib.sha256(out.encode()).hexdigest()
             assert (code, digest) == GOLDEN_ENUMERATE[path.name], path.name
+
+
+class TestGoldenMontecarlo:
+    def test_montecarlo_sweep(self, corpus_dir, capsys):
+        paths = sorted(corpus_dir.glob("*.patch"))
+        assert sorted({name for name, _ in GOLDEN_MONTECARLO}) == [p.name for p in paths]
+        for path in paths:
+            for seed in (0, 3, 7):
+                code = cli.main([
+                    "montecarlo", str(path), "--samples", "300", "--seed", str(seed),
+                    "--sweep", "1:200:12",
+                ])
+                out = capsys.readouterr().out
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                assert (code, digest) == GOLDEN_MONTECARLO[path.name, seed], (path.name, seed)
 
 
 class TestDecomposeCommand:

@@ -41,8 +41,10 @@ from oracles import (
     _subdivide,
     boundary_project,
     polygon_projected_area,
+    projected_area_reference,
     quadrature_projected_area,
     shell_quadrature_k,
+    triangle_distances_reference,
 )
 
 CFG = ProjectionConfig(seed=7, samples=400)
@@ -389,6 +391,112 @@ class TestClosedForm:
             quad = np.array([quadrature_projected_area(cfg, u, patch) for u in us])
             assert np.median(np.abs(quad - closed) / closed) < 1e-5
             assert np.all(np.abs(quad - closed) <= 0.5 * closed)
+
+
+CORPUS_PATCHES = ["sphere_small", "sphere_large", "square_center", "square_tilted", "corner"]
+
+
+def _assert_distances_agree(points, tris):
+    """triangle_distances against the region-test reference: the same
+    on-Q (<= 1e-12) and near (< 2r) decisions, and distances within relative
+    1e-12.  The two kernels round differently, so a distance that is a small
+    remainder of coordinates of size `scale` (a point on T or just over its
+    plane) is held to 1e-15 scale instead."""
+    got = triangle_distances(points, tris)
+    want = triangle_distances_reference(points, tris)
+    assert np.array_equal(got <= 1e-12, want <= 1e-12)
+    assert np.array_equal(got < 2 * DEFAULT_R, want < 2 * DEFAULT_R)
+    scale = np.max(np.linalg.norm(points[:, None, :] - tris, axis=2), axis=1)
+    assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-15 * scale)
+
+
+class TestAgainstPerPairReference:
+    """The per-triangle plane frames and the leaner distance kernel against
+    the per-pair path they replaced (`oracles.projected_area_reference`,
+    `oracles.triangle_distances_reference`)."""
+
+    @pytest.mark.parametrize("name", CORPUS_PATCHES)
+    def test_corpus_patches(self, name):
+        from test_acceptance import corpus_patches
+
+        patch = TriangulatedPatch(corpus_patches()[name])
+        for seed in (0, 3, 7):
+            cfg = ProjectionConfig(seed=seed, samples=2000)
+            us = ball_samples(cfg.seed, 0, cfg.samples, cfg.r)
+            got = projected_area(cfg, us, patch)
+            want = projected_area_reference(cfg, us, patch)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            ok = ~np.isnan(want)
+            # relative 1e-12; a value below |Q| is the small remainder of
+            # area(T) - area(T cap D) over terms of size |Q| (u near the
+            # plane of a square inside D), and both paths round those terms
+            tol = 1e-12 * np.maximum(np.abs(want[ok]), patch.area)
+            assert np.all(np.abs(got[ok] - want[ok]) <= tol), seed
+
+    def test_distances_on_random_triangles(self):
+        rng = np.random.default_rng(8)
+        tris = 0.1 * rng.normal(size=(4000, 3, 3))
+        points = 0.1 * rng.normal(size=(4000, 3))
+        _assert_distances_agree(points, tris)
+
+    def test_distances_at_vertices_edges_interiors_and_in_plane(self):
+        rng = np.random.default_rng(9)
+        m = 500
+        tris = 0.1 * rng.normal(size=(m, 3, 3))
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        normal = np.cross(b - a, c - a)
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+        w = rng.uniform(size=(m, 1))
+        interior = np.einsum("kb,kbd->kd", rng.dirichlet(np.ones(3), size=m), tris)
+        # in the plane, inside T or outside it past any edge or vertex
+        alpha, beta = rng.uniform(-1.5, 2.5, size=(2, m, 1))
+        groups = {
+            "vertex": [a, b, c],
+            "edge": [a + w * (b - a), b + w * (c - b), c + w * (a - c)],
+            "interior": [interior, interior + 1e-13 * normal, interior + 0.05 * normal],
+            "in plane": [a + alpha * (b - a) + beta * (c - a)],
+        }
+        for points in groups.values():
+            for p in points:
+                _assert_distances_agree(p, tris)
+        for p in groups["vertex"] + groups["edge"] + groups["interior"][:2]:
+            assert np.all(triangle_distances(p, tris) <= 1e-12)
+
+
+class TestOnSurfaceBoundary:
+    """A centre within 1e-12 of Q gives NaN, one 2e-12 off a finite value,
+    approached along the normal over an interior point, in the plane
+    outward from an edge midpoint, and outward from a vertex."""
+
+    @pytest.mark.parametrize("name", CORPUS_PATCHES)
+    def test_nan_inside_1e12_finite_beyond(self, name):
+        from test_acceptance import corpus_patches
+
+        tri = corpus_patches()[name][0]
+        patch = TriangulatedPatch(tri[None])
+        a, b, c = tri
+        normal = np.cross(b - a, c - a)
+        normal /= np.linalg.norm(normal)
+        # in-plane unit normal of edge ab, away from c
+        out_ab = np.cross(b - a, normal)
+        out_ab /= np.linalg.norm(out_ab)
+        if out_ab @ (c - a) > 0:
+            out_ab = -out_ab
+        # the outward bisector at a lies in a's normal cone, so a is the
+        # closest point of T
+        bisector = -((b - a) / np.linalg.norm(b - a) + (c - a) / np.linalg.norm(c - a))
+        bisector /= np.linalg.norm(bisector)
+        starts = [(tri.mean(axis=0), normal), (0.5 * (a + b), out_ab), (a, bisector)]
+        cfg = ProjectionConfig()
+        for offset, on_q in ((0.5e-12, True), (2e-12, False)):
+            us = np.array([p + offset * d for p, d in starts])
+            dist = triangle_distances(us, np.repeat(tri[None], 3, axis=0))
+            assert np.array_equal(dist <= 1e-12, [on_q] * 3), offset
+            got = projected_area(cfg, us, patch)
+            want = projected_area_reference(cfg, us, patch)
+            assert np.array_equal(np.isnan(got), [on_q] * 3), offset
+            assert np.array_equal(np.isnan(want), [on_q] * 3), offset
+            assert np.array_equal(np.isfinite(got), [not on_q] * 3), offset
 
 
 class TestBoundaryProjection:
