@@ -12,7 +12,8 @@ trees, Hatcher, Algebraic Topology, sections 1.2 and 2.2):
 
 - d_1 is a signed incidence matrix of the 1-skeleton, totally unimodular
   with rank V - c, c its number of components: the number of edges in a
-  spanning forest, read off a union-find with no elimination.
+  spanning forest, with no elimination.  A greedy union-find pass over the
+  edge orbits, whose ends come off the skeleton's vertex array, takes it.
 - d_2 keeps its rank and divisors when the rows of a spanning forest of the
   1-skeleton and the columns of a spanning forest of the dual graph (tets
   joined by face orbits of two slots) are deleted.  Rows: the image of d_2
@@ -26,13 +27,17 @@ trees, Hatcher, Algebraic Topology, sections 1.2 and 2.2):
   (T + 1) x (T + 1) for a connected closed triangulation, against the
   (V + T) x 2T of the full d_2.
 
-d_3 (only H_2 needs it) keeps its full matrix.  Smith normal form runs in
-two phases: a sparse elimination over unit pivots (which is all a boundary
-matrix usually needs and never grows coefficients), then a textbook integer
-SNF on the small remaining core.  The sparse phase takes the least-cost
-unit pivot first (Markowitz, Management Sci. 3, 1957) from a heap whose
-keys are pushed again when their row or column changes and are checked
-again when popped, so no pivot rescans the matrix.
+d_3 (only H_2 needs it) keeps its full matrix.  The entries of d_2 and
+d_3, with their orientation signs, are read off the skeleton's per-slot
+orbit and direction arrays and the table's permutation rows at once.
+
+Smith normal form runs in two phases: a sparse elimination over unit pivots
+(which is all a boundary matrix usually needs and never grows
+coefficients), then a textbook integer SNF on the small remaining core.
+The sparse phase takes the least-cost unit pivot first (Markowitz,
+Management Sci. 3, 1957) from a heap whose keys are pushed again when
+their row or column changes and are checked again when popped, so no pivot
+rescans the matrix.
 """
 from __future__ import annotations
 
@@ -41,15 +46,19 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from math import gcd
 
+import numpy as np
+
 from .triangulation import (
     EDGE_BETWEEN,
     EDGE_VERTICES,
     FACE_VERTICES,
+    SkeletonTable,
     Triangulation,
     _UnionFind,
-    perm_sign,
     skeleton,
 )
+
+_EDGE_ENDS = np.array(EDGE_VERTICES)
 
 
 @dataclass(frozen=True)
@@ -239,52 +248,59 @@ def _dense_snf(m: list[list[int]]) -> list[int]:
     return diag
 
 
+# _D2_EDGES[f] and _D2_SIGNS: the edges (b, c), (a, c), (a, b) of face f =
+# (a, b, c), and their signs in the boundary of the face
+_D2_EDGES = np.array([
+    [EDGE_BETWEEN[b][c], EDGE_BETWEEN[a][c], EDGE_BETWEEN[a][b]]
+    for a, b, c in FACE_VERTICES
+])
+_D2_SIGNS = np.array([1, -1, 1])
+
+
+def _representatives(orbit: np.ndarray) -> np.ndarray:
+    """The flat slot of each orbit's representative, its least slot:
+    orbits are numbered in order of their least slot, so that is where the
+    running maximum of the numbers grows."""
+    flat = orbit.ravel()
+    grows = np.ones(len(flat), dtype=bool)
+    np.greater(flat[1:], np.maximum.accumulate(flat)[:-1], out=grows[1:])
+    return np.flatnonzero(grows)
+
+
 def boundary_entries(tri: Triangulation, k: int) -> tuple[list[Entry], int, int]:
     """Sparse entries of the boundary map C_k -> C_{k-1} of the orbit complex,
-    k in {2, 3} (d_1 needs no matrix, see the module docstring).
+    k in {2, 3} (d_1 needs no matrix, see the module docstring), read off
+    the skeleton's slot arrays.
 
     Returns (entries, nrows, ncols) with rows indexed by (k-1)-orbits and
     columns by k-orbits.
     """
     sk = skeleton(tri)
     if k == 2:
-        entries = []
-        for idx, orbit in enumerate(sk.face_orbits):
-            tet, f = orbit[0]
-            a, b, c = FACE_VERTICES[f]
-            for sign, (u, v) in ((1, (b, c)), (-1, (a, c)), (1, (a, b))):
-                eidx, reversed_ = sk.edge_orbit_of[(tet, EDGE_BETWEEN[u][v])]
-                entries.append((eidx, idx, -sign if reversed_ else sign))
-        return entries, sk.edge_count, sk.face_count
+        tet, face = np.divmod(_representatives(sk.face_orbit), 4)
+        edges = _D2_EDGES[face]
+        rows = sk.edge_orbit[tet[:, None], edges]
+        values = np.where(sk.edge_reversed[tet[:, None], edges], -_D2_SIGNS, _D2_SIGNS)
+        cols = np.repeat(np.arange(len(tet)), 3)
+        return _entries(rows.ravel(), cols, values.ravel()), sk.edge_count, sk.face_count
     if k == 3:
-        entries = []
-        rel = _face_orientation_table(tri)
-        for i in range(tri.size):
-            for f in range(4):
-                fidx = sk.face_orbit_of[(i, f)]
-                sign = (-1) ** f * rel[(i, f)]
-                entries.append((fidx, i, sign))
-        return entries, sk.face_count, tri.size
+        signs = _face_signs(tri, sk) * np.array([1, -1, 1, -1])
+        cols = np.repeat(np.arange(tri.size), 4)
+        return _entries(sk.face_orbit.ravel(), cols, signs.ravel()), sk.face_count, tri.size
     raise ValueError("k must be 2 or 3")
 
 
-def _face_orientation_table(tri: Triangulation) -> dict[tuple[int, int], int]:
+def _entries(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> list[Entry]:
+    return list(zip(rows.tolist(), cols.tolist(), values.tolist()))
+
+
+def _face_signs(tri: Triangulation, sk: SkeletonTable) -> np.ndarray:
     """+1/-1 per face slot: does its ascending-vertex orientation match the
-    orbit representative's?"""
-    sk = skeleton(tri)
-    rel: dict[tuple[int, int], int] = {}
-    for orbit in sk.face_orbits:
-        rep = orbit[0]
-        rel[rep] = 1
-        if len(orbit) == 1:
-            continue
-        tet, f = rep
-        g = tri.gluings[tet][f]
-        if g is None:
-            continue
-        images = tuple(g.perm[v] for v in FACE_VERTICES[f])
-        rel[(g.tet, g.face)] = perm_sign(images)
-    return rel
+    orbit representative's?  At the other slot of a gluing it is the sign
+    of the gluing's map between the two faces."""
+    reps = np.zeros(4 * tri.size, dtype=bool)
+    reps[_representatives(sk.face_orbit)] = True
+    return np.where(reps.reshape(tri.size, 4), 1, tri.arrays.face_signs())
 
 
 def _spanning_forest(n: int, ends: list[tuple[int, int]]) -> set[int]:
@@ -304,17 +320,13 @@ def _forests(tri: Triangulation) -> tuple[set[int], set[int]]:
     orbits) and one of the dual graph (face orbits of two slots joining
     their tets)."""
     sk = skeleton(tri)
-    edge_ends = []
-    for tet, e in (orbit[0] for orbit in sk.edge_orbits):
-        u, v = EDGE_VERTICES[e]
-        edge_ends.append((sk.vertex_orbit_of[(tet, u)], sk.vertex_orbit_of[(tet, v)]))
-    face_ends = [
-        (orbit[0][0], orbit[-1][0]) if len(orbit) == 2 else (orbit[0][0],) * 2
-        for orbit in sk.face_orbits
-    ]
+    tet, edge = np.divmod(_representatives(sk.edge_orbit), 6)
+    ends = sk.vertex_orbit[tet[:, None], _EDGE_ENDS[edge]]
+    tet, face = np.divmod(_representatives(sk.face_orbit), 4)
+    other = tri.arrays.neighbours()[tet, face]
     return (
-        _spanning_forest(sk.vertex_count, edge_ends),
-        _spanning_forest(tri.size, face_ends),
+        _spanning_forest(sk.vertex_count, ends.tolist()),
+        _spanning_forest(tri.size, list(zip(tet.tolist(), other.tolist()))),
     )
 
 

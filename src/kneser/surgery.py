@@ -18,7 +18,9 @@ is used to audit crush outputs, not in the decomposition loop.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     ConsistencyCheckFailed,
@@ -37,14 +39,16 @@ from .triangulation import (
     EDGE_BETWEEN,
     EDGE_VERTICES,
     FACE_VERTICES,
+    GluingArrays,
     Perm,
     SkeletonTable,
     Triangulation,
-    _UnionFind,
+    components,
     perm_compose,
+    perm_inverse,
     skeleton,
     split_components,
-    validate,
+    validate_arrays,
 )
 
 
@@ -192,15 +196,13 @@ def _central_patch_region(tcount, qtype, q, face: int) -> RegionId:
 # arcs).
 
 
-@dataclass(frozen=True)
-class _PatchSide:
+class _PatchSide(NamedTuple):
     kind: str          # "arc" | "seg"
     data: tuple        # arc: (corner, n); seg: (local edge, interval)
     direction: int
 
 
-@dataclass(frozen=True)
-class _Patch:
+class _Patch(NamedTuple):
     key: tuple                 # ("corner", w, i) or ("central",)
     nodes: tuple               # cycle node tokens, rep-local
     sides: tuple[_PatchSide, ...]  # side k runs nodes[k] -> nodes[k+1]
@@ -290,8 +292,7 @@ def _reverse(side: _PatchSide) -> _PatchSide:
     return _PatchSide(side.kind, side.data, -side.direction)
 
 
-@dataclass(frozen=True)
-class _Cone:
+class _Cone(NamedTuple):
     """One cone tetrahedron over a boundary triangle of a cell.
 
     Local vertices 0..2 are the triangle corners (side k runs from corner k
@@ -331,6 +332,25 @@ def _edge_weight_local(sk, weights, tet: int, e: int) -> int:
     return weights[orbit]
 
 
+def _side_gluing(k1: int, k2: int, same: bool) -> Perm:
+    """The gluing of cone side k1 to side k2, which runs the
+    same way along their 1-cell when `same`: the side's corners go to the
+    partner's, the third corners to each other and the apex to the apex."""
+    perm = [0, 0, 0, 3]
+    if same:
+        perm[k1], perm[(k1 + 1) % 3] = k2, (k2 + 1) % 3
+    else:
+        perm[k1], perm[(k1 + 1) % 3] = (k2 + 1) % 3, k2
+    perm[(k1 + 2) % 3] = (k2 + 2) % 3
+    return (perm[0], perm[1], perm[2], perm[3])
+
+
+_SIDE_GLUING = {
+    (k1, k2, same): _side_gluing(k1, k2, same)
+    for k1 in range(3) for k2 in range(3) for same in (False, True)
+}
+
+
 def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
     """The cut-open manifold along the surface of `build_complex(tri,
     coords)`: every complementary cell coned from an apex, with the two
@@ -363,14 +383,17 @@ def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
     # face patches, instantiated on both slots of each face orbit
     for fo, orbit in enumerate(sk.face_orbits):
         rep = orbit[0]
-        patches = _face_patches(sk, coords, weights, fo)
+        patches = [
+            (patch, list(_patch_pieces(patch)))
+            for patch in _face_patches(sk, coords, weights, fo)
+        ]
         g = tri.gluings[rep[0]][rep[1]]
         assert g is not None
         slots = [(rep, (0, 1, 2, 3)), ((g.tet, g.face), g.perm)]
         for slot, pi in slots:
             tet, face_local = slot
             pi_face = pi[rep[1]]
-            for patch in patches:
+            for patch, pieces in patches:
                 if patch.key[0] == "corner":
                     _, w, i = patch.key
                     region = _patch_region(
@@ -382,7 +405,7 @@ def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
                         tcounts[tet], qtypes[tet], qcounts[tet], pi_face
                     )
                 cell = (tet, region)
-                for piece_idx, piece_sides in _patch_pieces(patch):
+                for piece_idx, piece_sides in pieces:
                     tokens = []
                     for s in piece_sides:
                         if isinstance(s, _PatchSide):
@@ -398,13 +421,9 @@ def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
                             tokens.append(
                                 (("diag", patch.key, chord, slot), direction)
                             )
-                    cones.append(
-                        _Cone(
-                            cell=cell,
-                            sides=tuple(tokens),
-                            base=("patch", fo, patch.key, piece_idx, slot),
-                        )
-                    )
+                    cones.append(_Cone(
+                        cell, tuple(tokens), ("patch", fo, patch.key, piece_idx, slot)
+                    ))
 
     # normal disks, one instance per side, bases left unglued
     for disk in complex_.disks:
@@ -437,64 +456,83 @@ def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
                     )
                 )
 
-    rows: list[list] = [[None] * 4 for _ in cones]
-
     # base gluings: pair the two slot instances of each patch piece
     by_base: dict[tuple, list[int]] = {}
     for idx, cone in enumerate(cones):
         if cone.base is not None:
             key = cone.base[:4]
             by_base.setdefault(key, []).append(idx)
-    for key, pair in sorted(by_base.items()):
-        if len(pair) != 2:
-            raise ConsistencyCheckFailed(
-                f"patch piece {key} has {len(pair)} instances"
-            )
-        a, b = pair
-        rows[a][3] = (b, 3, (0, 1, 2, 3))
-        rows[b][3] = (a, 3, (0, 1, 2, 3))
+    # each slot is written by its own group, so the groups go in any order
+    # unless one is malformed: then the least such key is named
+    bad = [key for key, pair in by_base.items() if len(pair) != 2]
+    if bad:
+        key = min(bad)
+        raise ConsistencyCheckFailed(
+            f"patch piece {key} has {len(by_base[key])} instances"
+        )
 
     # side gluings: match tokens within each cell
     by_side: dict[tuple, list[tuple[int, int, int]]] = {}
     for idx, cone in enumerate(cones):
         for k, (token, direction) in enumerate(cone.sides):
             by_side.setdefault((cone.cell, token), []).append((idx, k, direction))
-    for key, group in sorted(by_side.items()):
-        if len(group) != 2:
-            raise ConsistencyCheckFailed(
-                f"cell 1-cell {key} bounds {len(group)} sides"
-            )
-        (i1, k1, d1), (i2, k2, d2) = group
-        perm1 = [0, 0, 0, 0]
-        if d1 == d2:
-            perm1[k1] = k2
-            perm1[(k1 + 1) % 3] = (k2 + 1) % 3
-        else:
-            perm1[k1] = (k2 + 1) % 3
-            perm1[(k1 + 1) % 3] = k2
-        perm1[(k1 + 2) % 3] = (k2 + 2) % 3
-        perm1[3] = 3
-        f1 = (k1 + 2) % 3
-        f2 = (k2 + 2) % 3
-        perm2 = [0, 0, 0, 0]
-        for v in range(4):
-            perm2[perm1[v]] = v
-        rows[i1][f1] = (i2, f2, tuple(perm1))
-        rows[i2][f2] = (i1, f1, tuple(perm2))
+    bad = [key for key, group in by_side.items() if len(group) != 2]
+    if bad:
+        key = min(bad)
+        raise ConsistencyCheckFailed(
+            f"cell 1-cell {key} bounds {len(by_side[key])} sides"
+        )
 
-    return validate(rows, require_closed=False)
+    # the gluing table: a base glues face 3 to face 3 by the identity, a
+    # side k glues face k + 2 (mod 3) to its partner's
+    near, far, perms = [], [], []
+    for a, b in by_base.values():
+        near.append(4 * a + 3)
+        far.append(4 * b + 3)
+        perms.append((0, 1, 2, 3))
+    for (i1, k1, d1), (i2, k2, d2) in by_side.values():
+        near.append(4 * i1 + (k1 + 2) % 3)
+        far.append(4 * i2 + (k2 + 2) % 3)
+        perms.append(_SIDE_GLUING[k1, k2, d1 == d2])
+    arrays = GluingArrays.paired(
+        len(cones), np.array(near, dtype=np.int64), np.array(far, dtype=np.int64), perms
+    )
+    return validate_arrays(arrays, require_closed=False)
 
 
-def _boundary_neighbor(tri: Triangulation, tet: int, face: int, u: int, v: int):
-    """Rotate around edge {u, v} of boundary face (tet, face) until the next
-    boundary face; returns (tet', face', u', v') with the edge correspondence."""
-    cur_tet, avoid, cu, cv = tet, face, u, v
-    while True:
-        other = ({0, 1, 2, 3} - {cu, cv, avoid}).pop()
-        g = tri.gluings[cur_tet][other]
-        if g is None:
-            return cur_tet, other, cu, cv
-        cur_tet, avoid, cu, cv = g.tet, g.face, g.perm[cu], g.perm[cv]
+_FACE_CORNERS = np.array(FACE_VERTICES)
+# _CORNER[f, w]: the position of vertex w in FACE_VERTICES[f], for w != f
+_CORNER = np.array([
+    [FACE_VERTICES[f].index(w) if w != f else 0 for w in range(4)]
+    for f in range(4)
+])
+
+
+def _boundary_sides(tri: Triangulation):
+    """The boundary slots of tri, row-major, and for side a of each (from
+    corner a to corner a + 1 of its face, mod 3), the boundary slot and the
+    corners of that slot met by rotating around the side's edge through
+    tri's tets.  tri's own validation ends each rotation."""
+    arrays = tri.arrays
+    glued = arrays.glued
+    slots = np.flatnonzero(~glued.ravel())
+    corners = _FACE_CORNERS[slots % 4]
+    cur = np.repeat(slots // 4, 3)
+    avoid = np.repeat(slots % 4, 3)
+    u = corners.ravel()
+    v = corners[:, [1, 2, 0]].ravel()
+    end = np.empty_like(cur)
+    active = np.arange(len(cur))
+    while len(active):
+        c = cur[active]
+        other = 6 - u[active] - v[active] - avoid[active]
+        done = ~glued[c, other]
+        end[active[done]] = other[done]
+        active, c, other = active[~done], c[~done], other[~done]
+        u[active] = arrays.images(c, other, u[active])
+        v[active] = arrays.images(c, other, v[active])
+        cur[active], avoid[active] = arrays.tet[c, other], arrays.face[c, other]
+    return slots, 4 * cur + end, u, v
 
 
 def cap_boundary(tri: Triangulation) -> list[list]:
@@ -502,82 +540,55 @@ def cap_boundary(tri: Triangulation) -> list[list]:
 
     Returns raw rows, left to `split_components` to validate: tri's rows
     with each boundary face glued to a cap tet, the caps appended in
-    (tet, face) order.  tri's own validation ends each edge rotation."""
-    slots = [
-        (i, f)
-        for i in range(tri.size)
-        for f in range(4)
-        if tri.gluings[i][f] is None
-    ]
-
-    neighbors: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
-    for i, f in slots:
-        verts = FACE_VERTICES[f]
-        for a in range(3):
-            u, v = verts[a], verts[(a + 1) % 3]
-            neighbors[(i, f, u, v)] = _boundary_neighbor(tri, i, f, u, v)
+    (tet, face) order.  The rotations around the boundary edges run on
+    tri's arrays side by side, and one `components` call gives the boundary
+    components (faces joined across a side) and their corner classes."""
+    slots, ends, u, v = _boundary_sides(tri)
+    s = len(slots)
+    index = np.full(4 * tri.size, -1)
+    index[slots] = np.arange(s)
+    near = np.repeat(np.arange(s), 3)
+    far = index[ends]
+    side = np.tile(np.arange(3), s)
+    # corners a and a + 1 of side a meet the far face's corners at u and v
+    far_u, far_v = _CORNER[ends % 4, u], _CORNER[ends % 4, v]
+    corner = s + 3 * near
+    far_corner = s + 3 * far
+    root = components(
+        4 * s,
+        np.concatenate((near, corner + side, corner + (side + 1) % 3)),
+        np.concatenate((far, far_corner + far_u, far_corner + far_v)),
+        np.zeros(9 * s, dtype=np.int64),
+    )[0]
 
     # boundary components and their Euler characteristics
-    slot_index = {s: n for n, s in enumerate(slots)}
-    corner_index: dict[tuple[int, int, int], int] = {}
-    for i, f in slots:
-        for w in FACE_VERTICES[f]:
-            corner_index[(i, f, w)] = len(corner_index)
-    face_classes = _UnionFind(len(slot_index))
-    corner_classes = _UnionFind(len(corner_index))
-    for (i, f, u, v), (i2, f2, u2, v2) in neighbors.items():
-        face_classes.union(slot_index[(i, f)], slot_index[(i2, f2)], False)
-        for x, y in (((i, f, u), (i2, f2, u2)), ((i, f, v), (i2, f2, v2))):
-            corner_classes.union(corner_index[x], corner_index[y], False)
-
-    for comp in face_classes.classes():
-        f_count = len(comp)
-        e_count = 3 * f_count // 2
-        corners = {
-            corner_classes.find(corner_index[(i, f, w)])[0]
-            for i, f in (slots[n] for n in comp)
-            for w in FACE_VERTICES[f]
-        }
-        chi = len(corners) - e_count + f_count
-        if chi != 2:
-            raise ConsistencyCheckFailed(
-                f"boundary component has Euler characteristic {chi}"
-            )
+    face_root, corner_root = root[:s], root[s:] - s
+    faces = np.bincount(face_root, minlength=s)
+    corner_classes = np.flatnonzero(corner_root == np.arange(3 * s))
+    vertices = np.bincount(face_root[corner_classes // 3], minlength=s)
+    least = np.flatnonzero(face_root == np.arange(s))
+    chi = vertices[least] - 3 * faces[least] // 2 + faces[least]
+    if (chi != 2).any():
+        raise ConsistencyCheckFailed(
+            f"boundary component has Euler characteristic {chi[chi != 2][0]}"
+        )
 
     rows = [list(row) for row in tri.gluings]
-
-    cap_of = {s: tri.size + n for n, s in enumerate(slots)}
-    for (i, f), cap in cap_of.items():
-        verts = FACE_VERTICES[f]
-        rows.append([None] * 4)
-        base = [0, 0, 0, 0]
-        for loc, w in enumerate(verts):
-            base[loc] = w
-        base[3] = f
-        rows[cap][3] = (i, f, tuple(base))
-        inv = [0, 0, 0, 0]
-        for x in range(4):
-            inv[base[x]] = x
-        rows[i][f] = (cap, 3, tuple(inv))
-
-    loc_of = {}
-    for i, f in slots:
-        for loc, w in enumerate(FACE_VERTICES[f]):
-            loc_of[(i, f, w)] = loc
-
-    for (i, f, u, v), (i2, f2, u2, v2) in neighbors.items():
-        cap1, cap2 = cap_of[(i, f)], cap_of[(i2, f2)]
-        w = ({0, 1, 2, 3} - {f, u, v}).pop()
-        w2 = ({0, 1, 2, 3} - {f2, u2, v2}).pop()
-        p = [0, 0, 0, 0]
-        p[loc_of[(i, f, u)]] = loc_of[(i2, f2, u2)]
-        p[loc_of[(i, f, v)]] = loc_of[(i2, f2, v2)]
-        p[loc_of[(i, f, w)]] = loc_of[(i2, f2, w2)]
-        p[3] = 3
-        face1 = loc_of[(i, f, w)]
-        rows[cap1][face1] = (cap2, p[face1], tuple(p))
-
-    return rows
+    caps = []
+    for cap, slot in enumerate(slots.tolist(), start=tri.size):
+        i, f = divmod(slot, 4)
+        base = (*FACE_VERTICES[f], f)
+        rows[i][f] = (cap, 3, perm_inverse(base))
+        caps.append([None, None, None, (i, f, base)])
+    # side a of a cap's base glues its face opposite corner a + 2 to the
+    # far cap, matching the corners of the side and the third corners
+    for n, a, m, lu, lv in zip(
+        near.tolist(), side.tolist(), far.tolist(), far_u.tolist(), far_v.tolist()
+    ):
+        p = [0, 0, 0, 3]
+        p[a], p[(a + 1) % 3], p[(a + 2) % 3] = lu, lv, 3 - lu - lv
+        caps[n][(a + 2) % 3] = (tri.size + m, 3 - lu - lv, tuple(p))
+    return rows + caps
 
 
 def cut_and_cap(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation]:
@@ -585,8 +596,11 @@ def cut_and_cap(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation
     boundary sphere with a cone; topologically faithful (no summand is
     lost).  Returns the pieces.
 
-    `cut_complex` validates the cut rows, boundary allowed, and
-    `split_components` each capped component as closed and orientable.
-    The cut rows sit unchanged inside the capped table, and capping
-    before the split renumbers no tet."""
+    `cut_complex` validates the cut rows, boundary allowed, since the
+    rotations of `cap_boundary` run on the cut's arrays and need an
+    involutive table.  `split_components` reads the capped table into
+    arrays once, takes its components from one `components` call and
+    validates each component, sliced out and renumbered, as closed and
+    orientable.  The cut rows sit unchanged inside the capped table, and
+    capping before the split renumbers no tet."""
     return split_components(cap_boundary(cut_complex(tri, complex_)))

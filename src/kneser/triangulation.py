@@ -15,13 +15,27 @@ Conventions used throughout the package:
 
 Semi-simplicial generality is allowed: two distinct faces of one tetrahedron
 may be glued to each other.  A face glued to itself is always rejected.
+
+Every table is read once into its array form (`GluingArrays`): three (t, 4)
+int arrays holding the target tet, the target face and the row of the
+gluing permutation in `S4`, each BOUNDARY at a boundary face.  The checks of
+`validate` are array comparisons on it, and every whole-table question
+(tet orientations and components, vertex and edge orbits, boundary
+components in `surgery.cap_boundary`) is answered by one connected-components
+kernel, `components`, run on the double cover of its nodes: node x with
+colour c is 2x + c, and a union asking bit(x) ^ bit(y) == rel joins (x, c)
+to (y, c ^ rel).  A class of the cover that holds both colours of a node is
+a contradiction, such as an orientation conflict or an edge identified with
+itself in reverse; only then is the first contradicting union looked for.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     Disconnected,
@@ -55,13 +69,6 @@ FACE_VERTICES: tuple[tuple[int, int, int], ...] = (
     (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2),
 )
 
-# _FACE_EDGES[f] lists the three edges of face f as (e, u, v), where
-# EDGE_VERTICES[e] == (u, v).
-_FACE_EDGES: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
-    tuple((e, u, v) for e, (u, v) in enumerate(EDGE_VERTICES) if f not in (u, v))
-    for f in range(4)
-)
-
 
 # (-1) ** (number of inversions) of every 3- and 4-tuple of distinct values
 # in 0..3
@@ -90,10 +97,30 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
     return (p[q[0]], p[q[1]], p[q[2]], p[q[3]])
 
 
-# every permutation of 0..3, mapped to its inverse
-_PERM_INVERSES: dict[Perm, Perm] = {
-    p: perm_inverse(p) for p in permutations(range(4))
-}
+# The array form: a permutation is its row in S4, and BOUNDARY marks a
+# boundary face in all three arrays.
+S4: tuple[Perm, ...] = tuple(permutations(range(4)))  # type: ignore[assignment]
+S4_ROW: dict[Perm, int] = {p: r for r, p in enumerate(S4)}
+S4_IMAGES = np.array(S4)  # S4_IMAGES[r, v] is the image of v
+BOUNDARY = -1
+_INVERSE_ROW = np.array([S4_ROW[perm_inverse(p)] for p in S4])
+_EVEN = np.array([_PERM_SIGNS[p] > 0 for p in S4])
+_FACES = np.arange(4)
+# _FACE_SIGN[r, f]: the sign of the images of face f's vertices, ascending,
+# under row r
+_FACE_SIGN = np.array([
+    [_PERM_SIGNS[tuple(p[v] for v in FACE_VERTICES[f])] for f in range(4)] for p in S4
+])
+_FACE_VERTEX_TABLE = np.array(FACE_VERTICES)
+# the three edges of each face, ascending
+_FACE_EDGE_TABLE = np.array([
+    [e for e, (u, v) in enumerate(EDGE_VERTICES) if f not in (u, v)]
+    for f in range(4)
+])
+# _EDGE_IMAGE[r, e] is the edge that row r sends edge e to, and
+# _EDGE_FLIP[r, e] says it reverses the ascending direction
+_EDGE_IMAGE = np.array([[EDGE_BETWEEN[p[u]][p[v]] for u, v in EDGE_VERTICES] for p in S4])
+_EDGE_FLIP = np.array([[p[u] > p[v] for u, v in EDGE_VERTICES] for p in S4])
 
 
 class Gluing(NamedTuple):
@@ -105,6 +132,53 @@ class Gluing(NamedTuple):
 RawGluing = "tuple[int, int, Perm] | None"
 
 
+class GluingArrays(NamedTuple):
+    """The array form of a gluing table: tet[i, f], face[i, f] and
+    perm[i, f] are the target tet, the target face and the `S4` row of the
+    permutation of the gluing of face f of tet i, each BOUNDARY at a
+    boundary face.  Shape (t, 4).  Other modules read it through the
+    methods below, so that only this module knows the encoding."""
+
+    tet: np.ndarray
+    face: np.ndarray
+    perm: np.ndarray
+
+    @classmethod
+    def paired(
+        cls, t: int, near: np.ndarray, far: np.ndarray, perm: Sequence[Perm]
+    ) -> GluingArrays:
+        """The table of t tets in which flat slot near[n] = 4i + f is glued
+        to slot far[n] by perm[n], and far[n] back by its inverse; every
+        other face is a boundary face."""
+        tet, face, rows = (np.full(4 * t, BOUNDARY) for _ in range(3))
+        forward = np.array([S4_ROW[p] for p in perm], dtype=np.int64)
+        tet[near], face[near], rows[near] = far // 4, far % 4, forward
+        tet[far], face[far], rows[far] = near // 4, near % 4, _INVERSE_ROW[forward]
+        return cls(tet.reshape(t, 4), face.reshape(t, 4), rows.reshape(t, 4))
+
+    @property
+    def glued(self) -> np.ndarray:
+        """True at each glued slot, False at each boundary face."""
+        return self.perm != BOUNDARY
+
+    def neighbours(self) -> np.ndarray:
+        """The target tet of each slot, the slot's own tet at a boundary
+        face."""
+        own = np.arange(len(self.tet))[:, None]
+        return np.where(self.glued, self.tet, own)
+
+    def images(self, tet: np.ndarray, face: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+        """The image of local vertex vertex[n] of tet[n] under the gluing of
+        its face face[n], which must be glued."""
+        return S4_IMAGES[self.perm[tet, face], vertex]
+
+    def face_signs(self) -> np.ndarray:
+        """+1/-1 per slot: the sign of the map the gluing makes of the
+        slot's face vertices, ascending, onto its target's, which is the
+        same from both slots of a gluing; +1 at a boundary face."""
+        return np.where(self.glued, _FACE_SIGN[self.perm, _FACES], 1)
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """Immutable gluing table, with orientation data when orientable.
@@ -112,7 +186,9 @@ class Triangulation:
     gluings[i][f] is the Gluing of face f of tet i, or None for a boundary
     face.  orientations is a per-tet +1/-1 assignment witnessing orientation
     coherence, +1 on the least tet of each component, or None if the
-    triangulation is non-orientable.  Both orientations and closed are
+    triangulation is non-orientable.  arrays is the same table in array
+    form: read off the gluings when first read, or kept from the table that
+    `validate_arrays` built them from.  orientations, closed and arrays are
     functions of the gluings, so only the gluings are compared and hashed.
     The hash is computed once, since every cache keyed on a triangulation
     hashes it on each lookup.
@@ -129,6 +205,10 @@ class Triangulation:
     def __hash__(self) -> int:
         return self._hash
 
+    @cached_property
+    def arrays(self) -> GluingArrays:
+        return _read_only(_gluing_arrays(self.gluings))
+
     @property
     def size(self) -> int:
         return len(self.gluings)
@@ -142,36 +222,35 @@ class Triangulation:
 class SkeletonTable:
     """Orbits of vertices, edges and faces under the gluing identifications.
 
-    Orbits are numbered by their lexicographically least (tet, index) slot,
-    which makes every downstream output byte-deterministic.  Each edge slot
-    additionally records whether its canonical local direction (ascending
-    local vertices) is reversed relative to the orbit direction (the
-    representative slot's ascending direction).  reversed_edge is the first
-    (tet, edge) slot whose gluings identify the edge with itself in reverse,
-    or None.
+    vertex_orbit[i, v], edge_orbit[i, e] and face_orbit[i, f] number the
+    orbit of each slot.  Orbits are numbered by their lexicographically
+    least (tet, index) slot, which makes every downstream output
+    byte-deterministic.  edge_reversed[i, e] says whether the slot's
+    canonical local direction (ascending local vertices) is reversed
+    relative to the orbit direction (the representative slot's ascending
+    direction).  reversed_edge is the first (tet, edge) slot whose gluings
+    identify the edge with itself in reverse, or None; an orbit that holds
+    both directions of an edge has no orbit direction, and every slot of it
+    reads False.
+
+    The orbits as slot tuples and the slot-to-orbit dicts are derived from
+    the arrays the first time they are read.
     """
 
-    vertex_orbits: tuple[tuple[tuple[int, int], ...], ...]
-    edge_orbits: tuple[tuple[tuple[int, int], ...], ...]
-    face_orbits: tuple[tuple[tuple[int, int], ...], ...]
-    vertex_orbit_of: dict[tuple[int, int], int]
-    edge_orbit_of: dict[tuple[int, int], tuple[int, bool]]
-    face_orbit_of: dict[tuple[int, int], int]
-    edge_degrees: tuple[int, ...]
+    vertex_orbit: np.ndarray
+    edge_orbit: np.ndarray
+    edge_reversed: np.ndarray
+    face_orbit: np.ndarray
+    vertex_count: int
+    edge_count: int
+    face_count: int
     tet_count: int
     reversed_edge: tuple[int, int] | None
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertex_orbits)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_orbits)
-
-    @property
-    def face_count(self) -> int:
-        return len(self.face_orbits)
+    def __post_init__(self) -> None:
+        # every caller of the cached skeleton shares these arrays
+        for array in (self.vertex_orbit, self.edge_orbit, self.edge_reversed, self.face_orbit):
+            array.setflags(write=False)
 
     @property
     def euler_characteristic(self) -> int:
@@ -179,6 +258,50 @@ class SkeletonTable:
             self.vertex_count - self.edge_count
             + self.face_count - self.tet_count
         )
+
+    @cached_property
+    def vertex_orbits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _orbit_slots(self.vertex_orbit, self.vertex_count)
+
+    @cached_property
+    def edge_orbits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _orbit_slots(self.edge_orbit, self.edge_count)
+
+    @cached_property
+    def face_orbits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _orbit_slots(self.face_orbit, self.face_count)
+
+    @cached_property
+    def vertex_orbit_of(self) -> dict[tuple[int, int], int]:
+        return dict(zip(_slots(self.tet_count, 4), self.vertex_orbit.ravel().tolist()))
+
+    @cached_property
+    def edge_orbit_of(self) -> dict[tuple[int, int], tuple[int, bool]]:
+        return dict(zip(
+            _slots(self.tet_count, 6),
+            zip(self.edge_orbit.ravel().tolist(), self.edge_reversed.ravel().tolist()),
+        ))
+
+    @cached_property
+    def face_orbit_of(self) -> dict[tuple[int, int], int]:
+        return dict(zip(_slots(self.tet_count, 4), self.face_orbit.ravel().tolist()))
+
+    @cached_property
+    def edge_degrees(self) -> tuple[int, ...]:
+        return tuple(np.bincount(self.edge_orbit.ravel(), minlength=self.edge_count).tolist())
+
+
+@lru_cache(maxsize=64)
+def _slots(t: int, width: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, x) for i in range(t) for x in range(width))
+
+
+def _orbit_slots(orbit: np.ndarray, count: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The slots of each orbit, ascending, given the orbit of every slot."""
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    for slot, number in zip(_slots(*orbit.shape), orbit.ravel().tolist()):
+        groups[number].append(slot)
+    return tuple(map(tuple, groups))
 
 
 @dataclass(frozen=True)
@@ -256,51 +379,243 @@ class _UnionFind:
         return list(groups.values())
 
 
-def _check_structure(table: Sequence[Sequence[RawGluing]]) -> None:
+def _cover_roots(n: int, a: np.ndarray, b: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """The least node of the class of every node of the double cover of
+    nodes 0..n-1, where union i joins 2a + c to 2b + (c ^ rel) for c = 0, 1.
+
+    Min-label hooking, then pointer jumping (Shiloach & Vishkin, J.
+    Algorithms 3, 1982).  Every node points at a node of its class no
+    greater than itself, so after jumping each points at a root, and each
+    root is hooked onto the least root across its unions.  Each round
+    hooks a root or stops, so there are at most 2n rounds, and the root
+    left in a class is its least node."""
+    parent = np.arange(2 * n)
+    u = np.concatenate((2 * a, 2 * a + 1))
+    far = 2 * b + rel
+    v = np.concatenate((far, far ^ 1))
+    # equal arrays compare as bytes: one memcmp, without the per-call cost
+    # of a ufunc and a reduction that would lead on a small table
+    while True:
+        pu, pv = parent[u], parent[v]
+        if pu.tobytes() == pv.tobytes():
+            return parent
+        np.minimum.at(parent, pu, pv)
+        np.minimum.at(parent, pv, pu)
+        while True:
+            jumped = parent[parent]
+            if jumped.tobytes() == parent.tobytes():
+                break
+            parent = jumped
+
+
+def _contradicted(cover: np.ndarray) -> bool:
+    return bool((cover[0::2] == cover[1::2]).any())
+
+
+def _first_contradiction(n: int, a: np.ndarray, b: np.ndarray, rel: np.ndarray) -> int:
+    """The least m such that unions 0..m contradict each other, by
+    bisection, given that all of them do."""
+    lo, hi = 0, len(a) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _contradicted(_cover_roots(n, a[:mid + 1], b[:mid + 1], rel[:mid + 1])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def components(
+    n: int, a: np.ndarray, b: np.ndarray, rel: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """The classes of nodes 0..n-1 under the unions (a[i], b[i], rel[i]),
+    each asking bit(a[i]) ^ bit(b[i]) == rel[i].
+
+    Returns (root, bit, first): root[x] is the least member of x's class,
+    and first is the index of the first union that contradicts the unions
+    before it, or None, looked for by bisection only when there is one.  In
+    a class whose unions have a solution, bit[x] is x's bit relative to
+    the root, the solution that gives the root bit 0.  A class whose unions
+    contradict each other has no solution, and every bit of it is False."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    rel = np.asarray(rel, dtype=np.int64)
+    cover = _cover_roots(n, a, b, rel)
+    first = _first_contradiction(n, a, b, rel) if _contradicted(cover) else None
+    # a contradicted class holds both colours of its least member
+    low = cover[0::2]
+    return low >> 1, (low & 1).astype(bool), first
+
+
+def _classes(root: np.ndarray) -> list[np.ndarray]:
+    """The members of each class, ascending, in order of least member."""
+    if not len(root):
+        return []
+    order = np.argsort(root, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+
+
+def _numbered(root: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each node's class numbered in order of least member, and the count."""
+    least = root == np.arange(len(root))
+    return (np.cumsum(least) - 1)[root], int(least.sum())
+
+
+_UNGLUED = (BOUNDARY, BOUNDARY, BOUNDARY)
+_NOT_A_PERM = len(S4)  # the row that reading a table gives any other p
+# _FACE_IMAGE[r, f]: the face that S4 row r sends face f to; the row
+# after S4's, read for _NOT_A_PERM and for BOUNDARY, is never compared
+_FACE_IMAGE = np.vstack((S4_IMAGES, np.zeros((1, 4), dtype=np.int64)))
+
+
+def _structure_faults(arrays: GluingArrays) -> np.ndarray:
+    """The flat slots, ascending, whose entry is not a gluing: a row that
+    is neither BOUNDARY (in all three arrays) nor one of S4's, a target
+    tet out of range, or a permutation that does not send the slot's face
+    to the target face."""
+    tet, face, perm = arrays
+    boundary = perm == BOUNDARY
+    row = np.where((perm < 0) | (perm > _NOT_A_PERM), _NOT_A_PERM, perm)
+    return np.flatnonzero(np.where(
+        boundary,
+        (tet != BOUNDARY) | (face != BOUNDARY),
+        (row == _NOT_A_PERM) | (tet < 0) | (tet >= len(tet))
+        | (_FACE_IMAGE[row, _FACES] != face),
+    ))
+
+
+def _gluing_arrays(table: Sequence[Sequence[RawGluing]]) -> GluingArrays:
+    """The array form of a raw gluing table, checked for structure: four
+    entries per row, each None or (j, k, p) with j a tet, k a face and p a
+    permutation sending the entry's face to k.  The first failure in
+    row-major order raises ValueError."""
     t = len(table)
+    flat: list[int] = []
+    put = flat.extend
+    row_of = S4_ROW.get
+    stop = None  # (message, cause) where reading stopped
     for i, row in enumerate(table):
         if len(row) != 4:
-            raise ValueError(f"tet {i}: expected 4 face entries, got {len(row)}")
+            stop = (f"tet {i}: expected 4 face entries, got {len(row)}", None)
+            break
         for f, entry in enumerate(row):
             if entry is None:
+                put(_UNGLUED)
                 continue
             try:
                 j, k, p = entry
             except Exception as exc:
-                raise ValueError(f"(tet {i}, face {f}): malformed entry") from exc
-            if not (0 <= j < t) or not (0 <= k < 4):
-                raise ValueError(f"(tet {i}, face {f}): target ({j},{k}) out of range")
-            if tuple(p) not in _PERM_INVERSES:
-                raise ValueError(f"(tet {i}, face {f}): {p} is not a permutation")
-            if p[f] != k:
-                raise ValueError(
-                    f"(tet {i}, face {f}): permutation must send face {f} to face {k}"
-                )
+                stop = (f"(tet {i}, face {f}): malformed entry", exc)
+                break
+            put((j, k, row_of(tuple(p), _NOT_A_PERM)))
+        if stop is not None:
+            put(_UNGLUED * (-(len(flat) // 3) % 4))  # pad the last row
+            break
+    try:
+        jkr = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        # a target beyond int64 is as far out of range as the clamped one
+        top = max(t, 4)
+        jkr = np.array(
+            [x if n % 3 == 2 else min(max(x, -1), top) for n, x in enumerate(flat)],
+            dtype=np.int64,
+        )
+    arrays = GluingArrays(*np.ascontiguousarray(jkr.reshape(-1, 4, 3).transpose(2, 0, 1)))
+    bad = _structure_faults(arrays)
+    if len(bad):
+        i, f = divmod(int(bad[0]), 4)
+        j, k, p = table[i][f]
+        if not (0 <= j < t) or not (0 <= k < 4):
+            raise ValueError(f"(tet {i}, face {f}): target ({j},{k}) out of range")
+        if tuple(p) not in S4_ROW:
+            raise ValueError(f"(tet {i}, face {f}): {p} is not a permutation")
+        raise ValueError(
+            f"(tet {i}, face {f}): permutation must send face {f} to face {k}"
+        )
+    if stop is not None:
+        message, cause = stop
+        raise ValueError(message) from cause
+    return arrays
 
 
-def _tet_unionfind(
-    gluings: Sequence[Sequence[Gluing | None]],
-) -> tuple[_UnionFind, tuple[int, int] | None]:
-    """Union-find over the tets of an involutive gluing table, one union per
-    gluing, whose bit says the orientation flips (the gluing permutation is
-    even); also reports the first (tet, face) whose gluing contradicts a
-    coherent orientation.
+def _check_involution(arrays: GluingArrays) -> None:
+    """Raise for the first (tet, face) in row-major order that is glued to
+    itself, or whose target does not glue back to it with the inverse."""
+    tet, face, perm = arrays
+    i = np.arange(len(tet))[:, None]
+    # a BOUNDARY index reads the last slot, which only boundary slots do
+    bad = np.flatnonzero((perm != BOUNDARY) & (
+        ((tet == i) & (face == _FACES))
+        | (tet[tet, face] != i) | (face[tet, face] != _FACES)
+        | (perm[tet, face] != _INVERSE_ROW[perm])
+    ))
+    if len(bad):
+        i, f = divmod(int(bad[0]), 4)
+        j, k = int(tet[i, f]), int(face[i, f])
+        if (j, k) == (i, f):
+            raise SelfGluedFace(i, f)
+        if perm[j, k] == BOUNDARY:
+            raise NonInvolutiveGluing(i, f, f"(tet {j}, face {k}) is unglued")
+        raise NonInvolutiveGluing(
+            i, f, f"(tet {j}, face {k}) does not glue back with the inverse"
+        )
 
-    Each gluing is followed from its lesser slot only.  The other slot
-    holds the inverse permutation, of the same sign, so its union repeats
-    one already made: it can join nothing and contradict nothing first."""
-    uf = _UnionFind(len(gluings))
-    bad: tuple[int, int] | None = None
-    for i, row in enumerate(gluings):
-        for f, g in enumerate(row):
-            if g is None:
-                continue
-            j, k, p = g
-            if j < i or (j == i and k < f):
-                continue
-            if not uf.union(i, j, _PERM_SIGNS[p] > 0):
-                bad = bad or (i, f)
-    return uf, bad
+
+def _lesser_slots(arrays: GluingArrays) -> np.ndarray:
+    """The flat indices 4i + f, ascending, of the glued slots (i, f) that
+    come before their target slot in row-major order (a BOUNDARY target
+    comes before every slot).  The target of an involutive gluing holds the
+    inverse permutation, so following a gluing from its lesser slot says
+    all that it says."""
+    tet, face, _ = arrays
+    i = np.arange(len(tet))[:, None]
+    return np.flatnonzero((tet > i) | ((tet == i) & (face > _FACES)))
+
+
+def _tet_unions(
+    arrays: GluingArrays,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The unions (a, b, rel) over the tets of an involutive table, one per
+    gluing from its lesser slot, whose bit says the orientation flips (the
+    gluing permutation is even); and the slot of each."""
+    slots = _lesser_slots(arrays)
+    return (
+        slots // 4,
+        arrays.tet.ravel()[slots],
+        _EVEN[arrays.perm.ravel()[slots]].astype(np.int64),
+        slots,
+    )
+
+
+def _orientations(
+    arrays: GluingArrays, require_orientable: bool
+) -> tuple[int, ...] | None:
+    """Coherent orientations, +1 on the least tet of each component, or
+    None; with require_orientable, NonOrientable names the first slot whose
+    gluing contradicts them."""
+    a, b, rel, slots = _tet_unions(arrays)
+    t = len(arrays.tet)
+    cover = _cover_roots(t, a, b, rel)
+    if not _contradicted(cover):
+        return tuple(np.where(cover[0::2] & 1, -1, 1).tolist())
+    if require_orientable:
+        first = _first_contradiction(t, a, b, rel)
+        raise NonOrientable(*divmod(int(slots[first]), 4))
+    return None
+
+
+def _gluing_rows(arrays: GluingArrays) -> tuple[tuple[Gluing | None, ...], ...]:
+    # tuple.__new__ skips the keyword handling of Gluing's own constructor
+    new = tuple.__new__
+    entries = iter([
+        None if r == BOUNDARY else new(Gluing, (j, k, S4[r]))
+        for j, k, r in zip(
+            arrays.tet.ravel().tolist(),
+            arrays.face.ravel().tolist(),
+            arrays.perm.ravel().tolist(),
+        )
+    ])
+    return tuple(zip(entries, entries, entries, entries))
 
 
 def validate(
@@ -316,40 +631,53 @@ def validate(
     with require_closed, the triangulation must be a closed 3-manifold (no
     boundary faces, no edge identified with itself in reverse, and Euler
     characteristic zero, which for orientable gluings forces all vertex
-    links to be spheres).
+    links to be spheres).  Each check raises for its first failure in
+    row-major order.
     """
-    _check_structure(table)
+    return _triangulation(
+        _gluing_arrays(table),
+        require_closed=require_closed,
+        require_orientable=require_orientable,
+    )
 
-    rows = []
-    for i, row in enumerate(table):
-        cells = []
-        for f, entry in enumerate(row):
-            if entry is None:
-                cells.append(None)
-                continue
-            j, k, p = entry
-            if j == i and k == f:
-                raise SelfGluedFace(i, f)
-            back = table[j][k]
-            if back is None:
-                raise NonInvolutiveGluing(i, f, f"(tet {j}, face {k}) is unglued")
-            j2, k2, q = back
-            p = tuple(p)
-            if j2 != i or k2 != f or tuple(q) != _PERM_INVERSES[p]:
-                raise NonInvolutiveGluing(
-                    i, f, f"(tet {j}, face {k}) does not glue back with the inverse"
-                )
-            cells.append(Gluing(j, k, p))
-        rows.append(tuple(cells))
 
-    tets, bad = _tet_unionfind(rows)
-    orientations: tuple[int, ...] | None = None
-    if bad is None:
-        orientations = tuple(-1 if b else 1 for b in tets.resolve()[1])
-    elif require_orientable:
-        raise NonOrientable(*bad)
+def validate_arrays(
+    arrays: GluingArrays,
+    *,
+    require_closed: bool = True,
+    require_orientable: bool = True,
+) -> Triangulation:
+    """`validate` on a table already in array form, which the
+    Triangulation keeps.  A slot whose entry is not a gluing raises
+    ValueError; the other checks raise as in `validate`."""
+    arrays = GluingArrays(*(np.asarray(column, dtype=np.int64) for column in arrays))
+    bad = _structure_faults(arrays)
+    if len(bad):
+        i, f = divmod(int(bad[0]), 4)
+        raise ValueError(f"(tet {i}, face {f}): not a gluing")
+    return _triangulation(
+        arrays, require_closed=require_closed, require_orientable=require_orientable
+    )
 
-    tri = Triangulation(gluings=tuple(rows), orientations=orientations, closed=False)
+
+def _read_only(arrays: GluingArrays) -> GluingArrays:
+    for column in arrays:
+        column.setflags(write=False)
+    return arrays
+
+
+def _triangulation(
+    arrays: GluingArrays, *, require_closed: bool, require_orientable: bool
+) -> Triangulation:
+    """`validate` past the structural checks, keeping the array form."""
+    _check_involution(arrays)
+    tri = Triangulation(
+        gluings=_gluing_rows(arrays),
+        orientations=_orientations(arrays, require_orientable),
+        closed=False,
+    )
+    # the gluings were read off these arrays, so they are tri's array form
+    tri.__dict__["arrays"] = _read_only(arrays)
     # closed is neither compared nor hashed, so setting it keeps the skeleton
     # that _closedness caches under tri
     object.__setattr__(tri, "closed", _closedness(tri, demand=require_closed))
@@ -358,12 +686,11 @@ def validate(
 
 def _closedness(tri: Triangulation, demand: bool) -> bool:
     """True if tri is a closed 3-manifold; raise NotClosed when demanded."""
-    for i in range(tri.size):
-        for f in range(4):
-            if tri.gluings[i][f] is None:
-                if demand:
-                    raise NotClosed(i, f)
-                return False
+    boundary = np.flatnonzero(~tri.arrays.glued)
+    if len(boundary):
+        if demand:
+            raise NotClosed(*divmod(int(boundary[0]), 4))
+        return False
     sk = skeleton(tri)
     if sk.reversed_edge is not None:
         if demand:
@@ -382,61 +709,54 @@ def _closedness(tri: Triangulation, demand: bool) -> bool:
 def skeleton(tri: Triangulation) -> SkeletonTable:
     """Orbit tables of the 0-, 1- and 2-skeleton under the gluings.
 
-    The gluings of a Triangulation are involutive, so each gluing is
-    followed from its lesser slot only.  From the other slot it makes the
-    same identifications with the same directions, so it could neither
-    join two orbits nor be the first to find an edge reversed.  A face
-    orbit is a boundary slot alone or the two slots of one gluing.
+    Each gluing is followed from its lesser slot only, and one
+    `components` call takes its edge unions, in row-major order of the
+    gluings and ascending edges within a face, then its vertex unions.  The
+    first contradicted edge union names reversed_edge.  A face orbit is a
+    boundary slot alone or the two slots of one gluing.
     """
     t = tri.size
+    tet, face, perm = tri.arrays
+    slots = _lesser_slots(tri.arrays)
+    i, f = np.divmod(slots, 4)
+    j = tet.ravel()[slots][:, None]
+    r = perm.ravel()[slots][:, None]
+    i = i[:, None]
+    e = _FACE_EDGE_TABLE[f]
+    v = _FACE_VERTEX_TABLE[f]
+    flips = _EDGE_FLIP[r, e].ravel()
+    root, bit, first = components(
+        10 * t,
+        np.concatenate(((6 * i + e).ravel(), (6 * t + 4 * i + v).ravel())),
+        np.concatenate((
+            (6 * j + _EDGE_IMAGE[r, e]).ravel(),
+            (6 * t + 4 * j + S4_IMAGES[r, v]).ravel(),
+        )),
+        np.concatenate((flips, np.zeros_like(flips))),
+    )
+    reversed_edge = None
+    if first is not None:
+        n, c = divmod(first, 3)
+        reversed_edge = (int(i[n, 0]), int(e[n, c]))
+    edge_orbit, edge_count = _numbered(root[:6 * t])
+    vertex_orbit, vertex_count = _numbered(root[6 * t:] - 6 * t)
 
-    vf = _UnionFind(4 * t)
-    ef = _UnionFind(6 * t)
-    face_orbits: list[tuple[tuple[int, int], ...]] = []
-    reversed_edge: tuple[int, int] | None = None
-
-    for i, row in enumerate(tri.gluings):
-        for f, g in enumerate(row):
-            if g is None:
-                face_orbits.append(((i, f),))
-                continue
-            j, k, p = g
-            if j < i or (j == i and k < f):
-                continue
-            face_orbits.append(((i, f), (j, k)))
-            for v in FACE_VERTICES[f]:
-                vf.union(4 * i + v, 4 * j + p[v], False)
-            for e, u, v in _FACE_EDGES[f]:
-                pu, pv = p[u], p[v]
-                # the bit: the gluing reverses the ascending direction
-                if not ef.union(6 * i + e, 6 * j + EDGE_BETWEEN[pu][pv], pu > pv):
-                    reversed_edge = reversed_edge or (i, e)
-
-    def slot_orbits(uf: _UnionFind, width: int):
-        return tuple(tuple(divmod(s, width) for s in c) for c in uf.classes())
-
-    def orbit_of(orbits):
-        return {slot: idx for idx, orbit in enumerate(orbits) for slot in orbit}
-
-    vertex_orbits = slot_orbits(vf, 4)
-    edge_orbits = slot_orbits(ef, 6)
-    # the root of an edge orbit is its representative slot, so the bit of
-    # each slot is its direction relative to the representative's
-    edge_bits = ef.resolve()[1]
-    edge_orbit_of = {
-        slot: (idx, edge_bits[6 * slot[0] + slot[1]])
-        for idx, orbit in enumerate(edge_orbits)
-        for slot in orbit
-    }
+    # a face orbit is numbered at its representative, its lesser or only slot
+    glued = perm.ravel() != BOUNDARY
+    rep = ~glued
+    rep[slots] = True
+    number = np.cumsum(rep) - 1
+    partner = np.where(glued, 4 * tet.ravel() + face.ravel(), 0)
+    face_orbit = np.where(rep, number, number[partner])
 
     return SkeletonTable(
-        vertex_orbits=vertex_orbits,
-        edge_orbits=edge_orbits,
-        face_orbits=tuple(face_orbits),
-        vertex_orbit_of=orbit_of(vertex_orbits),
-        edge_orbit_of=edge_orbit_of,
-        face_orbit_of=orbit_of(face_orbits),
-        edge_degrees=tuple(len(g) for g in edge_orbits),
+        vertex_orbit=vertex_orbit.reshape(t, 4),
+        edge_orbit=edge_orbit.reshape(t, 6),
+        edge_reversed=bit[:6 * t].reshape(t, 6),
+        face_orbit=face_orbit.reshape(t, 4),
+        vertex_count=vertex_count,
+        edge_count=edge_count,
+        face_count=int(rep.sum()),
         tet_count=t,
         reversed_edge=reversed_edge,
     )
@@ -465,15 +785,14 @@ def quasimetric(tri: Triangulation, a: int, b: int) -> int:
         raise ValueError("tetrahedron index out of range")
     if a == b:
         return 0
-    dist = _bfs_distances(tri, a)
+    dist = _bfs_distances(_vertex_adjacency(tri), a)
     if dist[b] < 0:
         raise Disconnected(f"no chain of tetrahedra connects {a} to {b}")
     return dist[b]
 
 
-def _bfs_distances(tri: Triangulation, source: int) -> list[int]:
-    adj = _vertex_adjacency(tri)
-    dist = [-1] * tri.size
+def _bfs_distances(adj: list[set[int]], source: int) -> list[int]:
+    dist = [-1] * len(adj)
     dist[source] = 0
     frontier = [source]
     while frontier:
@@ -488,15 +807,17 @@ def _bfs_distances(tri: Triangulation, source: int) -> list[int]:
 
 
 def support_metrics(tri: Triangulation, support: Iterable[int]) -> SupportMetrics:
-    """Size and d_T-diameter of a set of tetrahedra."""
+    """Size and d_T-diameter of a set of tetrahedra: one breadth-first
+    search per support tet over one adjacency table."""
     sup = frozenset(support)
     if not sup:
         raise EmptySupport("support is empty")
     if any(not (0 <= x < tri.size) for x in sup):
         raise ValueError("support contains an out-of-range tetrahedron index")
+    adj = _vertex_adjacency(tri)
     diam = 0
     for a in sorted(sup):
-        dist = _bfs_distances(tri, a)
+        dist = _bfs_distances(adj, a)
         for b in sorted(sup):
             if dist[b] < 0:
                 raise Disconnected(
@@ -510,15 +831,13 @@ def connected_components(table: Sequence[Sequence[RawGluing]]) -> list[list[int]
     """Tet index classes of a gluing table connected through face gluings,
     each sorted, in order of least tet.
 
-    The table need not be involutive, so every entry is followed, and a
-    gluing twice, once from each of its slots: a one-sided gluing still
-    joins its two tets, and `validate` then names it as not involutive."""
-    uf = _UnionFind(len(table))
-    for i, row in enumerate(table):
-        for entry in row:
-            if entry is not None:
-                uf.union(i, entry[0], False)
-    return uf.classes()
+    The table need not be involutive, so every entry is followed, once from
+    each slot of a gluing: a one-sided gluing still joins its two tets, and
+    `validate` then names it as not involutive."""
+    ends = [(i, entry[0]) for i, row in enumerate(table) for entry in row if entry is not None]
+    a, b = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    root = components(len(table), a, b, np.zeros(len(a), dtype=np.int64))[0]
+    return [c.tolist() for c in _classes(root)]
 
 
 def restrict(
@@ -526,26 +845,38 @@ def restrict(
 ) -> Triangulation:
     """Closed orientable sub-triangulation on the given tets of a gluing
     table, in the given order; the tets must be closed under gluings."""
-    index = {old: new for new, old in enumerate(tets)}
-    rows = []
-    for old in tets:
-        cells = []
-        for entry in table[old]:
-            if entry is None:
-                cells.append(None)
-            else:
-                j, k, p = entry
-                if j not in index:
-                    raise ValueError("tet set is not closed under gluings")
-                cells.append((index[j], k, p))
-        rows.append(cells)
-    return validate(rows)
+    return _restricted(_gluing_arrays(table), np.asarray(tets, dtype=np.int64))
+
+
+def _restricted(arrays: GluingArrays, tets: np.ndarray) -> Triangulation:
+    """`restrict` on the array form: the rows of `tets` sliced out and
+    their targets renumbered, then validated as closed and orientable."""
+    index = np.full(len(arrays.tet), -1)
+    index[tets] = np.arange(len(tets))
+    perm = arrays.perm[tets]
+    glued = perm != BOUNDARY
+    tet = np.where(glued, index[np.where(glued, arrays.tet[tets], 0)], BOUNDARY)
+    if (tet[glued] < 0).any():
+        raise ValueError("tet set is not closed under gluings")
+    return _triangulation(
+        GluingArrays(tet, arrays.face[tets], perm),
+        require_closed=True,
+        require_orientable=True,
+    )
 
 
 def split_components(table: Sequence[Sequence[RawGluing]]) -> list[Triangulation]:
     """Components of a gluing table as closed orientable triangulations, in
-    sorted tet order.  Past a structural check of the whole table,
-    `restrict` validates each component once; every gluing stays inside
-    one component, so together they check every row."""
-    _check_structure(table)
-    return [restrict(table, comp) for comp in connected_components(table)]
+    sorted tet order.  The table is read and checked for structure once;
+    its components come from every entry, as in `connected_components`,
+    and each is sliced out of the array form, renumbered and validated, in
+    order of least tet."""
+    arrays = _gluing_arrays(table)
+    slots = np.flatnonzero(arrays.perm.ravel() != BOUNDARY)
+    root = components(
+        len(arrays.tet),
+        slots // 4,
+        arrays.tet.ravel()[slots],
+        np.zeros(len(slots), dtype=np.int64),
+    )[0]
+    return [_restricted(arrays, comp) for comp in _classes(root)]

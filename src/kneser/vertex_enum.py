@@ -25,8 +25,12 @@ link, 0 elsewhere).
 
 Quad phase.  The cone {q >= 0, Eq = 0} for the Q-matching rows E is cut
 from the nonnegative orthant (extreme rays: unit vectors) by one row at a
-time, most zeros first: a step keeps the rays on the hyperplane and adds
-the combinations of the adjacent (pos, neg) pairs.
+time: a step keeps the rays on the hyperplane and adds the combinations of
+the adjacent (pos, neg) pairs.  The rows are taken in a banded order, by
+their last nonzero column, then most zeros first (Burton, "Optimizing the
+double description method for normal surface enumeration", Math. Comp. 79,
+2010): rows that reach only the first tetrahedra are cut while the other
+quad coordinates are still unit vectors.
 
 Lift.  P0 = {x : Mx = 0, quads >= 0, roots >= 0} is pointed, and the quads
 and roots are coordinates on it, so its extreme rays are the lifts L q of
@@ -443,7 +447,7 @@ def _quad_rows(
 ) -> list[tuple[int, ...]]:
     """The Q-matching rows: the nonzero forms M_r L of the non-tree rows r,
     each divided by its gcd with its first nonzero entry positive, without
-    duplicates, most zeros first."""
+    duplicates, by last nonzero column, then most zeros first."""
     # row j of `forms` lifts the j-th quad unit vector, so its column x is
     # entry j of the form of coordinate x
     forms = np.zeros((3 * ntet, 7 * ntet), dtype=np.int64)
@@ -457,8 +461,10 @@ def _quad_rows(
             if form[form.nonzero()[0][0]] < 0:
                 form = -form
             rows.add(tuple(form.tolist()))
-    # most-zeros-first insertion heuristic; full row as deterministic tiebreak
-    return sorted(rows, key=lambda r: (sum(1 for c in r if c), r))
+    # banded insertion order; full row as deterministic tiebreak
+    return sorted(rows, key=lambda r: (
+        max(c for c, x in enumerate(r) if x), sum(1 for x in r if x), r
+    ))
 
 
 def _lifted(

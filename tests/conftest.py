@@ -78,16 +78,18 @@ def sum_pairs():
 
 @pytest.fixture
 def validated_rows(monkeypatch):
-    """Row counts of the tables `validate` checks, call by call, wherever a
-    kneser module binds it."""
+    """Row counts of the tables checked past their structure, call by
+    call: `validate`, `validate_arrays` (which `surgery.cut_complex` calls)
+    and `split_components` all hand the array form of each table they
+    build to `triangulation._triangulation`."""
     counted = []
-    real = triangulation.validate
+    real = triangulation._triangulation
 
-    def counting(table, **kwargs):
-        counted.append(len(table))
-        return real(table, **kwargs)
+    def counting(arrays, **kwargs):
+        counted.append(len(arrays.tet))
+        return real(arrays, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "kneser" and getattr(module, "validate", None) is real:
-            monkeypatch.setattr(module, "validate", counting)
+        if name.split(".")[0] == "kneser" and getattr(module, "_triangulation", None) is real:
+            monkeypatch.setattr(module, "_triangulation", counting)
     return counted

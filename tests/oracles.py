@@ -12,8 +12,12 @@ as the reference for both.  `skeleton`, the tet union-find of `validate`
 and `validate` itself as they were before they followed each gluing from
 its lesser slot only (every entry followed from both of its slots, face
 orbits from a union-find, permutations checked by sorting) are the
-references for the one-slot kernels; they share `_UnionFind` with the
-library, which its own test checks against a graph search.  Projected
+references for the one-slot array kernels; they share `_UnionFind` with the
+library, which its own test checks against a graph search, and the same
+sequential union-find fed the same unions (`unionfind_reference`) is the
+reference for the array kernel `components`, with the bits of a class
+whose unions contradict each other cleared (`solved_bits`): such a class
+has no 2-colouring, and `components` reads all its bits False.  Projected
 areas have three references: a polygon clipping that needs no quadrature
 at all, the adaptive quadrature of the pointwise area Jacobian that
 `kneser.projection` used before its closed forms, and the closed form as
@@ -44,6 +48,7 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from math import gcd
 from typing import Sequence
 
@@ -88,7 +93,6 @@ from kneser.triangulation import (
     FACE_VERTICES,
     Gluing,
     RawGluing,
-    SkeletonTable,
     Triangulation,
     _UnionFind,
     perm_inverse,
@@ -175,6 +179,27 @@ def connected_components_reference(tri: Triangulation) -> list[list[int]]:
     return comps
 
 
+def solved_bits(roots: list[int], bits: list[bool], unions) -> list[bool]:
+    """bits, with every class that holds an (a, b, rel) union they do not
+    solve cleared to False: the union-find rejected it, since it
+    contradicts the unions of the class that the bits do solve."""
+    bad = {roots[a] for a, b, rel, *_ in unions if bits[a] ^ bits[b] != bool(rel)}
+    return [bit and root not in bad for root, bit in zip(roots, bits)]
+
+
+def unionfind_reference(n: int, unions) -> tuple[list[int], list[bool], int | None]:
+    """Roots, bits (`solved_bits`) and the index of the first rejected
+    union of a `_UnionFind` on n nodes fed the (a, b, rel) unions in order:
+    the sequential reference for `kneser.triangulation.components`."""
+    uf = _UnionFind(n)
+    first = None
+    for index, (a, b, rel) in enumerate(unions):
+        if not uf.union(a, b, bool(rel)) and first is None:
+            first = index
+    roots, bits = uf.resolve()
+    return roots, solved_bits(roots, bits, unions), first
+
+
 def tet_unionfind_reference(table) -> tuple[_UnionFind, tuple[int, int] | None]:
     """Union-find over the tets, one union per gluing entry in both
     directions, whose bit says the orientation flips (the gluing permutation
@@ -182,25 +207,36 @@ def tet_unionfind_reference(table) -> tuple[_UnionFind, tuple[int, int] | None]:
     orientation."""
     uf = _UnionFind(len(table))
     bad = None
-    for i, row in enumerate(table):
-        for f, entry in enumerate(row):
-            if entry is None:
-                continue
-            j, _, p = entry
-            if not uf.union(i, j, perm_sign(tuple(p)) > 0):
-                bad = bad or (i, f)
+    for i, j, rel, slot in tet_unions_reference(table):
+        if not uf.union(i, j, rel):
+            bad = bad or slot
     return uf, bad
 
 
-def skeleton_reference(tri: Triangulation) -> SkeletonTable:
+def tet_unions_reference(table) -> list[tuple[int, int, bool, tuple[int, int]]]:
+    """(i, j, rel, (i, f)) for every gluing entry (j, k, p) of face f of
+    tet i, in row-major order, rel saying the permutation is even."""
+    return [
+        (i, entry[0], perm_sign(tuple(entry[2])) > 0, (i, f))
+        for i, row in enumerate(table)
+        for f, entry in enumerate(row)
+        if entry is not None
+    ]
+
+
+def skeleton_reference(tri: Triangulation) -> SimpleNamespace:
     """Orbit tables from one union per gluing entry in both directions, the
     face orbits from a union-find too; reversed_edge is the first (tet,
-    edge) slot whose union contradicts the edge directions."""
+    edge) slot whose union contradicts the edge directions, and every slot
+    of its orbit reads unreversed (`solved_bits`).  Every field and
+    derived attribute of `SkeletonTable`, the tuples and dicts built from
+    the union-finds and the per-slot arrays read off the dicts."""
     edge_index = {frozenset(uv): e for e, uv in enumerate(EDGE_VERTICES)}
     t = tri.size
     vf = _UnionFind(4 * t)
     ef = _UnionFind(6 * t)
     ff = _UnionFind(4 * t)
+    edge_unions = []
     reversed_edge = None
     for i in range(t):
         for f in range(4):
@@ -216,7 +252,8 @@ def skeleton_reference(tri: Triangulation) -> SkeletonTable:
                     continue
                 pu, pv = g.perm[u], g.perm[v]
                 e2 = edge_index[frozenset((pu, pv))]
-                if not ef.union(6 * i + e, 6 * g.tet + e2, pu > pv):
+                edge_unions.append((6 * i + e, 6 * g.tet + e2, pu > pv))
+                if not ef.union(*edge_unions[-1]):
                     reversed_edge = reversed_edge or (i, e)
 
     def slot_orbits(uf, width):
@@ -225,23 +262,41 @@ def skeleton_reference(tri: Triangulation) -> SkeletonTable:
     def orbit_of(orbits):
         return {slot: idx for idx, orbit in enumerate(orbits) for slot in orbit}
 
+    def per_slot(orbit_of, width):
+        return np.array(
+            [[int(orbit_of[(i, x)]) for x in range(width)] for i in range(t)],
+            dtype=np.int64,
+        ).reshape(t, width)
+
     vertex_orbits = slot_orbits(vf, 4)
     edge_orbits = slot_orbits(ef, 6)
     face_orbits = slot_orbits(ff, 4)
-    return SkeletonTable(
+    edge_roots, edge_bits = ef.resolve()
+    edge_bits = solved_bits(edge_roots, edge_bits, edge_unions)
+    edge_orbit_of = {
+        slot: (idx, edge_bits[6 * slot[0] + slot[1]])
+        for idx, orbit in enumerate(edge_orbits)
+        for slot in orbit
+    }
+    counts = (len(vertex_orbits), len(edge_orbits), len(face_orbits))
+    return SimpleNamespace(
+        vertex_orbit=per_slot(orbit_of(vertex_orbits), 4),
+        edge_orbit=per_slot({s: v[0] for s, v in edge_orbit_of.items()}, 6),
+        edge_reversed=per_slot({s: v[1] for s, v in edge_orbit_of.items()}, 6),
+        face_orbit=per_slot(orbit_of(face_orbits), 4),
+        vertex_count=counts[0],
+        edge_count=counts[1],
+        face_count=counts[2],
+        tet_count=t,
+        reversed_edge=reversed_edge,
+        euler_characteristic=counts[0] - counts[1] + counts[2] - t,
         vertex_orbits=vertex_orbits,
         edge_orbits=edge_orbits,
         face_orbits=face_orbits,
         vertex_orbit_of=orbit_of(vertex_orbits),
-        edge_orbit_of={
-            slot: (idx, ef.find(6 * slot[0] + slot[1])[1])
-            for idx, orbit in enumerate(edge_orbits)
-            for slot in orbit
-        },
+        edge_orbit_of=edge_orbit_of,
         face_orbit_of=orbit_of(face_orbits),
         edge_degrees=tuple(len(g) for g in edge_orbits),
-        tet_count=t,
-        reversed_edge=reversed_edge,
     )
 
 

@@ -70,13 +70,17 @@ class TestGenerate:
 # exit code and sha256 of stdout of `decompose <file> --oracle-check`,
 # recorded when witnesses came from reconstructing every vertex ray and
 # every witness got a PL area; rp3_rp3.tri is
-# connected_sum(rp3_octahedral, rp3_octahedral), not a corpus file
+# connected_sum(rp3_octahedral, rp3_octahedral) and rp3_rp3_rp3.tri is
+# connected_sum(rp3_rp3, rp3_octahedral), neither a corpus file.
+# rp3_rp3_rp3.tri (20 tets, the default enumeration budget) was recorded
+# when cut-and-cap still validated its tables with per-slot union-finds
 GOLDEN_DECOMPOSE = {
     "bd4simplex.tri": (0, "a78e73fcf221cedd11ae82a1be48ba4dd6406228871a973dcd650559d4d10c86"),
     "chain7.tri": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "l31_two_tet.tri": (1, "f3b9cd2cd8081fffa128873f83a9a8fa927447b13f4dce14c6ee6da7cc0b16be"),
     "rp3_octahedral.tri": (0, "007527ac1d6eb49f7bc68fdad5067df730824276930185628289aca77176d654"),
     "rp3_rp3.tri": (0, "8fc3de577cd42b048ce79422b2e497c23b36d28967c36cbfad8cbf2482c474a0"),
+    "rp3_rp3_rp3.tri": (0, "b7867f157a496a70393cca6a553044dec90fbcd28c80b0ab35306bff427e5b64"),
     "rp3_two_tet.tri": (0, "eb62244399968f4362bbc007081abd6855f4f410199d4934b4651b075bdd195d"),
     "s2xs1_two_tet.tri": (0, "19a529ab75170c9d170a5ffa4d83ceedc970cb2ddaa89360e7f45e55f8d867d9"),
     "s3_one_tet.tri": (0, "157f5c3d138be6924054652a5766813e76553b441cf6b210a7a090f8f53ac76b"),
@@ -128,21 +132,54 @@ GOLDEN_MONTECARLO = {
 }
 
 
+def write_rp3_sums(directory: Path) -> list[Path]:
+    """rp3_rp3.tri and rp3_rp3_rp3.tri, written into `directory`."""
+    from kneser import corpus
+    from kneser.decomposition import connected_sum
+    from kneser.fileio import format_tri
+
+    rp3 = corpus.rp3_octahedral()
+    rp3_rp3 = connected_sum(rp3, rp3)
+    paths = []
+    for name, tri in (
+        ("rp3_rp3.tri", rp3_rp3),
+        ("rp3_rp3_rp3.tri", connected_sum(rp3_rp3, rp3)),
+    ):
+        paths.append(directory / name)
+        paths[-1].write_text(format_tri(tri))
+    return paths
+
+
 class TestGoldenStdout:
     def test_decompose_oracle_check(self, corpus_dir, tmp_path, capsys):
-        from kneser import corpus
-        from kneser.decomposition import connected_sum
-        from kneser.fileio import format_tri
-
-        rp3 = corpus.rp3_octahedral()
-        (tmp_path / "rp3_rp3.tri").write_text(format_tri(connected_sum(rp3, rp3)))
-        paths = sorted(corpus_dir.glob("*.tri")) + [tmp_path / "rp3_rp3.tri"]
+        paths = sorted(corpus_dir.glob("*.tri")) + write_rp3_sums(tmp_path)
         assert sorted(p.name for p in paths) == sorted(GOLDEN_DECOMPOSE)
         for path in paths:
             code = cli.main(["decompose", str(path), "--oracle-check"])
             out = capsys.readouterr().out
             digest = hashlib.sha256(out.encode()).hexdigest()
             assert (code, digest) == GOLDEN_DECOMPOSE[path.name], path.name
+
+
+class TestNumpyOnly:
+    def test_decompose_without_scipy(self, tmp_path):
+        """numpy is the only runtime dependency: with scipy unimportable,
+        `decompose --oracle-check` on rp3#rp3 still exits 0 with the golden
+        stdout."""
+        path = write_rp3_sums(tmp_path)[0]
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from kneser import cli\n"
+            f"sys.exit(cli.main(['decompose', {str(path)!r}, '--oracle-check']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            cwd=str(Path(__file__).resolve().parent.parent),
+        )
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        assert (proc.returncode, digest) == GOLDEN_DECOMPOSE[path.name], proc.stderr
 
 
 class TestGoldenEnumerate:
@@ -204,6 +241,15 @@ class TestDecomposeCommand:
         result = cmd_decompose(str(bad))
         assert result.exit_code == 2
         assert result.payload is None
+
+    @pytest.mark.parametrize("entry", ["0:-2:0000", "0:-2:9999", "0:-1:0000", "0:4:0123"])
+    def test_target_face_out_of_range_exits_two(self, tmp_path, entry):
+        bad = tmp_path / "bad.tri"
+        bad.write_text(f"tri 1\nntet 1\n{entry} 0:0:1023 0:3:0123 0:2:0123\n")
+        result = run(["decompose", str(bad)])
+        assert (result.exit_code, result.payload) == (2, None)
+        assert result.diagnostics.startswith("bad triangulation: ")
+        assert "out of range" in result.diagnostics
 
     def test_missing_file(self):
         result = cmd_decompose("/nonexistent/x.tri")

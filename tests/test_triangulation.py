@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import random
+from functools import cached_property
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +21,11 @@ from kneser.errors import (
 from kneser.reconstruct import build_complex, reconstruct
 from kneser.surgery import cut_and_cap, cut_complex
 from kneser.triangulation import (
+    SkeletonTable,
     Triangulation,
     _UnionFind,
-    _tet_unionfind,
+    _tet_unions,
+    components,
     connected_components,
     perm_compose,
     perm_inverse,
@@ -40,7 +44,10 @@ from oracles import (
     exhaustive_chain_distance,
     orientations_reference,
     skeleton_reference,
+    solved_bits,
     tet_unionfind_reference,
+    tet_unions_reference,
+    unionfind_reference,
     validate_reference,
 )
 from test_census_sweep import closed_two_tet, two_tet_tables
@@ -271,10 +278,23 @@ FLAGS = [
 ]
 
 
+# every field of SkeletonTable, and every attribute derived from them
+SKELETON_ATTRIBUTES = [f.name for f in dataclasses.fields(SkeletonTable)] + [
+    name for name, value in vars(SkeletonTable).items()
+    if isinstance(value, (property, cached_property))
+]
+
+
+def same(ours, theirs) -> bool:
+    if isinstance(ours, np.ndarray):
+        return np.array_equal(ours, theirs)
+    return ours == theirs
+
+
 def assert_matches_references(table):
     """validate under every flag pair, connected_components and
     split_components and, on a table that validates, skeleton and the tet
-    union-find agree with the references that follow each gluing from both
+    components agree with the references that follow each gluing from both
     of its slots."""
     for flags in FLAGS:
         assert outcome(validate, table, **flags) == outcome(
@@ -289,11 +309,15 @@ def assert_matches_references(table):
     else:
         tri = validate(table, require_closed=False, require_orientable=False)
         ours, theirs = skeleton(tri), skeleton_reference(tri)
-        for field in dataclasses.fields(ours):
-            assert getattr(ours, field.name) == getattr(theirs, field.name), field.name
-        uf, bad = _tet_unionfind(tri.gluings)
+        for name in SKELETON_ATTRIBUTES:
+            assert same(getattr(ours, name), getattr(theirs, name)), name
+        a, b, rel, slots = _tet_unions(tri.arrays)
+        root, bit, first = components(tri.size, a, b, rel)
+        bad = None if first is None else divmod(int(slots[first]), 4)
         ref, ref_bad = tet_unionfind_reference(table)
-        assert bad == ref_bad and uf.resolve() == ref.resolve()
+        roots, bits = ref.resolve()
+        bits = solved_bits(roots, bits, tet_unions_reference(table))
+        assert bad == ref_bad and (root.tolist(), bit.tolist()) == (roots, bits)
 
 
 def raw(tri):
@@ -347,6 +371,42 @@ class TestOneSlotKernels:
                 assert_matches_references(raw(cut_complex(tri, complex_)))
                 for piece in cut_and_cap(tri, complex_):
                     assert_matches_references(raw(piece))
+
+    def test_targets_beyond_int64(self):
+        """A target too large for the array form is out of range, and still
+        the first failure only where no earlier entry fails."""
+        huge = 10 ** 30
+        identity = (0, 1, 2, 3)
+        for entry in ((huge, 0, identity), (-huge, 0, identity), (0, huge, identity)):
+            for table in (
+                [[entry, None, None, None]],
+                [[None, (0, 0, (1, 0, 2, 3)), None, None], [entry, None, None, None]],
+                [[None, None, None, None], [None, entry, None]],
+            ):
+                for flags in FLAGS:
+                    assert outcome(validate, table, **flags) == outcome(
+                        validate_reference, table, **flags
+                    )
+                assert outcome(split_components, table) == outcome(split_reference, table)
+
+    def test_negative_face_with_non_permutation(self):
+        """A negative target face is out of range whatever the permutation,
+        also one that is not a permutation at all."""
+        for p in ((0, 0, 0, 0), (9, 9, 9, 9), (0, 1, 2, 3), (1, 0, 2, 3)):
+            for k in (-1, -2, -3, 4):
+                for table in (
+                    [[(0, k, p), None, None, None]],
+                    [[None, (1, k, p), None, None], [None] * 4],
+                    [
+                        [(1, 0, (0, 1, 2, 3)), None, None, None],
+                        [(0, 0, (0, 1, 2, 3)), (0, k, p), None, None],
+                    ],
+                ):
+                    for flags in FLAGS:
+                        assert outcome(validate, table, **flags) == outcome(
+                            validate_reference, table, **flags
+                        )
+                    assert outcome(split_components, table) == outcome(split_reference, table)
 
     def test_one_sided_gluing_is_not_involutive(self):
         # tet 1 glues face 0 to tet 0, which does not glue back: followed
@@ -445,6 +505,32 @@ class TestSupportMetrics:
         with pytest.raises(EmptySupport):
             support_metrics(bd4, set())
 
+    def test_diameter_against_pairwise_quasimetric(self, closed_corpus, monkeypatch):
+        """The diameter is the largest pairwise quasimetric over the
+        support, and one call builds the adjacency table once."""
+        from kneser import triangulation
+
+        built = []
+        real = triangulation._vertex_adjacency
+
+        def counting(tri):
+            built.append(tri)
+            return real(tri)
+
+        monkeypatch.setattr(triangulation, "_vertex_adjacency", counting)
+        for tri in closed_corpus.values():
+            for coords in enumerate_vertex_solutions(tri):
+                support = {
+                    i for i in range(tri.size)
+                    if any(coords[7 * i + k] for k in range(7))
+                }
+                built.clear()
+                m = support_metrics(tri, support)
+                assert len(built) == 1
+                assert m.diameter == max(
+                    quasimetric(tri, a, b) for a in support for b in support
+                )
+
     def test_connected_support_diameter_bound(self, closed_corpus):
         # a connected support of size s is covered by chains of length <= s
         for tri in closed_corpus.values():
@@ -455,6 +541,77 @@ class TestSupportMetrics:
                 }
                 m = support_metrics(tri, support)
                 assert m.diameter <= m.size - 1
+
+
+def assert_kernel_matches(n, unions):
+    """components gives the roots, bits and first rejected union of the
+    sequential union-find fed the same unions, and no bit in a class whose
+    unions contradict each other."""
+    a, b, rel = (np.array([u[x] for u in unions], dtype=np.int64) for x in range(3))
+    root, bit, first = components(n, a, b, rel)
+    assert (root.tolist(), bit.tolist(), first) == unionfind_reference(n, unions)
+
+
+@st.composite
+def union_lists(draw):
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return n, []
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node, st.booleans()), max_size=30))
+
+
+class TestComponents:
+    """The array kernel against the sequential union-find: roots, bits,
+    whether a union is rejected and which is the first."""
+
+    @settings(max_examples=300)
+    @given(union_lists())
+    def test_random_graphs(self, case):
+        assert_kernel_matches(*case)
+
+    def test_empty_and_single_node(self):
+        assert_kernel_matches(0, [])
+        assert_kernel_matches(1, [])
+        assert_kernel_matches(1, [(0, 0, False)])
+        assert_kernel_matches(1, [(0, 0, True)])
+        assert_kernel_matches(1, [(0, 0, False), (0, 0, True), (0, 0, True)])
+
+    def test_self_loops_and_repeated_unions(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            unions = []
+            for _ in range(rng.randint(1, 12)):
+                x = rng.randrange(n)
+                y = x if rng.random() < 0.3 else rng.randrange(n)
+                unions.extend([(x, y, rng.random() < 0.5)] * rng.randint(1, 3))
+            assert_kernel_matches(n, unions)
+
+    def test_odd_and_even_cycles(self):
+        for length in range(1, 9):
+            for odd in (False, True):
+                cycle = [(x, (x + 1) % length, False) for x in range(length)]
+                cycle[-1] = (length - 1, 0, odd)
+                for shift in range(length):
+                    assert_kernel_matches(length, cycle[shift:] + cycle[:shift])
+
+    def test_long_paths(self):
+        """Paths whose labels fall away from one end, in random order and
+        with random labels: many hooking rounds and deep pointer jumps."""
+        rng = random.Random(7)
+        for n in (2, 3, 64, 257, 1000):
+            path = [(x + 1, x, rng.random() < 0.5) for x in range(n - 1)]
+            assert_kernel_matches(n, path)
+            assert_kernel_matches(n, path[::-1])
+            labels = list(range(n))
+            rng.shuffle(labels)
+            shuffled = [(labels[x], labels[y], r) for x, y, r in path]
+            rng.shuffle(shuffled)
+            assert_kernel_matches(n, shuffled)
+            # closing the path into a cycle of either parity
+            assert_kernel_matches(n, shuffled + [(labels[0], labels[-1], False)])
+            assert_kernel_matches(n, shuffled + [(labels[0], labels[-1], True)])
 
 
 class TestUnionFind:
