@@ -43,7 +43,6 @@ from .reports import (
     surface_entry,
 )
 from .vertex_enum import DEFAULT_BUDGET, enumerate_vertex_solutions
-from .normal import weight
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,8 @@ def _surface_entries(tri, solutions, pl_area_flag: bool, verify_diam: bool):
     entries = []
     all_pass = True
     for coords in solutions:
-        surface = reconstruct(tri, build_complex(tri, coords))
+        complex_ = build_complex(tri, coords)
+        surface = reconstruct(tri, complex_)
         kwargs = {}
         if pl_area_flag:
             kwargs["lg"] = pl_area(tri, coords).length
@@ -120,7 +120,7 @@ def _surface_entries(tri, solutions, pl_area_flag: bool, verify_diam: bool):
         entries.append(
             surface_entry(
                 coords,
-                wt=weight(tri, coords),
+                wt=sum(complex_.weights_per_edge),
                 chi=surface.euler_characteristic,
                 vertex_linking=surface.vertex_linking,
                 **kwargs,

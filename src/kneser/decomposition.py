@@ -39,8 +39,8 @@ from .homology import AbelianInvariants, homology
 from .normal import (
     NormalCoordinates,
     check_coordinate_rows,
-    euler_from_coordinates,
-    weight,
+    edge_weight_rows,
+    euler_rows,
 )
 from .pl_area import PLArea, pl_area, verify_diameter_bound
 from .reconstruct import build_complex
@@ -154,17 +154,16 @@ def sphere_witnesses(
 ) -> list[NormalCoordinates]:
     """Vertex solutions that are connected non-vertex-linking 2-spheres.
 
-    The solutions are validated in one `check_coordinate_rows` pass, then
-    each is kept when it has a quad and Euler characteristic 2.  A vertex
-    solution is primitive on an extremal ray, hence connected, and a
-    connected quad-free normal surface is a vertex link, so these two
-    linear tests decide the definition exactly."""
-    out = []
-    for coords in check_coordinate_rows(tri, solutions):
-        has_quad = any(coords[4::7]) or any(coords[5::7]) or any(coords[6::7])
-        if has_quad and euler_from_coordinates(tri, coords) == 2:
-            out.append(coords)
-    return out
+    The solutions are validated in one `check_coordinate_rows` pass and
+    their Euler characteristics taken in one `euler_rows` pass; each is
+    kept when it has a quad and Euler characteristic 2.  A vertex solution
+    is primitive on an extremal ray, hence connected, and a connected
+    quad-free normal surface is a vertex link, so these two linear tests
+    decide the definition exactly."""
+    rays = check_coordinate_rows(tri, solutions)
+    has_quad = (rays.reshape(len(rays), tri.size, 7)[:, :, 4:] != 0).any(axis=(1, 2))
+    keep = has_quad & (euler_rows(tri, rays) == 2)
+    return list(map(tuple, rays[keep].tolist()))
 
 
 def certify_weakly_irreducible(
@@ -193,11 +192,11 @@ def _least_candidate(
     with no complex built."""
     # PL area compares weight first, so only the least-weight candidates can
     # win and only they need a length
-    weights = {coords: weight(tri, coords) for coords in candidates}
-    least = min(weights.values())
+    weights = edge_weight_rows(tri, candidates).sum(axis=1)
+    least = weights.min()
     best = None
     best_area = None
-    for coords in sorted(c for c, w in weights.items() if w == least):
+    for coords in sorted(c for c, w in zip(candidates, weights) if w == least):
         area = pl_area(tri, coords)
         if best is None or area.less_than(best_area):
             best, best_area = coords, area

@@ -309,8 +309,9 @@ def _spanning_forest(n: int, ends: list[tuple[int, int]]) -> set[int]:
     uf = _UnionFind(n)
     forest = set()
     for idx, (a, b) in enumerate(ends):
-        if uf.find(a)[0] != uf.find(b)[0]:
-            uf.union(a, b, False)
+        ra, rb = uf.find(a)[0], uf.find(b)[0]
+        if ra != rb:
+            uf.union(ra, rb, False)
             forest.add(idx)
     return forest
 

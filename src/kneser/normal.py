@@ -14,16 +14,16 @@ The linear tests read one index table per triangulation,
 `coordinate_table`, built once from the skeleton and cached like
 `matching_system`: the four indices (a, b | c, d) of each matching row,
 meaning x[a] + x[b] = x[c] + x[d]; the four indices (two triangles, two
-quads) that cross each slot of each edge orbit; and the number of normal
-arcs each coordinate contributes, face orbits counted on their
-representative slots.  Matching, edge weights and the Euler characteristic
-are then sums over fixed index tuples, with no per-slot lookup of gluings
-or vertex lists; the quad constraint reads the three quads of each tet at
-stride 7.
+quads) that cross each edge of each tet, with its edge orbit; and the
+number of normal arcs each coordinate contributes, face orbits counted on
+their representative slots.  Validity, edge weights and the Euler
+characteristic are then gathers and sums over a 2-D array of coordinate
+rows, exact beyond int64 (`check_coordinate_rows`, `edge_weight_rows`,
+`euler_rows`); `check_coordinates`, `edge_weights`, `weight` and
+`euler_from_coordinates` are their one-row case.
 """
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -69,16 +69,18 @@ def quad_index(tet: int, j: int) -> int:
     return 7 * tet + 4 + j
 
 
-def _arc_indices(tet: int, face: int, corner: int) -> tuple[int, int]:
-    """The triangle and quad indices whose disks cut off `corner` in face
-    `face` of tet `tet`."""
-    others = [x for x in FACE_VERTICES[face] if x != corner]
-    return tri_index(tet, corner), quad_index(tet, quad_type_separating(*others))
+# _ARC[f, v]: the offsets in a tet of the triangle and the quad whose disks
+# cut off corner v in face f
+_ARC = np.array([
+    [(v, 4 + quad_type_separating(*(w for w in face if w != v))) if v in face else (0, 0)
+     for v in range(4)]
+    for face in FACE_VERTICES
+])
 
 
 def arc_count(coords: Sequence[int], tet: int, face: int, corner: int) -> int:
     """Arcs cutting off `corner` in face `face` of tet `tet`."""
-    a, b = _arc_indices(tet, face, corner)
+    a, b = (7 * tet + _ARC[face, corner]).tolist()
     return coords[a] + coords[b]
 
 
@@ -137,110 +139,70 @@ class CoordinateTable(NamedTuple):
     matching[r] = (a, b, c, d): row r of `matching_system` says
     x[a] + x[b] == x[c] + x[d], the arc count of one corner seen from the
     two sides of a face orbit (a triangle and a quad index on each side).
-    edge_slots[e] lists, for each slot of edge orbit e, the four indices
-    (two triangles, two quads) whose sum crosses the edge in that slot.
-    arcs[i] is how many normal arcs one disk of coordinate i contributes
-    when each face orbit is counted on its representative slot."""
+    Edge e of tet i crosses the four coordinates edge_slots[:, 6i + e] (two
+    triangles, two quads) and lies in orbit edge_orbit[6i + e]; orbit k's
+    first slot is edge_first[k].  arcs[i] is how many normal arcs one disk
+    of coordinate i has in the representative slots of the face orbits."""
 
-    matching: tuple[tuple[int, int, int, int], ...]
-    edge_slots: tuple[tuple[tuple[int, int, int, int], ...], ...]
-    arcs: tuple[int, ...]
+    matching: np.ndarray
+    edge_slots: np.ndarray
+    edge_orbit: np.ndarray
+    edge_first: np.ndarray
+    arcs: np.ndarray
+
+
+# _EDGE_SLOT[e]: the offsets in a tet of the two triangles and two quads
+# whose disks cross edge e
+_EDGE_SLOT = np.array([
+    (u, v, *(4 + j for j in quad_types_crossing_edge(e)))
+    for e, (u, v) in enumerate(EDGE_VERTICES)
+])
 
 
 @lru_cache(maxsize=256)
 def coordinate_table(tri: Triangulation) -> CoordinateTable:
-    """The index table of tri, built once from its skeleton and shared by
-    every caller.  Matching rows come from the face orbits whose
-    representative slot is glued."""
+    """The index table of tri, read off its skeleton and gluing arrays
+    once and shared by every caller.  Matching rows come from the face
+    orbits whose representative (least) slot is glued, in orbit order."""
     sk = skeleton(tri)
-    matching = []
-    arcs = [0] * (7 * tri.size)
-    for orbit in sk.face_orbits:
-        i, f = orbit[0]
-        g = tri.gluings[i][f]
-        for v in FACE_VERTICES[f]:
-            near = _arc_indices(i, f, v)
-            for x in near:
-                arcs[x] += 1
-            if g is not None:
-                matching.append(near + _arc_indices(g.tet, g.face, g.perm[v]))
-    edge_slots = []
-    for orbit in sk.edge_orbits:
-        slots = []
-        for tet, e in orbit:
-            u, v = EDGE_VERTICES[e]
-            j1, j2 = quad_types_crossing_edge(e)
-            slots.append((
-                tri_index(tet, u), tri_index(tet, v),
-                quad_index(tet, j1), quad_index(tet, j2),
-            ))
-        edge_slots.append(tuple(slots))
-    return CoordinateTable(tuple(matching), tuple(edge_slots), tuple(arcs))
+    tet, face = np.divmod(np.unique(sk.face_orbit, return_index=True)[1], 4)
+    corner = np.array(FACE_VERTICES)[face]
+    near = 7 * tet[:, None, None] + _ARC[face[:, None], corner]
+    glued = tri.arrays.glued[tet, face]
+    tet, face, corner = tet[glued, None], face[glued, None], corner[glued]
+    image = tri.arrays.images(tet, face, corner)
+    far = 7 * tri.arrays.tet[tet, face, None] + _ARC[tri.arrays.face[tet, face], image]
+    edge_orbit = sk.edge_orbit.ravel()
+    table = CoordinateTable(
+        np.concatenate([near[glued], far], axis=2).reshape(-1, 4),
+        (7 * np.arange(tri.size)[:, None, None] + _EDGE_SLOT).reshape(-1, 4).T,
+        edge_orbit,
+        np.unique(edge_orbit, return_index=True)[1],
+        np.bincount(near.ravel(), minlength=7 * tri.size),
+    )
+    for array in table:
+        array.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=256)
-def matching_system(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
+def matching_system(tri: Triangulation) -> np.ndarray:
     """Integer matrix of the matching equations: 3 rows per face orbit,
-    7t columns.  Row (F, v) equates the arc counts of type (F, corner v)
-    seen from the two sides of the face orbit F.
+    7t columns, int64.  Row (F, v) equates the arc counts of type
+    (F, corner v) seen from the two sides of the face orbit F.
 
-    Cached per triangulation and shared by every caller, hence immutable."""
+    Cached per triangulation and shared by every caller, hence read-only."""
     require_closed(tri)
-    n = 7 * tri.size
-    rows: list[tuple[int, ...]] = []
-    for a, b, c, d in coordinate_table(tri).matching:
-        row = [0] * n
-        row[a] += 1
-        row[b] += 1
-        row[c] -= 1
-        row[d] -= 1
-        rows.append(tuple(row))
-    return tuple(rows)
+    matching = coordinate_table(tri).matching
+    out = np.zeros((len(matching), 7 * tri.size), dtype=np.int64)
+    np.add.at(out, (np.arange(len(matching))[:, None], matching), [1, 1, -1, -1])
+    out.setflags(write=False)
+    return out
 
 
-def satisfies_matching(tri: Triangulation, coords: Sequence[int]) -> bool:
-    """True when coords satisfies every row of `matching_system`: each face
-    orbit sees the same arc counts from its two sides."""
-    require_closed(tri)
-    x = coords
-    return all(
-        x[a] + x[b] == x[c] + x[d] for a, b, c, d in coordinate_table(tri).matching
-    )
-
-
-def satisfies_quad_constraint(coords: Sequence[int], ntet: int) -> bool:
-    """At most one nonzero quad coordinate per tetrahedron."""
-    x = coords
-    return not any(
-        (x[q] > 0) + (x[q + 1] > 0) + (x[q + 2] > 0) > 1
-        for q in range(4, 7 * ntet, 7)
-    )
-
-
-def check_coordinates(tri: Triangulation, coords: Sequence[int]) -> NormalCoordinates:
-    """Validate shape, nonnegativity, matching and the quad constraint."""
-    coords = tuple(int(c) for c in coords)
-    if len(coords) != 7 * tri.size:
-        raise ValueError(
-            f"expected {7 * tri.size} coordinates, got {len(coords)}"
-        )
-    if any(c < 0 for c in coords):
-        raise ValueError("normal coordinates must be nonnegative")
-    if not satisfies_matching(tri, coords):
-        raise ValueError("matching equations fail")
-    if not satisfies_quad_constraint(coords, tri.size):
-        raise ValueError("quad constraint fails")
-    return coords
-
-
-def check_coordinate_rows(
-    tri: Triangulation, rows: Sequence[Sequence[int]]
-) -> list[NormalCoordinates]:
-    """`check_coordinates` on every vector of `rows`, each check one numpy
-    test over all of them; the vectors come back as tuples of ints.  Where
-    several vectors fail, the first failing check in `check_coordinates`'
-    order names the error."""
-    require_closed(tri)
+def _coordinate_array(tri: Triangulation, rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """`rows` as one (k, 7t) array, int64 where every test below sums
+    exactly in int64 and of Python ints (dtype object) elsewhere."""
     n = 7 * tri.size
     for coords in rows:
         if len(coords) != n:
@@ -248,42 +210,76 @@ def check_coordinate_rows(
     try:
         x = np.array(rows, dtype=np.int64).reshape(len(rows), n)
     except OverflowError:  # entries beyond int64
-        x = np.array([[int(c) for c in v] for v in rows], dtype=object).reshape(len(rows), n)
+        return np.array([[int(c) for c in v] for v in rows], dtype=object).reshape(len(rows), n)
+    # the longest sum below, the Euler characteristic, adds at most 9n
+    # entries' absolute values (edge weights 4n, arcs 4n, disks n)
+    bound = (1 << 63) // (16 * max(n, 1))
+    if x.max(initial=0) >= bound or x.min(initial=0) <= -bound:
+        return x.astype(object)
+    return x
+
+
+def check_coordinate_rows(
+    tri: Triangulation, rows: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """`_coordinate_array(tri, rows)` once its shape, nonnegativity,
+    matching equations and quad constraint hold, each check one numpy test
+    over every vector.  Where several vectors fail, the first failing check
+    in that order names the error."""
+    x = _coordinate_array(tri, rows)
     if x.min(initial=0) < 0:
         raise ValueError("normal coordinates must be nonnegative")
-    if x.max(initial=0) >= 1 << 61:
-        # four entries of a matching row sum exactly in int64 below 2**61
-        x = x.astype(object)
-    a, b, c, d = np.array(coordinate_table(tri).matching, dtype=np.intp).reshape(-1, 4).T
-    if (x[:, a] + x[:, b] != x[:, c] + x[:, d]).any():
+    require_closed(tri)
+    m = x[:, coordinate_table(tri).matching.T]
+    if (m[:, 0] + m[:, 1] != m[:, 2] + m[:, 3]).any():
         raise ValueError("matching equations fail")
-    if ((x.reshape(len(rows), tri.size, 7)[:, :, 4:] > 0).sum(axis=2) > 1).any():
+    if ((x.reshape(len(x), tri.size, 7)[:, :, 4:] > 0).sum(axis=2) > 1).any():
         raise ValueError("quad constraint fails")
-    return list(map(tuple, x.tolist()))
+    return x
+
+
+def edge_weight_rows(tri: Triangulation, rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Crossing count per edge orbit of every vector of `rows`, as a
+    (k, edge orbits) array in `_coordinate_array`'s dtype; raises
+    InconsistentCrossings for the first vector, and in it the first orbit,
+    whose slots disagree."""
+    x = _coordinate_array(tri, rows)
+    table = coordinate_table(tri)
+    per_slot = x[:, table.edge_slots].sum(axis=1)
+    weights = per_slot[:, table.edge_first]
+    bad = per_slot != weights[:, table.edge_orbit]
+    if bad.any():
+        row = bad.any(axis=1).argmax()
+        idx = table.edge_orbit[bad[row]].min()
+        counts = sorted(set(per_slot[row, table.edge_orbit == idx].tolist()))
+        raise InconsistentCrossings(f"edge orbit {idx} sees crossing counts {counts}")
+    return weights
+
+
+def euler_rows(tri: Triangulation, rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Euler characteristic of every vector of `rows`, from cell counts
+    read off the coordinates: V = edge crossings (the weight), E = normal
+    arcs, F = normal disks."""
+    x = _coordinate_array(tri, rows)
+    arcs = x @ coordinate_table(tri).arcs
+    return edge_weight_rows(tri, x).sum(axis=1) - arcs + x.sum(axis=1)
+
+
+def check_coordinates(tri: Triangulation, coords: Sequence[int]) -> NormalCoordinates:
+    """`check_coordinate_rows` on one vector, as a tuple of ints."""
+    return tuple(check_coordinate_rows(tri, [tuple(coords)])[0].tolist())
 
 
 def edge_weights(tri: Triangulation, coords: Sequence[int]) -> list[int]:
-    """Crossing count per edge orbit; raises if incident tets disagree."""
-    x = coords
-    out = []
-    for idx, slots in enumerate(coordinate_table(tri).edge_slots):
-        counts = {x[a] + x[b] + x[c] + x[d] for a, b, c, d in slots}
-        if len(counts) != 1:
-            raise InconsistentCrossings(
-                f"edge orbit {idx} sees crossing counts {sorted(counts)}"
-            )
-        out.append(counts.pop())
-    return out
+    """`edge_weight_rows` on one vector, as a list of ints."""
+    return edge_weight_rows(tri, [coords])[0].tolist()
 
 
 def weight(tri: Triangulation, coords: Sequence[int]) -> int:
     """Points of the surface on the 1-skeleton, counted with multiplicity."""
-    return sum(edge_weights(tri, coords))
+    return int(edge_weight_rows(tri, [coords])[0].sum())
 
 
 def euler_from_coordinates(tri: Triangulation, coords: Sequence[int]) -> int:
-    """Euler characteristic from cell counts read off the coordinates:
-    V = edge crossings, E = normal arcs, F = normal disks.  Used as the
-    independent cross-check against the reconstructed complex."""
-    arcs = coordinate_table(tri).arcs
-    return weight(tri, coords) - sum(map(operator.mul, arcs, coords)) + sum(coords)
+    """`euler_rows` on one vector, the cross-check of `reconstruct`."""
+    return int(euler_rows(tri, [coords])[0])

@@ -124,7 +124,6 @@ from .normal import (
     NormalCoordinates,
     coordinate_table,
     matching_system,
-    require_closed,
 )
 from .triangulation import Triangulation, skeleton
 
@@ -399,7 +398,7 @@ def _link_forest(
     the tree steps (child, parent, plus, minus) in breadth-first order,
     each meaning t_child = t_parent + x[plus] - x[minus]; and the indices
     of the rows that are not tree edges."""
-    rows = coordinate_table(tri).matching
+    rows = coordinate_table(tri).matching.tolist()
     incident: dict[int, list[int]] = {}
     for r, (a, _, c, _) in enumerate(rows):
         incident.setdefault(a, []).append(r)
@@ -503,8 +502,7 @@ def enumerate_vertex_solutions(
         raise BudgetExceeded(
             f"{tri.size} tetrahedra exceeds the enumeration budget {budget}"
         )
-    require_closed(tri)
-    matching = np.array(matching_system(tri), dtype=np.int64)
+    matching = matching_system(tri)  # raises NotClosed on an open tri
     roots, steps, loose = _link_forest(tri)
     vertices = skeleton(tri).vertex_count
     if len(roots) != vertices:

@@ -544,7 +544,7 @@ def _parity(seq) -> int:
 def is_vertex_ray_sympy(tri: Triangulation, coords) -> bool:
     """Extremality via sympy rank: solutions supported inside supp(coords)
     must form a 1-dimensional space."""
-    matching = matching_system(tri)
+    matching = matching_system(tri).tolist()
     support = [i for i, c in enumerate(coords) if c]
     if not support:
         return False
@@ -593,7 +593,7 @@ def is_vertex_ray_reference(matching, vec) -> bool:
 def enumerate_vertex_solutions_reference(tri: Triangulation) -> list[tuple[int, ...]]:
     """Admissible vertex rays of the matching cone by the double description
     method on Python tuples and int bitsets, one pair at a time."""
-    matching = matching_system(tri)
+    matching = matching_system(tri).tolist()
     n = 7 * tri.size
     forbidden = []
     for i in range(tri.size):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from kneser import corpus, decomposition
@@ -216,6 +218,41 @@ class TestDecompose:
             report = decompose(tri, oracle_check=True)
             assert len(built) == report.crushes > 0
             assert built == [s.coordinates for s in report.spheres]
+
+    def test_one_edge_weight_pass_per_piece_and_crush(self, monkeypatch):
+        """`sphere_witnesses` weighs all of a piece's rays in one batched
+        pass, `_least_candidate` all of its candidates in one more, and no
+        candidate is weighed on its own."""
+        from kneser import normal
+
+        calls = []
+
+        def counted(real):
+            def wrapper(*args):
+                # the first caller outside `normal`, whose one-row kernels
+                # and `euler_rows` call the batched one
+                frame = sys._getframe(1)
+                while frame.f_code.co_filename == normal.__file__:
+                    frame = frame.f_back
+                calls.append((real.__name__, frame.f_code.co_name))
+                return real(*args)
+            return wrapper
+
+        for real in (normal.edge_weight_rows, normal.weight):
+            wrapper = counted(real)
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] != "kneser":
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, wrapper)
+        report = decompose(parse_tri(dict(CORPUS_FILES)["sum_bd4_rp3.tri"]()), oracle_check=True)
+        assert report.crushes > 0 and report.enumerations > report.crushes
+        assert calls.count(("edge_weight_rows", "sphere_witnesses")) == report.enumerations
+        assert calls.count(("edge_weight_rows", "_least_candidate")) == report.crushes
+        assert not [c for c in calls if c[0] == "weight" and c[1] in (
+            "sphere_witnesses", "_least_candidate"
+        )]
 
     def test_sums(self, sum_pairs):
         for name, (a, b) in sum_pairs.items():

@@ -1,6 +1,7 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,16 +11,18 @@ from kneser.errors import BudgetExceeded, NotClosed
 from kneser.normal import (
     check_coordinate_rows,
     check_coordinates,
+    edge_weight_rows,
     edge_weights,
     euler_from_coordinates,
+    euler_rows,
     matching_system,
     quad_index,
-    satisfies_matching,
-    satisfies_quad_constraint,
+    quad_type_separating,
+    tri_index,
     weight,
 )
 from kneser.reconstruct import build_complex, reconstruct
-from kneser.triangulation import skeleton, validate
+from kneser.triangulation import FACE_VERTICES, skeleton, validate
 from kneser.vertex_enum import enumerate_vertex_solutions, is_vertex_ray
 from oracles import (
     brute_force_solutions,
@@ -49,9 +52,21 @@ def _outcome(f, *args):
         return type(exc).__name__, str(exc)
 
 
+def _checked_per_slot(tri, coords):
+    """`check_coordinates` by the per-slot matching and per-tet quad
+    definitions, for a vector of the right length."""
+    if any(c < 0 for c in coords):
+        raise ValueError("normal coordinates must be nonnegative")
+    if not satisfies_matching_per_slot(tri, coords):
+        raise ValueError("matching equations fail")
+    if not quad_constraint_per_tet(coords, tri.size):
+        raise ValueError("quad constraint fails")
+    return tuple(coords)
+
+
 def _assert_table_matches_slots(tri, coords):
     for table, slots in (
-        (satisfies_matching, satisfies_matching_per_slot),
+        (check_coordinates, _checked_per_slot),
         (edge_weights, edge_weights_per_slot),
         (weight, lambda t, c: sum(edge_weights_per_slot(t, c))),
         (euler_from_coordinates, euler_per_slot),
@@ -59,9 +74,6 @@ def _assert_table_matches_slots(tri, coords):
         assert _outcome(table, tri, coords) == _outcome(slots, tri, coords), (
             table.__name__, coords,
         )
-    assert satisfies_quad_constraint(coords, tri.size) == quad_constraint_per_tet(
-        coords, tri.size
-    )
 
 
 @st.composite
@@ -103,6 +115,45 @@ class TestCoordinateTable:
         assert _outcome(edge_weights, bd4, bad)[0] == "InconsistentCrossings"
         _assert_table_matches_slots(bd4, tuple(bad))
 
+    def test_bad_row_among_good_ones(self, closed_corpus):
+        """A vector whose edge slots disagree gets the message it gets on
+        its own, wherever it sits among valid rows, from the batched edge
+        weights and Euler characteristics alike."""
+        for name, tri in closed_corpus.items():
+            good = enumerate_vertex_solutions(tri)
+            for i in range(0, 7 * tri.size, 5):
+                bad = list(good[i % len(good)])
+                bad[i] += 1
+                single = _outcome(edge_weights, tri, bad)
+                if single[0] != "InconsistentCrossings":
+                    continue
+                assert single == _outcome(edge_weights_per_slot, tri, bad), name
+                for rows in ([*good, bad], [bad, *good], [*good[:2], bad, *good[2:]]):
+                    assert _outcome(edge_weight_rows, tri, rows) == single, name
+                    assert _outcome(euler_rows, tri, rows) == single, name
+
+    def test_batched_kernels_match_slots(self, closed_corpus):
+        for tri in closed_corpus.values():
+            rays = enumerate_vertex_solutions(tri)
+            weights = edge_weight_rows(tri, rays)
+            assert weights.dtype == np.int64
+            assert weights.tolist() == [edge_weights_per_slot(tri, c) for c in rays]
+            assert euler_rows(tri, rays).tolist() == [euler_per_slot(tri, c) for c in rays]
+
+    def test_exact_beyond_int64(self, closed_corpus):
+        """A vertex link scaled by 2**70 gets the exact per-slot edge
+        weights, weight and Euler characteristic, as Python ints."""
+        for name, tri in closed_corpus.items():
+            coords = tuple(2**70 * c for c in vertex_link_coordinates(tri, 0))
+            weights = edge_weights(tri, coords)
+            assert weights == edge_weights_per_slot(tri, coords), name
+            assert all(type(w) is int for w in weights), name
+            wt = weight(tri, coords)
+            assert type(wt) is int and wt == sum(edge_weights_per_slot(tri, coords))
+            chi = euler_from_coordinates(tri, coords)
+            assert type(chi) is int and chi == euler_per_slot(tri, coords) == 2**71
+            assert check_coordinates(tri, coords) == coords
+
 
 class TestMatchingSystem:
     def test_bd4_shape(self, bd4):
@@ -110,12 +161,15 @@ class TestMatchingSystem:
         assert len(m) == 30 and len(m[0]) == 35
 
     def test_zero_vector_satisfies(self, bd4):
-        assert satisfies_matching(bd4, zero_coordinates(bd4))
+        zero = zero_coordinates(bd4)
+        assert satisfies_matching_per_slot(bd4, zero)
+        assert check_coordinates(bd4, zero) == zero
 
     def test_vertex_links_satisfy(self, bd4):
         for orbit in range(skeleton(bd4).vertex_count):
             coords = vertex_link_coordinates(bd4, orbit)
-            assert satisfies_matching(bd4, coords)
+            assert satisfies_matching_per_slot(bd4, coords)
+            assert check_coordinates(bd4, coords) == coords
 
     def test_not_closed_rejected(self):
         open_tri = validate([[None] * 4], require_closed=False)
@@ -125,8 +179,28 @@ class TestMatchingSystem:
     def test_cached_value_is_shared_and_immutable(self, bd4):
         first = matching_system(bd4)
         assert matching_system(bd4) is first
-        assert isinstance(first, tuple)
-        assert all(isinstance(row, tuple) for row in first)
+        assert isinstance(first, np.ndarray) and first.dtype == np.int64
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+
+    def test_rows_follow_the_face_orbits(self, closed_corpus):
+        """Row (F, v), in face-orbit then corner order, adds 1 at the
+        triangle and the quad cutting off corner v in the representative
+        slot of F and subtracts 1 at those of the glued side."""
+        for name, tri in closed_corpus.items():
+            rows = []
+            for orbit in skeleton(tri).face_orbits:
+                i, f = orbit[0]
+                g = tri.gluings[i][f]
+                for v in FACE_VERTICES[f]:
+                    row = [0] * (7 * tri.size)
+                    for tet, face, corner, sign in ((i, f, v, 1), (g.tet, g.face, g.perm[v], -1)):
+                        others = [w for w in FACE_VERTICES[face] if w != corner]
+                        row[tri_index(tet, corner)] += sign
+                        row[quad_index(tet, quad_type_separating(*others))] += sign
+                    rows.append(row)
+            assert matching_system(tri).tolist() == rows, name
 
     def test_cache_leaves_answers_unchanged(self, closed_corpus, monkeypatch):
         """Vertex solution counts as pinned before the cache existed, the
@@ -163,7 +237,9 @@ class TestMatchingSystem:
                     sum(c * x for c, x in zip(row, coords)) == 0
                     for row in uncached(tri)
                 )
-                assert satisfies_matching(tri, coords) == direct, name
+                assert satisfies_matching_per_slot(tri, coords) == direct, name
+                verdict = _outcome(check_coordinates, tri, coords)
+                assert (verdict[1] != "matching equations fail") == direct, name
 
 
 class TestEnumeration:
@@ -178,9 +254,13 @@ class TestEnumeration:
 
     def test_quad_constraint_postcondition(self, closed_corpus):
         for tri in closed_corpus.values():
-            for coords in enumerate_vertex_solutions(tri):
-                assert satisfies_quad_constraint(coords, tri.size)
-                assert satisfies_matching(tri, coords)
+            solutions = enumerate_vertex_solutions(tri)
+            assert check_coordinate_rows(tri, solutions).tolist() == [
+                list(c) for c in solutions
+            ]
+            for coords in solutions:
+                assert quad_constraint_per_tet(coords, tri.size)
+                assert satisfies_matching_per_slot(tri, coords)
 
     def test_budget(self, bd4):
         with pytest.raises(BudgetExceeded):
@@ -393,11 +473,15 @@ class TestReconstruct:
 
     def test_row_check_agrees_with_check_coordinates(self, bd4):
         """Each bad vector gets the error of `check_coordinates`, alone or
-        among valid ones, and valid rows come back as tuples of ints."""
+        among valid ones, and valid rows come back as one array: int64, or
+        Python ints beyond int64."""
         good = enumerate_vertex_solutions(bd4)
         huge = tuple(2**70 * c for c in good[0])
-        assert check_coordinate_rows(bd4, [list(v) for v in good]) == good
-        assert check_coordinate_rows(bd4, [huge]) == [check_coordinates(bd4, huge)]
+        rows = check_coordinate_rows(bd4, [list(v) for v in good])
+        assert rows.dtype == np.int64 and rows.tolist() == [list(v) for v in good]
+        exact = check_coordinate_rows(bd4, [huge])
+        assert exact.dtype == object
+        assert [tuple(exact[0])] == [check_coordinates(bd4, huge)] == [huge]
         n = 7 * bd4.size
         negative = list(good[0])
         negative[negative.index(0)] = -1
@@ -406,7 +490,7 @@ class TestReconstruct:
         isolated_huge = [2**70 * c for c in isolated]
         # a sum of two solutions satisfies matching, not the quad constraint
         sums = ([a + b for a, b in zip(u, v)] for u in good for v in good)
-        two_quads = next(s for s in sums if not satisfies_quad_constraint(s, bd4.size))
+        two_quads = next(s for s in sums if not quad_constraint_per_tet(s, bd4.size))
         for bad in ([0] * (n - 1), negative, isolated, isolated_huge, two_quads):
             with pytest.raises(ValueError) as single:
                 check_coordinates(bd4, bad)
