@@ -29,7 +29,6 @@ from .reconstruct import reconstruct
 from .surgery import crush, cut_and_cap
 from .triangulation import (
     Triangulation,
-    quasimetric,
     skeleton,
     support_metrics,
     validate,
@@ -57,7 +56,6 @@ __all__ = [
     "matching_system",
     "pl_area",
     "projected_area",
-    "quasimetric",
     "radial_project",
     "reconstruct",
     "skeleton",

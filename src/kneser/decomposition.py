@@ -230,10 +230,10 @@ def decompose(
     oracle_check, every crush is audited against cut_and_cap: the direct
     sums of the two sets of pieces' H_1 must be isomorphic."""
     t0 = tri.size
-    if tri.closed and tri.orientable and len(connected_components(tri.gluings)) == 1:
+    if tri.closed and tri.orientable and len(connected_components(tri.arrays)) == 1:
         components = [tri]
     else:
-        components = split_components(tri.gluings)
+        components = split_components(tri.arrays)
     input_h1 = tuple(homology(c, 1) for c in components)
     worklist = deque(components)
     spheres: list[SphereRecord] = []
@@ -317,10 +317,8 @@ def _tet0_embedded(t: Triangulation) -> bool:
         return False
     if len({sk.face_orbit_of[(0, f)] for f in range(4)}) != 4:
         return False
-    return all(
-        t.gluings[0][f] is not None and t.gluings[0][f].tet != 0
-        for f in range(4)
-    )
+    # a boundary face's neighbour is tet 0 itself
+    return bool((t.arrays.neighbours()[0] != 0).all())
 
 
 def connected_sum(a: Triangulation, b: Triangulation) -> Triangulation:

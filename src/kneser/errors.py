@@ -37,11 +37,13 @@ class NonOrientable(KneserError):
 
 
 class NotClosed(KneserError):
-    """Triangulation is not a closed 3-manifold (boundary, bad edge or bad link)."""
+    """Triangulation is not a closed 3-manifold (boundary, bad edge or bad
+    link), first seen at the named (tet, face) or, for a bad edge, (tet,
+    edge)."""
 
-    def __init__(self, tet: int, face: int, reason: str = "boundary face"):
-        self.tet, self.face = tet, face
-        super().__init__(f"not closed at (tet {tet}, face {face}): {reason}")
+    def __init__(self, tet: int, index: int, reason: str = "boundary face", kind: str = "face"):
+        self.tet, self.index, self.kind = tet, index, kind
+        super().__init__(f"not closed at (tet {tet}, {kind} {index}): {reason}")
 
 
 class Disconnected(KneserError):

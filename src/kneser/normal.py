@@ -29,11 +29,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InconsistentCrossings, NotClosed
+from .errors import InconsistentCrossings
 from .triangulation import (
     EDGE_VERTICES,
     FACE_VERTICES,
     Triangulation,
+    require_closed,
     skeleton,
 )
 
@@ -121,16 +122,6 @@ def disk_boundaries(coords: Sequence[int]):
                     (tet, pa, pb, tcount[pb] + c, pd),
                     (tet, pd, pc, tcount[pc] + d, pb),
                 ]
-
-
-def require_closed(tri: Triangulation) -> None:
-    if tri.closed:
-        return
-    for i in range(tri.size):
-        for f in range(4):
-            if tri.gluings[i][f] is None:
-                raise NotClosed(i, f)
-    raise NotClosed(0, 0, "not a closed 3-manifold")
 
 
 class CoordinateTable(NamedTuple):

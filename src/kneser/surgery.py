@@ -111,13 +111,14 @@ def crush(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation]:
             tet, face, perm = g.tet, g.face, perm_compose(g.perm, perm)
         return tet, face, perm
 
-    table = []
+    far, perms = [], []
     for old in survivors:
-        row = []
         for f in range(4):
             tet, face, perm = walk(old, f)
-            row.append((index[tet], face, perm))
-        table.append(row)
+            far.append(4 * index[tet] + face)
+            perms.append(perm)
+    t = len(survivors)
+    table = GluingArrays.written(t, np.arange(4 * t), np.array(far, dtype=np.int64), perms)
 
     try:
         return split_components(table)
@@ -535,14 +536,15 @@ def _boundary_sides(tri: Triangulation):
     return slots, 4 * cur + end, u, v
 
 
-def cap_boundary(tri: Triangulation) -> list[list]:
+def cap_boundary(tri: Triangulation) -> GluingArrays:
     """Cone off every boundary component; each must be a 2-sphere.
 
-    Returns raw rows, left to `split_components` to validate: tri's rows
-    with each boundary face glued to a cap tet, the caps appended in
-    (tet, face) order.  The rotations around the boundary edges run on
-    tri's arrays side by side, and one `components` call gives the boundary
-    components (faces joined across a side) and their corner classes."""
+    Returns the capped arrays, left to `split_components` to validate:
+    tri's arrays grown by one cap tet per boundary face, in (tet, face)
+    order.  Each slot is written from its own side, so the split's
+    involution check audits the rotations around the boundary edges, which
+    run on tri's arrays side by side; one `components` call gives the
+    boundary components (faces joined across a side) and their corners."""
     slots, ends, u, v = _boundary_sides(tri)
     s = len(slots)
     index = np.full(4 * tri.size, -1)
@@ -573,22 +575,26 @@ def cap_boundary(tri: Triangulation) -> list[list]:
             f"boundary component has Euler characteristic {chi[chi != 2][0]}"
         )
 
-    rows = [list(row) for row in tri.gluings]
-    caps = []
-    for cap, slot in enumerate(slots.tolist(), start=tri.size):
-        i, f = divmod(slot, 4)
-        base = (*FACE_VERTICES[f], f)
-        rows[i][f] = (cap, 3, perm_inverse(base))
-        caps.append([None, None, None, (i, f, base)])
+    # face 3 of a cap glues to its boundary face f by the map sending
+    # corners 0, 1, 2 to f's vertices and 3 to f, and f back by the inverse
+    t = tri.size
+    cap_base = 4 * (t + np.arange(s)) + 3
+    bases = [(*FACE_VERTICES[f], f) for f in (slots % 4).tolist()]
+    perms = [*map(perm_inverse, bases), *bases]
     # side a of a cap's base glues its face opposite corner a + 2 to the
     # far cap, matching the corners of the side and the third corners
-    for n, a, m, lu, lv in zip(
-        near.tolist(), side.tolist(), far.tolist(), far_u.tolist(), far_v.tolist()
-    ):
+    third = 3 - far_u - far_v
+    for a, lu, lv, lw in zip(side.tolist(), far_u.tolist(), far_v.tolist(), third.tolist()):
         p = [0, 0, 0, 3]
-        p[a], p[(a + 1) % 3], p[(a + 2) % 3] = lu, lv, 3 - lu - lv
-        caps[n][(a + 2) % 3] = (tri.size + m, 3 - lu - lv, tuple(p))
-    return rows + caps
+        p[a], p[(a + 1) % 3], p[(a + 2) % 3] = lu, lv, lw
+        perms.append(tuple(p))
+    return GluingArrays.written(
+        t + s,
+        np.concatenate((slots, cap_base, 4 * (t + near) + (side + 2) % 3)),
+        np.concatenate((cap_base, slots, 4 * (t + far) + third)),
+        perms,
+        onto=tri.arrays,
+    )
 
 
 def cut_and_cap(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation]:
@@ -596,11 +602,11 @@ def cut_and_cap(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation
     boundary sphere with a cone; topologically faithful (no summand is
     lost).  Returns the pieces.
 
-    `cut_complex` validates the cut rows, boundary allowed, since the
-    rotations of `cap_boundary` run on the cut's arrays and need an
-    involutive table.  `split_components` reads the capped table into
-    arrays once, takes its components from one `components` call and
+    `cut_complex` validates the cut, boundary allowed, since the rotations
+    of `cap_boundary` run on the cut's arrays and need an involutive table.
+    The capped arrays go to `split_components`, which checks them for
+    structure once, takes their components from one `components` call and
     validates each component, sliced out and renumbered, as closed and
-    orientable.  The cut rows sit unchanged inside the capped table, and
-    capping before the split renumbers no tet."""
+    orientable; no rows are built on the way.  The cut's arrays sit
+    unchanged inside the capped arrays, and capping renumbers no tet."""
     return split_components(cap_boundary(cut_complex(tri, complex_)))

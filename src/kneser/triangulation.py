@@ -16,16 +16,17 @@ Conventions used throughout the package:
 Semi-simplicial generality is allowed: two distinct faces of one tetrahedron
 may be glued to each other.  A face glued to itself is always rejected.
 
-Every table is read once into its array form (`GluingArrays`): three (t, 4)
+A table is stored only in its array form (`GluingArrays`): three (t, 4)
 int arrays holding the target tet, the target face and the row of the
-gluing permutation in `S4`, each BOUNDARY at a boundary face.  The checks of
-`validate` are array comparisons on it, and every whole-table question
-(tet orientations and components, vertex and edge orbits, boundary
-components in `surgery.cap_boundary`) is answered by one connected-components
-kernel, `components`, run on the double cover of its nodes: node x with
-colour c is 2x + c, and a union asking bit(x) ^ bit(y) == rel joins (x, c)
-to (y, c ^ rel).  A class of the cover that holds both colours of a node is
-a contradiction, such as an orientation conflict or an edge identified with
+gluing permutation in `S4`, each BOUNDARY at a boundary face.  Raw rows are
+read into it once, by `validate`, and `Gluing` rows are read off it only
+when asked for.  The checks are array comparisons, and every whole-table
+question (tet orientations and components, vertex and edge orbits,
+boundary components in `surgery.cap_boundary`) is answered by one kernel,
+`components`, run on the double cover of its nodes: node x with colour c
+is 2x + c, and a union asking bit(x) ^ bit(y) == rel joins (x, c) to
+(y, c ^ rel).  A class of the cover that holds both colours of a node is a
+contradiction, such as an orientation conflict or an edge identified with
 itself in reverse; only then is the first contradicting union looked for.
 """
 from __future__ import annotations
@@ -104,6 +105,7 @@ S4_ROW: dict[Perm, int] = {p: r for r, p in enumerate(S4)}
 S4_IMAGES = np.array(S4)  # S4_IMAGES[r, v] is the image of v
 BOUNDARY = -1
 _INVERSE_ROW = np.array([S4_ROW[perm_inverse(p)] for p in S4])
+_INVERSE: dict[Perm, Perm] = {p: S4[r] for p, r in zip(S4, _INVERSE_ROW.tolist())}
 _EVEN = np.array([_PERM_SIGNS[p] > 0 for p in S4])
 _FACES = np.arange(4)
 # _FACE_SIGN[r, f]: the sign of the images of face f's vertices, ascending,
@@ -144,17 +146,30 @@ class GluingArrays(NamedTuple):
     perm: np.ndarray
 
     @classmethod
+    def written(
+        cls, t: int, near: np.ndarray, far: np.ndarray, perm: Sequence[Perm],
+        onto: GluingArrays | None = None,
+    ) -> GluingArrays:
+        """The table of t tets in which flat slot near[n] = 4i + f is glued
+        to slot far[n] by perm[n], written from the near side only; every
+        other slot keeps its entry in the table `onto`, whose tets come
+        first, or is a boundary face.  Nothing is checked."""
+        tet, face, rows = (np.full(4 * t, BOUNDARY) for _ in range(3))
+        if onto is not None:
+            for new, old in zip((tet, face, rows), onto):
+                new[:old.size] = old.ravel()
+        tet[near], face[near] = far // 4, far % 4
+        rows[near] = [S4_ROW.get(p, _NOT_A_PERM) for p in perm]
+        return cls(tet.reshape(t, 4), face.reshape(t, 4), rows.reshape(t, 4))
+
+    @classmethod
     def paired(
         cls, t: int, near: np.ndarray, far: np.ndarray, perm: Sequence[Perm]
     ) -> GluingArrays:
-        """The table of t tets in which flat slot near[n] = 4i + f is glued
-        to slot far[n] by perm[n], and far[n] back by its inverse; every
-        other face is a boundary face."""
-        tet, face, rows = (np.full(4 * t, BOUNDARY) for _ in range(3))
-        forward = np.array([S4_ROW[p] for p in perm], dtype=np.int64)
-        tet[near], face[near], rows[near] = far // 4, far % 4, forward
-        tet[far], face[far], rows[far] = near // 4, near % 4, _INVERSE_ROW[forward]
-        return cls(tet.reshape(t, 4), face.reshape(t, 4), rows.reshape(t, 4))
+        """`written` from both sides: slot near[n] glued to slot far[n] by
+        perm[n], and far[n] back by its inverse."""
+        both = np.concatenate((near, far)), np.concatenate((far, near))
+        return cls.written(t, *both, [*perm, *map(_INVERSE.__getitem__, perm)])
 
     @property
     def glued(self) -> np.ndarray:
@@ -183,35 +198,40 @@ class GluingArrays(NamedTuple):
 class Triangulation:
     """Immutable gluing table, with orientation data when orientable.
 
-    gluings[i][f] is the Gluing of face f of tet i, or None for a boundary
-    face.  orientations is a per-tet +1/-1 assignment witnessing orientation
-    coherence, +1 on the least tet of each component, or None if the
-    triangulation is non-orientable.  arrays is the same table in array
-    form: read off the gluings when first read, or kept from the table that
-    `validate_arrays` built them from.  orientations, closed and arrays are
-    functions of the gluings, so only the gluings are compared and hashed.
-    The hash is computed once, since every cache keyed on a triangulation
-    hashes it on each lookup.
+    arrays is the table, kept read-only as int64.  orientations is a
+    per-tet +1/-1 assignment witnessing orientation coherence, +1 on the
+    least tet of each component, or None if the triangulation is
+    non-orientable.  gluings[i][f] is the Gluing of face f of tet i, or
+    None for a boundary face, read off the arrays when first asked for.
+    orientations and closed are functions of the arrays, so only the
+    arrays' bytes are compared and hashed.  The hash is computed once,
+    since every cache keyed on a triangulation hashes it on each lookup.
     """
 
-    gluings: tuple[tuple[Gluing | None, ...], ...]
+    arrays: GluingArrays = field(compare=False)
     orientations: tuple[int, ...] | None = field(compare=False)
     closed: bool = field(compare=False)
+    _bytes: tuple[bytes, ...] = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.gluings))
+        arrays = GluingArrays(*(np.asarray(column, dtype=np.int64) for column in self.arrays))
+        for column in arrays:
+            column.setflags(write=False)
+        object.__setattr__(self, "arrays", arrays)
+        object.__setattr__(self, "_bytes", tuple(column.tobytes() for column in arrays))
+        object.__setattr__(self, "_hash", hash(self._bytes))
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
-    def arrays(self) -> GluingArrays:
-        return _read_only(_gluing_arrays(self.gluings))
+    def gluings(self) -> tuple[tuple[Gluing | None, ...], ...]:
+        return _gluing_rows(self.arrays)
 
     @property
     def size(self) -> int:
-        return len(self.gluings)
+        return len(self.arrays.tet)
 
     @property
     def orientable(self) -> bool:
@@ -650,19 +670,19 @@ def validate_arrays(
     """`validate` on a table already in array form, which the
     Triangulation keeps.  A slot whose entry is not a gluing raises
     ValueError; the other checks raise as in `validate`."""
+    return _triangulation(
+        _checked(arrays), require_closed=require_closed, require_orientable=require_orientable
+    )
+
+
+def _checked(arrays: GluingArrays) -> GluingArrays:
+    """arrays as int64, once every slot holds a gluing or a boundary face;
+    the first slot that does not raises ValueError."""
     arrays = GluingArrays(*(np.asarray(column, dtype=np.int64) for column in arrays))
     bad = _structure_faults(arrays)
     if len(bad):
         i, f = divmod(int(bad[0]), 4)
         raise ValueError(f"(tet {i}, face {f}): not a gluing")
-    return _triangulation(
-        arrays, require_closed=require_closed, require_orientable=require_orientable
-    )
-
-
-def _read_only(arrays: GluingArrays) -> GluingArrays:
-    for column in arrays:
-        column.setflags(write=False)
     return arrays
 
 
@@ -672,12 +692,8 @@ def _triangulation(
     """`validate` past the structural checks, keeping the array form."""
     _check_involution(arrays)
     tri = Triangulation(
-        gluings=_gluing_rows(arrays),
-        orientations=_orientations(arrays, require_orientable),
-        closed=False,
+        arrays, orientations=_orientations(arrays, require_orientable), closed=False
     )
-    # the gluings were read off these arrays, so they are tri's array form
-    tri.__dict__["arrays"] = _read_only(arrays)
     # closed is neither compared nor hashed, so setting it keeps the skeleton
     # that _closedness caches under tri
     object.__setattr__(tri, "closed", _closedness(tri, demand=require_closed))
@@ -695,7 +711,7 @@ def _closedness(tri: Triangulation, demand: bool) -> bool:
     if sk.reversed_edge is not None:
         if demand:
             tet, edge = sk.reversed_edge
-            raise NotClosed(tet, edge, "edge identified with itself in reverse")
+            raise NotClosed(tet, edge, "edge identified with itself in reverse", kind="edge")
         return False
     chi = sk.euler_characteristic
     if chi != 0:
@@ -703,6 +719,13 @@ def _closedness(tri: Triangulation, demand: bool) -> bool:
             raise NotClosed(0, 0, f"Euler characteristic {chi} != 0")
         return False
     return True
+
+
+def require_closed(tri: Triangulation) -> None:
+    """Raise NotClosed, naming what `validate` names, unless tri is a
+    closed 3-manifold."""
+    if not tri.closed:
+        _closedness(tri, demand=True)
 
 
 @lru_cache(maxsize=256)
@@ -775,22 +798,6 @@ def _vertex_adjacency(tri: Triangulation) -> list[set[int]]:
     return adj
 
 
-def quasimetric(tri: Triangulation, a: int, b: int) -> int:
-    """Minimal covering chain length between tets a and b, minus one.
-
-    Consecutive tetrahedra of a chain must share at least one vertex (a
-    continuous path may pass through any shared point, including vertices).
-    """
-    if not (0 <= a < tri.size and 0 <= b < tri.size):
-        raise ValueError("tetrahedron index out of range")
-    if a == b:
-        return 0
-    dist = _bfs_distances(_vertex_adjacency(tri), a)
-    if dist[b] < 0:
-        raise Disconnected(f"no chain of tetrahedra connects {a} to {b}")
-    return dist[b]
-
-
 def _bfs_distances(adj: list[set[int]], source: int) -> list[int]:
     dist = [-1] * len(adj)
     dist[source] = 0
@@ -827,30 +834,29 @@ def support_metrics(tri: Triangulation, support: Iterable[int]) -> SupportMetric
     return SupportMetrics(support=sup, size=len(sup), diameter=diam)
 
 
-def connected_components(table: Sequence[Sequence[RawGluing]]) -> list[list[int]]:
+def _component_classes(arrays: GluingArrays) -> list[np.ndarray]:
+    """The tets of each component of a table checked for structure,
+    ascending, in order of least tet.  The table need not be involutive,
+    so every entry is followed, once from each slot of a gluing: a
+    one-sided gluing still joins its two tets, and `validate` then names it
+    as not involutive."""
+    slots = np.flatnonzero(arrays.glued.ravel())
+    zero = np.zeros(len(slots), dtype=np.int64)
+    return _classes(components(len(arrays.tet), slots // 4, arrays.tet.ravel()[slots], zero)[0])
+
+
+def connected_components(arrays: GluingArrays) -> list[list[int]]:
     """Tet index classes of a gluing table connected through face gluings,
-    each sorted, in order of least tet.
-
-    The table need not be involutive, so every entry is followed, once from
-    each slot of a gluing: a one-sided gluing still joins its two tets, and
-    `validate` then names it as not involutive."""
-    ends = [(i, entry[0]) for i, row in enumerate(table) for entry in row if entry is not None]
-    a, b = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-    root = components(len(table), a, b, np.zeros(len(a), dtype=np.int64))[0]
-    return [c.tolist() for c in _classes(root)]
-
-
-def restrict(
-    table: Sequence[Sequence[RawGluing]], tets: Sequence[int]
-) -> Triangulation:
-    """Closed orientable sub-triangulation on the given tets of a gluing
-    table, in the given order; the tets must be closed under gluings."""
-    return _restricted(_gluing_arrays(table), np.asarray(tets, dtype=np.int64))
+    each sorted, in order of least tet.  A slot whose entry is not a
+    gluing raises ValueError."""
+    return [c.tolist() for c in _component_classes(_checked(arrays))]
 
 
 def _restricted(arrays: GluingArrays, tets: np.ndarray) -> Triangulation:
-    """`restrict` on the array form: the rows of `tets` sliced out and
-    their targets renumbered, then validated as closed and orientable."""
+    """The closed orientable sub-triangulation on the given tets of a
+    table, in the given order, which must be closed under gluings: the
+    rows of `tets` sliced out and their targets renumbered, then
+    validated."""
     index = np.full(len(arrays.tet), -1)
     index[tets] = np.arange(len(tets))
     perm = arrays.perm[tets]
@@ -865,18 +871,10 @@ def _restricted(arrays: GluingArrays, tets: np.ndarray) -> Triangulation:
     )
 
 
-def split_components(table: Sequence[Sequence[RawGluing]]) -> list[Triangulation]:
+def split_components(arrays: GluingArrays) -> list[Triangulation]:
     """Components of a gluing table as closed orientable triangulations, in
-    sorted tet order.  The table is read and checked for structure once;
-    its components come from every entry, as in `connected_components`,
-    and each is sliced out of the array form, renumbered and validated, in
-    order of least tet."""
-    arrays = _gluing_arrays(table)
-    slots = np.flatnonzero(arrays.perm.ravel() != BOUNDARY)
-    root = components(
-        len(arrays.tet),
-        slots // 4,
-        arrays.tet.ravel()[slots],
-        np.zeros(len(slots), dtype=np.int64),
-    )[0]
-    return [_restricted(arrays, comp) for comp in _classes(root)]
+    sorted tet order.  The table is checked for structure once; its
+    components are those of `connected_components`, and each is sliced out,
+    renumbered and validated, in order of least tet."""
+    arrays = _checked(arrays)
+    return [_restricted(arrays, comp) for comp in _component_classes(arrays)]

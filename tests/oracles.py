@@ -91,10 +91,10 @@ from kneser.reconstruct import DiskComplex, build_complex, reconstruct
 from kneser.triangulation import (
     EDGE_VERTICES,
     FACE_VERTICES,
-    Gluing,
     RawGluing,
     Triangulation,
     _UnionFind,
+    _gluing_arrays,
     perm_inverse,
     perm_sign,
     skeleton,
@@ -355,15 +355,12 @@ def validate_reference(
         orientations = tuple(-1 if tets.find(i)[1] else 1 for i in range(t))
     elif require_orientable:
         raise NonOrientable(*bad)
-    rows = tuple(
-        tuple(None if e is None else Gluing(e[0], e[1], tuple(e[2])) for e in row)
-        for row in table
-    )
-    tri = Triangulation(gluings=rows, orientations=orientations, closed=False)
+    # every row is checked above; the array form is only read off them
+    tri = Triangulation(_gluing_arrays(table), orientations=orientations, closed=False)
     closed = True
     for i in range(t):
         for f in range(4):
-            if rows[i][f] is None:
+            if table[i][f] is None:
                 if require_closed:
                     raise NotClosed(i, f)
                 closed = False
@@ -371,7 +368,9 @@ def validate_reference(
         sk = skeleton_reference(tri)
         if sk.reversed_edge is not None:
             if require_closed:
-                raise NotClosed(*sk.reversed_edge, "edge identified with itself in reverse")
+                raise NotClosed(
+                    *sk.reversed_edge, "edge identified with itself in reverse", kind="edge"
+                )
             closed = False
         elif sk.euler_characteristic != 0:
             if require_closed:

@@ -64,7 +64,7 @@ def closed_two_tet():
             tri = validate(table)
         except (KneserError, ValueError):
             continue
-        if len(connected_components(tri.gluings)) == 1:
+        if len(connected_components(tri.arrays)) == 1:
             out.append(tri)
     return tuple(out)
 

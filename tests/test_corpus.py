@@ -55,7 +55,7 @@ def census(ntet, cross_only=False):
                 tri = validate(table)
             except (KneserError, ValueError):
                 continue
-            if len(connected_components(tri.gluings)) != 1:
+            if len(connected_components(tri.arrays)) != 1:
                 continue
             h1 = homology(tri, 1)
             key = (h1.rank, h1.torsion)
@@ -97,12 +97,12 @@ class TestOctahedralRp3:
 
     def test_every_tet_embedded(self):
         from kneser.decomposition import _tet0_embedded
-        from kneser.triangulation import restrict
+        from kneser.triangulation import _restricted
 
         tri = corpus.rp3_octahedral()
         for lead in range(tri.size):
-            rotated = restrict(
-                tri.gluings, [lead] + [i for i in range(tri.size) if i != lead]
+            rotated = _restricted(
+                tri.arrays, [lead] + [i for i in range(tri.size) if i != lead]
             )
             assert _tet0_embedded(rotated)
 

@@ -35,6 +35,7 @@ from oracles import (
     zero_coordinates,
 )
 from test_decomposition import _closed_corpus_files
+from test_triangulation import one_tet_table
 
 _FILES = _closed_corpus_files()
 
@@ -175,6 +176,19 @@ class TestMatchingSystem:
         open_tri = validate([[None] * 4], require_closed=False)
         with pytest.raises(NotClosed):
             matching_system(open_tri)
+
+    def test_not_closed_named_as_validate_names_it(self):
+        """On tables with no boundary face that are not closed, the linear
+        tests raise the NotClosed that validate raises, slot and reason."""
+        for q in ((0, 2, 3, 1), (1, 0, 3, 2), (2, 1, 3, 0)):
+            table = one_tet_table(q)
+            tri = validate(table, require_closed=False, require_orientable=False)
+            with pytest.raises(NotClosed) as expected:
+                validate(table, require_orientable=False)
+            for check in (matching_system, lambda t: check_coordinate_rows(t, [[0] * 7])):
+                with pytest.raises(NotClosed) as info:
+                    check(tri)
+                assert str(info.value) == str(expected.value), q
 
     def test_cached_value_is_shared_and_immutable(self, bd4):
         first = matching_system(bd4)

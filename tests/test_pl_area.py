@@ -124,10 +124,10 @@ class TestPLArea:
         # reorder the tetrahedra of an isomorphic copy: the multiset of
         # (weight, length) pairs over all vertex solutions is unchanged
         from kneser import corpus
-        from kneser.triangulation import restrict
+        from kneser.triangulation import _restricted
 
         tri = corpus.rp3_octahedral()
-        shuffled = restrict(tri.gluings, [3, 0, 6, 1, 7, 2, 5, 4])
+        shuffled = _restricted(tri.arrays, [3, 0, 6, 1, 7, 2, 5, 4])
         def spectrum(t):
             areas = [
                 pl_area(t, c) for c in enumerate_vertex_solutions(t)

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kneser
-from kneser import corpus, surgery
+from kneser import corpus, surgery, triangulation
 from kneser.errors import (
     ConsistencyCheckFailed,
     InvalidAfterCrush,
@@ -17,7 +18,7 @@ from kneser.errors import (
 from kneser.homology import homology
 from kneser.reconstruct import build_complex, reconstruct
 from kneser.surgery import cap_boundary, crush, cut_and_cap, cut_complex
-from kneser.triangulation import validate
+from kneser.triangulation import BOUNDARY, S4, S4_ROW, validate, validate_arrays
 from kneser.vertex_enum import enumerate_vertex_solutions
 from oracles import sympy_homology, vertex_link_coordinates
 
@@ -64,15 +65,15 @@ def swap_images(perm):
 
 def corrupted_cut_and_cap(tri, coords):
     """cut_and_cap with the last cap's gluing (face 3, glued to the cut
-    complex) given a wrong permutation: it still sends face 3 to the same
-    face, but is no longer the inverse of the gluing back."""
+    complex) given a wrong permutation in the capped arrays: it still sends
+    face 3 to the same face, but is no longer the inverse of the gluing
+    back."""
     real = surgery.cap_boundary
 
     def corrupt(cut):
-        rows = real(cut)
-        j, k, perm = rows[-1][3]
-        rows[-1][3] = (j, k, swap_images(perm))
-        return rows
+        capped = real(cut)
+        capped.perm[-1, 3] = S4_ROW[swap_images(S4[capped.perm[-1, 3]])]
+        return capped
 
     surgery.cap_boundary = corrupt
     try:
@@ -101,12 +102,13 @@ def corrupted_crush(tri, coords):
 
 
 def corrupted_crush_table(tri, coords):
-    """crush with the first entry of its raw walked table blanked, so the
-    gluing back to that slot is one-sided."""
+    """crush with slot (0, 0) of its walked table blanked in the arrays, so
+    the gluing back to that slot is one-sided."""
     real = surgery.split_components
 
     def corrupt(table):
-        table[0][0] = None
+        for column in table:
+            column[0, 0] = BOUNDARY
         return real(table)
 
     surgery.split_components = corrupt
@@ -128,14 +130,15 @@ def crushable_sphere(tri):
 class TestCapBoundary:
     def test_single_tet_caps_to_sphere(self):
         ball = validate([[None] * 4], require_closed=False)
-        capped = validate(cap_boundary(ball))
+        capped = validate_arrays(cap_boundary(ball))
         assert capped.closed and capped.orientable
         assert capped.size == 5
         assert homology(capped, 1).trivial
         assert homology(capped, 0).rank == 1
 
     def test_closed_input_unchanged(self, bd4):
-        assert cap_boundary(bd4) == [list(row) for row in bd4.gluings]
+        capped = cap_boundary(bd4)
+        assert all(np.array_equal(a, b) for a, b in zip(capped, bd4.arrays))
 
     def test_torus_boundary_raises(self):
         with pytest.raises(ConsistencyCheckFailed, match="Euler characteristic 0"):
@@ -296,6 +299,30 @@ class TestValidateOnce:
             validated_rows.clear()
             pieces = cut_and_cap(tri, complex_)
             assert sum(validated_rows) == cut_size + sum(p.size for p in pieces)
+
+    def test_cut_and_cap_builds_no_rows(self, closed_corpus, monkeypatch):
+        """cut_and_cap hands arrays from the cut to the caps to the split:
+        it reads no raw rows and builds no Gluing rows."""
+        calls = []
+        for name in ("_gluing_rows", "_gluing_arrays"):
+            real = getattr(triangulation, name)
+
+            def counting(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(triangulation, name, counting)
+        tri = closed_corpus["sum_bd4_rp3"]
+        nonvl = [c for c, vl in sphere_solutions(tri) if not vl]
+        assert nonvl
+        # the input's own rows, which the cone construction reads, are
+        # cached on it
+        tri.gluings
+        for coords in nonvl:
+            complex_ = build_complex(tri, coords)
+            calls.clear()
+            assert cut_and_cap(tri, complex_)
+            assert calls == []
 
     def test_piece_tables_pinned(self, closed_corpus):
         out = []

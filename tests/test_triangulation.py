@@ -24,17 +24,18 @@ from kneser.triangulation import (
     SkeletonTable,
     Triangulation,
     _UnionFind,
+    _gluing_arrays,
     _tet_unions,
     components,
     connected_components,
     perm_compose,
     perm_inverse,
     perm_sign,
-    quasimetric,
     skeleton,
     split_components,
     support_metrics,
     validate,
+    validate_arrays,
 )
 from kneser.vertex_enum import enumerate_vertex_solutions
 from oracles import (
@@ -98,8 +99,40 @@ class TestValidate:
         assert again is not bd4 and again == bd4 and hash(again) == hash(bd4)
 
     def test_closed_and_orientations_not_hashed(self, bd4):
-        other = Triangulation(bd4.gluings, orientations=None, closed=not bd4.closed)
+        other = Triangulation(bd4.arrays, orientations=None, closed=not bd4.closed)
         assert other == bd4 and hash(other) == hash(bd4)
+
+    def test_one_table_built_three_ways(self, closed_corpus):
+        """validate of the rows, validate_arrays of the arrays and
+        split_components give equal triangulations, with equal hashes and
+        the same Gluing rows; a different table compares unequal."""
+        tris = list(closed_corpus.values())
+        for tri, other in zip(tris, tris[1:] + tris[:1]):
+            rows = raw(tri)
+            by_rows = validate(rows)
+            arrays = _gluing_arrays(rows)
+            by_arrays = validate_arrays(_gluing_arrays(rows))
+            (by_split,) = split_components(arrays)
+            for built in (by_arrays, by_split):
+                assert built == by_rows and hash(built) == hash(by_rows)
+                assert built.gluings == by_rows.gluings == tri.gluings
+            assert raw(by_rows) == rows
+            assert by_rows != other and by_rows != rows
+
+    def test_reversed_edge_named_as_an_edge(self):
+        """A table whose only fault is an edge identified with itself in
+        reverse names that (tet, edge), as the reference does."""
+        table = one_tet_table((0, 2, 3, 1))
+        with pytest.raises(NotClosed) as info:
+            validate(table, require_orientable=False)
+        assert str(info.value) == (
+            "not closed at (tet 0, edge 4): edge identified with itself in reverse"
+        )
+        assert (info.value.tet, info.value.index, info.value.kind) == (0, 4, "edge")
+        for flags in FLAGS:
+            assert outcome(validate, table, **flags) == outcome(
+                validate_reference, table, **flags
+            )
 
     def test_closed_table_builds_one_skeleton(self, bd4):
         skeleton.cache_clear()
@@ -159,6 +192,13 @@ def random_tables(count: int, seed: int):
         yield table
 
 
+def one_tet_table(q):
+    """One tet with face 0 glued to face 1 by (1, 0, 2, 3) and face 2 to
+    face 3 by q: no face is a boundary face."""
+    swap = (1, 0, 2, 3)
+    return [[(0, 1, swap), (0, 0, swap), (0, 3, q), (0, 2, perm_inverse(q))]]
+
+
 class TestAgainstWalks:
     """Orientations, NonOrientable and components from the union-find agree
     with the depth-first walks they replaced."""
@@ -174,7 +214,7 @@ class TestAgainstWalks:
                 assert expected is None
                 continue
             assert tri.orientations == expected
-            assert connected_components(tri.gluings) == connected_components_reference(tri)
+            assert connected_components(tri.arrays) == connected_components_reference(tri)
 
     def test_random_tables(self):
         for table in random_tables(3000, seed=5):
@@ -184,7 +224,7 @@ class TestAgainstWalks:
                     validate(table, require_closed=False)
             tri = validate(table, require_closed=False, require_orientable=False)
             assert tri.orientations == expected
-            assert connected_components(tri.gluings) == connected_components_reference(tri)
+            assert connected_components(tri.arrays) == connected_components_reference(tri)
 
 
 DEFECTS = ("none", "open", "one_sided", "wrong_inverse", "self_glued", "redirect")
@@ -291,6 +331,12 @@ def same(ours, theirs) -> bool:
     return ours == theirs
 
 
+def split_raw(table):
+    """`split_components` of a raw table, read into arrays by the reader
+    that `validate` uses."""
+    return split_components(_gluing_arrays(table))
+
+
 def assert_matches_references(table):
     """validate under every flag pair, connected_components and
     split_components and, on a table that validates, skeleton and the tet
@@ -300,8 +346,11 @@ def assert_matches_references(table):
         assert outcome(validate, table, **flags) == outcome(
             validate_reference, table, **flags
         ), flags
-    assert connected_components(table) == tet_unionfind_reference(table)[0].classes()
-    assert outcome(split_components, table) == outcome(split_reference, table)
+    assert (
+        connected_components(_gluing_arrays(table))
+        == tet_unionfind_reference(table)[0].classes()
+    )
+    assert outcome(split_raw, table) == outcome(split_reference, table)
     try:
         validate_reference(table, require_closed=False, require_orientable=False)
     except (KneserError, ValueError):
@@ -387,7 +436,7 @@ class TestOneSlotKernels:
                     assert outcome(validate, table, **flags) == outcome(
                         validate_reference, table, **flags
                     )
-                assert outcome(split_components, table) == outcome(split_reference, table)
+                assert outcome(split_raw, table) == outcome(split_reference, table)
 
     def test_negative_face_with_non_permutation(self):
         """A negative target face is out of range whatever the permutation,
@@ -406,13 +455,13 @@ class TestOneSlotKernels:
                         assert outcome(validate, table, **flags) == outcome(
                             validate_reference, table, **flags
                         )
-                    assert outcome(split_components, table) == outcome(split_reference, table)
+                    assert outcome(split_raw, table) == outcome(split_reference, table)
 
     def test_one_sided_gluing_is_not_involutive(self):
         # tet 1 glues face 0 to tet 0, which does not glue back: followed
         # from the lesser slot only, the two tets would fall apart and
         # tet 0 alone would fail as not closed
-        table = [[None] * 4, [(0, 0, (0, 1, 2, 3)), None, None, None]]
+        table = _gluing_arrays([[None] * 4, [(0, 0, (0, 1, 2, 3)), None, None, None]])
         assert connected_components(table) == [[0, 1]]
         with pytest.raises(NonInvolutiveGluing) as info:
             split_components(table)
@@ -434,36 +483,49 @@ class TestSkeleton:
         two = disjoint_union(bd4, bd4)
         sk = skeleton(two)
         assert (sk.vertex_count, sk.edge_count, sk.face_count) == (10, 20, 20)
-        assert len(split_components(two.gluings)) == 2
+        assert len(split_components(two.arrays)) == 2
 
     def test_every_corpus_triangulation_has_chi_zero(self, closed_corpus):
         for name, tri in closed_corpus.items():
             assert skeleton(tri).euler_characteristic == 0, name
 
 
+def pair_distance(tri, a: int, b: int) -> int:
+    """d_T(a, b): the diameter of the support {a, b}."""
+    return support_metrics(tri, {a, b}).diameter
+
+
 class TestQuasimetric:
+    """d_T, the least number of vertex-sharing steps between two tets, read
+    as the diameter of a two-tet support."""
+
     def test_identity(self, bd4):
-        assert quasimetric(bd4, 2, 2) == 0
+        assert pair_distance(bd4, 2, 2) == 0
 
     def test_bd4_any_pair_is_one(self, bd4):
         # any two 4-element subsets of a 5-element set intersect
         for a in range(5):
             for b in range(5):
                 expected = 0 if a == b else 1
-                assert quasimetric(bd4, a, b) == expected
+                assert pair_distance(bd4, a, b) == expected
 
     def test_symmetry_on_corpus(self, closed_corpus):
+        """d_T is symmetric whichever tet the search starts from, and obeys
+        the triangle inequality."""
         for tri in closed_corpus.values():
-            for a in range(tri.size):
-                for b in range(tri.size):
-                    assert quasimetric(tri, a, b) == quasimetric(tri, b, a)
+            n = tri.size
+            d = [[pair_distance(tri, a, b) for b in range(n)] for a in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    assert d[a][b] == d[b][a] == support_metrics(tri, [b, a]).diameter
+                    assert all(d[a][b] <= d[a][c] + d[c][b] for c in range(n))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_chain_against_exhaustive_search(self, n):
         chain = corpus.linear_chain(n)
         for a in range(n):
             for b in range(n):
-                assert quasimetric(chain, a, b) == exhaustive_chain_distance(
+                assert pair_distance(chain, a, b) == exhaustive_chain_distance(
                     chain, a, b
                 )
 
@@ -471,7 +533,7 @@ class TestQuasimetric:
         for tri in small_corpus.values():
             for a in range(tri.size):
                 for b in range(tri.size):
-                    assert quasimetric(tri, a, b) == exhaustive_chain_distance(
+                    assert pair_distance(tri, a, b) == exhaustive_chain_distance(
                         tri, a, b
                     )
 
@@ -479,12 +541,13 @@ class TestQuasimetric:
         # face-glued chains share vertices up to 3 tets apart, so the best
         # possible growth is ceil((n-1)/3)
         chain = corpus.linear_chain(13)
-        assert quasimetric(chain, 0, 12) == 4
+        assert pair_distance(chain, 0, 12) == 4
 
     def test_disconnected_raises(self, bd4):
         two = disjoint_union(bd4, bd4)
+        assert exhaustive_chain_distance(two, 0, 5) is None
         with pytest.raises(Disconnected):
-            quasimetric(two, 0, 5)
+            pair_distance(two, 0, 5)
 
 
 class TestSupportMetrics:
@@ -506,8 +569,8 @@ class TestSupportMetrics:
             support_metrics(bd4, set())
 
     def test_diameter_against_pairwise_quasimetric(self, closed_corpus, monkeypatch):
-        """The diameter is the largest pairwise quasimetric over the
-        support, and one call builds the adjacency table once."""
+        """The diameter is the largest d_T over pairs of the support, and
+        one call builds the adjacency table once."""
         from kneser import triangulation
 
         built = []
@@ -528,7 +591,7 @@ class TestSupportMetrics:
                 m = support_metrics(tri, support)
                 assert len(built) == 1
                 assert m.diameter == max(
-                    quasimetric(tri, a, b) for a in support for b in support
+                    pair_distance(tri, a, b) for a in support for b in support
                 )
 
     def test_connected_support_diameter_bound(self, closed_corpus):
