@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import TerminationGuardTripped
+from .errors import ConsistencyCheckFailed, TerminationGuardTripped
 from .homology import AbelianInvariants, homology
 from .normal import (
     NormalCoordinates,
@@ -311,12 +311,10 @@ def _tet0_embedded(t: Triangulation) -> bool:
     the connected sum.
     """
     sk = skeleton(t)
-    if len({sk.vertex_orbit_of[(0, v)] for v in range(4)}) != 4:
-        return False
-    if len({sk.edge_orbit_of[(0, e)][0] for e in range(6)}) != 6:
-        return False
-    if len({sk.face_orbit_of[(0, f)] for f in range(4)}) != 4:
-        return False
+    for orbit in (sk.vertex_orbit, sk.edge_orbit, sk.face_orbit):
+        row = orbit[0].tolist()
+        if len(set(row)) != len(row):
+            return False
     # a boundary face's neighbour is tet 0 itself
     return bool((t.arrays.neighbours()[0] != 0).all())
 
@@ -385,6 +383,9 @@ def connected_sum(a: Triangulation, b: Triangulation) -> Triangulation:
         rows[dst[0]][dst[1]] = (src[0], src[1], perm_inverse(q))
 
     out = validate(rows, require_closed=True, require_orientable=True)
-    assert out.size == a.size + b.size - 2
+    if out.size != a.size + b.size - 2:
+        raise ConsistencyCheckFailed(
+            f"connected sum has {out.size} tets, not {a.size + b.size - 2}"
+        )
     return out
 

@@ -37,9 +37,11 @@ class NonOrientable(KneserError):
 
 
 class NotClosed(KneserError):
-    """Triangulation is not a closed 3-manifold (boundary, bad edge or bad
-    link), first seen at the named (tet, face) or, for a bad edge, (tet,
-    edge)."""
+    """Triangulation is not a closed 3-manifold, first seen at the named
+    slot: a boundary face at (tet, face) (kind "face"), an edge identified
+    with itself in reverse at (tet, edge) (kind "edge"), or a vertex link
+    that is not a sphere at the least (tet, vertex) slot of its vertex
+    orbit (kind "vertex")."""
 
     def __init__(self, tet: int, index: int, reason: str = "boundary face", kind: str = "face"):
         self.tet, self.index, self.kind = tet, index, kind

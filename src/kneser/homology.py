@@ -29,7 +29,8 @@ trees, Hatcher, Algebraic Topology, sections 1.2 and 2.2):
 
 d_3 (only H_2 needs it) keeps its full matrix.  The entries of d_2 and
 d_3, with their orientation signs, are read off the skeleton's per-slot
-orbit and direction arrays and the table's permutation rows at once.
+orbit and direction arrays, its orbit representatives (`edge_first`,
+`face_first`) and the table's permutation rows at once.
 
 Smith normal form runs in two phases: a sparse elimination over unit pivots
 (which is all a boundary matrix usually needs and never grows
@@ -257,16 +258,6 @@ _D2_EDGES = np.array([
 _D2_SIGNS = np.array([1, -1, 1])
 
 
-def _representatives(orbit: np.ndarray) -> np.ndarray:
-    """The flat slot of each orbit's representative, its least slot:
-    orbits are numbered in order of their least slot, so that is where the
-    running maximum of the numbers grows."""
-    flat = orbit.ravel()
-    grows = np.ones(len(flat), dtype=bool)
-    np.greater(flat[1:], np.maximum.accumulate(flat)[:-1], out=grows[1:])
-    return np.flatnonzero(grows)
-
-
 def boundary_entries(tri: Triangulation, k: int) -> tuple[list[Entry], int, int]:
     """Sparse entries of the boundary map C_k -> C_{k-1} of the orbit complex,
     k in {2, 3} (d_1 needs no matrix, see the module docstring), read off
@@ -277,7 +268,7 @@ def boundary_entries(tri: Triangulation, k: int) -> tuple[list[Entry], int, int]
     """
     sk = skeleton(tri)
     if k == 2:
-        tet, face = np.divmod(_representatives(sk.face_orbit), 4)
+        tet, face = np.divmod(sk.face_first, 4)
         edges = _D2_EDGES[face]
         rows = sk.edge_orbit[tet[:, None], edges]
         values = np.where(sk.edge_reversed[tet[:, None], edges], -_D2_SIGNS, _D2_SIGNS)
@@ -299,7 +290,7 @@ def _face_signs(tri: Triangulation, sk: SkeletonTable) -> np.ndarray:
     orbit representative's?  At the other slot of a gluing it is the sign
     of the gluing's map between the two faces."""
     reps = np.zeros(4 * tri.size, dtype=bool)
-    reps[_representatives(sk.face_orbit)] = True
+    reps[sk.face_first] = True
     return np.where(reps.reshape(tri.size, 4), 1, tri.arrays.face_signs())
 
 
@@ -321,9 +312,9 @@ def _forests(tri: Triangulation) -> tuple[set[int], set[int]]:
     orbits) and one of the dual graph (face orbits of two slots joining
     their tets)."""
     sk = skeleton(tri)
-    tet, edge = np.divmod(_representatives(sk.edge_orbit), 6)
+    tet, edge = np.divmod(sk.edge_first, 6)
     ends = sk.vertex_orbit[tet[:, None], _EDGE_ENDS[edge]]
-    tet, face = np.divmod(_representatives(sk.face_orbit), 4)
+    tet, face = np.divmod(sk.face_first, 4)
     other = tri.arrays.neighbours()[tet, face]
     return (
         _spanning_forest(sk.vertex_count, ends.tolist()),

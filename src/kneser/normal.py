@@ -14,9 +14,10 @@ The linear tests read one index table per triangulation,
 `coordinate_table`, built once from the skeleton and cached like
 `matching_system`: the four indices (a, b | c, d) of each matching row,
 meaning x[a] + x[b] = x[c] + x[d]; the four indices (two triangles, two
-quads) that cross each edge of each tet, with its edge orbit; and the
-number of normal arcs each coordinate contributes, face orbits counted on
-their representative slots.  Validity, edge weights and the Euler
+quads) that cross each edge of each tet; and the number of normal arcs
+each coordinate contributes, face orbits counted on their representative
+slots.  Edge weights read the edge orbits and their representatives off
+the skeleton's arrays.  Validity, edge weights and the Euler
 characteristic are then gathers and sums over a 2-D array of coordinate
 rows, exact beyond int64 (`check_coordinate_rows`, `edge_weight_rows`,
 `euler_rows`); `check_coordinates`, `edge_weights`, `weight` and
@@ -131,14 +132,12 @@ class CoordinateTable(NamedTuple):
     x[a] + x[b] == x[c] + x[d], the arc count of one corner seen from the
     two sides of a face orbit (a triangle and a quad index on each side).
     Edge e of tet i crosses the four coordinates edge_slots[:, 6i + e] (two
-    triangles, two quads) and lies in orbit edge_orbit[6i + e]; orbit k's
-    first slot is edge_first[k].  arcs[i] is how many normal arcs one disk
-    of coordinate i has in the representative slots of the face orbits."""
+    triangles, two quads); its orbit and the orbit representatives are the
+    skeleton's.  arcs[i] is how many normal arcs one disk of coordinate i
+    has in the representative slots of the face orbits."""
 
     matching: np.ndarray
     edge_slots: np.ndarray
-    edge_orbit: np.ndarray
-    edge_first: np.ndarray
     arcs: np.ndarray
 
 
@@ -155,20 +154,16 @@ def coordinate_table(tri: Triangulation) -> CoordinateTable:
     """The index table of tri, read off its skeleton and gluing arrays
     once and shared by every caller.  Matching rows come from the face
     orbits whose representative (least) slot is glued, in orbit order."""
-    sk = skeleton(tri)
-    tet, face = np.divmod(np.unique(sk.face_orbit, return_index=True)[1], 4)
+    tet, face = np.divmod(skeleton(tri).face_first, 4)
     corner = np.array(FACE_VERTICES)[face]
     near = 7 * tet[:, None, None] + _ARC[face[:, None], corner]
     glued = tri.arrays.glued[tet, face]
     tet, face, corner = tet[glued, None], face[glued, None], corner[glued]
     image = tri.arrays.images(tet, face, corner)
     far = 7 * tri.arrays.tet[tet, face, None] + _ARC[tri.arrays.face[tet, face], image]
-    edge_orbit = sk.edge_orbit.ravel()
     table = CoordinateTable(
         np.concatenate([near[glued], far], axis=2).reshape(-1, 4),
         (7 * np.arange(tri.size)[:, None, None] + _EDGE_SLOT).reshape(-1, 4).T,
-        edge_orbit,
-        np.unique(edge_orbit, return_index=True)[1],
         np.bincount(near.ravel(), minlength=7 * tri.size),
     )
     for array in table:
@@ -235,14 +230,15 @@ def edge_weight_rows(tri: Triangulation, rows: Sequence[Sequence[int]]) -> np.nd
     InconsistentCrossings for the first vector, and in it the first orbit,
     whose slots disagree."""
     x = _coordinate_array(tri, rows)
-    table = coordinate_table(tri)
-    per_slot = x[:, table.edge_slots].sum(axis=1)
-    weights = per_slot[:, table.edge_first]
-    bad = per_slot != weights[:, table.edge_orbit]
+    sk = skeleton(tri)
+    orbit = sk.edge_orbit.ravel()
+    per_slot = x[:, coordinate_table(tri).edge_slots].sum(axis=1)
+    weights = per_slot[:, sk.edge_first]
+    bad = per_slot != weights[:, orbit]
     if bad.any():
         row = bad.any(axis=1).argmax()
-        idx = table.edge_orbit[bad[row]].min()
-        counts = sorted(set(per_slot[row, table.edge_orbit == idx].tolist()))
+        idx = orbit[bad[row]].min()
+        counts = sorted(set(per_slot[row, orbit == idx].tolist()))
         raise InconsistentCrossings(f"edge orbit {idx} sees crossing counts {counts}")
     return weights
 

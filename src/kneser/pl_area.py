@@ -91,13 +91,13 @@ def pl_area(tri: Triangulation, coords) -> PLArea:
     borders: twice, since it lies in one face orbit."""
     coords = check_coordinates(tri, coords)
     weights = edge_weights(tri, coords)
-    edge_orbit_of = skeleton(tri).edge_orbit_of
+    edge_orbit = skeleton(tri).edge_orbit.ravel().tolist()
     total = 0.0
     for _disk, arcs in disk_boundaries(coords):
         for tet, face, corner, n, _start in arcs:
             x, y = (w for w in FACE_VERTICES[face] if w != corner)
-            m1 = weights[edge_orbit_of[(tet, EDGE_BETWEEN[corner][x])][0]]
-            m2 = weights[edge_orbit_of[(tet, EDGE_BETWEEN[corner][y])][0]]
+            m1 = weights[edge_orbit[6 * tet + EDGE_BETWEEN[corner][x]]]
+            m2 = weights[edge_orbit[6 * tet + EDGE_BETWEEN[corner][y]]]
             total += normal_arc_length(n, m1, m2)
     return PLArea(weight=sum(weights), length=total)
 

@@ -29,7 +29,6 @@ from .normal import (
 from .triangulation import (
     EDGE_BETWEEN,
     FACE_VERTICES,
-    SkeletonTable,
     Triangulation,
     _UnionFind,
     skeleton,
@@ -127,26 +126,13 @@ class ReconstructedSurface:
         )
 
 
-def crossing_of(
-    sk: SkeletonTable,
-    weights: list[int],
-    tet: int,
-    u: int,
-    v: int,
-    i: int,
-) -> Crossing:
-    """The i-th crossing (1-based) from vertex u along edge {u, v} of `tet`,
-    as an orbit-level (edge orbit, slot) pair."""
-    orbit, reversed_ = sk.edge_orbit_of[(tet, EDGE_BETWEEN[u][v])]
-    m = weights[orbit]
-    pos = i if u < v else m + 1 - i  # position along the ascending direction
-    slot = m + 1 - pos if reversed_ else pos
-    return (orbit, slot)
-
-
-def _arc_lookup(tri: Triangulation, weights):
+def _arc_lookup(tri: Triangulation, weights: list[int]):
     """Helpers mapping tet-local arc references to orbit-level arcs."""
     sk = skeleton(tri)
+    face_orbit = sk.face_orbit.ravel().tolist()
+    face_first = sk.face_first.tolist()
+    edge_orbit = sk.edge_orbit.ravel().tolist()
+    edge_reversed = sk.edge_reversed.ravel().tolist()
 
     def arc_use(tet: int, face: int, corner: int, n: int, start: int) -> ArcUse:
         """The traversal of the n-th arc from `corner` in face `face` of
@@ -156,11 +142,16 @@ def _arc_lookup(tri: Triangulation, weights):
         endpoint, which lies on the representative edge {corner, x} with
         the smaller third vertex x.
         """
-        orbit = sk.face_orbit_of[(tet, face)]
-        rep = sk.face_orbits[orbit][0]
+        orbit = face_orbit[4 * tet + face]
+        rep = divmod(face_first[orbit], 4)
         if (tet, face) != rep:
+            # the other slot of an orbit glues to its representative
             g = tri.gluings[tet][face]
-            assert g is not None and (g.tet, g.face) == rep
+            if g is None or (g.tet, g.face) != rep:
+                raise ConsistencyCheckFailed(
+                    f"(tet {tet}, face {face}) does not glue to the representative "
+                    f"{rep} of its face orbit"
+                )
             corner, start = g.perm[corner], g.perm[start]
         x_rep = min(w for w in FACE_VERTICES[rep[1]] if w != corner)
         return ArcUse(
@@ -169,13 +160,18 @@ def _arc_lookup(tri: Triangulation, weights):
             face_slot=(tet, face),
         )
 
-    def arc_crossings(face_orbit: int, rep_corner: int, n: int):
-        rep_tet, rep_face = sk.face_orbits[face_orbit][0]
+    def crossing(tet: int, u: int, v: int, i: int) -> Crossing:
+        """The i-th crossing (1-based) from vertex u along edge {u, v} of
+        `tet`, as an orbit-level (edge orbit, slot) pair."""
+        slot = 6 * tet + EDGE_BETWEEN[u][v]
+        m = weights[edge_orbit[slot]]
+        pos = i if u < v else m + 1 - i  # position along the ascending direction
+        return (edge_orbit[slot], m + 1 - pos if edge_reversed[slot] else pos)
+
+    def arc_crossings(orbit: int, rep_corner: int, n: int):
+        rep_tet, rep_face = divmod(face_first[orbit], 4)
         x, y = sorted(w for w in FACE_VERTICES[rep_face] if w != rep_corner)
-        return (
-            crossing_of(sk, weights, rep_tet, rep_corner, x, n),
-            crossing_of(sk, weights, rep_tet, rep_corner, y, n),
-        )
+        return crossing(rep_tet, rep_corner, x, n), crossing(rep_tet, rep_corner, y, n)
 
     return arc_use, arc_crossings
 

@@ -41,7 +41,6 @@ from .triangulation import (
     FACE_VERTICES,
     GluingArrays,
     Perm,
-    SkeletonTable,
     Triangulation,
     components,
     perm_compose,
@@ -170,7 +169,11 @@ def _patch_region(tcount, qtype, q, face: int, corner: int, i: int) -> RegionId:
     """
     if i < tcount[corner]:
         return ("corner", corner, i)
-    assert qtype is not None and corner == _quad_partner(qtype, face)
+    if qtype is None or corner != _quad_partner(qtype, face):
+        raise ConsistencyCheckFailed(
+            f"patch {i} at corner {corner} of face {face} lies past the triangle "
+            "arcs at a corner that no quad cuts"
+        )
     n = i - tcount[corner]
     if n == 0:
         side = 0 if corner in QUAD_PAIRS[qtype][0] else 1
@@ -228,16 +231,14 @@ def _arc_side(face: int, w: int, start_third: int, n: int) -> _PatchSide:
     return _PatchSide("arc", (w, n), 1 if start_third == x else -1)
 
 
-def _face_patches(
-    sk: SkeletonTable, coords, weights, face_orbit: int
-) -> list[_Patch]:
-    tet, face = sk.face_orbits[face_orbit][0]
+def _face_patches(coords, crossings: list[int], tet: int, face: int) -> list[_Patch]:
+    """The patches of face `face` of `tet`, given the crossing count of
+    every edge slot 6i + e."""
     corners = FACE_VERTICES[face]
     counts = {w: arc_count(coords, tet, face, w) for w in corners}
 
     def m_of(w, u):
-        orbit, _ = sk.edge_orbit_of[(tet, EDGE_BETWEEN[w][u])]
-        return weights[orbit]
+        return crossings[6 * tet + EDGE_BETWEEN[w][u]]
 
     patches: list[_Patch] = []
     for w in corners:
@@ -328,11 +329,6 @@ def _patch_pieces(patch: _Patch):
         yield k - 1, (first, sides[k], last)
 
 
-def _edge_weight_local(sk, weights, tet: int, e: int) -> int:
-    orbit, _ = sk.edge_orbit_of[(tet, e)]
-    return weights[orbit]
-
-
 def _side_gluing(k1: int, k2: int, same: bool) -> Perm:
     """The gluing of cone side k1 to side k2, which runs the
     same way along their 1-cell when `same`: the side's corners go to the
@@ -357,8 +353,10 @@ def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
     coords)`: every complementary cell coned from an apex, with the two
     sides of each normal disk left as boundary faces."""
     coords = complex_.coordinates
-    weights = list(complex_.weights_per_edge)
+    weights = complex_.weights_per_edge
     sk = skeleton(tri)
+    # the crossing count of every edge slot 6i + e
+    crossings = [weights[orbit] for orbit in sk.edge_orbit.ravel().tolist()]
 
     tcounts = [
         [coords[tri_index(i, v)] for v in range(4)] for i in range(tri.size)
@@ -376,17 +374,16 @@ def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
         u, v = EDGE_VERTICES[e]
         pu, pv = pi[u], pi[v]
         e2 = EDGE_BETWEEN[pu][pv]
-        m = _edge_weight_local(sk, weights, tet, e2)
         if pu < pv:
             return ("seg", e2, j), side.direction
-        return ("seg", e2, m - j), -side.direction
+        return ("seg", e2, crossings[6 * tet + e2] - j), -side.direction
 
     # face patches, instantiated on both slots of each face orbit
-    for fo, orbit in enumerate(sk.face_orbits):
-        rep = orbit[0]
+    for fo, first in enumerate(sk.face_first.tolist()):
+        rep = divmod(first, 4)
         patches = [
             (patch, list(_patch_pieces(patch)))
-            for patch in _face_patches(sk, coords, weights, fo)
+            for patch in _face_patches(coords, crossings, *rep)
         ]
         g = tri.gluings[rep[0]][rep[1]]
         assert g is not None

@@ -114,6 +114,7 @@ _FACE_SIGN = np.array([
     [_PERM_SIGNS[tuple(p[v] for v in FACE_VERTICES[f])] for f in range(4)] for p in S4
 ])
 _FACE_VERTEX_TABLE = np.array(FACE_VERTICES)
+_EDGE_VERTEX_TABLE = np.array(EDGE_VERTICES)
 # the three edges of each face, ascending
 _FACE_EDGE_TABLE = np.array([
     [e for e, (u, v) in enumerate(EDGE_VERTICES) if f not in (u, v)]
@@ -244,8 +245,10 @@ class SkeletonTable:
 
     vertex_orbit[i, v], edge_orbit[i, e] and face_orbit[i, f] number the
     orbit of each slot.  Orbits are numbered by their lexicographically
-    least (tet, index) slot, which makes every downstream output
-    byte-deterministic.  edge_reversed[i, e] says whether the slot's
+    least (tet, index) slot, their representative, which makes every
+    downstream output byte-deterministic.  vertex_first[k], edge_first[k]
+    and face_first[k] are the flat index (4i + v, 6i + e or 4i + f) of the
+    representative of orbit k.  edge_reversed[i, e] says whether the slot's
     canonical local direction (ascending local vertices) is reversed
     relative to the orbit direction (the representative slot's ascending
     direction).  reversed_edge is the first (tet, edge) slot whose gluings
@@ -253,14 +256,17 @@ class SkeletonTable:
     both directions of an edge has no orbit direction, and every slot of it
     reads False.
 
-    The orbits as slot tuples and the slot-to-orbit dicts are derived from
-    the arrays the first time they are read.
+    These arrays are the only form of the orbits: a reader that loops in
+    Python takes `.tolist()` of what it reads once per call.
     """
 
     vertex_orbit: np.ndarray
     edge_orbit: np.ndarray
     edge_reversed: np.ndarray
     face_orbit: np.ndarray
+    vertex_first: np.ndarray
+    edge_first: np.ndarray
+    face_first: np.ndarray
     vertex_count: int
     edge_count: int
     face_count: int
@@ -269,7 +275,10 @@ class SkeletonTable:
 
     def __post_init__(self) -> None:
         # every caller of the cached skeleton shares these arrays
-        for array in (self.vertex_orbit, self.edge_orbit, self.edge_reversed, self.face_orbit):
+        for array in (
+            self.vertex_orbit, self.edge_orbit, self.edge_reversed, self.face_orbit,
+            self.vertex_first, self.edge_first, self.face_first,
+        ):
             array.setflags(write=False)
 
     @property
@@ -278,50 +287,6 @@ class SkeletonTable:
             self.vertex_count - self.edge_count
             + self.face_count - self.tet_count
         )
-
-    @cached_property
-    def vertex_orbits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return _orbit_slots(self.vertex_orbit, self.vertex_count)
-
-    @cached_property
-    def edge_orbits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return _orbit_slots(self.edge_orbit, self.edge_count)
-
-    @cached_property
-    def face_orbits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return _orbit_slots(self.face_orbit, self.face_count)
-
-    @cached_property
-    def vertex_orbit_of(self) -> dict[tuple[int, int], int]:
-        return dict(zip(_slots(self.tet_count, 4), self.vertex_orbit.ravel().tolist()))
-
-    @cached_property
-    def edge_orbit_of(self) -> dict[tuple[int, int], tuple[int, bool]]:
-        return dict(zip(
-            _slots(self.tet_count, 6),
-            zip(self.edge_orbit.ravel().tolist(), self.edge_reversed.ravel().tolist()),
-        ))
-
-    @cached_property
-    def face_orbit_of(self) -> dict[tuple[int, int], int]:
-        return dict(zip(_slots(self.tet_count, 4), self.face_orbit.ravel().tolist()))
-
-    @cached_property
-    def edge_degrees(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.edge_orbit.ravel(), minlength=self.edge_count).tolist())
-
-
-@lru_cache(maxsize=64)
-def _slots(t: int, width: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, x) for i in range(t) for x in range(width))
-
-
-def _orbit_slots(orbit: np.ndarray, count: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The slots of each orbit, ascending, given the orbit of every slot."""
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-    for slot, number in zip(_slots(*orbit.shape), orbit.ravel().tolist()):
-        groups[number].append(slot)
-    return tuple(map(tuple, groups))
 
 
 @dataclass(frozen=True)
@@ -475,10 +440,11 @@ def _classes(root: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
-def _numbered(root: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each node's class numbered in order of least member, and the count."""
+def _numbered(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's class numbered in order of least member, and the least
+    member of each class."""
     least = root == np.arange(len(root))
-    return (np.cumsum(least) - 1)[root], int(least.sum())
+    return (np.cumsum(least) - 1)[root], least.nonzero()[0]
 
 
 _UNGLUED = (BOUNDARY, BOUNDARY, BOUNDARY)
@@ -649,9 +615,8 @@ def validate(
     Always enforced: structural sanity, gluing involutivity, no face glued
     to itself.  With require_orientable, a coherent orientation must exist;
     with require_closed, the triangulation must be a closed 3-manifold (no
-    boundary faces, no edge identified with itself in reverse, and Euler
-    characteristic zero, which for orientable gluings forces all vertex
-    links to be spheres).  Each check raises for its first failure in
+    boundary faces, no edge identified with itself in reverse, and every
+    vertex link a sphere).  Each check raises for its first failure in
     row-major order.
     """
     return _triangulation(
@@ -713,12 +678,40 @@ def _closedness(tri: Triangulation, demand: bool) -> bool:
             tet, edge = sk.reversed_edge
             raise NotClosed(tet, edge, "edge identified with itself in reverse", kind="edge")
         return False
-    chi = sk.euler_characteristic
-    if chi != 0:
+    if sk.euler_characteristic != 0:
+        # some vertex link is not a sphere (see _link_euler_characteristics)
         if demand:
-            raise NotClosed(0, 0, f"Euler characteristic {chi} != 0")
+            chi = _link_euler_characteristics(sk)
+            k = int(np.flatnonzero(chi != 2)[0])
+            raise NotClosed(
+                *divmod(int(sk.vertex_first[k]), 4),
+                f"vertex link has Euler characteristic {chi[k]}, not 2",
+                kind="vertex",
+            )
         return False
     return True
+
+
+def _link_euler_characteristics(sk: SkeletonTable) -> np.ndarray:
+    """The Euler characteristic of the link of each vertex orbit of a table
+    with no boundary face: its triangles are the orbit's tet corners, its
+    edges the corners of the face orbits and its vertices the ends of the
+    edge orbits that lie in the orbit.  With no edge identified with itself
+    in reverse each link is a closed surface, so chi <= 2, and the
+    manifold's chi is the sum of 1 - chi/2 over the links: it is 0, as a
+    closed 3-manifold's is, exactly when every link is a sphere.  So the
+    manifold's chi, which costs nothing, gives the verdict, and the links
+    are read only to name the first that is not a sphere."""
+    vertex, n = sk.vertex_orbit, sk.vertex_count
+    tet, edge = np.divmod(sk.edge_first, 6)
+    ends = vertex[tet[:, None], _EDGE_VERTEX_TABLE[edge]]
+    tet, face = np.divmod(sk.face_first, 4)
+    corners = vertex[tet[:, None], _FACE_VERTEX_TABLE[face]]
+    return (
+        np.bincount(ends.ravel(), minlength=n)
+        - np.bincount(corners.ravel(), minlength=n)
+        + np.bincount(vertex.ravel(), minlength=n)
+    )
 
 
 def require_closed(tri: Triangulation) -> None:
@@ -761,8 +754,8 @@ def skeleton(tri: Triangulation) -> SkeletonTable:
     if first is not None:
         n, c = divmod(first, 3)
         reversed_edge = (int(i[n, 0]), int(e[n, c]))
-    edge_orbit, edge_count = _numbered(root[:6 * t])
-    vertex_orbit, vertex_count = _numbered(root[6 * t:] - 6 * t)
+    edge_orbit, edge_first = _numbered(root[:6 * t])
+    vertex_orbit, vertex_first = _numbered(root[6 * t:] - 6 * t)
 
     # a face orbit is numbered at its representative, its lesser or only slot
     glued = perm.ravel() != BOUNDARY
@@ -771,15 +764,19 @@ def skeleton(tri: Triangulation) -> SkeletonTable:
     number = np.cumsum(rep) - 1
     partner = np.where(glued, 4 * tet.ravel() + face.ravel(), 0)
     face_orbit = np.where(rep, number, number[partner])
+    face_first = rep.nonzero()[0]
 
     return SkeletonTable(
         vertex_orbit=vertex_orbit.reshape(t, 4),
         edge_orbit=edge_orbit.reshape(t, 6),
         edge_reversed=bit[:6 * t].reshape(t, 6),
         face_orbit=face_orbit.reshape(t, 4),
-        vertex_count=vertex_count,
-        edge_count=edge_count,
-        face_count=int(rep.sum()),
+        vertex_first=vertex_first,
+        edge_first=edge_first,
+        face_first=face_first,
+        vertex_count=len(vertex_first),
+        edge_count=len(edge_first),
+        face_count=len(face_first),
         tet_count=t,
         reversed_edge=reversed_edge,
     )
@@ -787,15 +784,12 @@ def skeleton(tri: Triangulation) -> SkeletonTable:
 
 def _vertex_adjacency(tri: Triangulation) -> list[set[int]]:
     """tets adjacent iff they share at least one vertex orbit."""
-    sk = skeleton(tri)
-    adj: list[set[int]] = [set() for _ in range(tri.size)]
-    for orbit in sk.vertex_orbits:
-        tets = sorted({tet for tet, _ in orbit})
-        for a in tets:
-            for b in tets:
-                if a != b:
-                    adj[a].add(b)
-    return adj
+    rows = skeleton(tri).vertex_orbit.tolist()
+    tets_of: dict[int, set[int]] = {}
+    for tet, row in enumerate(rows):
+        for orbit in row:
+            tets_of.setdefault(orbit, set()).add(tet)
+    return [set().union(*(tets_of[o] for o in row)) - {tet} for tet, row in enumerate(rows)]
 
 
 def _bfs_distances(adj: list[set[int]], source: int) -> list[int]:

@@ -38,9 +38,12 @@ reference for its spanning-forest presentation; it shares
 the sympy references check on their own.  The unit elimination that
 rescanned every entry for each pivot is the reference for the pivot heap,
 and the per-slot matching, edge-weight and Euler formulas are the
-references for the index table of `kneser.normal`.  Small constructors and
-readers that only the tests call (vertex-link and zero vectors, disjoint unions, surface dumps,
-points and distances of the hyperbolic model) live here too.
+references for the index table of `kneser.normal`.  Every oracle that
+walks the orbits of a triangulation, as slot tuples or slot-to-orbit dicts,
+reads them off `skeleton_reference`, not off the `skeleton` under test.
+Small constructors and readers that only the tests call (vertex-link and
+zero vectors, disjoint unions, surface dumps, points and distances of the
+hyperbolic model) live here too.
 """
 from __future__ import annotations
 
@@ -48,6 +51,7 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 from math import gcd
 from typing import Sequence
@@ -97,7 +101,6 @@ from kneser.triangulation import (
     _gluing_arrays,
     perm_inverse,
     perm_sign,
-    skeleton,
     validate,
 )
 
@@ -105,7 +108,7 @@ from kneser.triangulation import (
 def exhaustive_chain_distance(tri: Triangulation, a: int, b: int) -> int | None:
     """Minimal chain length - 1 by brute-force enumeration of all simple
     chains of tetrahedra with consecutive vertex sharing."""
-    sk = skeleton(tri)
+    sk = skeleton_reference(tri)
     share = [
         [
             any(
@@ -224,13 +227,18 @@ def tet_unions_reference(table) -> list[tuple[int, int, bool, tuple[int, int]]]:
     ]
 
 
+@lru_cache(maxsize=256)
 def skeleton_reference(tri: Triangulation) -> SimpleNamespace:
     """Orbit tables from one union per gluing entry in both directions, the
     face orbits from a union-find too; reversed_edge is the first (tet,
     edge) slot whose union contradicts the edge directions, and every slot
     of its orbit reads unreversed (`solved_bits`).  Every field and
-    derived attribute of `SkeletonTable`, the tuples and dicts built from
-    the union-finds and the per-slot arrays read off the dicts."""
+    derived attribute of `SkeletonTable`: the per-slot arrays read off
+    slot-to-orbit dicts, and the first slot of each orbit off the classes
+    of the union-finds.  The oracles read the slot tuples and dicts too
+    (vertex_orbits, edge_orbits, face_orbits, vertex_orbit_of,
+    edge_orbit_of, face_orbit_of).  Cached, since the per-slot oracles ask
+    for it once per vector."""
     edge_index = {frozenset(uv): e for e, uv in enumerate(EDGE_VERTICES)}
     t = tri.size
     vf = _UnionFind(4 * t)
@@ -259,6 +267,9 @@ def skeleton_reference(tri: Triangulation) -> SimpleNamespace:
     def slot_orbits(uf, width):
         return tuple(tuple(divmod(s, width) for s in c) for c in uf.classes())
 
+    def first_slots(uf):
+        return np.array([c[0] for c in uf.classes()], dtype=np.int64)
+
     def orbit_of(orbits):
         return {slot: idx for idx, orbit in enumerate(orbits) for slot in orbit}
 
@@ -284,6 +295,9 @@ def skeleton_reference(tri: Triangulation) -> SimpleNamespace:
         edge_orbit=per_slot({s: v[0] for s, v in edge_orbit_of.items()}, 6),
         edge_reversed=per_slot({s: v[1] for s, v in edge_orbit_of.items()}, 6),
         face_orbit=per_slot(orbit_of(face_orbits), 4),
+        vertex_first=first_slots(vf),
+        edge_first=first_slots(ef),
+        face_first=first_slots(ff),
         vertex_count=counts[0],
         edge_count=counts[1],
         face_count=counts[2],
@@ -296,7 +310,6 @@ def skeleton_reference(tri: Triangulation) -> SimpleNamespace:
         vertex_orbit_of=orbit_of(vertex_orbits),
         edge_orbit_of=edge_orbit_of,
         face_orbit_of=orbit_of(face_orbits),
-        edge_degrees=tuple(len(g) for g in edge_orbits),
     )
 
 
@@ -372,20 +385,45 @@ def validate_reference(
                     *sk.reversed_edge, "edge identified with itself in reverse", kind="edge"
                 )
             closed = False
-        elif sk.euler_characteristic != 0:
+        elif (bad := bad_vertex_link_reference(sk)) is not None:
             if require_closed:
+                (tet, v), chi = bad
                 raise NotClosed(
-                    0, 0, f"Euler characteristic {sk.euler_characteristic} != 0"
+                    tet, v, f"vertex link has Euler characteristic {chi}, not 2",
+                    kind="vertex",
                 )
             closed = False
     object.__setattr__(tri, "closed", closed)
     return tri
 
 
+def bad_vertex_link_reference(sk) -> tuple[tuple[int, int], int] | None:
+    """The first slot of the first vertex orbit, in `skeleton_reference`'s
+    order, whose link is not a sphere, with the link's Euler
+    characteristic; None when every link is a sphere.  The table must have
+    no boundary face and no reversed edge.  The link has a triangle per
+    slot of the orbit and 3/2 edges per triangle (each side is shared with
+    the triangle across its face); its vertices are the ends of edge orbits
+    at the orbit, an end told apart by its edge orbit and whether it is the
+    tail of the orbit direction."""
+    for orbit in sk.vertex_orbits:
+        ends = set()
+        for tet, v in orbit:
+            for u in range(4):
+                if u != v:
+                    edge = EDGE_VERTICES.index((min(u, v), max(u, v)))
+                    idx, reversed_ = sk.edge_orbit_of[(tet, edge)]
+                    ends.add((idx, (v < u) != reversed_))
+        chi = len(ends) - len(orbit) // 2
+        if chi != 2:
+            return orbit[0], chi
+    return None
+
+
 def sympy_homology(tri: Triangulation, k: int) -> tuple[int, tuple[int, ...]]:
     """H_k invariants via sympy: ranks and Smith normal form of the orbit
     boundary matrices, built here from scratch."""
-    sk = skeleton(tri)
+    sk = skeleton_reference(tri)
     d1 = _boundary_matrix(tri, 1)
     d2 = _boundary_matrix(tri, 2)
     d3 = _boundary_matrix(tri, 3)
@@ -422,7 +460,7 @@ def orbit_complex_homology(tri: Triangulation, k: int) -> tuple[int, tuple[int, 
 def full_boundary_entries(tri: Triangulation, k: int):
     """`kneser.homology.boundary_entries`, extended to the zero map out of
     C_0 and to the full incidence matrix d_1 of the 1-skeleton."""
-    sk = skeleton(tri)
+    sk = skeleton_reference(tri)
     if k == 0:
         return [], 0, sk.vertex_count
     if k == 1:
@@ -494,7 +532,7 @@ def _boundary_matrix(tri: Triangulation, k: int) -> sympy.Matrix:
     """Boundary of the orbit chain complex, written independently of the
     library: signs from sorting parities of identified vertex tuples."""
     edge_index = {frozenset(uv): e for e, uv in enumerate(EDGE_VERTICES)}
-    sk = skeleton(tri)
+    sk = skeleton_reference(tri)
     if k == 1:
         m = sympy.zeros(sk.vertex_count, sk.edge_count)
         for idx, orbit in enumerate(sk.edge_orbits):
@@ -657,7 +695,7 @@ def brute_force_solutions(
     that sum is a valid lower bound).
     """
     t = tri.size
-    sk = skeleton(tri)
+    sk = skeleton_reference(tri)
     patterns = _tet_patterns(cmax)
 
     def face_sig(pattern, face):
@@ -1205,7 +1243,7 @@ def satisfies_matching_per_slot(tri: Triangulation, coords) -> bool:
     """Matching read off the gluings one face orbit at a time: each orbit
     must see the same arc counts from its two sides."""
     require_closed(tri)
-    for orbit in skeleton(tri).face_orbits:
+    for orbit in skeleton_reference(tri).face_orbits:
         i, f = orbit[0]
         g = tri.gluings[i][f]
         for v in FACE_VERTICES[f]:
@@ -1237,7 +1275,7 @@ def edge_weights_per_slot(tri: Triangulation, coords) -> list[int]:
     InconsistentCrossings, with the message `kneser.normal.edge_weights`
     gives, if two slots disagree."""
     out = []
-    for idx, orbit in enumerate(skeleton(tri).edge_orbits):
+    for idx, orbit in enumerate(skeleton_reference(tri).edge_orbits):
         counts = {edge_weight_in(coords, tet, e) for tet, e in orbit}
         if len(counts) != 1:
             raise InconsistentCrossings(
@@ -1252,7 +1290,7 @@ def euler_per_slot(tri: Triangulation, coords) -> int:
     the arcs counted on the representative slot of each face orbit."""
     v = sum(edge_weights_per_slot(tri, coords))
     e = 0
-    for orbit in skeleton(tri).face_orbits:
+    for orbit in skeleton_reference(tri).face_orbits:
         i, f = orbit[0]
         for corner in FACE_VERTICES[f]:
             e += arc_count(coords, i, f, corner)
@@ -1265,7 +1303,7 @@ def zero_coordinates(tri: Triangulation) -> NormalCoordinates:
 
 def vertex_link_coordinates(tri: Triangulation, vertex_orbit: int) -> NormalCoordinates:
     """The triangle vector of the link of the given vertex orbit."""
-    sk = skeleton(tri)
+    sk = skeleton_reference(tri)
     coords = [0] * (7 * tri.size)
     for tet, v in sk.vertex_orbits[vertex_orbit]:
         coords[tri_index(tet, v)] += 1

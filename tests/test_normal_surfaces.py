@@ -204,8 +204,8 @@ class TestMatchingSystem:
         slot of F and subtracts 1 at those of the glued side."""
         for name, tri in closed_corpus.items():
             rows = []
-            for orbit in skeleton(tri).face_orbits:
-                i, f = orbit[0]
+            for first in skeleton(tri).face_first.tolist():
+                i, f = divmod(first, 4)
                 g = tri.gluings[i][f]
                 for v in FACE_VERTICES[f]:
                     row = [0] * (7 * tri.size)

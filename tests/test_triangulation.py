@@ -134,6 +134,28 @@ class TestValidate:
                 validate_reference, table, **flags
             )
 
+    def test_bad_vertex_link_named_as_a_vertex(self):
+        """A table whose only fault is a vertex link that is not a sphere
+        names the least slot of that vertex orbit, as the reference does:
+        here the orbit at (tet 1, vertex 0) has a torus link."""
+        table = [
+            [(0, 1, (1, 0, 2, 3)), (0, 0, (1, 0, 2, 3)),
+             (0, 3, (0, 1, 3, 2)), (0, 2, (0, 1, 3, 2))],
+            [(1, 1, (1, 2, 0, 3)), (1, 0, (2, 0, 1, 3)),
+             (1, 3, (0, 2, 3, 1)), (1, 2, (0, 3, 1, 2))],
+        ]
+        with pytest.raises(NotClosed) as info:
+            validate(table, require_orientable=False)
+        assert str(info.value) == (
+            "not closed at (tet 1, vertex 0): vertex link has Euler characteristic 0, not 2"
+        )
+        assert (info.value.tet, info.value.index, info.value.kind) == (1, 0, "vertex")
+        assert not validate(table, require_closed=False, require_orientable=False).closed
+        for flags in FLAGS:
+            assert outcome(validate, table, **flags) == outcome(
+                validate_reference, table, **flags
+            )
+
     def test_closed_table_builds_one_skeleton(self, bd4):
         skeleton.cache_clear()
         tri = validate(bd4.gluings)
@@ -477,7 +499,7 @@ class TestSkeleton:
         assert sk.face_count == 10
         assert sk.tet_count == 5
         assert sk.euler_characteristic == 0
-        assert all(d == 3 for d in sk.edge_degrees)
+        assert np.bincount(sk.edge_orbit.ravel()).tolist() == [3] * 10
 
     def test_disjoint_union_doubles_counts(self, bd4):
         two = disjoint_union(bd4, bd4)
