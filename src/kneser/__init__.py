@@ -12,9 +12,8 @@ from .decomposition import (
     decompose,
     find_essential_sphere,
 )
-from .homology import homology
 from .normal import matching_system, weight
-from .pl_area import pl_area, verify_diameter_bound
+from .pl_area import verify_diameter_bound
 from .projection import (
     ProjectionConfig,
     TriangulatedPatch,
@@ -25,7 +24,6 @@ from .projection import (
     radial_project,
 )
 from .collapse import collapse_extract
-from .reconstruct import reconstruct
 from .surgery import crush, cut_and_cap
 from .triangulation import (
     Triangulation,
@@ -52,12 +50,9 @@ __all__ = [
     "enumerate_vertex_solutions",
     "find_essential_sphere",
     "find_good_center",
-    "homology",
     "matching_system",
-    "pl_area",
     "projected_area",
     "radial_project",
-    "reconstruct",
     "skeleton",
     "support_metrics",
     "validate",

@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InconsistentLabels
-from .triangulation import _UnionFind
+from .triangulation import _classes, components
 
 Triangle = tuple[int, int, int]
 
@@ -40,6 +42,12 @@ class BouquetGenerator:
         return len(self.triangles)
 
 
+def _roots(n: int, joins: list[tuple[int, int]]) -> np.ndarray:
+    """The least triangle of each triangle's class under the joins."""
+    a, b = np.array(joins, dtype=np.int64).reshape(-1, 2).T
+    return components(n, a, b, np.zeros_like(a))[0]
+
+
 def _check_sphere(triangles: Sequence[Triangle]) -> dict:
     """Each edge in exactly two triangles, connected, Euler characteristic 2."""
     edges: dict[frozenset, list[tuple[int, int]]] = {}
@@ -56,10 +64,7 @@ def _check_sphere(triangles: Sequence[Triangle]) -> dict:
     chi = len(verts) - len(edges) + len(triangles)
     if chi != 2:
         raise ValueError(f"Euler characteristic {chi}, expected a sphere")
-    whole = _UnionFind(len(triangles))
-    for (a, _), (b, _) in edges.values():
-        whole.union(a, b, False)
-    if len(whole.classes()) != 1:
+    if _roots(len(triangles), [(a, b) for (a, _), (b, _) in edges.values()]).any():
         raise ValueError("sphere is not connected")
     return edges
 
@@ -95,13 +100,13 @@ def collapse_extract(
     # untouched, so the bouquet pieces are the components of nondegenerate
     # triangles under adjacency across surviving edges.  The listed order
     # only orders the homotopy equivalences; the quotient is order-free.
-    comp = _UnionFind(len(triangles))
-    for (a, _), (b, _) in edges.values():
-        if image[a] is not None and image[b] is not None:
-            comp.union(a, b, False)
+    root = _roots(len(triangles), [
+        (a, b) for (a, _), (b, _) in edges.values()
+        if image[a] is not None and image[b] is not None
+    ])
     # a degenerate triangle is never joined, so it is a class on its own
     return [
-        BouquetGenerator(triangles=tuple(g))
-        for g in comp.classes()
+        BouquetGenerator(triangles=tuple(g.tolist()))
+        for g in _classes(root)
         if image[g[0]] is not None
     ]

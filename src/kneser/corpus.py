@@ -179,6 +179,24 @@ def regular_tetrahedron() -> np.ndarray:
     )
 
 
+def _subdivided(tris: list[np.ndarray], refine: int) -> list[np.ndarray]:
+    """Each triangle cut into four at its edge midpoints, `refine` times."""
+    for _ in range(refine):
+        nxt = []
+        for t in tris:
+            m01 = 0.5 * (t[0] + t[1])
+            m12 = 0.5 * (t[1] + t[2])
+            m20 = 0.5 * (t[2] + t[0])
+            nxt += [
+                np.array([t[0], m01, m20]),
+                np.array([t[1], m12, m01]),
+                np.array([t[2], m20, m12]),
+                np.array([m01, m12, m20]),
+            ]
+        tris = nxt
+    return tris
+
+
 def sphere_patch(radius: float, refine: int = 1) -> np.ndarray:
     """Octahedron boundary refined and projected to the sphere of the given
     radius about the origin; (n, 3, 3) triangle array."""
@@ -195,20 +213,7 @@ def sphere_patch(radius: float, refine: int = 1) -> np.ndarray:
         (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5),
     ]
     tris = [np.array([v[a], v[b], v[c]]) for a, b, c in faces]
-    for _ in range(refine):
-        nxt = []
-        for t in tris:
-            m01 = 0.5 * (t[0] + t[1])
-            m12 = 0.5 * (t[1] + t[2])
-            m20 = 0.5 * (t[2] + t[0])
-            nxt += [
-                np.array([t[0], m01, m20]),
-                np.array([t[1], m12, m01]),
-                np.array([t[2], m20, m12]),
-                np.array([m01, m12, m20]),
-            ]
-        tris = nxt
-    out = np.array(tris)
+    out = np.array(_subdivided(tris, refine))
     norms = np.sqrt(np.sum(out * out, axis=2, keepdims=True))
     return radius * out / norms
 
@@ -234,17 +239,4 @@ def tilted_square_patch(center, normal, half: float, refine: int = 2) -> np.ndar
         np.array([corners[0], corners[1], corners[2]]),
         np.array([corners[0], corners[2], corners[3]]),
     ]
-    for _ in range(refine):
-        nxt = []
-        for t in tris:
-            m01 = 0.5 * (t[0] + t[1])
-            m12 = 0.5 * (t[1] + t[2])
-            m20 = 0.5 * (t[2] + t[0])
-            nxt += [
-                np.array([t[0], m01, m20]),
-                np.array([t[1], m12, m01]),
-                np.array([t[2], m20, m12]),
-                np.array([m01, m12, m20]),
-            ]
-        tris = nxt
-    return np.array(tris)
+    return np.array(_subdivided(tris, refine))

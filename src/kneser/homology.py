@@ -12,8 +12,9 @@ trees, Hatcher, Algebraic Topology, sections 1.2 and 2.2):
 
 - d_1 is a signed incidence matrix of the 1-skeleton, totally unimodular
   with rank V - c, c its number of components: the number of edges in a
-  spanning forest, with no elimination.  A greedy union-find pass over the
-  edge orbits, whose ends come off the skeleton's vertex array, takes it.
+  spanning forest, with no elimination.  `triangulation.spanning_forest`
+  grows it over the edge orbits, whose ends come off the skeleton's vertex
+  array.
 - d_2 keeps its rank and divisors when the rows of a spanning forest of the
   1-skeleton and the columns of a spanning forest of the dual graph (tets
   joined by face orbits of two slots) are deleted.  Rows: the image of d_2
@@ -55,8 +56,8 @@ from .triangulation import (
     FACE_VERTICES,
     SkeletonTable,
     Triangulation,
-    _UnionFind,
     skeleton,
+    spanning_forest,
 )
 
 _EDGE_ENDS = np.array(EDGE_VERTICES)
@@ -294,31 +295,18 @@ def _face_signs(tri: Triangulation, sk: SkeletonTable) -> np.ndarray:
     return np.where(reps.reshape(tri.size, 4), 1, tri.arrays.face_signs())
 
 
-def _spanning_forest(n: int, ends: list[tuple[int, int]]) -> set[int]:
-    """Indices of the edges, among `ends` of a graph on nodes 0..n-1, that
-    a greedy pass takes into a spanning forest.  Loops are never taken."""
-    uf = _UnionFind(n)
-    forest = set()
-    for idx, (a, b) in enumerate(ends):
-        ra, rb = uf.find(a)[0], uf.find(b)[0]
-        if ra != rb:
-            uf.union(ra, rb, False)
-            forest.add(idx)
-    return forest
-
-
 def _forests(tri: Triangulation) -> tuple[set[int], set[int]]:
-    """A spanning forest of the 1-skeleton (edge orbits joining vertex
-    orbits) and one of the dual graph (face orbits of two slots joining
-    their tets)."""
+    """The edge orbits of a spanning forest of the 1-skeleton (joining
+    vertex orbits) and the face orbits of one of the dual graph (joining
+    their tets, a boundary face a loop); any spanning forests serve."""
     sk = skeleton(tri)
     tet, edge = np.divmod(sk.edge_first, 6)
     ends = sk.vertex_orbit[tet[:, None], _EDGE_ENDS[edge]]
     tet, face = np.divmod(sk.face_first, 4)
     other = tri.arrays.neighbours()[tet, face]
     return (
-        _spanning_forest(sk.vertex_count, ends.tolist()),
-        _spanning_forest(tri.size, list(zip(tet.tolist(), other.tolist()))),
+        {i for i, _, _ in spanning_forest(sk.vertex_count, *ends.T)[1]},
+        {i for i, _, _ in spanning_forest(tri.size, tet, other)[1]},
     )
 
 

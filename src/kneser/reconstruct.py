@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConsistencyCheckFailed
 from .normal import (
     NormalCoordinates,
@@ -30,7 +32,8 @@ from .triangulation import (
     EDGE_BETWEEN,
     FACE_VERTICES,
     Triangulation,
-    _UnionFind,
+    _classes,
+    components,
     skeleton,
 )
 
@@ -223,17 +226,17 @@ def reconstruct(tri: Triangulation, complex_: DiskComplex) -> ReconstructedSurfa
     incidences = _arc_direction_checks(complex_)
 
     # one class per component; the bit 2-colours the disks so that adjacent
-    # disks traverse their shared arc in opposite directions, and a failed
-    # union marks its class non-orientable
-    uf = _UnionFind(len(complex_.disks))
-    twisted = []
-    for (d1, s1), (d2, s2) in incidences.values():
-        if not uf.union(d1, d2, s1 == s2):
-            twisted.append(d1)
-    non_orientable = {uf.find(d)[0] for d in twisted}
-    ordered = sorted(uf.classes(), key=lambda g: complex_.disks[g[0]])
+    # disks traverse their shared arc in opposite directions.  A class with
+    # no such colouring reads every bit False, which leaves a union asking
+    # for two colours unsolved: that class is non-orientable
+    a, b, rel = np.array(
+        [(d1, d2, s1 == s2) for (d1, s1), (d2, s2) in incidences.values()], dtype=np.int64
+    ).reshape(-1, 3).T
+    root, bit, _ = components(len(complex_.disks), a, b, rel)
+    non_orientable = set(root[a[(bit[a] ^ bit[b]) != rel]].tolist())
+    ordered = sorted((g.tolist() for g in _classes(root)), key=lambda g: complex_.disks[g[0]])
 
-    components = []
+    parts = []
     for group in ordered:
         disk_ids = [complex_.disks[i] for i in group]
         comp_coords = [0] * (7 * tri.size)
@@ -249,7 +252,7 @@ def reconstruct(tri: Triangulation, complex_: DiskComplex) -> ReconstructedSurfa
         for aid in arc_ids:
             crossings.update(complex_.arcs[aid])
         chi = len(crossings) - len(arc_ids) + len(disk_ids)
-        components.append(
+        parts.append(
             SurfaceComponent(
                 coordinates=tuple(comp_coords),
                 disk_count=len(disk_ids),
@@ -265,7 +268,7 @@ def reconstruct(tri: Triangulation, complex_: DiskComplex) -> ReconstructedSurfa
             )
         )
 
-    total_chi = sum(c.euler_characteristic for c in components)
+    total_chi = sum(c.euler_characteristic for c in parts)
     vtotal = complex_.vertex_count
     etotal = complex_.arc_total
     ftotal = complex_.disk_count
@@ -277,13 +280,13 @@ def reconstruct(tri: Triangulation, complex_: DiskComplex) -> ReconstructedSurfa
         raise ConsistencyCheckFailed(
             "cell-count Euler characteristic disagrees with the coordinate formula"
         )
-    split = [sum(c.coordinates[i] for c in components) for i in range(7 * tri.size)]
+    split = [sum(c.coordinates[i] for c in parts) for i in range(7 * tri.size)]
     if tuple(split) != coords:
         raise ConsistencyCheckFailed("component coordinates do not sum to the surface")
 
     return ReconstructedSurface(
         coordinates=coords,
-        components=tuple(components),
+        components=tuple(parts),
         vertex_count=vtotal,
         arc_count=etotal,
         disk_count=ftotal,

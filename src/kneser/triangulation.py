@@ -28,6 +28,9 @@ is 2x + c, and a union asking bit(x) ^ bit(y) == rel joins (x, c) to
 (y, c ^ rel).  A class of the cover that holds both colours of a node is a
 contradiction, such as an orientation conflict or an edge identified with
 itself in reverse; only then is the first contradicting union looked for.
+The package's other class questions (`reconstruct`, `collapse`) go to
+`components` too, and its spanning forests (`homology`, `vertex_enum`) to
+`spanning_forest`.
 """
 from __future__ import annotations
 
@@ -298,72 +301,6 @@ class SupportMetrics:
     diameter: int
 
 
-class _UnionFind:
-    """Union-find where each slot carries an XOR bit relative to its root.
-
-    The root of each class is its least member, so the bit of a slot is
-    relative to that member: a 2-colouring that gives the least member
-    bit 0.
-    """
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.bit = [False] * n
-
-    def find(self, x: int) -> tuple[int, bool]:
-        parent = self.parent[x]
-        if parent == x:
-            return x, False
-        if self.parent[parent] == parent:
-            # a direct child's bit is already relative to the root
-            return parent, self.bit[x]
-        path = []
-        root = x
-        while self.parent[root] != root:
-            path.append(root)
-            root = self.parent[root]
-        acc = False
-        for y in reversed(path):
-            acc ^= self.bit[y]
-            self.parent[y] = root
-            self.bit[y] = acc
-        return root, self.bit[x]
-
-    def union(self, x: int, y: int, rel: bool) -> bool:
-        """Join x, y so that bit(x) ^ bit(y) == rel; False on conflict."""
-        rx, bx = self.find(x)
-        ry, by = self.find(y)
-        if rx == ry:
-            return (bx ^ by) == rel
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.bit[ry] = bx ^ rel ^ by
-        return True
-
-    def resolve(self) -> tuple[list[int], list[bool]]:
-        """The root and the bit of every slot, in one ascending pass with no
-        find: a slot's parent is never greater than the slot, so its root
-        and bit are known by the time the slot is reached."""
-        roots: list[int] = []
-        bits: list[bool] = []
-        for x, (p, b) in enumerate(zip(self.parent, self.bit)):
-            if p == x:
-                roots.append(x)
-                bits.append(False)
-            else:
-                roots.append(roots[p])
-                bits.append(b ^ bits[p])
-        return roots, bits
-
-    def classes(self) -> list[list[int]]:
-        """The classes, each ascending, in order of least member."""
-        groups: dict[int, list[int]] = {}
-        for x, root in enumerate(self.resolve()[0]):
-            groups.setdefault(root, []).append(x)
-        return list(groups.values())
-
-
 def _cover_roots(n: int, a: np.ndarray, b: np.ndarray, rel: np.ndarray) -> np.ndarray:
     """The least node of the class of every node of the double cover of
     nodes 0..n-1, where union i joins 2a + c to 2b + (c ^ rel) for c = 0, 1.
@@ -445,6 +382,41 @@ def _numbered(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     member of each class."""
     least = root == np.arange(len(root))
     return (np.cumsum(least) - 1)[root], least.nonzero()[0]
+
+
+def spanning_forest(
+    n: int, a: Sequence[int], b: Sequence[int]
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """A breadth-first spanning forest of the graph on nodes 0..n-1 whose
+    edge i joins a[i] and b[i]; loops and repeated edges are allowed.
+
+    Each tree is rooted at the least node of its component, the trees come
+    in order of root, and each node takes its edges in index order.
+    Returns the roots and the tree steps (edge, parent, child), tree after
+    tree, each in breadth-first order; a loop is never a step."""
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, (x, y) in enumerate(zip(a, b)):
+        incident[x].append(i)
+        if y != x:
+            incident[y].append(i)
+    seen = [False] * n
+    roots: list[int] = []
+    steps: list[tuple[int, int, int]] = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        roots.append(root)
+        seen[root] = True
+        queue = [root]
+        for parent in queue:  # the queue grows while it is read
+            for i in incident[parent]:
+                child = b[i] if a[i] == parent else a[i]
+                if not seen[child]:
+                    seen[child] = True
+                    steps.append((i, parent, child))
+                    queue.append(child)
+    return roots, steps
 
 
 _UNGLUED = (BOUNDARY, BOUNDARY, BOUNDARY)

@@ -113,7 +113,6 @@ and all but 54 of the 1969 of rp3#rp3#rp3.
 """
 from __future__ import annotations
 
-from collections import deque
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -125,7 +124,7 @@ from .normal import (
     coordinate_table,
     matching_system,
 )
-from .triangulation import Triangulation, skeleton
+from .triangulation import Triangulation, skeleton, spanning_forest
 
 DEFAULT_BUDGET = 20
 # Most rows a double-description step may write.
@@ -392,37 +391,25 @@ def _step(
 def _link_forest(
     tri: Triangulation,
 ) -> tuple[list[int], list[tuple[int, int, int, int]], list[int]]:
-    """Breadth-first spanning trees of the vertex links, with the triangle
-    coordinates as nodes and the rows of `coordinate_table(tri).matching`
-    as edges.  Returns the roots, each the least coordinate of its link;
-    the tree steps (child, parent, plus, minus) in breadth-first order,
-    each meaning t_child = t_parent + x[plus] - x[minus]; and the indices
-    of the rows that are not tree edges."""
-    rows = coordinate_table(tri).matching.tolist()
-    incident: dict[int, list[int]] = {}
-    for r, (a, _, c, _) in enumerate(rows):
-        incident.setdefault(a, []).append(r)
-        incident.setdefault(c, []).append(r)
-    seen: set[int] = set()
-    roots, steps, tree = [], [], set()
-    for root in (x for x in range(7 * tri.size) if x % 7 < 4):
-        if root in seen:
-            continue
-        roots.append(root)
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            parent = queue.popleft()
-            for r in incident.get(parent, ()):
-                a, b, c, d = rows[r]
-                # t_a + q_b = t_c + q_d, read from whichever end is known
-                child, plus, minus = (c, b, d) if parent == a else (a, d, b)
-                if child not in seen:
-                    seen.add(child)
-                    tree.add(r)
-                    steps.append((child, parent, plus, minus))
-                    queue.append(child)
-    return roots, steps, [r for r in range(len(rows)) if r not in tree]
+    """Breadth-first spanning trees of the vertex links (`spanning_forest`),
+    with the triangle coordinates as nodes and the rows of
+    `coordinate_table(tri).matching` as edges.  Returns the roots, each the
+    least coordinate of its link; the tree steps (child, parent, plus,
+    minus) in breadth-first order, each meaning t_child = t_parent +
+    x[plus] - x[minus]; and the indices of the rows that are not tree
+    edges."""
+    matching = coordinate_table(tri).matching
+    # a quad coordinate is on no row's ends, so it is a tree of its own
+    roots, tree = spanning_forest(7 * tri.size, matching[:, 0], matching[:, 2])
+    rows = matching.tolist()
+    steps = []
+    for r, parent, _ in tree:
+        a, b, c, d = rows[r]
+        # t_a + q_b = t_c + q_d, read from whichever end is known
+        steps.append((c, parent, b, d) if parent == a else (a, parent, d, b))
+    taken = {r for r, _, _ in tree}
+    loose = [r for r in range(len(rows)) if r not in taken]
+    return [x for x in roots if x % 7 < 4], steps, loose
 
 
 def _quad_columns(ntet: int) -> np.ndarray:

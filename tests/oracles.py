@@ -12,12 +12,19 @@ as the reference for both.  `skeleton`, the tet union-find of `validate`
 and `validate` itself as they were before they followed each gluing from
 its lesser slot only (every entry followed from both of its slots, face
 orbits from a union-find, permutations checked by sorting) are the
-references for the one-slot array kernels; they share `_UnionFind` with the
-library, which its own test checks against a graph search, and the same
-sequential union-find fed the same unions (`unionfind_reference`) is the
+references for the one-slot array kernels.  They run on `_UnionFind`,
+the sequential union-find that the library used before `components`
+answered all its class questions, and which its own test checks against a
+graph search; so the oracles share no code with the kernel they check.
+The same union-find fed the same unions (`unionfind_reference`) is the
 reference for the array kernel `components`, with the bits of a class
 whose unions contradict each other cleared (`solved_bits`): such a class
-has no 2-colouring, and `components` reads all its bits False.  Projected
+has no 2-colouring, and `components` reads all its bits False.  The
+breadth-first search that `kneser.vertex_enum` ran before
+`spanning_forest` (`spanning_forest_reference`) and a depth-first search
+for the components of a graph are the references for `spanning_forest`,
+and a depth-first 2-colouring of a surface's disks is the reference for
+the orientability that `reconstruct` reads off `components`.  Projected
 areas have three references: a polygon clipping that needs no quadrature
 at all, the adaptive quadrature of the pointwise area Jacobian that
 `kneser.projection` used before its closed forms, and the closed form as
@@ -48,6 +55,7 @@ hyperbolic model) live here too.
 from __future__ import annotations
 
 import cmath
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -97,12 +105,78 @@ from kneser.triangulation import (
     FACE_VERTICES,
     RawGluing,
     Triangulation,
-    _UnionFind,
     _gluing_arrays,
     perm_inverse,
     perm_sign,
     validate,
 )
+
+
+class _UnionFind:
+    """Union-find where each slot carries an XOR bit relative to its root:
+    the sequential reference for `kneser.triangulation.components`.
+
+    The root of each class is its least member, so the bit of a slot is
+    relative to that member: a 2-colouring that gives the least member
+    bit 0.
+    """
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.bit = [False] * n
+
+    def find(self, x: int) -> tuple[int, bool]:
+        parent = self.parent[x]
+        if parent == x:
+            return x, False
+        if self.parent[parent] == parent:
+            # a direct child's bit is already relative to the root
+            return parent, self.bit[x]
+        path = []
+        root = x
+        while self.parent[root] != root:
+            path.append(root)
+            root = self.parent[root]
+        acc = False
+        for y in reversed(path):
+            acc ^= self.bit[y]
+            self.parent[y] = root
+            self.bit[y] = acc
+        return root, self.bit[x]
+
+    def union(self, x: int, y: int, rel: bool) -> bool:
+        """Join x, y so that bit(x) ^ bit(y) == rel; False on conflict."""
+        rx, bx = self.find(x)
+        ry, by = self.find(y)
+        if rx == ry:
+            return (bx ^ by) == rel
+        if ry < rx:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        self.bit[ry] = bx ^ rel ^ by
+        return True
+
+    def resolve(self) -> tuple[list[int], list[bool]]:
+        """The root and the bit of every slot, in one ascending pass with no
+        find: a slot's parent is never greater than the slot, so its root
+        and bit are known by the time the slot is reached."""
+        roots: list[int] = []
+        bits: list[bool] = []
+        for x, (p, b) in enumerate(zip(self.parent, self.bit)):
+            if p == x:
+                roots.append(x)
+                bits.append(False)
+            else:
+                roots.append(roots[p])
+                bits.append(b ^ bits[p])
+        return roots, bits
+
+    def classes(self) -> list[list[int]]:
+        """The classes, each ascending, in order of least member."""
+        groups: dict[int, list[int]] = {}
+        for x, root in enumerate(self.resolve()[0]):
+            groups.setdefault(root, []).append(x)
+        return list(groups.values())
 
 
 def exhaustive_chain_distance(tri: Triangulation, a: int, b: int) -> int | None:
@@ -201,6 +275,101 @@ def unionfind_reference(n: int, unions) -> tuple[list[int], list[bool], int | No
             first = index
     roots, bits = uf.resolve()
     return roots, solved_bits(roots, bits, unions), first
+
+
+def spanning_forest_reference(
+    n: int, edges: Sequence[tuple[int, int]]
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Roots and (edge, parent, child) steps of the breadth-first spanning
+    trees that `kneser.vertex_enum` grew before `spanning_forest`: from
+    each unseen node in ascending order, a deque of nodes, each node's
+    edges taken in index order from an incidence dict."""
+    incident: dict[int, list[int]] = {}
+    for i, (a, b) in enumerate(edges):
+        incident.setdefault(a, []).append(i)
+        incident.setdefault(b, []).append(i)
+    seen: set[int] = set()
+    roots, steps = [], []
+    for root in range(n):
+        if root in seen:
+            continue
+        roots.append(root)
+        seen.add(root)
+        queue = collections.deque([root])
+        while queue:
+            parent = queue.popleft()
+            for i in incident.get(parent, ()):
+                a, b = edges[i]
+                child = b if parent == a else a
+                if child not in seen:
+                    seen.add(child)
+                    steps.append((i, parent, child))
+                    queue.append(child)
+    return roots, steps
+
+
+def graph_components_reference(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The components of the graph on nodes 0..n-1, each ascending, in
+    order of least node, by depth-first search."""
+    adjacent: dict[int, list[int]] = {x: [] for x in range(n)}
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen: set[int] = set()
+    comps = []
+    for seed in range(n):
+        if seed in seen:
+            continue
+        seen.add(seed)
+        comp, stack = [seed], [seed]
+        while stack:
+            for y in adjacent[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
+def surface_orientability_reference(
+    tri: Triangulation, complex_: DiskComplex
+) -> list[tuple[NormalCoordinates, bool]]:
+    """(coordinates, orientable) of each component of a disk complex,
+    sorted: a depth-first 2-colouring of the disks, in which two disks that
+    traverse a shared arc in the same direction take different colours,
+    fails exactly on the non-orientable components."""
+    uses: dict = {}
+    for d, disk in enumerate(complex_.disks):
+        for use in complex_.boundaries[disk]:
+            uses.setdefault(use.arc, []).append((d, use.direction))
+    adjacent: dict[int, list[tuple[int, bool]]] = {d: [] for d in range(len(complex_.disks))}
+    for (d1, s1), (d2, s2) in uses.values():
+        adjacent[d1].append((d2, s1 == s2))
+        adjacent[d2].append((d1, s1 == s2))
+    colour: dict[int, bool] = {}
+    out = []
+    for seed in adjacent:
+        if seed in colour:
+            continue
+        colour[seed] = False
+        stack, comp, orientable = [seed], [seed], True
+        while stack:
+            d = stack.pop()
+            for e, flip in adjacent[d]:
+                want = colour[d] ^ flip
+                if e not in colour:
+                    colour[e] = want
+                    comp.append(e)
+                    stack.append(e)
+                elif colour[e] != want:
+                    orientable = False
+        coords = [0] * (7 * tri.size)
+        for d in comp:
+            tet, kind, which, _ = complex_.disks[d]
+            coords[tri_index(tet, which) if kind == "tri" else quad_index(tet, which)] += 1
+        out.append((tuple(coords), orientable))
+    return sorted(out)
 
 
 def tet_unionfind_reference(table) -> tuple[_UnionFind, tuple[int, int] | None]:

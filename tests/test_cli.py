@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -180,6 +182,19 @@ class TestNumpyOnly:
         )
         digest = hashlib.sha256(proc.stdout).hexdigest()
         assert (proc.returncode, digest) == GOLDEN_DECOMPOSE[path.name], proc.stderr
+
+
+class TestPackageLayout:
+    def test_every_submodule_attribute_is_the_module(self):
+        """`kneser.<name>` is the submodule of that name for every module of
+        the package, as the README layout table names them: no name
+        imported into the package shadows one."""
+        import kneser
+
+        names = [info.name for info in pkgutil.iter_modules(kneser.__path__)]
+        assert {"homology", "pl_area", "reconstruct"} <= set(names)
+        for name in names:
+            assert getattr(kneser, name) is importlib.import_module(f"kneser.{name}"), name
 
 
 class TestGoldenEnumerate:

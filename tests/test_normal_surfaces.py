@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kneser import vertex_enum
+from kneser import corpus, vertex_enum
 from kneser.errors import BudgetExceeded, NotClosed
 from kneser.normal import (
     check_coordinate_rows,
@@ -31,6 +31,7 @@ from oracles import (
     is_vertex_ray_sympy,
     quad_constraint_per_tet,
     satisfies_matching_per_slot,
+    surface_orientability_reference,
     vertex_link_coordinates,
     zero_coordinates,
 )
@@ -436,13 +437,47 @@ class TestReconstruct:
             for i in range(35)
         ) == both
 
-    def test_euler_cross_check_raises(self, bd4, monkeypatch):
-        import importlib
+    def test_orientability_per_component_against_two_colouring(self):
+        """Every vertex surface of rp3_two_tet, rp3_octahedral and
+        s2xs1_two_tet, among them RP^2 (chi 1) and a Klein bottle (chi 0),
+        has the components and orientability of a graph-search
+        2-colouring of its disks."""
+        seen = set()
+        for tri in (corpus.rp3_two_tet(), corpus.rp3_octahedral(), corpus.s2xs1_two_tet()):
+            for coords in enumerate_vertex_solutions(tri):
+                complex_ = build_complex(tri, coords)
+                surface = reconstruct(tri, complex_)
+                assert sorted(
+                    (c.coordinates, c.orientable) for c in surface.components
+                ) == surface_orientability_reference(tri, complex_)
+                seen.update((c.euler_characteristic, c.orientable) for c in surface.components)
+        assert {(1, False), (0, False), (0, True), (2, True)} <= seen
 
+    def test_projective_plane_beside_a_vertex_link(self):
+        """RP^2 plus a vertex link is two components: the non-orientable
+        RP^2 and an orientable sphere."""
+        tri = corpus.rp3_two_tet()
+        rp2 = next(
+            coords for coords in enumerate_vertex_solutions(tri)
+            if euler_from_coordinates(tri, coords) == 1
+        )
+        both = tuple(x + y for x, y in zip(rp2, vertex_link_coordinates(tri, 0)))
+        complex_ = build_complex(tri, both)
+        surface = reconstruct(tri, complex_)
+        assert sorted(
+            (c.euler_characteristic, c.orientable) for c in surface.components
+        ) == [(1, False), (2, True)]
+        assert not surface.orientable
+        assert sorted(
+            (c.coordinates, c.orientable) for c in surface.components
+        ) == surface_orientability_reference(tri, complex_)
+
+    def test_euler_cross_check_raises(self, bd4, monkeypatch):
         from kneser.errors import ConsistencyCheckFailed
 
-        module = importlib.import_module("kneser.reconstruct")
-        monkeypatch.setattr(module, "euler_from_coordinates", lambda t, c: 0)
+        monkeypatch.setattr(
+            "kneser.reconstruct.euler_from_coordinates", lambda t, c: 0
+        )
         with pytest.raises(ConsistencyCheckFailed, match="coordinate formula"):
             reconstruct(bd4, build_complex(bd4, vertex_link_coordinates(bd4, 0)))
 

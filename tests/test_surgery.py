@@ -389,20 +389,19 @@ class TestCorruptedTablesRaise:
         it; a skeleton whose face_first names another orbit's slot makes
         build_complex raise, with asserts off too."""
         code = (
-            "import dataclasses, sys\n"
+            "import dataclasses\n"
             "import numpy as np\n"
-            "from kneser import corpus\n"
+            "from kneser import corpus, reconstruct\n"
             "from kneser.errors import ConsistencyCheckFailed\n"
-            "from kneser.reconstruct import build_complex\n"
             "from kneser.triangulation import skeleton\n"
             "from oracles import vertex_link_coordinates\n"
             "def corrupted(tri):\n"
             "    sk = skeleton(tri)\n"
             "    return dataclasses.replace(sk, face_first=np.roll(sk.face_first, 1))\n"
-            "sys.modules['kneser.reconstruct'].skeleton = corrupted\n"
+            "reconstruct.skeleton = corrupted\n"
             "bd4 = corpus.bd4_simplex()\n"
             "try:\n"
-            "    build_complex(bd4, vertex_link_coordinates(bd4, 0))\n"
+            "    reconstruct.build_complex(bd4, vertex_link_coordinates(bd4, 0))\n"
             "except ConsistencyCheckFailed as exc:\n"
             "    print('raised', 'representative' in str(exc), __debug__)\n"
         )

@@ -23,7 +23,6 @@ from kneser.surgery import cut_and_cap, cut_complex
 from kneser.triangulation import (
     SkeletonTable,
     Triangulation,
-    _UnionFind,
     _gluing_arrays,
     _tet_unions,
     components,
@@ -32,6 +31,7 @@ from kneser.triangulation import (
     perm_inverse,
     perm_sign,
     skeleton,
+    spanning_forest,
     split_components,
     support_metrics,
     validate,
@@ -39,13 +39,16 @@ from kneser.triangulation import (
 )
 from kneser.vertex_enum import enumerate_vertex_solutions
 from oracles import (
+    _UnionFind,
     check_structure_reference,
     connected_components_reference,
     disjoint_union,
     exhaustive_chain_distance,
+    graph_components_reference,
     orientations_reference,
     skeleton_reference,
     solved_bits,
+    spanning_forest_reference,
     tet_unionfind_reference,
     tet_unions_reference,
     unionfind_reference,
@@ -700,6 +703,8 @@ class TestComponents:
 
 
 class TestUnionFind:
+    """The oracles' sequential `_UnionFind`, checked on its own."""
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()),
@@ -737,3 +742,35 @@ class TestUnionFind:
                 root = min(seen)
                 assert (resolved[0][z], resolved[1][z]) == (root, seen[root])
                 assert uf.find(z) == (root, seen[root])
+
+
+@st.composite
+def graphs(draw):
+    """A node count and edges among the nodes, loops and repeated edges
+    included."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=30))
+
+
+class TestSpanningForest:
+    @given(graphs())
+    def test_breadth_first_forest_against_graph_search(self, graph):
+        """One tree per component, rooted at its least node; n - c steps,
+        each along a non-loop edge that joins its parent to a new child,
+        the parent reached before the child; and the very roots and steps
+        of a deque breadth-first search that takes each node's edges in
+        index order."""
+        n, edges = graph
+        a, b = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        roots, steps = spanning_forest(n, a, b)
+        comps = graph_components_reference(n, edges)
+        assert roots == [comp[0] for comp in comps]
+        assert len(steps) == n - len(comps)
+        reached = list(roots)
+        for edge, parent, child in steps:
+            assert {parent, child} == set(edges[edge]) and parent != child
+            assert parent in reached and child not in reached
+            reached.append(child)
+        assert sorted(reached) == list(range(n))
+        assert (roots, steps) == spanning_forest_reference(n, edges)
