@@ -8,6 +8,11 @@ homotopy equivalence onto a bouquet whose 2-cells are exactly the
 nondegenerate triangles; the generators are the maximal nondegenerate
 subcomplexes, i.e. the components of the nondegenerate triangles under
 adjacency across surviving (nondegenerate-nondegenerate) edges.
+
+`collapse_extract` is public on purpose, though no CLI command calls it:
+it is the collapse that item 5 of the README promises as part of the
+library, a step of the paper's argument that callers run on their own
+labeled spheres, and the acceptance suite checks its accounting.
 """
 from __future__ import annotations
 

@@ -31,15 +31,26 @@ trees, Hatcher, Algebraic Topology, sections 1.2 and 2.2):
 d_3 (only H_2 needs it) keeps its full matrix.  The entries of d_2 and
 d_3, with their orientation signs, are read off the skeleton's per-slot
 orbit and direction arrays, its orbit representatives (`edge_first`,
-`face_first`) and the table's permutation rows at once.
+`face_first`) and the table's permutation rows at once, as one (n, 3)
+array of (row, col, value); the forests are boolean masks over the edge
+and face orbits, and deleting their rows and columns is one mask of the
+entries.
 
-Smith normal form runs in two phases: a sparse elimination over unit pivots
-(which is all a boundary matrix usually needs and never grows
-coefficients), then a textbook integer SNF on the small remaining core.
-The sparse phase takes the least-cost unit pivot first (Markowitz,
-Management Sci. 3, 1957) from a heap whose keys are pushed again when
-their row or column changes and are checked again when popped, so no pivot
-rescans the matrix.
+Smith normal form runs in three phases, each on what the one before
+leaves:
+
+1. A peel in array rounds (Dumas, Saunders and Villard, J. Symb. Comput.
+   32, 2001): with repeated entries summed and zeros dropped, every +-1
+   entry alone in its row or in its column is a unimodular pivot that
+   just deletes its row and column, and pivots that share no row and no
+   column commute, so each round takes one per row and column at once.
+   On a boundary matrix this takes most of the rank.
+2. A sparse elimination over the remaining unit pivots, which never grows
+   coefficients: the least-cost pivot first (Markowitz, Management Sci. 3,
+   1957) from a heap whose keys are pushed again when their row or column
+   changes and are checked again when popped, so no pivot rescans the
+   matrix.
+3. A textbook integer SNF on the small dense core left.
 """
 from __future__ import annotations
 
@@ -83,9 +94,15 @@ class AbelianInvariants:
 Entry = tuple[int, int, int]  # (row, col, value)
 
 
-def elementary_divisors(entries: list[Entry], nrows: int, ncols: int) -> tuple[int, list[int]]:
-    """Rank and nontrivial elementary divisors (>1) of an integer matrix."""
-    rank, rows = _unit_eliminate(entries)
+def elementary_divisors(entries, nrows: int, ncols: int) -> tuple[int, list[int]]:
+    """Rank and nontrivial elementary divisors (>1) of an integer matrix
+    given by its (row, col, value) entries, an (n, 3) array or a sequence
+    of triples; repeated entries add up.  Values and their sums must fit
+    in int64."""
+    r, c, v = _merged(entries)
+    rank, (r, c, v) = _peel_units(r, c, v, nrows, ncols)
+    pivots, rows = _unit_eliminate(list(zip(r.tolist(), c.tolist(), v.tolist())))
+    rank += pivots
     if not rows:
         return rank, []
 
@@ -97,6 +114,56 @@ def elementary_divisors(entries: list[Entry], nrows: int, ncols: int) -> tuple[i
     rank += len(divisors)
     nontrivial = sorted(d for d in divisors if d > 1)
     return rank, nontrivial
+
+
+def _merged(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of `entries` with repeated positions summed
+    and zeros dropped, ordered by (row, col)."""
+    e = np.asarray(entries, dtype=np.int64).reshape(-1, 3)
+    bound = (1 << 62) // max(len(e), 1)
+    if len(e) and (e[:, 2].max() > bound or e[:, 2].min() < -bound):
+        raise OverflowError("entries too large to sum exactly in int64")
+    e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    r, c = e[:, 0], e[:, 1]
+    starts = np.flatnonzero(_firsts(r) | _firsts(c))
+    v = np.add.reduceat(e[:, 2], starts) if len(e) else e[:, 2]
+    nonzero = v != 0
+    return r[starts][nonzero], c[starts][nonzero], v[nonzero]
+
+
+def _peel_units(r: np.ndarray, c: np.ndarray, v: np.ndarray, nrows: int, ncols: int):
+    """Peel, round by round, every +-1 entry alone in its row or in its
+    column: row (or column) operations clear the rest of its column (or
+    row), so deleting its row and column is a unimodular step that lowers
+    the rank by one and keeps the elementary divisors.  Pivots that share
+    no row and no column commute, so a round takes one per row and column.
+    The entries come ordered by row, and so do the ones returned, with the
+    number of pivots."""
+    peeled = 0
+    unit = (v == 1) | (v == -1)
+    while unit.any():
+        row_len = np.bincount(r, minlength=nrows)
+        col_len = np.bincount(c, minlength=ncols)
+        pivots = np.flatnonzero(unit & ((row_len[r] == 1) | (col_len[c] == 1)))
+        if not len(pivots):
+            break
+        # the first pivot in each row, then the first in each column
+        pivots = pivots[_firsts(r[pivots])]
+        by_col = np.argsort(c[pivots], kind="stable")
+        pivots = pivots[by_col[_firsts(c[pivots][by_col])]]
+        peeled += len(pivots)
+        # a pivot's row and column are marked by a length of -1
+        row_len[r[pivots]] = col_len[c[pivots]] = -1
+        keep = (row_len[r] >= 0) & (col_len[c] >= 0)
+        r, c, v, unit = r[keep], c[keep], v[keep], unit[keep]
+    return peeled, (r, c, v)
+
+
+def _firsts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values."""
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return first
 
 
 def _unit_eliminate(entries: list[Entry]) -> tuple[int, dict[int, dict[int, int]]]:
@@ -259,13 +326,14 @@ _D2_EDGES = np.array([
 _D2_SIGNS = np.array([1, -1, 1])
 
 
-def boundary_entries(tri: Triangulation, k: int) -> tuple[list[Entry], int, int]:
+def boundary_entries(tri: Triangulation, k: int) -> tuple[np.ndarray, int, int]:
     """Sparse entries of the boundary map C_k -> C_{k-1} of the orbit complex,
     k in {2, 3} (d_1 needs no matrix, see the module docstring), read off
     the skeleton's slot arrays.
 
-    Returns (entries, nrows, ncols) with rows indexed by (k-1)-orbits and
-    columns by k-orbits.
+    Returns (entries, nrows, ncols): entries is an (n, 3) int64 array of
+    (row, col, value), rows indexed by (k-1)-orbits and columns by
+    k-orbits.
     """
     sk = skeleton(tri)
     if k == 2:
@@ -274,16 +342,16 @@ def boundary_entries(tri: Triangulation, k: int) -> tuple[list[Entry], int, int]
         rows = sk.edge_orbit[tet[:, None], edges]
         values = np.where(sk.edge_reversed[tet[:, None], edges], -_D2_SIGNS, _D2_SIGNS)
         cols = np.repeat(np.arange(len(tet)), 3)
-        return _entries(rows.ravel(), cols, values.ravel()), sk.edge_count, sk.face_count
+        return _entries(rows, cols, values), sk.edge_count, sk.face_count
     if k == 3:
         signs = _face_signs(tri, sk) * np.array([1, -1, 1, -1])
         cols = np.repeat(np.arange(tri.size), 4)
-        return _entries(sk.face_orbit.ravel(), cols, signs.ravel()), sk.face_count, tri.size
+        return _entries(sk.face_orbit, cols, signs), sk.face_count, tri.size
     raise ValueError("k must be 2 or 3")
 
 
-def _entries(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> list[Entry]:
-    return list(zip(rows.tolist(), cols.tolist(), values.tolist()))
+def _entries(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return np.stack((rows.ravel(), cols, values.ravel()), axis=1)
 
 
 def _face_signs(tri: Triangulation, sk: SkeletonTable) -> np.ndarray:
@@ -295,23 +363,26 @@ def _face_signs(tri: Triangulation, sk: SkeletonTable) -> np.ndarray:
     return np.where(reps.reshape(tri.size, 4), 1, tri.arrays.face_signs())
 
 
-def _forests(tri: Triangulation) -> tuple[set[int], set[int]]:
-    """The edge orbits of a spanning forest of the 1-skeleton (joining
-    vertex orbits) and the face orbits of one of the dual graph (joining
-    their tets, a boundary face a loop); any spanning forests serve."""
+def _forests(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the edge orbits of a spanning forest of the 1-skeleton
+    (joining vertex orbits) and of the face orbits of one of the dual graph
+    (joining their tets, a boundary face a loop); any spanning forests
+    serve."""
     sk = skeleton(tri)
     tet, edge = np.divmod(sk.edge_first, 6)
     ends = sk.vertex_orbit[tet[:, None], _EDGE_ENDS[edge]]
     tet, face = np.divmod(sk.face_first, 4)
     other = tri.arrays.neighbours()[tet, face]
-    return (
-        {i for i, _, _ in spanning_forest(sk.vertex_count, *ends.T)[1]},
-        {i for i, _, _ in spanning_forest(tri.size, tet, other)[1]},
-    )
+    masks = np.zeros(sk.edge_count, dtype=bool), np.zeros(sk.face_count, dtype=bool)
+    for mask, (_, steps) in zip(masks, (
+        spanning_forest(sk.vertex_count, *ends.T), spanning_forest(tri.size, tet, other)
+    )):
+        mask[[i for i, _, _ in steps]] = True
+    return masks
 
 
 def _boundary_invariants(
-    tri: Triangulation, k: int, forests: tuple[set[int], set[int]]
+    tri: Triangulation, k: int, forests: tuple[np.ndarray, np.ndarray]
 ) -> tuple[int, list[int]]:
     """Rank and nontrivial elementary divisors of the boundary map out of
     C_k, given `_forests(tri)`."""
@@ -320,16 +391,14 @@ def _boundary_invariants(
         return 0, []
     if k == 1:
         # a signed incidence matrix: totally unimodular, rank V - c
-        return len(edge_forest), []
+        return int(edge_forest.sum()), []
     entries, nrows, ncols = boundary_entries(tri, k)
     if k == 2:
+        keep = ~edge_forest[entries[:, 0]]
         # the dual-forest argument needs d2 d3 = 0 on every tet
-        if skeleton(tri).reversed_edge is not None:
-            face_forest = set()
-        entries = [
-            (r, c, v) for r, c, v in entries
-            if r not in edge_forest and c not in face_forest
-        ]
+        if skeleton(tri).reversed_edge is None:
+            keep &= ~face_forest[entries[:, 1]]
+        entries = entries[keep]
     return elementary_divisors(entries, nrows, ncols)
 
 

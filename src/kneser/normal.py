@@ -80,10 +80,20 @@ _ARC = np.array([
 ])
 
 
-def arc_count(coords: Sequence[int], tet: int, face: int, corner: int) -> int:
-    """Arcs cutting off `corner` in face `face` of tet `tet`."""
-    a, b = (7 * tet + _ARC[face, corner]).tolist()
-    return coords[a] + coords[b]
+def arc_count(coords: Sequence[int], tet, face, corner):
+    """Arcs cutting off `corner` in face `face` of tet `tet`; tet, face and
+    corner may be arrays of one shape, and the counts are then an array."""
+    return np.asarray(coords)[7 * np.asarray(tet)[..., None] + _ARC[face, corner]].sum(axis=-1)
+
+
+# _TRIANGLE_LEGS[v]: the boundary cycle of a triangle at v, as (start,
+# missing) per arc: with w1 < w2 < w3 the other vertices, edge {v,w1} ->
+# face missing w3 -> edge {v,w2} -> face missing w1 -> edge {v,w3} -> face
+# missing w2 -> close
+_TRIANGLE_LEGS = tuple(
+    ((w1, w3), (w2, w1), (w3, w2))
+    for w1, w2, w3 in ([w for w in range(4) if w != v] for v in range(4))
+)
 
 
 def disk_boundaries(coords: Sequence[int]):
@@ -101,11 +111,7 @@ def disk_boundaries(coords: Sequence[int]):
     QUAD_PAIRS[qt][0] side."""
     for tet in range(len(coords) // 7):
         tcount = coords[7 * tet:7 * tet + 4]
-        for v in range(4):
-            w1, w2, w3 = (w for w in range(4) if w != v)
-            # boundary cycle: edge {v,w1} -> face missing w3 -> edge {v,w2}
-            # -> face missing w1 -> edge {v,w3} -> face missing w2 -> close
-            legs = ((w1, w3), (w2, w1), (w3, w2))
+        for v, legs in enumerate(_TRIANGLE_LEGS):
             for c in range(1, tcount[v] + 1):
                 yield (tet, "tri", v, c), [(tet, missing, v, c, a) for a, missing in legs]
 

@@ -82,23 +82,41 @@ def normal_arc_length(n: int, m1: int, m2: int) -> float:
     return corner_arc_length(_arc_offsets(n, m1), _arc_offsets(n, m2))
 
 
+# _CORNER_EDGES[f][v]: the two edges of face f that meet at its corner v,
+# toward the smaller and the larger of the other two corners
+_CORNER_EDGES = tuple(
+    tuple(
+        tuple(EDGE_BETWEEN[v][w] for w in FACE_VERTICES[f] if w != v)
+        if v != f else ()
+        for v in range(4)
+    )
+    for f in range(4)
+)
+
+
 def pl_area(tri: Triangulation, coords) -> PLArea:
     """Weight and canonical-placement length of the normal surface of a
     valid coordinate vector, read off the coordinates and edge weights.
 
     The length sums `normal_arc_length` over the boundary arcs of every
     disk of `disk_boundaries`, so each arc counts once per disk it
-    borders: twice, since it lies in one face orbit."""
+    borders: twice, since it lies in one face orbit.  Arcs are summed in
+    walk order; an arc's length depends only on (n, m1, m2), so each such
+    triple is evaluated once per call."""
     coords = check_coordinates(tri, coords)
     weights = edge_weights(tri, coords)
-    edge_orbit = skeleton(tri).edge_orbit.ravel().tolist()
+    # the crossing count of every edge slot 6i + e
+    crossings = [weights[orbit] for orbit in skeleton(tri).edge_orbit.ravel().tolist()]
+    lengths: dict[tuple[int, int, int], float] = {}
     total = 0.0
     for _disk, arcs in disk_boundaries(coords):
         for tet, face, corner, n, _start in arcs:
-            x, y = (w for w in FACE_VERTICES[face] if w != corner)
-            m1 = weights[edge_orbit[6 * tet + EDGE_BETWEEN[corner][x]]]
-            m2 = weights[edge_orbit[6 * tet + EDGE_BETWEEN[corner][y]]]
-            total += normal_arc_length(n, m1, m2)
+            e1, e2 = _CORNER_EDGES[face][corner]
+            key = (n, crossings[6 * tet + e1], crossings[6 * tet + e2])
+            length = lengths.get(key)
+            if length is None:
+                length = lengths[key] = normal_arc_length(*key)
+            total += length
     return PLArea(weight=sum(weights), length=total)
 
 

@@ -14,7 +14,10 @@ every tetrahedron into the closed complementary cells of the surface,
 triangulate each cell boundary canonically, cone each cell from an interior
 apex, leave the two sides of every normal disk unglued (the cut), and cone
 off the resulting boundary spheres.  It never loses a connected summand and
-is used to audit crush outputs, not in the decomposition loop.
+is used to audit crush outputs, not in the decomposition loop.  Every step
+runs on arrays: the cones of the cut come from a few patch templates per
+face, fanned once at import, and one sort of int64 keys glues their bases
+and sides; the caps and the split into pieces follow on the same arrays.
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ from .normal import (
     QUAD_PAIRS,
     arc_count,
     quad_index,
-    tri_index,
 )
 from .reconstruct import DiskComplex, reconstruct
 from .triangulation import (
@@ -44,7 +46,6 @@ from .triangulation import (
     Triangulation,
     components,
     perm_compose,
-    perm_inverse,
     skeleton,
     split_components,
     validate_arrays,
@@ -129,204 +130,229 @@ def crush(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation]:
 # cut-and-cap
 # --------------------------------------------------------------------------
 #
-# Region identifiers inside one tetrahedron (t_v triangle copies at vertex v,
-# q quads of one type with pairs P = QUAD_PAIRS[qt][0], P'):
-#   ("corner", v, i)  between triangles i and i+1 at v (i = 0 holds vertex v)
-#   ("central",)       q = 0: the truncated-tet core
-#   ("wedge", 0/1)     q > 0: between the innermost triangles on one pair
-#                      side and the outermost quad on that side
-#   ("qprod", c)       q > 1: between quads c and c+1
+# A region of a tetrahedron (t_v triangle copies at vertex v, q quads of one
+# type with pairs P = QUAD_PAIRS[qt][0] and P') has a readable name and a
+# local number, S being t_0 + ... + t_3:
+#   ("corner", v, i)  t_0 + ... + t_{v-1} + i: between triangles i and i+1
+#                     at v (i = 0 holds vertex v)
+#   ("central",)      S, when q = 0: the truncated-tet core
+#   ("wedge", s)      S + s, when q > 0: between the innermost triangles on
+#                     pair side s (0 for P) and the outermost quad there
+#   ("qprod", c)      S + 1 + c, when q > 1: between quads c and c + 1
+# A cell, one region of one tet, is numbered by the tet's first cell plus
+# the local number.
+#
+# The arcs cut each face orbit into patches, seen from its representative
+# slot: at each corner w in turn the corner patches (w, i) between arcs i
+# and i + 1 (i = 0 holds the corner), then the central patch.  A patch is a
+# cycle of nodes, each a crossing ("x", local edge, ascending position) or
+# a corner ("v", w), and of sides, side k running from node k to node k + 1
+# along a 1-cell: an edge segment (local edge, interval counted from its
+# lesser end) or an arc (corner, n).  A side's direction is +1 when it runs
+# the 1-cell's way: ascending for a segment, from the smaller third vertex
+# of the face for an arc.  A patch is fanned from its least node (the first
+# of equal ones) into pieces, whose inner sides are chords, and every piece
+# is coned in both slots of its orbit, the representative first.  Each
+# normal disk is coned on its near and then its far side (a quad as two
+# triangles split by a diagonal), and those cones keep their bases
+# unglued: that is the cut.
+#
+# Cone sides are matched within a cell by integer 1-cell tokens (a, b):
+#   segment   a = 6 tet + local edge, b = interval;
+#   arc       a = 6t + 4t (4 face orbit + representative corner) + 4 tet
+#             + face, b = n, for the arc as seen from slot (tet, face);
+#   chord     a = chord base + patch (each slot's patches numbered apart),
+#             b = chord;
+#   diagonal  a = diagonal base + 2 disk + disk side, b = 0.
+# A side is keyed (cell, a, b) and a piece's base (-1, piece, 0), so that
+# one sort of the keys, packed into one int64 each, glues the whole cut.
+#
+# Which node of a patch is least depends only on the face, the patch and
+# which corners carry arcs, except in a central patch with arcs at all
+# three corners: there the two crossings on the face's least edge {c0, c1}
+# compare, x(c0, c1, a_0) at position a_0 against x(c1, c0, a_1) at
+# m + 1 - a_1.  (They never tie on a valid surface, where m = a_0 + a_1.)
+# So every patch is one of a few templates per face, each fanned once
+# here.  A template side is (kind, edge or corner, direction, ci, c0, cm,
+# e, ca, k): its interval or n is ci i + c0 + cm m_e + ca a_k, for the
+# patch's i, the crossing count m_e of local edge e and the arc count a_k
+# at the k-th corner of the face; a chord is (_CHORD, 0, direction, 0,
+# chord, 0, 0, 0, 0).
 
-RegionId = tuple
-
-
-def _disk_regions(tcount, qtype, q, disk) -> tuple[RegionId, RegionId]:
-    """(region on the near side, region on the far side) of a normal disk.
-
-    For a triangle copy c at vertex v, near = toward v.  For a quad copy c,
-    near = toward pair side 0.
-    """
-    _tet, kind, which, c = disk
-    if kind == "tri":
-        near = ("corner", which, c - 1)
-        if c < tcount[which]:
-            far: RegionId = ("corner", which, c)
-        elif qtype is None:
-            far = ("central",)
-        else:
-            side = 0 if which in QUAD_PAIRS[qtype][0] else 1
-            far = ("wedge", side)
-        return near, far
-    near = ("wedge", 0) if c == 1 else ("qprod", c - 1)
-    far = ("wedge", 1) if c == q else ("qprod", c)
-    return near, far
-
-
-def _patch_region(tcount, qtype, q, face: int, corner: int, i: int) -> RegionId:
-    """Region behind the patch between arcs i and i+1 at `corner` (slot-local).
-
-    i = 0 is the patch containing the corner itself.
-    """
-    if i < tcount[corner]:
-        return ("corner", corner, i)
-    if qtype is None or corner != _quad_partner(qtype, face):
-        raise ConsistencyCheckFailed(
-            f"patch {i} at corner {corner} of face {face} lies past the triangle "
-            "arcs at a corner that no quad cuts"
-        )
-    n = i - tcount[corner]
-    if n == 0:
-        side = 0 if corner in QUAD_PAIRS[qtype][0] else 1
-        return ("wedge", side)
-    if corner in QUAD_PAIRS[qtype][0]:
-        return ("qprod", n)
-    return ("qprod", q - n)
-
-
-def _central_patch_region(tcount, qtype, q, face: int) -> RegionId:
-    if qtype is None:
-        return ("central",)
-    # the corner of `face` cut by quad arcs
-    lone = _quad_partner(qtype, face)
-    side = 0 if lone in QUAD_PAIRS[qtype][0] else 1
-    return ("wedge", 1 - side)
+_SEG, _ARC, _CHORD = 0, 1, 2
+_EDGE = np.array([[-1 if e is None else e for e in row] for row in EDGE_BETWEEN])
+_EDGE_ENDS = np.array(EDGE_VERTICES)
+_FACE_CORNERS = np.array(FACE_VERTICES)
+_QUAD_PARTNER = np.array([[_quad_partner(qt, k) for k in range(4)] for qt in range(3)])
+# _PAIR_SIDE[qt, v]: 0 if v lies in QUAD_PAIRS[qt][0], else 1
+_PAIR_SIDE = np.array([[int(v not in pairs[0]) for v in range(4)] for pairs in QUAD_PAIRS])
+# _LEAST_EDGE[f]: the least edge of face f, joining its first two corners
+_LEAST_EDGE = _EDGE[_FACE_CORNERS[:, 0], _FACE_CORNERS[:, 1]]
 
 
-# Patch geometry is built once per face orbit in the coordinates of the
-# orbit representative.  Cycle nodes are ("x", local edge, ascending
-# position) or ("v", local corner); each cycle side records the 1-cell it
-# runs along and its traversal direction against that 1-cell's canonical
-# direction (ascending for edge segments, smaller-third-vertex-first for
-# arcs).
-
-
-class _PatchSide(NamedTuple):
-    kind: str          # "arc" | "seg"
-    data: tuple        # arc: (corner, n); seg: (local edge, interval)
-    direction: int
-
-
-class _Patch(NamedTuple):
-    key: tuple                 # ("corner", w, i) or ("central",)
-    nodes: tuple               # cycle node tokens, rep-local
-    sides: tuple[_PatchSide, ...]  # side k runs nodes[k] -> nodes[k+1]
-
-
-def _crossing_node(w: int, u: int, n: int, m: int):
-    """Node for the n-th crossing from w on local edge {w, u} of m crossings."""
-    pos = n if w < u else m + 1 - n
-    return ("x", EDGE_BETWEEN[w][u], pos)
-
-
-def _seg_side(w: int, u: int, interval_from_w: int, m: int) -> _PatchSide:
-    """Edge segment side traversed away from w, with interval counted from w."""
+def _segment(w: int, u: int, value: tuple, direction: int) -> tuple:
+    """The template side along edge {w, u} at interval `value` (ci, c0,
+    ca, k) counted from w, run away from w when direction is +1."""
+    ci, c0, ca, k = value
+    e = EDGE_BETWEEN[w][u]
     if w < u:
-        return _PatchSide("seg", (EDGE_BETWEEN[w][u], interval_from_w), 1)
-    return _PatchSide("seg", (EDGE_BETWEEN[w][u], m - interval_from_w), -1)
+        return (_SEG, e, direction, ci, c0, 0, e, ca, k)
+    return (_SEG, e, -direction, -ci, -c0, 1, e, -ca, k)
 
 
-def _arc_side(face: int, w: int, start_third: int, n: int) -> _PatchSide:
-    """Arc side at corner w, arc n, traversed starting over edge {w, start}."""
-    x, _y = sorted(v for v in FACE_VERTICES[face] if v != w)
-    return _PatchSide("arc", (w, n), 1 if start_third == x else -1)
+def _arc(w: int, value: tuple, direction: int) -> tuple:
+    ci, c0, ca, k = value
+    return (_ARC, w, direction, ci, c0, 0, 0, ca, k)
 
 
-def _face_patches(coords, crossings: list[int], tet: int, face: int) -> list[_Patch]:
-    """The patches of face `face` of `tet`, given the crossing count of
-    every edge slot 6i + e."""
-    corners = FACE_VERTICES[face]
-    counts = {w: arc_count(coords, tet, face, w) for w in corners}
-
-    def m_of(w, u):
-        return crossings[6 * tet + EDGE_BETWEEN[w][u]]
-
-    patches: list[_Patch] = []
-    for w in corners:
-        x, y = sorted(v for v in corners if v != w)
-        m_x, m_y = m_of(w, x), m_of(w, y)
-        if counts[w] >= 1:
-            nodes = (("v", w), _crossing_node(w, x, 1, m_x), _crossing_node(w, y, 1, m_y))
-            sides = (
-                _seg_side(w, x, 0, m_x),
-                _arc_side(face, w, x, 1),
-                # back toward the corner: traversed toward w
-                _reverse(_seg_side(w, y, 0, m_y)),
-            )
-            patches.append(_Patch(("corner", w, 0), nodes, sides))
-        for i in range(1, counts[w]):
-            nodes = (
-                _crossing_node(w, x, i, m_x),
-                _crossing_node(w, x, i + 1, m_x),
-                _crossing_node(w, y, i + 1, m_y),
-                _crossing_node(w, y, i, m_y),
-            )
-            sides = (
-                _seg_side(w, x, i, m_x),
-                _arc_side(face, w, x, i + 1),
-                _reverse(_seg_side(w, y, i, m_y)),
-                _reverse(_arc_side(face, w, x, i)),
-            )
-            patches.append(_Patch(("corner", w, i), nodes, sides))
-
-    # central patch: walk corners x -> y -> z; at each corner either the
-    # outermost arc (two nodes) or the bare corner (one node)
-    nodes: list = []
-    sides: list[_PatchSide] = []
-    cyc = list(corners)
-    for idx, w in enumerate(cyc):
-        nxt = cyc[(idx + 1) % 3]
-        prv = cyc[(idx + 2) % 3]
-        a_w = counts[w]
-        m_next = m_of(w, nxt)
-        m_prev = m_of(w, prv)
-        if a_w:
-            nodes.append(_crossing_node(w, prv, a_w, m_prev))
-            sides.append(_arc_side(face, w, prv, a_w))
-            nodes.append(_crossing_node(w, nxt, a_w, m_next))
-        else:
-            nodes.append(("v", w))
-        sides.append(_seg_side(w, nxt, a_w, m_next))
-    patches.append(_Patch(("central",), tuple(nodes), tuple(sides)))
-    return patches
-
-
-def _reverse(side: _PatchSide) -> _PatchSide:
-    return _PatchSide(side.kind, side.data, -side.direction)
-
-
-class _Cone(NamedTuple):
-    """One cone tetrahedron over a boundary triangle of a cell.
-
-    Local vertices 0..2 are the triangle corners (side k runs from corner k
-    to corner k+1 and lies on the cone face opposite corner (k+2) % 3);
-    vertex 3 is the cell apex.  `sides[k]` is (token, direction) for the
-    1-cell the side runs along; tokens are unique within a cell up to their
-    single partner.  `base` identifies the geometric triangle for pairing
-    the two instances of a face patch; disk pieces carry base = None and
-    stay unglued (they form the cut boundary).
-    """
-
-    cell: tuple
-    sides: tuple
-    base: tuple | None
-
-
-def _patch_pieces(patch: _Patch):
-    """Fan-triangulate a patch; yields (corners, sides) triples where sides
-    may be _PatchSide objects or ("diag", chord_index, direction) markers."""
-    nodes = list(patch.nodes)
-    sides = list(patch.sides)
-    anchor = min(range(len(nodes)), key=lambda i: nodes[i])
-    nodes = nodes[anchor:] + nodes[:anchor]
+def _fanned(sides: list, anchor: int) -> list:
+    """The pieces of a patch fanned from node `anchor`: piece k - 1 has the
+    sides (first, k, last) of the turned cycle, first being side 0 if k = 1
+    and else chord k run +1, last side L - 1 if k = L - 2 and else chord
+    k + 1 run -1."""
     sides = sides[anchor:] + sides[:anchor]
-    length = len(nodes)
-    if length == 3:
-        yield 0, (sides[0], sides[1], sides[2])
-        return
-    for k in range(1, length - 1):
-        first = sides[0] if k == 1 else ("diag", k, 1)
-        last = sides[length - 1] if k == length - 2 else ("diag", k + 1, -1)
-        yield k - 1, (first, sides[k], last)
+    end = len(sides) - 1
+    return [
+        (
+            sides[0] if k == 1 else (_CHORD, 0, 1, 0, k, 0, 0, 0, 0),
+            sides[k],
+            sides[end] if k == end - 1 else (_CHORD, 0, -1, 0, k + 1, 0, 0, 0, 0),
+        )
+        for k in range(1, end)
+    ]
+
+
+def _templates():
+    """The patch templates: _PATCH_TYPE[f, g, flag] numbers the template of
+    the corner patches (g, i) at the g-th corner of face f (flag i > 0) and
+    of its central patch (g = 3, flag 2 mask + variant, bit k of mask set
+    when the k-th corner carries arcs, variant set when the second
+    crossing on the least edge is the least node).  Per template: its
+    corner (-1 for central), its first piece and its number of pieces;
+    per piece, its three sides, field by field: (9, pieces, 3)."""
+    i, i_next = (1, 0, 0, 0), (1, 1, 0, 0)
+    kinds = np.zeros((4, 4, 16), dtype=np.int64)
+    corner, first, count, pieces = [], [], [], []
+
+    def add(w: int, sides: list, anchor: int) -> int:
+        fan = _fanned(sides, anchor)
+        corner.append(w)
+        first.append(len(pieces))
+        count.append(len(fan))
+        pieces.extend(fan)
+        return len(corner) - 1
+
+    for f, cs in enumerate(FACE_VERTICES):
+        for g, w in enumerate(cs):
+            x, y = (u for u in cs if u != w)
+            sides = [_segment(w, x, i, 1), _arc(w, i_next, 1), _segment(w, y, i, -1)]
+            kinds[f, g, 0] = add(w, sides, 0)
+            # nodes x(w, x, i), x(w, x, i + 1), x(w, y, i + 1), x(w, y, i)
+            if EDGE_BETWEEN[w][x] < EDGE_BETWEEN[w][y]:
+                anchor = 0 if w < x else 1
+            else:
+                anchor = 3 if w < y else 2
+            kinds[f, g, 1] = add(w, [*sides, _arc(w, i, -1)], anchor)
+        for mask in range(8):
+            sides, bare = [], []
+            for k, w in enumerate(cs):
+                nxt, prv = cs[(k + 1) % 3], cs[(k + 2) % 3]
+                a_k = (0, 0, 1, k)
+                if mask >> k & 1:
+                    sides.append(_arc(w, a_k, 1 if prv < nxt else -1))
+                else:
+                    bare.append(len(sides))
+                sides.append(_segment(w, nxt, a_k, 1))
+            for variant in (0, 1):
+                anchor = bare[0] if bare else 1 + variant
+                kinds[f, 3, 2 * mask + variant] = add(-1, sides, anchor)
+    pieces = np.moveaxis(np.array(pieces), 2, 0)
+    return kinds, np.array(corner), np.array(first), np.array(count), pieces
+
+
+_PATCH_TYPE, _PATCH_CORNER, _PIECE_FIRST, _PIECE_COUNT, _PIECE_SIDES = _templates()
+
+
+def _runs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given sizes laid end to end: the run of each
+    element and its place in the run."""
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    return run, np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run]
+
+
+class _Regions(NamedTuple):
+    """Per tet: triangle counts (t, 4), quad type (-1 for none) and count,
+    the local number of each corner's first region, S, and the first cell."""
+
+    tcount: np.ndarray
+    qtype: np.ndarray
+    qcount: np.ndarray
+    first_corner: np.ndarray
+    core: np.ndarray
+    first_cell: np.ndarray
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> _Regions:
+        """The regions of coordinates x, shaped (t, 7)."""
+        tcount = x[:, :4]
+        # valid coordinates have at most one quad type per tet
+        qcount = x[:, 4:].sum(axis=1)
+        qtype = np.where(qcount > 0, x[:, 4:].argmax(axis=1), -1)
+        core = tcount.sum(axis=1)
+        sizes = core + 1 + qcount
+        first_corner = np.cumsum(tcount, axis=1) - tcount
+        return cls(tcount, qtype, qcount, first_corner, core, np.cumsum(sizes) - sizes)
+
+    def corner_patch(self, tet, face, corner, i) -> np.ndarray:
+        """The local region behind corner patch i at `corner` of `face`."""
+        tc = self.tcount[tet, corner]
+        qt = self.qtype[tet].clip(0)
+        past = i >= tc
+        bad = past & ((self.qtype[tet] < 0) | (corner != _QUAD_PARTNER[qt, face]))
+        if bad.any():
+            k = bad.argmax()
+            raise ConsistencyCheckFailed(
+                f"patch {i[k]} at corner {corner[k]} of face {face[k]} lies past the "
+                "triangle arcs at a corner that no quad cuts"
+            )
+        n = i - tc
+        side = _PAIR_SIDE[qt, corner]
+        beyond = np.where(n == 0, side, 1 + np.where(side == 0, n, self.qcount[tet] - n))
+        return np.where(past, self.core[tet] + beyond, self.first_corner[tet, corner] + i)
+
+    def central_patch(self, tet, face) -> np.ndarray:
+        """The local region behind the central patch of `face`: the core, or
+        the wedge away from the corner that the quads cut."""
+        qt = self.qtype[tet].clip(0)
+        lone = _QUAD_PARTNER[qt, face]
+        return self.core[tet] + np.where(self.qtype[tet] < 0, 0, 1 - _PAIR_SIDE[qt, lone])
+
+    def disk_sides(self, tet, quad, which, c) -> tuple[np.ndarray, np.ndarray]:
+        """The local regions on the near and far side of each disk: toward
+        vertex `which` for triangle copy c, toward pair side 0 for quad
+        copy c."""
+        core = self.core[tet]
+        tri_near = self.first_corner[tet, which] + c - 1
+        qt = self.qtype[tet].clip(0)
+        wedge = np.where(self.qtype[tet] < 0, 0, _PAIR_SIDE[qt, which])
+        tri_far = np.where(c < self.tcount[tet, which], tri_near + 1, core + wedge)
+        quad_near = core + np.where(c == 1, 0, c)
+        quad_far = core + np.where(c == self.qcount[tet], 1, 1 + c)
+        return np.where(quad, quad_near, tri_near), np.where(quad, quad_far, tri_far)
+
+    def name(self, cell: int) -> tuple:
+        """The readable (tet, region) of a cell."""
+        tet = int(np.searchsorted(self.first_cell, cell, side="right")) - 1
+        local = cell - int(self.first_cell[tet])
+        core = int(self.core[tet])
+        if local < core:
+            v = int(np.searchsorted(self.first_corner[tet], local, side="right")) - 1
+            return tet, ("corner", v, local - int(self.first_corner[tet, v]))
+        if self.qtype[tet] < 0:
+            return tet, ("central",)
+        if local - core < 2:
+            return tet, ("wedge", local - core)
+        return tet, ("qprod", local - core - 1)
 
 
 def _side_gluing(k1: int, k2: int, same: bool) -> Perm:
@@ -342,163 +368,210 @@ def _side_gluing(k1: int, k2: int, same: bool) -> Perm:
     return (perm[0], perm[1], perm[2], perm[3])
 
 
-_SIDE_GLUING = {
-    (k1, k2, same): _side_gluing(k1, k2, same)
-    for k1 in range(3) for k2 in range(3) for same in (False, True)
-}
+# _FACE_GLUING[f1, f2, same]: the gluing of cone face f1 to face f2; side k
+# lies on face k + 2 (mod 3), and a base (face 3) glues to a base by the
+# identity
+_FACE_GLUING = np.array([
+    [
+        [
+            (0, 1, 2, 3) if 3 in (f1, f2) else _side_gluing((f1 + 1) % 3, (f2 + 1) % 3, same)
+            for same in (False, True)
+        ]
+        for f2 in range(4)
+    ]
+    for f1 in range(4)
+])
+
+
+def _paired(*columns: np.ndarray):
+    """Pair the entries whose key columns all agree, by one sort of the
+    columns packed into one int64 key each.  Returns the two members of
+    each pair, and one entry and the size of each key that does not occur
+    exactly twice."""
+    key, span = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for column in columns:
+        low = int(column.min(initial=0))
+        width = int(column.max(initial=0)) - low + 1
+        span *= width
+        if span >= 1 << 63:
+            raise OverflowError("keys too large to pack into int64")
+        key = key * width + (column - low)
+    order = np.argsort(key)
+    ordered = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, len(key)))
+    pairs = starts[sizes == 2]
+    return order[pairs], order[pairs + 1], order[starts[sizes != 2]], sizes[sizes != 2]
 
 
 def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
     """The cut-open manifold along the surface of `build_complex(tri,
     coords)`: every complementary cell coned from an apex, with the two
-    sides of each normal disk left as boundary faces."""
-    coords = complex_.coordinates
-    weights = complex_.weights_per_edge
+    sides of each normal disk left as boundary faces.
+
+    The cones are built as arrays, in the order of the comment above: each
+    with its cell, three side tokens with directions and, for a patch
+    piece, a base key.  One sort of the keys pairs the two instances of
+    every piece at their bases and the sides of each 1-cell within each
+    cell.  A key that does not occur exactly twice raises
+    ConsistencyCheckFailed naming the least such key, a base key before a
+    side key."""
+    t = tri.size
+    x = np.array(complex_.coordinates, dtype=np.int64).reshape(t, 7)
     sk = skeleton(tri)
-    # the crossing count of every edge slot 6i + e
-    crossings = [weights[orbit] for orbit in sk.edge_orbit.ravel().tolist()]
+    # the crossing count of every edge slot, (t, 6)
+    crossings = np.array(complex_.weights_per_edge, dtype=np.int64)[sk.edge_orbit]
+    regions = _Regions.of(x)
 
-    tcounts = [
-        [coords[tri_index(i, v)] for v in range(4)] for i in range(tri.size)
-    ]
-    qtypes = _quad_types(tri, coords)
-    qcounts = [
-        coords[quad_index(i, qtypes[i])] if qtypes[i] is not None else 0
-        for i in range(tri.size)
-    ]
+    # each face orbit seen from its representative slot (2 fo) and from the
+    # other one (2 fo + 1), onto which the gluing maps it by `perm`
+    rep_tet, rep_face = np.divmod(sk.face_first, 4)
+    orbits = len(rep_tet)
+    image = tri.arrays.images(rep_tet[:, None], rep_face[:, None], np.arange(4))
+    slot_tet = np.stack((rep_tet, tri.arrays.tet[rep_tet, rep_face]), axis=1).ravel()
+    slot_face = np.stack((rep_face, tri.arrays.face[rep_tet, rep_face]), axis=1).ravel()
+    slot_perm = np.stack((np.broadcast_to(np.arange(4), image.shape), image), axis=1).reshape(-1, 4)
+    # a segment of edge (u, v) of the representative lies on the edge
+    # (perm u, perm v) of the slot's tet, run the other way if that descends
+    u, v = slot_perm[:, _EDGE_ENDS[:, 0]], slot_perm[:, _EDGE_ENDS[:, 1]]
+    slot_edge, slot_flip = _EDGE[u, v].ravel(), (u > v).ravel()
+    counts = arc_count(x.ravel(), rep_tet[:, None], rep_face[:, None], _FACE_CORNERS[rep_face])
+    m = crossings[rep_tet]
 
-    cones: list[_Cone] = []
-
-    def seg_token(tet: int, pi, side: _PatchSide):
-        e, j = side.data
-        u, v = EDGE_VERTICES[e]
-        pu, pv = pi[u], pi[v]
-        e2 = EDGE_BETWEEN[pu][pv]
-        if pu < pv:
-            return ("seg", e2, j), side.direction
-        return ("seg", e2, crossings[6 * tet + e2] - j), -side.direction
-
-    # face patches, instantiated on both slots of each face orbit
-    for fo, first in enumerate(sk.face_first.tolist()):
-        rep = divmod(first, 4)
-        patches = [
-            (patch, list(_patch_pieces(patch)))
-            for patch in _face_patches(coords, crossings, *rep)
-        ]
-        g = tri.gluings[rep[0]][rep[1]]
-        assert g is not None
-        slots = [(rep, (0, 1, 2, 3)), ((g.tet, g.face), g.perm)]
-        for slot, pi in slots:
-            tet, face_local = slot
-            pi_face = pi[rep[1]]
-            for patch, pieces in patches:
-                if patch.key[0] == "corner":
-                    _, w, i = patch.key
-                    region = _patch_region(
-                        tcounts[tet], qtypes[tet], qcounts[tet],
-                        pi_face, pi[w], i,
-                    )
-                else:
-                    region = _central_patch_region(
-                        tcounts[tet], qtypes[tet], qcounts[tet], pi_face
-                    )
-                cell = (tet, region)
-                for piece_idx, piece_sides in pieces:
-                    tokens = []
-                    for s in piece_sides:
-                        if isinstance(s, _PatchSide):
-                            if s.kind == "arc":
-                                w_rep, n = s.data
-                                tokens.append(
-                                    (("arc", (fo, w_rep, n), slot), s.direction)
-                                )
-                            else:
-                                tokens.append(seg_token(tet, pi, s))
-                        else:
-                            _, chord, direction = s
-                            tokens.append(
-                                (("diag", patch.key, chord, slot), direction)
-                            )
-                    cones.append(_Cone(
-                        cell, tuple(tokens), ("patch", fo, patch.key, piece_idx, slot)
-                    ))
-
-    # normal disks, one instance per side, bases left unglued
-    for disk in complex_.disks:
-        tet = disk[0]
-        uses = complex_.boundaries[disk]
-        near, far = _disk_regions(tcounts[tet], qtypes[tet], qcounts[tet], disk)
-        for side_idx, region in ((0, near), (1, far)):
-            cell = (tet, region)
-            arc_tokens = [
-                (("arc", u.arc, u.face_slot), u.direction) for u in uses
-            ]
-            if len(uses) == 3:
-                cones.append(
-                    _Cone(cell=cell, sides=tuple(arc_tokens), base=None)
-                )
-            else:
-                diag = ("qdiag", disk, side_idx)
-                cones.append(
-                    _Cone(
-                        cell=cell,
-                        sides=(arc_tokens[0], arc_tokens[1], (diag, -1)),
-                        base=None,
-                    )
-                )
-                cones.append(
-                    _Cone(
-                        cell=cell,
-                        sides=((diag, 1), arc_tokens[2], arc_tokens[3]),
-                        base=None,
-                    )
-                )
-
-    # base gluings: pair the two slot instances of each patch piece
-    by_base: dict[tuple, list[int]] = {}
-    for idx, cone in enumerate(cones):
-        if cone.base is not None:
-            key = cone.base[:4]
-            by_base.setdefault(key, []).append(idx)
-    # each slot is written by its own group, so the groups go in any order
-    # unless one is malformed: then the least such key is named
-    bad = [key for key, pair in by_base.items() if len(pair) != 2]
-    if bad:
-        key = min(bad)
-        raise ConsistencyCheckFailed(
-            f"patch piece {key} has {len(by_base[key])} instances"
-        )
-
-    # side gluings: match tokens within each cell
-    by_side: dict[tuple, list[tuple[int, int, int]]] = {}
-    for idx, cone in enumerate(cones):
-        for k, (token, direction) in enumerate(cone.sides):
-            by_side.setdefault((cone.cell, token), []).append((idx, k, direction))
-    bad = [key for key, group in by_side.items() if len(group) != 2]
-    if bad:
-        key = min(bad)
-        raise ConsistencyCheckFailed(
-            f"cell 1-cell {key} bounds {len(by_side[key])} sides"
-        )
-
-    # the gluing table: a base glues face 3 to face 3 by the identity, a
-    # side k glues face k + 2 (mod 3) to its partner's
-    near, far, perms = [], [], []
-    for a, b in by_base.values():
-        near.append(4 * a + 3)
-        far.append(4 * b + 3)
-        perms.append((0, 1, 2, 3))
-    for (i1, k1, d1), (i2, k2, d2) in by_side.values():
-        near.append(4 * i1 + (k1 + 2) % 3)
-        far.append(4 * i2 + (k2 + 2) % 3)
-        perms.append(_SIDE_GLUING[k1, k2, d1 == d2])
-    arrays = GluingArrays.paired(
-        len(cones), np.array(near, dtype=np.int64), np.array(far, dtype=np.int64), perms
+    # the patches in cone order: face orbit, slot, then at each corner g in
+    # turn its corner patches and last the central patch (g = 3)
+    sizes = np.concatenate((counts, np.ones((orbits, 1), dtype=np.int64)), axis=1)
+    group, i = _runs(np.repeat(sizes, 2, axis=0).ravel())
+    slot, g = np.divmod(group, 4)
+    orbit = slot // 2
+    # the same patch in the representative slot
+    rep_patch = np.arange(len(slot)) - slot % 2 * sizes.sum(axis=1)[orbit]
+    mask = (counts > 0) @ np.array([1, 2, 4])
+    variant = counts[:, 0] > m[np.arange(orbits), _LEAST_EDGE[rep_face]] + 1 - counts[:, 1]
+    flag = np.where(g < 3, i > 0, (2 * mask + variant)[orbit])
+    patch_type = _PATCH_TYPE[rep_face[orbit], g, flag]
+    corner = _PATCH_CORNER[patch_type]
+    tet, face = slot_tet[slot], slot_face[slot]
+    region = regions.central_patch(tet, face)
+    at = np.flatnonzero(corner >= 0)
+    region[at] = regions.corner_patch(
+        tet[at], face[at], slot_perm.ravel()[4 * slot[at] + corner[at]], i[at]
     )
+
+    # the cones of their pieces, each piece's base keyed by the piece in
+    # the representative slot
+    patch, k = _runs(_PIECE_COUNT[patch_type])
+    kind, p, d, ci, c0, cm, e, ca, ck = _PIECE_SIDES[:, _PIECE_FIRST[patch_type[patch]] + k]
+    cone_slot, fo, cone_tet = slot[patch, None], orbit[patch, None], tet[patch, None]
+    value = ci * i[patch, None] + c0 + cm * m[fo, e] + ca * counts[fo, ck]
+    edge = slot_edge[6 * cone_slot + p]
+    flip = (kind == _SEG) & slot_flip[6 * cone_slot + p]
+    chord_base = 6 * t + 16 * t * orbits
+    patch_a = np.where(
+        kind == _SEG,
+        6 * cone_tet + edge,
+        np.where(
+            kind == _ARC,
+            6 * t + 4 * t * (4 * fo + p) + 4 * cone_tet + face[patch, None],
+            chord_base + patch[:, None],
+        ),
+    )
+    patch_b = np.where(flip, crossings[cone_tet, edge] - value, value)
+    patch_d = np.where(flip, -d, d)
+    patch_cell = (regions.first_cell[tet] + region)[patch]
+    base = 4 * rep_patch[patch] + k
+
+    # the cones of the disks: near side, then far side; a triangle is one
+    # cone, a quad two, (arc 0, arc 1, diagonal) and (diagonal, arc 2, arc 3)
+    disks = complex_.disks
+    cycles = [complex_.boundaries[disk] for disk in disks]
+    arcs = np.array(
+        [(*u.arc, u.direction, *u.face_slot) for cycle in cycles for u in cycle], dtype=np.int64
+    ).reshape(-1, 6)
+    uses = np.array([len(cycle) for cycle in cycles], dtype=np.int64)
+    disk_tet, which, copy = np.array(
+        [(disk[0], disk[2], disk[3]) for disk in disks], dtype=np.int64
+    ).reshape(-1, 3).T
+    quad = uses != 3
+    near, far = regions.disk_sides(disk_tet, quad, which, copy)
+    disk, k = _runs(np.where(quad, 4, 2))
+    half = np.where(quad[disk], 1 + k % 2, 0)  # 0 a triangle, 1 or 2 a quad's half
+    side = np.where(quad[disk], k // 2, k)
+    use = (np.cumsum(uses) - uses)[disk, None] + _DISK_USES[half]
+    diagonal = _DISK_USES[half] < 0
+    diagonal_base = chord_base + len(patch_type)
+    disk_a = np.where(
+        diagonal,
+        (diagonal_base + 2 * disk + side)[:, None],
+        6 * t + 4 * t * (4 * arcs[use, 0] + arcs[use, 1]) + 4 * arcs[use, 4] + arcs[use, 5],
+    )
+    disk_b = np.where(diagonal, 0, arcs[use, 2])
+    disk_d = np.where(diagonal, _DIAGONAL_DIRECTION[half], arcs[use, 3])
+    disk_cell = regions.first_cell[disk_tet[disk]] + np.where(side == 0, near[disk], far[disk])
+
+    # one entry per cone face to glue: side k lies on face k + 2 (mod 3)
+    # and is keyed (cell, a, b); a piece's base lies on face 3 and is keyed
+    # (-1, base key, 0)
+    cell = np.concatenate((patch_cell, disk_cell))
+    cones = len(cell)
+    key = np.concatenate((np.repeat(cell, 3), np.full(len(base), -1)))
+    a = np.concatenate((patch_a.ravel(), disk_a.ravel(), base))
+    b = np.concatenate((patch_b.ravel(), disk_b.ravel(), np.zeros_like(base)))
+    d = np.concatenate((patch_d.ravel(), disk_d.ravel(), np.zeros_like(base)))
+    slots = np.concatenate((
+        (4 * np.arange(cones)[:, None] + [2, 0, 1]).ravel(), 4 * np.arange(len(base)) + 3
+    ))
+
+    def patch_name(n: int) -> tuple:
+        w = int(corner[n])
+        return ("central",) if w < 0 else ("corner", w, int(i[n]))
+
+    def token_name(token_a: int, token_b: int) -> tuple:
+        if token_a < 6 * t:
+            return ("seg", token_a % 6, token_b)
+        if token_a < chord_base:
+            rest, slot_ = divmod(token_a - 6 * t, 4 * t)
+            return ("arc", (rest // 4, rest % 4, token_b), divmod(slot_, 4))
+        if token_a < diagonal_base:
+            n = token_a - chord_base
+            instance = (int(slot_tet[slot[n]]), int(slot_face[slot[n]]))
+            return ("diag", patch_name(n), token_b, instance)
+        n, disk_side = divmod(token_a - diagonal_base, 2)
+        return ("qdiag", disks[n], disk_side)
+
+    first, second, bad, size = _paired(key, a, b)
+    if len(bad):
+        bases, sides = {}, {}
+        for n, count in zip(bad.tolist(), size.tolist()):
+            if key[n] < 0:
+                rep, piece = divmod(int(a[n]), 4)
+                bases["patch", int(orbit[rep]), patch_name(rep), piece] = count
+            else:
+                sides[regions.name(int(key[n])), token_name(int(a[n]), int(b[n]))] = count
+        if bases:
+            least = min(bases)
+            raise ConsistencyCheckFailed(f"patch piece {least} has {bases[least]} instances")
+        least = min(sides)
+        raise ConsistencyCheckFailed(f"cell 1-cell {least} bounds {sides[least]} sides")
+    near_slots, far_slots = slots[first], slots[second]
+    perms = _FACE_GLUING[near_slots % 4, far_slots % 4, (d[first] == d[second]).astype(np.int64)]
+    arrays = GluingArrays.paired(cones, near_slots, far_slots, perms)
     return validate_arrays(arrays, require_closed=False)
 
 
-_FACE_CORNERS = np.array(FACE_VERTICES)
+# _DISK_USES[half]: the arcs of a disk's boundary on the sides of a
+# triangle's cone and of a quad's two cones, -1 for the diagonal, which
+# _DIAGONAL_DIRECTION runs -1 in the first and +1 in the second
+_DISK_USES = np.array([(0, 1, 2), (0, 1, -1), (-1, 2, 3)])
+_DIAGONAL_DIRECTION = np.array([(0, 0, 0), (0, 0, -1), (1, 0, 0)])
+
+
+# _CAP[f]: the map of a cap's corners 0, 1, 2, 3 to boundary face f's
+# vertices and f, and _CAP_INVERSE[f] its inverse
+_CAP = np.array([(*FACE_VERTICES[f], f) for f in range(4)])
+_CAP_INVERSE = np.argsort(_CAP, axis=1)
 # _CORNER[f, w]: the position of vertex w in FACE_VERTICES[f], for w != f
 _CORNER = np.array([
     [FACE_VERTICES[f].index(w) if w != f else 0 for w in range(4)]
@@ -576,20 +649,18 @@ def cap_boundary(tri: Triangulation) -> GluingArrays:
     # corners 0, 1, 2 to f's vertices and 3 to f, and f back by the inverse
     t = tri.size
     cap_base = 4 * (t + np.arange(s)) + 3
-    bases = [(*FACE_VERTICES[f], f) for f in (slots % 4).tolist()]
-    perms = [*map(perm_inverse, bases), *bases]
     # side a of a cap's base glues its face opposite corner a + 2 to the
     # far cap, matching the corners of the side and the third corners
     third = 3 - far_u - far_v
-    for a, lu, lv, lw in zip(side.tolist(), far_u.tolist(), far_v.tolist(), third.tolist()):
-        p = [0, 0, 0, 3]
-        p[a], p[(a + 1) % 3], p[(a + 2) % 3] = lu, lv, lw
-        perms.append(tuple(p))
+    sides = np.full((3 * s, 4), 3)
+    rows = np.arange(3 * s)
+    sides[rows, side], sides[rows, (side + 1) % 3] = far_u, far_v
+    sides[rows, (side + 2) % 3] = third
     return GluingArrays.written(
         t + s,
         np.concatenate((slots, cap_base, 4 * (t + near) + (side + 2) % 3)),
         np.concatenate((cap_base, slots, 4 * (t + far) + third)),
-        perms,
+        np.concatenate((_CAP_INVERSE[slots % 4], _CAP[slots % 4], sides)),
         onto=tri.arrays,
     )
 

@@ -107,8 +107,9 @@ S4: tuple[Perm, ...] = tuple(permutations(range(4)))  # type: ignore[assignment]
 S4_ROW: dict[Perm, int] = {p: r for r, p in enumerate(S4)}
 S4_IMAGES = np.array(S4)  # S4_IMAGES[r, v] is the image of v
 BOUNDARY = -1
-_INVERSE_ROW = np.array([S4_ROW[perm_inverse(p)] for p in S4])
-_INVERSE: dict[Perm, Perm] = {p: S4[r] for p, r in zip(S4, _INVERSE_ROW.tolist())}
+# _INVERSE_ROW[r]: the row of the inverse of row r; the row after S4's,
+# _NOT_A_PERM below, stays itself
+_INVERSE_ROW = np.array([*(S4_ROW[perm_inverse(p)] for p in S4), len(S4)])
 _EVEN = np.array([_PERM_SIGNS[p] > 0 for p in S4])
 _FACES = np.arange(4)
 # _FACE_SIGN[r, f]: the sign of the images of face f's vertices, ascending,
@@ -151,29 +152,39 @@ class GluingArrays(NamedTuple):
 
     @classmethod
     def written(
-        cls, t: int, near: np.ndarray, far: np.ndarray, perm: Sequence[Perm],
+        cls, t: int, near: np.ndarray, far: np.ndarray, perm: Sequence[Perm] | np.ndarray,
         onto: GluingArrays | None = None,
     ) -> GluingArrays:
         """The table of t tets in which flat slot near[n] = 4i + f is glued
         to slot far[n] by perm[n], written from the near side only; every
         other slot keeps its entry in the table `onto`, whose tets come
-        first, or is a boundary face.  Nothing is checked."""
-        tet, face, rows = (np.full(4 * t, BOUNDARY) for _ in range(3))
-        if onto is not None:
-            for new, old in zip((tet, face, rows), onto):
-                new[:old.size] = old.ravel()
-        tet[near], face[near] = far // 4, far % 4
-        rows[near] = [S4_ROW.get(p, _NOT_A_PERM) for p in perm]
-        return cls(tet.reshape(t, 4), face.reshape(t, 4), rows.reshape(t, 4))
+        first, or is a boundary face.  perm is a sequence of 4-tuples or an
+        (n, 4) array of images.  Nothing is checked."""
+        return cls._of_rows(t, near, far, _s4_rows(perm), onto)
 
     @classmethod
     def paired(
-        cls, t: int, near: np.ndarray, far: np.ndarray, perm: Sequence[Perm]
+        cls, t: int, near: np.ndarray, far: np.ndarray, perm: Sequence[Perm] | np.ndarray
     ) -> GluingArrays:
         """`written` from both sides: slot near[n] glued to slot far[n] by
         perm[n], and far[n] back by its inverse."""
-        both = np.concatenate((near, far)), np.concatenate((far, near))
-        return cls.written(t, *both, [*perm, *map(_INVERSE.__getitem__, perm)])
+        rows = _s4_rows(perm)
+        return cls._of_rows(
+            t, np.concatenate((near, far)), np.concatenate((far, near)),
+            np.concatenate((rows, _INVERSE_ROW[rows])),
+        )
+
+    @classmethod
+    def _of_rows(
+        cls, t: int, near: np.ndarray, far: np.ndarray, rows: np.ndarray,
+        onto: GluingArrays | None = None,
+    ) -> GluingArrays:
+        tet, face, perm = (np.full(4 * t, BOUNDARY) for _ in range(3))
+        if onto is not None:
+            for new, old in zip((tet, face, perm), onto):
+                new[:old.size] = old.ravel()
+        tet[near], face[near], perm[near] = far // 4, far % 4, rows
+        return cls(tet.reshape(t, 4), face.reshape(t, 4), perm.reshape(t, 4))
 
     @property
     def glued(self) -> np.ndarray:
@@ -421,6 +432,20 @@ def spanning_forest(
 
 _UNGLUED = (BOUNDARY, BOUNDARY, BOUNDARY)
 _NOT_A_PERM = len(S4)  # the row that reading a table gives any other p
+# the row of each 4-tuple of images in 0..3, keyed 64 p0 + 16 p1 + 4 p2 + p3
+_CODE_WEIGHTS = np.array([64, 16, 4, 1])
+_CODE_ROW = np.full(256, _NOT_A_PERM)
+_CODE_ROW[S4_IMAGES @ _CODE_WEIGHTS] = np.arange(len(S4))
+
+
+def _s4_rows(perm: Sequence[Perm] | np.ndarray) -> np.ndarray:
+    """The S4 row of each permutation in `perm`, a sequence of 4-tuples or
+    an (n, 4) array of images; _NOT_A_PERM for any other 4-tuple."""
+    p = np.asarray(perm, dtype=np.int64).reshape(-1, 4)
+    inside = ((p >= 0) & (p < 4)).all(axis=1)
+    return np.where(inside, _CODE_ROW[(p & 3) @ _CODE_WEIGHTS], _NOT_A_PERM)
+
+
 # _FACE_IMAGE[r, f]: the face that S4 row r sends face f to; the row
 # after S4's, read for _NOT_A_PERM and for BOUNDARY, is never compared
 _FACE_IMAGE = np.vstack((S4_IMAGES, np.zeros((1, 4), dtype=np.int64)))

@@ -43,8 +43,10 @@ the incidence matrix d_1 that `kneser.homology` no longer builds) is the
 reference for its spanning-forest presentation; it shares
 `elementary_divisors` and the d_2 and d_3 entries with the library, which
 the sympy references check on their own.  The unit elimination that
-rescanned every entry for each pivot is the reference for the pivot heap,
-and the per-slot matching, edge-weight and Euler formulas are the
+rescanned every entry for each pivot is the reference for the pivot heap;
+the heap and the dense Smith form without the unit peel in front of them
+(`unit_heap_dense_divisors`) are, besides sympy, the reference for the
+peel; and the per-slot matching, edge-weight and Euler formulas are the
 references for the index table of `kneser.normal`.  Every oracle that
 walks the orbits of a triangulation, as slot tuples or slot-to-orbit dicts,
 reads them off `skeleton_reference`, not off the `skeleton` under test.
@@ -78,7 +80,12 @@ from kneser.errors import (
     ParseError,
     SelfGluedFace,
 )
-from kneser.homology import boundary_entries, elementary_divisors
+from kneser.homology import (
+    _dense_snf,
+    _unit_eliminate,
+    boundary_entries,
+    elementary_divisors,
+)
 from kneser.normal import (
     NormalCoordinates,
     arc_count,
@@ -640,7 +647,8 @@ def full_boundary_entries(tri: Triangulation, k: int):
             entries.append((sk.vertex_orbit_of[(tet, v)], idx, 1))
             entries.append((sk.vertex_orbit_of[(tet, u)], idx, -1))
         return entries, sk.vertex_count, sk.edge_count
-    return boundary_entries(tri, k)
+    entries, nrows, ncols = boundary_entries(tri, k)
+    return [tuple(e) for e in entries.tolist()], nrows, ncols
 
 
 def unit_elimination_rescan(entries) -> tuple[int, dict[int, dict[int, int]]]:
@@ -695,6 +703,18 @@ def unit_elimination_rescan(entries) -> tuple[int, dict[int, dict[int, int]]]:
                 del rows[r]
         cols.pop(pc, None)
         rank += 1
+
+
+def unit_heap_dense_divisors(entries, nrows: int, ncols: int) -> tuple[int, list[int]]:
+    """`kneser.homology.elementary_divisors` as it was before its unit
+    peel: every entry goes to the pivot heap, and what is left to the
+    dense Smith form."""
+    rank, rows = _unit_eliminate(entries)
+    if not rows:
+        return rank, []
+    live_cols = sorted({c for row in rows.values() for c in row})
+    divisors = _dense_snf([[rows[r].get(c, 0) for c in live_cols] for r in sorted(rows)])
+    return rank + len(divisors), sorted(d for d in divisors if d > 1)
 
 
 def _boundary_matrix(tri: Triangulation, k: int) -> sympy.Matrix:

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,8 @@ from kneser.decomposition import connected_sum, decompose
 from kneser.errors import KneserError
 from kneser.homology import (
     AbelianInvariants,
+    _merged,
+    _peel_units,
     _unit_eliminate,
     elementary_divisors,
     homology,
@@ -20,6 +23,7 @@ from oracles import (
     orbit_complex_homology,
     sympy_homology,
     unit_elimination_rescan,
+    unit_heap_dense_divisors,
 )
 from test_census_sweep import closed_two_tet, two_tet_tables
 from test_decomposition import _closed_corpus_files
@@ -69,6 +73,96 @@ class TestElementaryDivisors:
             int(abs(snf[i, i])) for i in range(5) if abs(snf[i, i]) > 1
         )
         assert divisors == expect
+
+
+def sympy_divisors(entries, nrows: int, ncols: int) -> tuple[int, list[int]]:
+    """Rank and nontrivial elementary divisors from sympy's Smith form."""
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form
+
+    m = sympy.zeros(nrows, ncols)
+    for r, c, v in entries:
+        m[r, c] += v
+    snf = smith_normal_form(m)
+    return m.rank(), sorted(
+        int(abs(snf[i, i])) for i in range(min(nrows, ncols)) if abs(snf[i, i]) > 1
+    )
+
+
+@st.composite
+def planted_matrices(draw):
+    """A small random matrix grown by planted entries: rows and columns
+    whose one entry is +-1, which the peel takes; rows and columns whose one
+    entry is +-2 or +-3, which it must leave; entries with a twin that
+    cancels them; and rows whose entries all lie in the column of a planted
+    unit row, which its pivot leaves empty.  Entries come shuffled."""
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3)), max_size=10
+    ))
+    size = {"rows": 4, "cols": 4}
+
+    def fresh(axis: str) -> int:
+        size[axis] += 1
+        return size[axis] - 1
+
+    def old(axis: str) -> int:
+        return draw(st.integers(0, size[axis] - 1))
+
+    unit, big = st.sampled_from([1, -1]), st.sampled_from([2, -2, 3, -3])
+    plants = ["unit row", "unit col", "big row", "big col", "cancel", "emptied row"]
+    for plant in draw(st.lists(st.sampled_from(plants), max_size=8)):
+        if plant == "unit row":
+            entries.append((fresh("rows"), old("cols"), draw(unit)))
+        elif plant == "unit col":
+            entries.append((old("rows"), fresh("cols"), draw(unit)))
+        elif plant == "big row":
+            entries.append((fresh("rows"), old("cols"), draw(big)))
+        elif plant == "big col":
+            entries.append((old("rows"), fresh("cols"), draw(big)))
+        elif plant == "cancel":
+            r, c, v = old("rows"), old("cols"), draw(st.integers(1, 3))
+            entries += [(r, c, v), (r, c, -v)]
+        else:
+            c = fresh("cols")
+            entries.append((fresh("rows"), c, draw(unit)))
+            shadow = fresh("rows")
+            entries += [(shadow, c, draw(big)), (shadow, c, draw(st.integers(-3, 3)))]
+    return draw(st.permutations(entries)), size["rows"], size["cols"]
+
+
+class TestUnitPeel:
+    """The peel in front of the pivot heap deletes only unit pivots alone
+    in their row or column, and keeps the rank and the divisors."""
+
+    @given(planted_matrices())
+    def test_against_sympy_snf(self, matrix):
+        assert elementary_divisors(*matrix) == sympy_divisors(*matrix)
+
+    @given(planted_matrices())
+    def test_same_as_heap_and_dense(self, matrix):
+        assert elementary_divisors(*matrix) == unit_heap_dense_divisors(*matrix)
+
+    @given(planted_matrices())
+    def test_leaves_no_lone_unit(self, matrix):
+        entries, nrows, ncols = matrix
+        _, (r, c, v) = _peel_units(*_merged(entries), nrows, ncols)
+        rows, cols = Counter(r.tolist()), Counter(c.tolist())
+        for r, c, v in zip(r.tolist(), c.tolist(), v.tolist()):
+            assert v not in (1, -1) or (rows[r] > 1 and cols[c] > 1)
+
+    def test_planted_cases(self):
+        def peel(entries):
+            n, (r, c, v) = _peel_units(*_merged(entries), 4, 4)
+            return n, list(zip(r.tolist(), c.tolist(), v.tolist()))
+
+        # lone +-2 and +-3 stay
+        assert peel([(0, 0, 2), (1, 1, -3)]) == (0, [(0, 0, 2), (1, 1, -3)])
+        # the pivot of a unit row empties a row that only meets its column
+        assert peel([(1, 0, 2), (0, 0, 1)]) == (1, [])
+        # entries that cancel are gone before the peel
+        assert peel([(0, 0, 1), (2, 2, 3), (0, 0, -1)]) == (0, [(2, 2, 3)])
+        # a unit alone in its column takes its whole row with it
+        assert peel([(0, 0, 1), (0, 1, 2), (1, 1, 2), (1, 2, 2)]) == (1, [(1, 1, 2), (1, 2, 2)])
 
 
 _MATRIX = st.lists(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import kneser
-from kneser import corpus, surgery, triangulation
+from kneser import corpus, decomposition, surgery, triangulation
 from kneser.errors import (
     ConsistencyCheckFailed,
     InvalidAfterCrush,
@@ -21,6 +22,7 @@ from kneser.surgery import cap_boundary, crush, cut_and_cap, cut_complex
 from kneser.triangulation import BOUNDARY, S4, S4_ROW, validate, validate_arrays
 from kneser.vertex_enum import enumerate_vertex_solutions
 from oracles import sympy_homology, vertex_link_coordinates
+from test_decomposition import _closed_corpus_files
 
 # one tetrahedron with face 0 glued to face 1: a solid torus, whose boundary
 # is a torus made of the two free faces
@@ -214,6 +216,56 @@ class TestCutAndCap:
             assert all(homology(p, 1).trivial for p in pieces)
 
 
+def malformed_complexes(tri, coords):
+    """The complex of a sphere with its first disk removed, and with the
+    weight of edge orbit 0 one too large."""
+    complex_ = build_complex(tri, coords)
+    weights = complex_.weights_per_edge
+    return (
+        dataclasses.replace(complex_, disks=complex_.disks[1:]),
+        dataclasses.replace(complex_, weights_per_edge=(weights[0] + 1, *weights[1:])),
+    )
+
+
+# what cut_complex raises on malformed_complexes(bd4, crushable_sphere(bd4)):
+# the first disk is a quad in tet 0 whose boundary arcs then bound one side
+# each in its wedges; the heavier edge shifts the segments counted from the
+# far end of edge 0 in tet 0, and the least unmatched key is named
+MALFORMED_MESSAGES = (
+    "cell 1-cell ((0, ('wedge', 0)), ('arc', (0, 3, 1), (0, 0))) bounds 1 sides",
+    "cell 1-cell ((0, ('wedge', 1)), ('seg', 0, 1)) bounds 1 sides",
+)
+
+
+class TestCutComplexPairing:
+    """cut_complex pairs every cone side with exactly one other within its
+    cell, or names the least 1-cell that has another number of sides."""
+
+    def test_malformed_complexes_raise(self, bd4):
+        for complex_, message in zip(
+            malformed_complexes(bd4, crushable_sphere(bd4)), MALFORMED_MESSAGES
+        ):
+            with pytest.raises(ConsistencyCheckFailed) as info:
+                cut_complex(bd4, complex_)
+            assert str(info.value) == message
+
+    def test_checks_survive_optimize_flag(self):
+        code = (
+            "from kneser import corpus\n"
+            "from kneser.errors import ConsistencyCheckFailed\n"
+            "from kneser.surgery import cut_complex\n"
+            "from test_surgery import crushable_sphere, malformed_complexes\n"
+            "bd4 = corpus.bd4_simplex()\n"
+            "for complex_ in malformed_complexes(bd4, crushable_sphere(bd4)):\n"
+            "    try:\n"
+            "        cut_complex(bd4, complex_)\n"
+            "    except ConsistencyCheckFailed as exc:\n"
+            "        print(exc, __debug__)\n"
+        )
+        proc = run_optimized(code)
+        assert proc.stdout == "".join(f"{m} False\n" for m in MALFORMED_MESSAGES), proc.stderr
+
+
 class TestCrush:
     def test_vertex_linking_rejected(self, bd4):
         with pytest.raises(VertexLinkingRejected):
@@ -272,6 +324,16 @@ class TestCrush:
 PINNED_INPUTS = ("bd4_simplex", "sum_bd4_bd4", "sum_bd4_rp3", "sum_s3_rp3")
 PIECE_TABLES_SHA256 = (
     "b023256e80e3bb8146713a282c611c6316735b07a019de295cbeb8ac79bdd6eb"
+)
+
+
+# sha256 of the tet, face and perm arrays (int64 bytes, in that order) of
+# cut_complex on each of the 10 spheres that one pass of the decompose-sums
+# benchmark (decompose --oracle-check on its four connected sums) crushes,
+# recorded while cut_complex still built its cones from nested tuples
+BENCHMARK_CUTS = ("sum_bd4_bd4.tri", "sum_s3_rp3.tri", "sum_bd4_rp3.tri", "rp3#rp3")
+BENCHMARK_CUTS_SHA256 = (
+    "f5c1d988e163c8b7f58a56b4eda048b91495ba9a9aca93fa7e0226004561c789"
 )
 
 
@@ -341,6 +403,27 @@ class TestValidateOnce:
         assert len(out) == 80
         digest = hashlib.sha256(repr(out).encode()).hexdigest()
         assert digest == PIECE_TABLES_SHA256
+
+
+class TestBenchmarkAudit:
+    def test_cut_complexes_pinned(self, monkeypatch):
+        audited = []
+        real = decomposition.cut_and_cap
+
+        def record(tri, complex_):
+            audited.append((tri, complex_))
+            return real(tri, complex_)
+
+        monkeypatch.setattr(decomposition, "cut_and_cap", record)
+        files = _closed_corpus_files()
+        for name in BENCHMARK_CUTS:
+            decomposition.decompose(files[name], oracle_check=True)
+        assert len(audited) == 10
+        digest = hashlib.sha256()
+        for tri, complex_ in audited:
+            for column in cut_complex(tri, complex_).arrays:
+                digest.update(np.ascontiguousarray(column, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == BENCHMARK_CUTS_SHA256
 
 
 class TestCorruptedTablesRaise:
