@@ -34,6 +34,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConsistencyCheckFailed, TerminationGuardTripped
 from .homology import AbelianInvariants, homology
 from .normal import (
@@ -46,14 +48,12 @@ from .pl_area import PLArea, pl_area, verify_diameter_bound
 from .reconstruct import build_complex
 from .surgery import crush, cut_and_cap
 from .triangulation import (
-    Perm,
+    GluingArrays,
     Triangulation,
     connected_components,
-    perm_compose,
-    perm_inverse,
     skeleton,
     split_components,
-    validate,
+    validate_arrays,
 )
 from .vertex_enum import DEFAULT_BUDGET, enumerate_vertex_solutions
 
@@ -336,53 +336,31 @@ def connected_sum(a: Triangulation, b: Triangulation) -> Triangulation:
                 "not excise a ball with embedded boundary sphere"
             )
 
-    assert a.orientations is not None and b.orientations is not None
     # the shell identification must reverse orientation: odd when the two
     # removed tets carry equal signs, even otherwise
-    if a.orientations[0] == b.orientations[0]:
-        phi: Perm = (1, 0, 2, 3)
-    else:
-        phi = (0, 1, 2, 3)
-
-    def relabel_a(i: int) -> int:
-        return i - 1
-
-    def relabel_b(i: int) -> int:
-        return a.size - 1 + (i - 1)
-
-    rows: list[list] = []
-    for i in range(1, a.size):
-        row = []
-        for f in range(4):
-            g = a.gluings[i][f]
-            assert g is not None
-            if g.tet != 0:
-                row.append((relabel_a(g.tet), g.face, g.perm))
-            else:
-                row.append(None)  # filled below
-        rows.append(row)
-    for i in range(1, b.size):
-        row = []
-        for f in range(4):
-            g = b.gluings[i][f]
-            assert g is not None
-            if g.tet != 0:
-                row.append((relabel_b(g.tet), g.face, g.perm))
-            else:
-                row.append(None)
-        rows.append(row)
-
-    for i in range(4):
-        ga = a.gluings[0][i]
-        gb = b.gluings[0][phi[i]]
-        assert ga is not None and gb is not None
-        src = (relabel_a(ga.tet), ga.face)
-        dst = (relabel_b(gb.tet), gb.face)
-        q = perm_compose(gb.perm, perm_compose(phi, perm_inverse(ga.perm)))
-        rows[src[0]][src[1]] = (dst[0], dst[1], q)
-        rows[dst[0]][dst[1]] = (src[0], src[1], perm_inverse(q))
-
-    out = validate(rows, require_closed=True, require_orientable=True)
+    phi = np.array([1, 0, 2, 3] if a.orientations[0] == b.orientations[0] else [0, 1, 2, 3])
+    near, far, perm, shells = [], [], [], []
+    # each summand's tets renumbered into the sum, tet 0 dropped
+    for t, number in ((a, np.arange(a.size) - 1), (b, np.arange(b.size) + a.size - 2)):
+        tet, face, images = t.arrays.tet, t.arrays.face, t.arrays.image_table()
+        inner = tet[1:] != 0
+        near.append((4 * number[1:, None] + np.arange(4))[inner])
+        far.append(4 * number[tet[1:][inner]] + face[1:][inner])
+        perm.append(images[1:][inner])
+        shells.append((4 * number[tet[0]] + face[0], images[0]))
+    # face i of a's tet 0 meets face phi[i] of b's across the removed balls,
+    # so a's shell slot glues to b's by gb after phi after the inverse of ga
+    # (argsort inverts a row of images)
+    (src, ga), (dst, gb) = shells
+    dst, gb = dst[phi], gb[phi]
+    q = np.take_along_axis(gb, phi[np.argsort(ga, axis=1)], axis=1)
+    table = GluingArrays.written(
+        a.size + b.size - 2,
+        np.concatenate((*near, src, dst)),
+        np.concatenate((*far, dst, src)),
+        np.concatenate((*perm, q, np.argsort(q, axis=1))),
+    )
+    out = validate_arrays(table, require_closed=True, require_orientable=True)
     if out.size != a.size + b.size - 2:
         raise ConsistencyCheckFailed(
             f"connected sum has {out.size} tets, not {a.size + b.size - 2}"

@@ -82,15 +82,15 @@ def parse_tri(text: str, *, require_closed: bool = True) -> Triangulation:
 def format_tri(tri: Triangulation) -> str:
     """Serialize to the canonical byte-exact "tri v1" form."""
     out = ["tri 1", f"ntet {tri.size}"]
-    for i in range(tri.size):
-        tokens = []
-        for f in range(4):
-            g = tri.gluings[i][f]
-            if g is None:
-                tokens.append("b")
-            else:
-                tokens.append(f"{g.tet}:{g.face}:{''.join(map(str, g.perm))}")
-        out.append(" ".join(tokens))
+    arrays = tri.arrays
+    for row in zip(
+        arrays.glued.tolist(), arrays.tet.tolist(), arrays.face.tolist(),
+        arrays.image_table().tolist(),
+    ):
+        out.append(" ".join(
+            f"{j}:{k}:{''.join(map(str, p))}" if glued else "b"
+            for glued, j, k, p in zip(*row)
+        ))
     return "\n".join(out) + "\n"
 
 

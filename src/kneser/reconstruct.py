@@ -136,6 +136,8 @@ def _arc_lookup(tri: Triangulation, weights: list[int]):
     face_first = sk.face_first.tolist()
     edge_orbit = sk.edge_orbit.ravel().tolist()
     edge_reversed = sk.edge_reversed.ravel().tolist()
+    target = (4 * tri.arrays.tet + tri.arrays.face).ravel().tolist()
+    images = tri.arrays.image_table().reshape(-1, 4).tolist()
 
     def arc_use(tet: int, face: int, corner: int, n: int, start: int) -> ArcUse:
         """The traversal of the n-th arc from `corner` in face `face` of
@@ -145,17 +147,17 @@ def _arc_lookup(tri: Triangulation, weights: list[int]):
         endpoint, which lies on the representative edge {corner, x} with
         the smaller third vertex x.
         """
-        orbit = face_orbit[4 * tet + face]
+        slot = 4 * tet + face
+        orbit = face_orbit[slot]
         rep = divmod(face_first[orbit], 4)
         if (tet, face) != rep:
             # the other slot of an orbit glues to its representative
-            g = tri.gluings[tet][face]
-            if g is None or (g.tet, g.face) != rep:
+            if target[slot] != face_first[orbit]:
                 raise ConsistencyCheckFailed(
                     f"(tet {tet}, face {face}) does not glue to the representative "
                     f"{rep} of its face orbit"
                 )
-            corner, start = g.perm[corner], g.perm[start]
+            corner, start = images[slot][corner], images[slot][start]
         x_rep = min(w for w in FACE_VERTICES[rep[1]] if w != corner)
         return ArcUse(
             arc=(orbit, corner, n),

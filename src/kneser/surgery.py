@@ -31,21 +31,15 @@ from .errors import (
     KneserError,
     VertexLinkingRejected,
 )
-from .normal import (
-    QUAD_PAIRS,
-    arc_count,
-    quad_index,
-)
+from .normal import QUAD_PAIRS, arc_count
 from .reconstruct import DiskComplex, reconstruct
 from .triangulation import (
     EDGE_BETWEEN,
     EDGE_VERTICES,
     FACE_VERTICES,
     GluingArrays,
-    Perm,
     Triangulation,
     components,
-    perm_compose,
     skeleton,
     split_components,
     validate_arrays,
@@ -60,21 +54,11 @@ def _quad_partner(qtype: int, k: int) -> int:
     raise AssertionError
 
 
-def _transposition(a: int, b: int) -> Perm:
-    p = [0, 1, 2, 3]
-    p[a], p[b] = b, a
-    return tuple(p)  # type: ignore[return-value]
-
-
-def _quad_types(tri: Triangulation, coords) -> list[int | None]:
-    quads: list[int | None] = []
-    for i in range(tri.size):
-        q = None
-        for j in range(3):
-            if coords[quad_index(i, j)]:
-                q = j
-        quads.append(q)
-    return quads
+def _quad_types(coords) -> np.ndarray:
+    """The quad type of each tet, -1 where it has no quad; valid coordinates
+    have at most one quad type per tet."""
+    quads = np.array(coords, dtype=np.int64).reshape(-1, 7)[:, 4:]
+    return np.where(quads.any(axis=1), quads.argmax(axis=1), -1)
 
 
 def crush(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation]:
@@ -84,42 +68,18 @@ def crush(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation]:
     Deletes quad-bearing tetrahedra (at least one, so the total count
     strictly drops), re-glues the surviving faces across the flattened
     wedges, and returns the connected components of the result, each
-    validated once as closed and orientable by `split_components`.
+    validated once as closed and orientable by `split_components`.  The
+    walks across the deleted tets run in lockstep (`GluingArrays.walked`).
     """
     surface = reconstruct(tri, complex_)
-    coords = surface.coordinates
     if not (surface.connected and surface.euler_characteristic == 2):
         raise ValueError("crush requires a connected normal 2-sphere")
     if surface.vertex_linking:
         raise VertexLinkingRejected(
             "vertex-linking spheres delete no tetrahedra"
         )
-    quads = _quad_types(tri, coords)
-    survivors = [i for i in range(tri.size) if quads[i] is None]
-    index = {old: new for new, old in enumerate(survivors)}
-
-    def walk(start_tet: int, start_face: int):
-        g = tri.gluings[start_tet][start_face]
-        assert g is not None
-        tet, face, perm = g.tet, g.face, g.perm
-        while quads[tet] is not None:
-            partner = _quad_partner(quads[tet], face)
-            perm = perm_compose(_transposition(face, partner), perm)
-            face = partner
-            g = tri.gluings[tet][face]
-            assert g is not None
-            tet, face, perm = g.tet, g.face, perm_compose(g.perm, perm)
-        return tet, face, perm
-
-    far, perms = [], []
-    for old in survivors:
-        for f in range(4):
-            tet, face, perm = walk(old, f)
-            far.append(4 * index[tet] + face)
-            perms.append(perm)
-    t = len(survivors)
-    table = GluingArrays.written(t, np.arange(4 * t), np.array(far, dtype=np.int64), perms)
-
+    quads = _quad_types(surface.coordinates)
+    table = tri.arrays.walked(quads < 0, _QUAD_PARTNER[quads])
     try:
         return split_components(table)
     except (KneserError, ValueError) as exc:
@@ -355,7 +315,7 @@ class _Regions(NamedTuple):
         return tet, ("qprod", local - core - 1)
 
 
-def _side_gluing(k1: int, k2: int, same: bool) -> Perm:
+def _side_gluing(k1: int, k2: int, same: bool) -> tuple[int, int, int, int]:
     """The gluing of cone side k1 to side k2, which runs the
     same way along their 1-cell when `same`: the side's corners go to the
     partner's, the third corners to each other and the apex to the apex."""

@@ -19,9 +19,11 @@ may be glued to each other.  A face glued to itself is always rejected.
 A table is stored only in its array form (`GluingArrays`): three (t, 4)
 int arrays holding the target tet, the target face and the row of the
 gluing permutation in `S4`, each BOUNDARY at a boundary face.  Raw rows are
-read into it once, by `validate`, and `Gluing` rows are read off it only
-when asked for.  The checks are array comparisons, and every whole-table
-question (tet orientations and components, vertex and edge orbits,
+read into it once, by `validate`.  Only this module knows the encoding:
+other modules read a table through `GluingArrays` methods, and `Gluing`
+rows are read off it only for outside readers, the tests and the
+benchmark's relabelling.  The checks are array comparisons, and every
+whole-table question (tet orientations and components, vertex and edge orbits,
 boundary components in `surgery.cap_boundary`) is answered by one kernel,
 `components`, run on the double cover of its nodes: node x with colour c
 is 2x + c, and a union asking bit(x) ^ bit(y) == rel joins (x, c) to
@@ -110,6 +112,14 @@ BOUNDARY = -1
 # _INVERSE_ROW[r]: the row of the inverse of row r; the row after S4's,
 # _NOT_A_PERM below, stays itself
 _INVERSE_ROW = np.array([*(S4_ROW[perm_inverse(p)] for p in S4), len(S4)])
+# _COMPOSE[r, s]: the row of row r after row s
+_COMPOSE = np.array([[S4_ROW[perm_compose(p, q)] for q in S4] for p in S4])
+# _SWAP_ROW[a, b]: the row of the transposition of a and b, the identity
+# when a == b
+_SWAP_ROW = np.array([
+    [S4_ROW[tuple(b if v == a else a if v == b else v for v in range(4))] for b in range(4)]
+    for a in range(4)
+])
 _EVEN = np.array([_PERM_SIGNS[p] > 0 for p in S4])
 _FACES = np.arange(4)
 # _FACE_SIGN[r, f]: the sign of the images of face f's vertices, ascending,
@@ -202,6 +212,34 @@ class GluingArrays(NamedTuple):
         its face face[n], which must be glued."""
         return S4_IMAGES[self.perm[tet, face], vertex]
 
+    def image_table(self) -> np.ndarray:
+        """The images of local vertices 0..3 under the gluing of each slot,
+        shape (t, 4, 4); BOUNDARY throughout at a boundary face."""
+        return np.where(self.glued[..., None], S4_IMAGES[self.perm], BOUNDARY)
+
+    def walked(self, keep: np.ndarray, hop: np.ndarray) -> GluingArrays:
+        """The table on the tets where keep is True, in order, in which each
+        face of a kept tet is glued to where the walk from it next meets a
+        kept tet.  The walk follows the gluing of its face; on entering a
+        deleted tet i by face f, it crosses to face hop[i, f] by the
+        transposition of the two faces and follows that face's gluing on.
+        Every walk runs in lockstep.  hop must pair off the faces of each
+        deleted tet, so no walk returns to a slot, and every face a walk
+        leaves by must be glued.  Nothing is checked."""
+        kept = np.flatnonzero(keep)
+        slots = (4 * kept[:, None] + _FACES).ravel()
+        tet, face, row = (column.ravel()[slots] for column in self)
+        active = np.flatnonzero(~keep[tet])
+        while len(active):
+            i, f = tet[active], face[active]
+            out = hop[i, f]
+            turned = _COMPOSE[_SWAP_ROW[f, out], row[active]]
+            tet[active], face[active] = self.tet[i, out], self.face[i, out]
+            row[active] = _COMPOSE[self.perm[i, out], turned]
+            active = active[~keep[tet[active]]]
+        index = np.cumsum(keep) - 1
+        return GluingArrays._of_rows(len(kept), np.arange(len(slots)), 4 * index[tet] + face, row)
+
     def face_signs(self) -> np.ndarray:
         """+1/-1 per slot: the sign of the map the gluing makes of the
         slot's face vertices, ascending, onto its target's, which is the
@@ -217,7 +255,9 @@ class Triangulation:
     per-tet +1/-1 assignment witnessing orientation coherence, +1 on the
     least tet of each component, or None if the triangulation is
     non-orientable.  gluings[i][f] is the Gluing of face f of tet i, or
-    None for a boundary face, read off the arrays when first asked for.
+    None for a boundary face, read off the arrays when first asked for; no
+    module of the package asks, only outside readers (the tests and the
+    benchmark's relabelling), and the package reads the arrays.
     orientations and closed are functions of the arrays, so only the
     arrays' bytes are compared and hashed.  The hash is computed once,
     since every cache keyed on a triangulation hashes it on each lookup.

@@ -50,6 +50,9 @@ peel; and the per-slot matching, edge-weight and Euler formulas are the
 references for the index table of `kneser.normal`.  Every oracle that
 walks the orbits of a triangulation, as slot tuples or slot-to-orbit dicts,
 reads them off `skeleton_reference`, not off the `skeleton` under test.
+The walk that `crush` ran one tuple permutation at a time, before
+`GluingArrays.walked` ran every walk in lockstep on arrays
+(`crush_walk_reference`), is the reference for that method.
 Small constructors and readers that only the tests call (vertex-link and
 zero vectors, disjoint unions, surface dumps, points and distances of the
 hyperbolic model) live here too.
@@ -87,6 +90,7 @@ from kneser.homology import (
     elementary_divisors,
 )
 from kneser.normal import (
+    QUAD_PAIRS,
     NormalCoordinates,
     arc_count,
     matching_system,
@@ -113,6 +117,7 @@ from kneser.triangulation import (
     RawGluing,
     Triangulation,
     _gluing_arrays,
+    perm_compose,
     perm_inverse,
     perm_sign,
     validate,
@@ -1426,6 +1431,43 @@ def least_pl_area_reference(
         if best is None or area.less_than(best_area):
             best, best_area = coords, area
     return best, best_area
+
+
+def _transposition(a: int, b: int) -> tuple[int, int, int, int]:
+    p = [0, 1, 2, 3]
+    p[a], p[b] = b, a
+    return (p[0], p[1], p[2], p[3])
+
+
+def crush_walk_reference(tri: Triangulation, coords) -> tuple:
+    """The gluing rows of the table that crush walks before it splits it:
+    each face of a surviving tet followed one tuple permutation at a time,
+    a wedge hop across a deleted tet composing the transposition of the
+    face it entered by and that face's partner in the tet's quad pair."""
+    quads: list[int | None] = []
+    for i in range(tri.size):
+        q = None
+        for j in range(3):
+            if coords[quad_index(i, j)]:
+                q = j
+        quads.append(q)
+    survivors = [i for i in range(tri.size) if quads[i] is None]
+    index = {old: new for new, old in enumerate(survivors)}
+
+    def partner(qtype: int, k: int) -> int:
+        return next(b if a == k else a for a, b in QUAD_PAIRS[qtype] if k in (a, b))
+
+    def walk(tet: int, face: int):
+        g = tri.gluings[tet][face]
+        tet, face, perm = g.tet, g.face, g.perm
+        while quads[tet] is not None:
+            other = partner(quads[tet], face)
+            perm = perm_compose(_transposition(face, other), perm)
+            g = tri.gluings[tet][other]
+            tet, face, perm = g.tet, g.face, perm_compose(g.perm, perm)
+        return index[tet], face, perm
+
+    return tuple(tuple(walk(old, f) for f in range(4)) for old in survivors)
 
 
 def satisfies_matching_per_slot(tri: Triangulation, coords) -> bool:

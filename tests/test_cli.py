@@ -51,6 +51,28 @@ def validate_schema(payload):
     jsonschema.validate(payload, SCHEMA)
 
 
+# sha256 of each file `kneser generate` writes, recorded when
+# connected_sum and format_tri still read Gluing rows
+GENERATE_SHA256 = {
+    "bd4simplex.tri": "75bbabf05e0af8dad318f6c7d8ded707cd27d8276d8f2f573bcf904a207af9f7",
+    "chain7.tri": "fdefa34793d7fbdb45239d8a03e298f15fc40987db7eeefa967600f64500d207",
+    "l31_two_tet.tri": "8c935e7159f9201f458510cfa0abc22f3ac00f773b999219e5239772714f1117",
+    "patch_corner.patch": "40bebbc1bfcdc350e18ab2d9927508a9d7a477c341254091323e982f9ae4b6ca",
+    "patch_sphere.patch": "97f0a23d3b0409466410b2af3a7645fafd9cb8b51c1d6977aad67a9a4ad20a0f",
+    "patch_sphere_large.patch": "cbaa38836367c6ebe9521ab161743e1c8dc6a6456247d9ddfdf2a1de1519fa12",
+    "patch_square_center.patch": "66d94b1151228ffdb0c78ae3e2538763fb3123c4d4710dcd20b8adab8b970c19",
+    "patch_square_tilted.patch": "18d86b4d16e7afc90b7cb5923048c32e2fdf58331d736d775d118d706727e5a2",
+    "rp3_octahedral.tri": "f68f25bd4ea279e6c2fae48fbafa0345326d2b4e372cd0e4a2c18f5e5de59cbb",
+    "rp3_two_tet.tri": "d69fcb6f3eb20bc49a80c5c283abf25dbadc93578e968dfaf510239cd8363d51",
+    "s2xs1_two_tet.tri": "8cafee27e516cee99f4bbb79abfca7130f3b61a0a36c9a815085361425d8e22b",
+    "s3_one_tet.tri": "a446dd1fab60a511cf5771210ae7f328c3df28983aa5be0b5f06f893895ca4df",
+    "s3_two_tet.tri": "8fe3a226021be16a122229897bbd789a914cf75d92c869968aea3bbb2833bd0d",
+    "sum_bd4_bd4.tri": "826ff215c65a768f2aa214c5af9c435008fb7d1c1f83b5ca31907f20a5f42ad7",
+    "sum_bd4_rp3.tri": "c1e9689cb051211b27e6bab35f4a65bd2af2e1b681e74ddd4fa5f5218846de7e",
+    "sum_s3_rp3.tri": "2cfb416d23d73ddcf11723724cbef4613d52749a21d84388ce8cff6593b8d252",
+}
+
+
 class TestGenerate:
     def test_files_round_trip(self, corpus_dir):
         from kneser.fileio import parse_patch
@@ -67,6 +89,12 @@ class TestGenerate:
             else:
                 patch = TriangulatedPatch(parse_patch(text))
                 assert patch.area > 0
+
+    def test_files_pinned(self, corpus_dir):
+        result = cmd_generate(str(corpus_dir))
+        assert sorted(result.payload["files"]) == sorted(GENERATE_SHA256)
+        for name, digest in GENERATE_SHA256.items():
+            assert hashlib.sha256((corpus_dir / name).read_bytes()).hexdigest() == digest, name
 
 
 # exit code and sha256 of stdout of `decompose <file> --oracle-check`,
@@ -195,6 +223,31 @@ class TestPackageLayout:
         assert {"homology", "pl_area", "reconstruct"} <= set(names)
         for name in names:
             assert getattr(kneser, name) is importlib.import_module(f"kneser.{name}"), name
+
+    def test_only_triangulation_knows_the_gluing_encoding(self):
+        """No module but `triangulation` names the Gluing rows, the tuple
+        permutation helpers or the S4 row tables: the others read a table
+        through `GluingArrays` methods."""
+        import ast
+
+        import kneser
+
+        encoding = {"gluings", "Gluing", "perm_compose", "perm_inverse", "S4", "S4_ROW", "S4_IMAGES"}
+
+        def names(path):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    yield node.lineno, node.id
+                elif isinstance(node, ast.Attribute):
+                    yield node.lineno, node.attr
+                elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+                    yield node.lineno, node.name
+
+        found = {}
+        for path in sorted(Path(kneser.__file__).parent.glob("*.py")):
+            found[path.name] = [(line, name) for line, name in names(path) if name in encoding]
+        assert {name for _, name in found.pop("triangulation.py")} == encoding
+        assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 class TestGoldenEnumerate:

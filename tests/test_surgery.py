@@ -10,19 +10,39 @@ import pytest
 
 import kneser
 from kneser import corpus, decomposition, surgery, triangulation
+from kneser.cli import CORPUS_FILES, cmd_generate
+from kneser.decomposition import connected_sum
 from kneser.errors import (
     ConsistencyCheckFailed,
     InvalidAfterCrush,
     KneserError,
     VertexLinkingRejected,
 )
+from kneser.fileio import format_tri, parse_tri
 from kneser.homology import homology
 from kneser.reconstruct import build_complex, reconstruct
 from kneser.surgery import cap_boundary, crush, cut_and_cap, cut_complex
 from kneser.triangulation import BOUNDARY, S4, S4_ROW, validate, validate_arrays
 from kneser.vertex_enum import enumerate_vertex_solutions
-from oracles import sympy_homology, vertex_link_coordinates
+from oracles import crush_walk_reference, sympy_homology, vertex_link_coordinates
 from test_decomposition import _closed_corpus_files
+
+
+@pytest.fixture
+def row_calls(monkeypatch):
+    """The names of the calls, in order, that build Gluing rows
+    (`_gluing_rows`) or read raw rows (`_gluing_arrays`)."""
+    calls = []
+    for name in ("_gluing_rows", "_gluing_arrays"):
+        real = getattr(triangulation, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(triangulation, name, counting)
+    return calls
+
 
 # one tetrahedron with face 0 glued to face 1: a solid torus, whose boundary
 # is a torus made of the two free faces
@@ -85,22 +105,22 @@ def corrupted_cut_and_cap(tri, coords):
 
 
 def corrupted_crush(tri, coords):
-    """crush with the first wedge hop of its walk composing to a wrong
-    permutation, so one entry of the walked table is wrong."""
-    real = surgery.perm_compose
-    calls = []
+    """crush with the first entry of its walked table whose walk crossed a
+    deleted tet given a wrong permutation, two of its images swapped."""
+    real = triangulation.GluingArrays.walked
 
-    def corrupt(p, q):
-        calls.append(1)
-        out = real(p, q)
-        return swap_images(out) if len(calls) == 1 else out
+    def corrupt(arrays, keep, hop):
+        table = real(arrays, keep, hop)
+        # IndexError if no walk made a wedge hop
+        n = np.flatnonzero(~keep[arrays.tet[keep]].ravel())[0]
+        table.perm.flat[n] = S4_ROW[swap_images(S4[table.perm.flat[n]])]
+        return table
 
-    surgery.perm_compose = corrupt
+    triangulation.GluingArrays.walked = corrupt
     try:
         return surgery.crush(tri, build_complex(tri, coords))
     finally:
-        surgery.perm_compose = real
-        assert calls, "the walk made no wedge hop"
+        triangulation.GluingArrays.walked = real
 
 
 def corrupted_crush_table(tri, coords):
@@ -344,6 +364,34 @@ def piece_rows(piece):
     )
 
 
+class TestWalk:
+    def test_matches_tuple_walk(self, closed_corpus, monkeypatch):
+        """The table that crush walks on arrays, before the split, is the
+        tuple walk's, on every non-vertex-linking sphere vertex solution of
+        the closed corpus and of rp3#rp3."""
+        rp3 = corpus.rp3_octahedral()
+        inputs = {**closed_corpus, "rp3_rp3": connected_sum(rp3, rp3)}
+        tables = []
+        real = surgery.split_components
+
+        def capture(table):
+            tables.append(table)
+            return real(table)
+
+        monkeypatch.setattr(surgery, "split_components", capture)
+        checked = 0
+        for name, tri in inputs.items():
+            for coords, vl in sphere_solutions(tri):
+                if vl:
+                    continue
+                tables.clear()
+                crush(tri, build_complex(tri, coords))
+                (table,) = tables
+                assert triangulation._gluing_rows(table) == crush_walk_reference(tri, coords), name
+                checked += 1
+        assert checked == 171
+
+
 class TestValidateOnce:
     def test_each_table_validated_once(self, closed_corpus, validated_rows):
         """crush validates only its pieces; cut_and_cap validates the cut
@@ -362,29 +410,37 @@ class TestValidateOnce:
             pieces = cut_and_cap(tri, complex_)
             assert sum(validated_rows) == cut_size + sum(p.size for p in pieces)
 
-    def test_cut_and_cap_builds_no_rows(self, closed_corpus, monkeypatch):
+    def test_cut_and_cap_builds_no_rows(self, closed_corpus, row_calls):
         """cut_and_cap hands arrays from the cut to the caps to the split:
         it reads no raw rows and builds no Gluing rows."""
-        calls = []
-        for name in ("_gluing_rows", "_gluing_arrays"):
-            real = getattr(triangulation, name)
-
-            def counting(*args, real=real, name=name):
-                calls.append(name)
-                return real(*args)
-
-            monkeypatch.setattr(triangulation, name, counting)
         tri = closed_corpus["sum_bd4_rp3"]
         nonvl = [c for c, vl in sphere_solutions(tri) if not vl]
         assert nonvl
-        # the input's own rows, which the cone construction reads, are
-        # cached on it
-        tri.gluings
         for coords in nonvl:
             complex_ = build_complex(tri, coords)
-            calls.clear()
+            row_calls.clear()
             assert cut_and_cap(tri, complex_)
-            assert calls == []
+            assert row_calls == []
+
+    def test_pipeline_builds_no_rows(self, row_calls, tmp_path):
+        """No step of the package builds Gluing rows: not a decompose pass
+        with the oracle over the benchmark's four sums, not connected_sum
+        and format_tri, not `kneser generate`.  The inputs are built here,
+        so that no row read elsewhere is cached on them."""
+        files = dict(CORPUS_FILES)
+        names = ("sum_bd4_bd4.tri", "sum_s3_rp3.tri", "sum_bd4_rp3.tri")
+        inputs = [parse_tri(files[name]()) for name in names]
+        rp3 = corpus.rp3_octahedral()
+        # past parsing, nothing reads raw rows either
+        row_calls.clear()
+        inputs.append(connected_sum(rp3, rp3))
+        for tri in inputs:
+            assert decomposition.decompose(tri, oracle_check=True).oracle is not None
+        assert format_tri(connected_sum(rp3, rp3)).startswith("tri 1\n")
+        assert row_calls == []
+        # the corpus constructors validate raw rows
+        assert cmd_generate(str(tmp_path)).exit_code == 0
+        assert "_gluing_rows" not in row_calls
 
     def test_piece_tables_pinned(self, closed_corpus):
         out = []
