@@ -27,6 +27,7 @@ from . import corpus
 from .decomposition import decompose
 from .errors import BudgetExceeded, KneserError
 from .fileio import format_patch, format_tri, parse_patch, parse_tri
+from .normal import check_coordinate_rows, edge_weight_rows, euler_rows
 from .pl_area import LENGTH_MODEL, pl_area, verify_diameter_bound
 from .projection import (
     ProjectionConfig,
@@ -34,7 +35,6 @@ from .projection import (
     estimate_from_ratios,
     projection_ratios,
 )
-from .reconstruct import build_complex, reconstruct
 from .reports import (
     decomposition_dict,
     emit_json,
@@ -103,12 +103,19 @@ def cmd_decompose(
 
 def _surface_entries(tri, solutions, pl_area_flag: bool, verify_diam: bool):
     """The `surfaces` entries of the enumerate payload, and whether every
-    diameter check passed."""
+    diameter check passed.
+
+    The vertex rays are validated in one `check_coordinate_rows` pass, and
+    their weights and Euler characteristics read off in one pass each.  A
+    vertex ray is connected, so it is vertex-linking exactly when it has
+    no quad, as `decomposition.sphere_witnesses` argues."""
+    rays = check_coordinate_rows(tri, solutions)
+    weights = edge_weight_rows(tri, rays).sum(axis=1).tolist()
+    chis = euler_rows(tri, rays).tolist()
+    quad_free = ~(rays.reshape(len(rays), tri.size, 7)[:, :, 4:] != 0).any(axis=(1, 2))
     entries = []
     all_pass = True
-    for coords in solutions:
-        complex_ = build_complex(tri, coords)
-        surface = reconstruct(tri, complex_)
+    for coords, wt, chi, vl in zip(solutions, weights, chis, quad_free.tolist()):
         kwargs = {}
         if pl_area_flag:
             kwargs["lg"] = pl_area(tri, coords).length
@@ -117,15 +124,7 @@ def _surface_entries(tri, solutions, pl_area_flag: bool, verify_diam: bool):
             kwargs["diam"] = check.diameter
             kwargs["diam_ok"] = check.passed
             all_pass = all_pass and check.passed
-        entries.append(
-            surface_entry(
-                coords,
-                wt=sum(complex_.weights_per_edge),
-                chi=surface.euler_characteristic,
-                vertex_linking=surface.vertex_linking,
-                **kwargs,
-            )
-        )
+        entries.append(surface_entry(coords, wt=wt, chi=chi, vertex_linking=vl, **kwargs))
     return entries, all_pass
 
 

@@ -67,6 +67,7 @@ from .triangulation import (
     FACE_VERTICES,
     SkeletonTable,
     Triangulation,
+    _firsts,
     skeleton,
     spanning_forest,
 )
@@ -157,13 +158,6 @@ def _peel_units(r: np.ndarray, c: np.ndarray, v: np.ndarray, nrows: int, ncols: 
         keep = (row_len[r] >= 0) & (col_len[c] >= 0)
         r, c, v, unit = r[keep], c[keep], v[keep], unit[keep]
     return peeled, (r, c, v)
-
-
-def _firsts(ordered: np.ndarray) -> np.ndarray:
-    """Mask of the first element of each run of equal values."""
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return first
 
 
 def _unit_eliminate(entries: list[Entry]) -> tuple[int, dict[int, dict[int, int]]]:

@@ -4,13 +4,18 @@ Cells: vertices are edge crossings, edges are normal arcs in faces, faces
 are normal disks.  Identifiers are orbit-level so that the two sides of a
 glued face agree on them:
 
-- crossing: (edge orbit, slot), slots 1..m along the orbit direction;
+- crossing: one number along the edge orbits, orbit after orbit, each
+  orbit's crossings in its direction;
 - arc: (face orbit, corner, n) in terms of the orbit's representative slot,
   where n counts arcs outward from that corner (1 = innermost);
-- disk: (tet, "tri", v, c) or (tet, "quad", qtype, c), copies c >= 1.
+- disk: (tet, offset, copy), offset v for the triangle at vertex v and
+  4 + qtype for a quad, copies c >= 1.
 
-Disks, their boundary arcs and the crossing order along each edge are those
-of `normal.disk_boundaries`.
+The complex is stored only as int arrays whose columns are these
+identifiers (`DiskComplex`), filled from one walk of
+`normal.disk_boundaries`, which fixes the disks, their boundary arcs and
+the crossing order along each edge.  `reconstruct` pairs, colours and
+counts the cells with array operations.
 """
 from __future__ import annotations
 
@@ -25,59 +30,41 @@ from .normal import (
     disk_boundaries,
     edge_weights,
     euler_from_coordinates,
-    quad_index,
-    tri_index,
 )
 from .triangulation import (
     EDGE_BETWEEN,
     FACE_VERTICES,
     Triangulation,
-    _classes,
+    _firsts,
     components,
     skeleton,
 )
 
-Crossing = tuple[int, int]                # (edge orbit, slot)
-ArcId = tuple[int, int, int]              # (face orbit, rep corner, n)
-DiskId = tuple                            # (tet, kind, which, copy)
 
-
-@dataclass(frozen=True)
-class ArcUse:
-    """One traversal of an arc along a disk boundary: the arc, the traversal
-    direction against the arc's canonical endpoint order, and the face slot
-    through which this disk meets the arc."""
-
-    arc: ArcId
-    direction: int
-    face_slot: tuple[int, int]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskComplex:
     """The full cell complex of a normal coordinate vector, together with
-    that vector as validated by `build_complex`."""
+    that vector and its edge weights as validated by `build_complex`.
+
+    disks[k] is (tet, offset, copy) of the k-th disk of the walk.  uses
+    lists the boundary arcs of every disk, disk after disk, each cycle in
+    order (three for a triangle, four for a quad), as (face orbit, corner,
+    n, direction, tet, face): the arc; the direction of the traversal, +1
+    when it starts at the arc's canonical first endpoint, which lies on the
+    representative edge {corner, x} with the smaller third vertex x; and
+    the face slot through which the disk meets the arc.  ends[k] numbers
+    the two crossings of use k's arc, the canonical first one first.  The
+    arrays are read-only."""
 
     coordinates: NormalCoordinates
-    disks: tuple[DiskId, ...]
-    boundaries: dict  # DiskId -> tuple[ArcUse, ...] in cycle order
-    arcs: dict        # ArcId -> (Crossing, Crossing), its two endpoints
     weights_per_edge: tuple[int, ...]
+    disks: np.ndarray
+    uses: np.ndarray
+    ends: np.ndarray
 
-    @property
-    def vertex_count(self) -> int:
-        seen = set()
-        for ends in self.arcs.values():
-            seen.update(ends)
-        return len(seen)
-
-    @property
-    def arc_total(self) -> int:
-        return len(self.arcs)
-
-    @property
-    def disk_count(self) -> int:
-        return len(self.disks)
+    def __post_init__(self) -> None:
+        for array in (self.disks, self.uses, self.ends):
+            array.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -129,152 +116,150 @@ class ReconstructedSurface:
         )
 
 
-def _arc_lookup(tri: Triangulation, weights: list[int]):
-    """Helpers mapping tet-local arc references to orbit-level arcs."""
-    sk = skeleton(tri)
-    face_orbit = sk.face_orbit.ravel().tolist()
-    face_first = sk.face_first.tolist()
-    edge_orbit = sk.edge_orbit.ravel().tolist()
-    edge_reversed = sk.edge_reversed.ravel().tolist()
-    target = (4 * tri.arrays.tet + tri.arrays.face).ravel().tolist()
-    images = tri.arrays.image_table().reshape(-1, 4).tolist()
-
-    def arc_use(tet: int, face: int, corner: int, n: int, start: int) -> ArcUse:
-        """The traversal of the n-th arc from `corner` in face `face` of
-        `tet` that enters on the edge {corner, start}.
-
-        Its direction is +1 when it starts at the arc's canonical first
-        endpoint, which lies on the representative edge {corner, x} with
-        the smaller third vertex x.
-        """
-        slot = 4 * tet + face
-        orbit = face_orbit[slot]
-        rep = divmod(face_first[orbit], 4)
-        if (tet, face) != rep:
-            # the other slot of an orbit glues to its representative
-            if target[slot] != face_first[orbit]:
-                raise ConsistencyCheckFailed(
-                    f"(tet {tet}, face {face}) does not glue to the representative "
-                    f"{rep} of its face orbit"
-                )
-            corner, start = images[slot][corner], images[slot][start]
-        x_rep = min(w for w in FACE_VERTICES[rep[1]] if w != corner)
-        return ArcUse(
-            arc=(orbit, corner, n),
-            direction=1 if start == x_rep else -1,
-            face_slot=(tet, face),
-        )
-
-    def crossing(tet: int, u: int, v: int, i: int) -> Crossing:
-        """The i-th crossing (1-based) from vertex u along edge {u, v} of
-        `tet`, as an orbit-level (edge orbit, slot) pair."""
-        slot = 6 * tet + EDGE_BETWEEN[u][v]
-        m = weights[edge_orbit[slot]]
-        pos = i if u < v else m + 1 - i  # position along the ascending direction
-        return (edge_orbit[slot], m + 1 - pos if edge_reversed[slot] else pos)
-
-    def arc_crossings(orbit: int, rep_corner: int, n: int):
-        rep_tet, rep_face = divmod(face_first[orbit], 4)
-        x, y = sorted(w for w in FACE_VERTICES[rep_face] if w != rep_corner)
-        return crossing(rep_tet, rep_corner, x, n), crossing(rep_tet, rep_corner, y, n)
-
-    return arc_use, arc_crossings
+# _EDGE[u, v]: the edge joining local vertices u != v, -1 when u == v
+_EDGE = np.array([[-1 if e is None else e for e in row] for row in EDGE_BETWEEN])
+# _OTHERS[f, v]: the other two corners of face f at its corner v, ascending
+# ((0, 0) at v = f, the vertex off the face)
+_OTHERS = np.array([
+    [sorted(w for w in FACE_VERTICES[f] if w != v) if v != f else (0, 0) for v in range(4)]
+    for f in range(4)
+])
 
 
 def build_complex(tri: Triangulation, coords) -> DiskComplex:
-    """Build the disk/arc/crossing complex of a valid coordinate vector."""
+    """Build the disk/arc/crossing complex of a valid coordinate vector.
+
+    Each boundary arc of the walk is mapped to its face orbit's
+    representative slot by the gluing of its own slot; the other slot of an
+    orbit must glue to its representative, or ConsistencyCheckFailed names
+    the first that does not."""
     coords = check_coordinates(tri, coords)
     weights = edge_weights(tri, coords)
-    arc_use, arc_crossings = _arc_lookup(tri, weights)
+    walk = list(disk_boundaries(coords))
+    disks = np.array(
+        [(tet, which + 4 * (kind == "quad"), c) for (tet, kind, which, c), _ in walk],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    tet, face, corner, n, start = np.array(
+        [arc for _, arcs in walk for arc in arcs], dtype=np.int64
+    ).reshape(-1, 5).T
 
-    disks: list[DiskId] = []
-    boundaries: dict[DiskId, tuple] = {}
-    arcs: dict[ArcId, tuple[Crossing, Crossing]] = {}
-    for disk, walk in disk_boundaries(coords):
-        cycle = tuple(arc_use(*arc) for arc in walk)
-        disks.append(disk)
-        boundaries[disk] = cycle
-        for use in cycle:
-            if use.arc not in arcs:
-                arcs[use.arc] = arc_crossings(*use.arc)
+    sk = skeleton(tri)
+    slot = 4 * tet + face
+    orbit = sk.face_orbit.ravel()[slot]
+    rep = sk.face_first[orbit]
+    moved = slot != rep
+    bad = moved & ((4 * tri.arrays.tet + tri.arrays.face).ravel()[slot] != rep)
+    if bad.any():
+        k = bad.argmax()
+        raise ConsistencyCheckFailed(
+            f"(tet {tet[k]}, face {face[k]}) does not glue to the representative "
+            f"{divmod(int(rep[k]), 4)} of its face orbit"
+        )
+    corner = np.where(moved, tri.arrays.images(tet, face, corner), corner)
+    start = np.where(moved, tri.arrays.images(tet, face, start), start)
+    rep_tet, rep_face = np.divmod(rep, 4)
+    lesser, greater = _OTHERS[rep_face, corner].T
+
+    # the n-th crossing from the corner along the representative's edges
+    # {corner, lesser} and {corner, greater}, numbered along the edge orbits
+    m_orbit = np.array(weights, dtype=np.int64)
+    offset = np.cumsum(m_orbit) - m_orbit
+    ends = []
+    for other in (lesser, greater):
+        edge = 6 * rep_tet + _EDGE[corner, other]
+        edge_orbit = sk.edge_orbit.ravel()[edge]
+        m = m_orbit[edge_orbit]
+        ascending = np.where(corner < other, n, m + 1 - n)
+        along = np.where(sk.edge_reversed.ravel()[edge], m - ascending, ascending - 1)
+        ends.append(offset[edge_orbit] + along)
 
     return DiskComplex(
         coordinates=coords,
-        disks=tuple(disks),
-        boundaries=boundaries,
-        arcs=arcs,
         weights_per_edge=tuple(weights),
+        disks=disks,
+        uses=np.stack((orbit, corner, n, np.where(start == lesser, 1, -1), tet, face), axis=1),
+        ends=np.stack(ends, axis=1),
     )
 
 
-def _arc_direction_checks(complex_: DiskComplex) -> dict[ArcId, list[tuple[int, int]]]:
-    """ArcId -> [(disk index, traversal direction)]; every arc must occur
-    exactly twice over all disk boundaries."""
-    incidences: dict[ArcId, list[tuple[int, int]]] = {a: [] for a in complex_.arcs}
-    for di, disk in enumerate(complex_.disks):
-        for arc_use in complex_.boundaries[disk]:
-            incidences[arc_use.arc].append((di, arc_use.direction))
-    for aid, inc in incidences.items():
-        if len(inc) != 2:
-            raise ConsistencyCheckFailed(f"arc {aid} bounds {len(inc)} disks")
-    return incidences
+def _paired(*columns: np.ndarray):
+    """Pair the entries whose key columns all agree, by one stable sort of
+    the columns packed into one int64 key each.  Returns the two members of
+    each pair, in entry order, and the first entry and the size of each key
+    that does not occur exactly twice."""
+    key, span = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for column in columns:
+        low = int(column.min(initial=0))
+        width = int(column.max(initial=0)) - low + 1
+        span *= width
+        if span >= 1 << 63:
+            raise OverflowError("keys too large to pack into int64")
+        key = key * width + (column - low)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(_firsts(key[order]))
+    sizes = np.diff(np.append(starts, len(key)))
+    pairs = starts[sizes == 2]
+    return order[pairs], order[pairs + 1], order[starts[sizes != 2]], sizes[sizes != 2]
 
 
 def reconstruct(tri: Triangulation, complex_: DiskComplex) -> ReconstructedSurface:
     """Split the surface of `build_complex(tri, coords)` into components,
     compute Euler characteristics, orientability and the vertex-linking
-    flag; cross-check cell counts against the coordinate formula."""
+    flag; cross-check cell counts against the coordinate formula.
+
+    Every arc must bound exactly two disks, or ConsistencyCheckFailed names
+    the first arc of the walk that does not.  Components come in order of
+    their least disk, read as (tet, kind, which, copy) with a quad before a
+    triangle."""
     coords = complex_.coordinates
-    incidences = _arc_direction_checks(complex_)
+    disks, uses, ends = complex_.disks, complex_.uses, complex_.ends
+    d = len(disks)
+    disk_of = np.repeat(np.arange(d), np.where(disks[:, 1] < 4, 3, 4))
+    first, second, bad, size = _paired(uses[:, 0], uses[:, 1], uses[:, 2])
+    if len(bad):
+        k = bad.argmin()
+        arc = tuple(uses[bad[k], :3].tolist())
+        raise ConsistencyCheckFailed(f"arc {arc} bounds {size[k]} disks")
 
     # one class per component; the bit 2-colours the disks so that adjacent
     # disks traverse their shared arc in opposite directions.  A class with
     # no such colouring reads every bit False, which leaves a union asking
     # for two colours unsolved: that class is non-orientable
-    a, b, rel = np.array(
-        [(d1, d2, s1 == s2) for (d1, s1), (d2, s2) in incidences.values()], dtype=np.int64
-    ).reshape(-1, 3).T
-    root, bit, _ = components(len(complex_.disks), a, b, rel)
-    non_orientable = set(root[a[(bit[a] ^ bit[b]) != rel]].tolist())
-    ordered = sorted((g.tolist() for g in _classes(root)), key=lambda g: complex_.disks[g[0]])
+    a, b = disk_of[first], disk_of[second]
+    rel = uses[first, 3] == uses[second, 3]
+    root, bit, _ = components(d, a, b, rel)
+    twisted = np.zeros(d, dtype=bool)
+    twisted[root[a[(bit[a] ^ bit[b]) != rel]]] = True
+    least = np.flatnonzero(root == np.arange(d))
+    tet, offset, copy = disks[least].T
+    least = least[np.lexsort((copy, offset % 4, offset < 4, tet))]
+    k = len(least)
+    number = np.zeros(d, dtype=np.int64)
+    number[least] = np.arange(k)
+    comp = number[root]
 
-    parts = []
-    for group in ordered:
-        disk_ids = [complex_.disks[i] for i in group]
-        comp_coords = [0] * (7 * tri.size)
-        for tet, kind, which, _copy in disk_ids:
-            if kind == "tri":
-                comp_coords[tri_index(tet, which)] += 1
-            else:
-                comp_coords[quad_index(tet, which)] += 1
-        arc_ids = set()
-        for disk in disk_ids:
-            arc_ids.update(u.arc for u in complex_.boundaries[disk])
-        crossings = set()
-        for aid in arc_ids:
-            crossings.update(complex_.arcs[aid])
-        chi = len(crossings) - len(arc_ids) + len(disk_ids)
-        parts.append(
-            SurfaceComponent(
-                coordinates=tuple(comp_coords),
-                disk_count=len(disk_ids),
-                arc_count=len(arc_ids),
-                crossing_count=len(crossings),
-                euler_characteristic=chi,
-                orientable=group[0] not in non_orientable,
-                vertex_linking=all(
-                    comp_coords[quad_index(t, j)] == 0
-                    for t in range(tri.size)
-                    for j in range(3)
-                ),
-            )
-        )
+    split = np.zeros((k, 7 * tri.size), dtype=np.int64)
+    np.add.at(split, (comp, 7 * disks[:, 0] + disks[:, 1]), 1)
+    disk_counts = np.bincount(comp, minlength=k)
+    arc_counts = np.bincount(comp[a], minlength=k)
+    # each crossing once per component that meets it
+    span = ends.max(initial=0) + 1
+    crossings = np.sort((comp[disk_of, None] * span + ends).ravel())
+    crossing_counts = np.bincount(crossings[_firsts(crossings)] // span, minlength=k)
+    chi = crossing_counts - arc_counts + disk_counts
+    quad_free = ~split.reshape(k, tri.size, 7)[:, :, 4:].any(axis=(1, 2))
+    # the fields of SurfaceComponent, in order, one entry per component
+    fields = (disk_counts, arc_counts, crossing_counts, chi, ~twisted[least], quad_free)
+    parts = tuple(
+        SurfaceComponent(tuple(row), *values)
+        for row, *values in zip(split.tolist(), *(field.tolist() for field in fields))
+    )
 
     total_chi = sum(c.euler_characteristic for c in parts)
-    vtotal = complex_.vertex_count
-    etotal = complex_.arc_total
-    ftotal = complex_.disk_count
-    if total_chi != vtotal - etotal + ftotal:
+    vtotal = int(_firsts(np.sort(ends.ravel())).sum())
+    etotal = len(first)
+    if total_chi != vtotal - etotal + d:
         raise ConsistencyCheckFailed(
             "component Euler characteristics disagree with the cell counts"
         )
@@ -282,16 +267,14 @@ def reconstruct(tri: Triangulation, complex_: DiskComplex) -> ReconstructedSurfa
         raise ConsistencyCheckFailed(
             "cell-count Euler characteristic disagrees with the coordinate formula"
         )
-    split = [sum(c.coordinates[i] for c in parts) for i in range(7 * tri.size)]
-    if tuple(split) != coords:
+    if tuple(split.sum(axis=0).tolist()) != coords:
         raise ConsistencyCheckFailed("component coordinates do not sum to the surface")
 
     return ReconstructedSurface(
         coordinates=coords,
-        components=tuple(parts),
+        components=parts,
         vertex_count=vtotal,
         arc_count=etotal,
-        disk_count=ftotal,
+        disk_count=d,
         euler_characteristic=total_chi,
     )
-

@@ -32,17 +32,18 @@ from .errors import (
     VertexLinkingRejected,
 )
 from .normal import QUAD_PAIRS, arc_count
-from .reconstruct import DiskComplex, reconstruct
+from .reconstruct import _EDGE, DiskComplex, _paired, reconstruct
 from .triangulation import (
     EDGE_BETWEEN,
     EDGE_VERTICES,
     FACE_VERTICES,
     GluingArrays,
     Triangulation,
+    _check_involution,
+    _checked,
     components,
     skeleton,
     split_components,
-    validate_arrays,
 )
 
 
@@ -140,7 +141,6 @@ def crush(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation]:
 # chord, 0, 0, 0, 0).
 
 _SEG, _ARC, _CHORD = 0, 1, 2
-_EDGE = np.array([[-1 if e is None else e for e in row] for row in EDGE_BETWEEN])
 _EDGE_ENDS = np.array(EDGE_VERTICES)
 _FACE_CORNERS = np.array(FACE_VERTICES)
 _QUAD_PARTNER = np.array([[_quad_partner(qt, k) for k in range(4)] for qt in range(3)])
@@ -343,41 +343,21 @@ _FACE_GLUING = np.array([
 ])
 
 
-def _paired(*columns: np.ndarray):
-    """Pair the entries whose key columns all agree, by one sort of the
-    columns packed into one int64 key each.  Returns the two members of
-    each pair, and one entry and the size of each key that does not occur
-    exactly twice."""
-    key, span = np.zeros(len(columns[0]), dtype=np.int64), 1
-    for column in columns:
-        low = int(column.min(initial=0))
-        width = int(column.max(initial=0)) - low + 1
-        span *= width
-        if span >= 1 << 63:
-            raise OverflowError("keys too large to pack into int64")
-        key = key * width + (column - low)
-    order = np.argsort(key)
-    ordered = key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(new)
-    sizes = np.diff(np.append(starts, len(key)))
-    pairs = starts[sizes == 2]
-    return order[pairs], order[pairs + 1], order[starts[sizes != 2]], sizes[sizes != 2]
+def cut_complex(tri: Triangulation, complex_: DiskComplex) -> GluingArrays:
+    """The gluing arrays of the cut-open manifold along the surface of
+    `build_complex(tri, coords)`: every complementary cell coned from an
+    apex, with the two sides of each normal disk left as boundary faces.
 
-
-def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
-    """The cut-open manifold along the surface of `build_complex(tri,
-    coords)`: every complementary cell coned from an apex, with the two
-    sides of each normal disk left as boundary faces.
-
-    The cones are built as arrays, in the order of the comment above: each
-    with its cell, three side tokens with directions and, for a patch
-    piece, a base key.  One sort of the keys pairs the two instances of
-    every piece at their bases and the sides of each 1-cell within each
-    cell.  A key that does not occur exactly twice raises
+    The cones are built as arrays, in the order of the comment above, from
+    the coordinates, the edge weights and the disks and arc uses of the
+    complex: each with its cell, three side tokens with directions and, for
+    a patch piece, a base key.  One sort of the keys pairs the two
+    instances of every piece at their bases and the sides of each 1-cell
+    within each cell.  A key that does not occur exactly twice raises
     ConsistencyCheckFailed naming the least such key, a base key before a
-    side key."""
+    side key.  The arrays are returned once every slot holds a gluing or a
+    boundary face and the gluings are involutive, all that the rotations
+    of `cap_boundary` need; orientations and closedness are not asked."""
     t = tri.size
     x = np.array(complex_.coordinates, dtype=np.int64).reshape(t, 7)
     sk = skeleton(tri)
@@ -445,30 +425,24 @@ def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
 
     # the cones of the disks: near side, then far side; a triangle is one
     # cone, a quad two, (arc 0, arc 1, diagonal) and (diagonal, arc 2, arc 3)
-    disks = complex_.disks
-    cycles = [complex_.boundaries[disk] for disk in disks]
-    arcs = np.array(
-        [(*u.arc, u.direction, *u.face_slot) for cycle in cycles for u in cycle], dtype=np.int64
-    ).reshape(-1, 6)
-    uses = np.array([len(cycle) for cycle in cycles], dtype=np.int64)
-    disk_tet, which, copy = np.array(
-        [(disk[0], disk[2], disk[3]) for disk in disks], dtype=np.int64
-    ).reshape(-1, 3).T
-    quad = uses != 3
-    near, far = regions.disk_sides(disk_tet, quad, which, copy)
+    disk_tet, offset, copy = complex_.disks.T
+    uses = complex_.uses
+    quad = offset >= 4
+    cycle = np.where(quad, 4, 3)
+    near, far = regions.disk_sides(disk_tet, quad, offset % 4, copy)
     disk, k = _runs(np.where(quad, 4, 2))
     half = np.where(quad[disk], 1 + k % 2, 0)  # 0 a triangle, 1 or 2 a quad's half
     side = np.where(quad[disk], k // 2, k)
-    use = (np.cumsum(uses) - uses)[disk, None] + _DISK_USES[half]
+    use = (np.cumsum(cycle) - cycle)[disk, None] + _DISK_USES[half]
     diagonal = _DISK_USES[half] < 0
     diagonal_base = chord_base + len(patch_type)
     disk_a = np.where(
         diagonal,
         (diagonal_base + 2 * disk + side)[:, None],
-        6 * t + 4 * t * (4 * arcs[use, 0] + arcs[use, 1]) + 4 * arcs[use, 4] + arcs[use, 5],
+        6 * t + 4 * t * (4 * uses[use, 0] + uses[use, 1]) + 4 * uses[use, 4] + uses[use, 5],
     )
-    disk_b = np.where(diagonal, 0, arcs[use, 2])
-    disk_d = np.where(diagonal, _DIAGONAL_DIRECTION[half], arcs[use, 3])
+    disk_b = np.where(diagonal, 0, uses[use, 2])
+    disk_d = np.where(diagonal, _DIAGONAL_DIRECTION[half], uses[use, 3])
     disk_cell = regions.first_cell[disk_tet[disk]] + np.where(side == 0, near[disk], far[disk])
 
     # one entry per cone face to glue: side k lies on face k + 2 (mod 3)
@@ -499,7 +473,8 @@ def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
             instance = (int(slot_tet[slot[n]]), int(slot_face[slot[n]]))
             return ("diag", patch_name(n), token_b, instance)
         n, disk_side = divmod(token_a - diagonal_base, 2)
-        return ("qdiag", disks[n], disk_side)
+        quad_tet, quad_offset, quad_copy = complex_.disks[n].tolist()
+        return ("qdiag", (quad_tet, "quad", quad_offset - 4, quad_copy), disk_side)
 
     first, second, bad, size = _paired(key, a, b)
     if len(bad):
@@ -517,8 +492,9 @@ def cut_complex(tri: Triangulation, complex_: DiskComplex) -> Triangulation:
         raise ConsistencyCheckFailed(f"cell 1-cell {least} bounds {sides[least]} sides")
     near_slots, far_slots = slots[first], slots[second]
     perms = _FACE_GLUING[near_slots % 4, far_slots % 4, (d[first] == d[second]).astype(np.int64)]
-    arrays = GluingArrays.paired(cones, near_slots, far_slots, perms)
-    return validate_arrays(arrays, require_closed=False)
+    arrays = _checked(GluingArrays.paired(cones, near_slots, far_slots, perms))
+    _check_involution(arrays)
+    return arrays
 
 
 # _DISK_USES[half]: the arcs of a disk's boundary on the sides of a
@@ -539,12 +515,12 @@ _CORNER = np.array([
 ])
 
 
-def _boundary_sides(tri: Triangulation):
-    """The boundary slots of tri, row-major, and for side a of each (from
-    corner a to corner a + 1 of its face, mod 3), the boundary slot and the
-    corners of that slot met by rotating around the side's edge through
-    tri's tets.  tri's own validation ends each rotation."""
-    arrays = tri.arrays
+def _boundary_sides(arrays: GluingArrays):
+    """The boundary slots of an involutive table, row-major, and for side a
+    of each (from corner a to corner a + 1 of its face, mod 3), the
+    boundary slot and the corners of that slot met by rotating around the
+    side's edge through the table's tets.  The involution ends each
+    rotation."""
     glued = arrays.glued
     slots = np.flatnonzero(~glued.ravel())
     corners = _FACE_CORNERS[slots % 4]
@@ -566,18 +542,21 @@ def _boundary_sides(tri: Triangulation):
     return slots, 4 * cur + end, u, v
 
 
-def cap_boundary(tri: Triangulation) -> GluingArrays:
-    """Cone off every boundary component; each must be a 2-sphere.
+def cap_boundary(arrays: GluingArrays) -> GluingArrays:
+    """Cone off every boundary component of an involutive table, as
+    `cut_complex` returns; each component must be a 2-sphere, or
+    ConsistencyCheckFailed names its Euler characteristic.
 
-    Returns the capped arrays, left to `split_components` to validate:
-    tri's arrays grown by one cap tet per boundary face, in (tet, face)
-    order.  Each slot is written from its own side, so the split's
-    involution check audits the rotations around the boundary edges, which
-    run on tri's arrays side by side; one `components` call gives the
-    boundary components (faces joined across a side) and their corners."""
-    slots, ends, u, v = _boundary_sides(tri)
+    Returns the capped arrays, left to `split_components` to validate: the
+    table grown by one cap tet per boundary face, in (tet, face) order.
+    Each slot is written from its own side, so the split's involution check
+    audits the rotations around the boundary edges, which run on the
+    table's arrays side by side; one `components` call gives the boundary
+    components (faces joined across a side) and their corners."""
+    slots, ends, u, v = _boundary_sides(arrays)
     s = len(slots)
-    index = np.full(4 * tri.size, -1)
+    t = len(arrays.tet)
+    index = np.full(4 * t, -1)
     index[slots] = np.arange(s)
     near = np.repeat(np.arange(s), 3)
     far = index[ends]
@@ -607,7 +586,6 @@ def cap_boundary(tri: Triangulation) -> GluingArrays:
 
     # face 3 of a cap glues to its boundary face f by the map sending
     # corners 0, 1, 2 to f's vertices and 3 to f, and f back by the inverse
-    t = tri.size
     cap_base = 4 * (t + np.arange(s)) + 3
     # side a of a cap's base glues its face opposite corner a + 2 to the
     # far cap, matching the corners of the side and the third corners
@@ -621,7 +599,7 @@ def cap_boundary(tri: Triangulation) -> GluingArrays:
         np.concatenate((slots, cap_base, 4 * (t + near) + (side + 2) % 3)),
         np.concatenate((cap_base, slots, 4 * (t + far) + third)),
         np.concatenate((_CAP_INVERSE[slots % 4], _CAP[slots % 4], sides)),
-        onto=tri.arrays,
+        onto=arrays,
     )
 
 
@@ -630,11 +608,12 @@ def cut_and_cap(tri: Triangulation, complex_: DiskComplex) -> list[Triangulation
     boundary sphere with a cone; topologically faithful (no summand is
     lost).  Returns the pieces.
 
-    `cut_complex` validates the cut, boundary allowed, since the rotations
-    of `cap_boundary` run on the cut's arrays and need an involutive table.
-    The capped arrays go to `split_components`, which checks them for
-    structure once, takes their components from one `components` call and
-    validates each component, sliced out and renumbered, as closed and
-    orientable; no rows are built on the way.  The cut's arrays sit
+    `cut_complex` checks the cut only for structure and involution, which
+    the rotations of `cap_boundary` need; `cap_boundary` checks that every
+    boundary component is a sphere.  The capped arrays go to
+    `split_components`, which checks them for structure once, takes their
+    components from one `components` call and validates each component,
+    sliced out and renumbered, as closed and orientable, so every cut row
+    is validated once; no rows are built on the way.  The cut's arrays sit
     unchanged inside the capped arrays, and capping renumbers no tet."""
     return split_components(cap_boundary(cut_complex(tri, complex_)))

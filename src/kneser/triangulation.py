@@ -428,6 +428,13 @@ def _classes(root: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
+def _firsts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values."""
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return first
+
+
 def _numbered(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each node's class numbered in order of least member, and the least
     member of each class."""

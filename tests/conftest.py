@@ -79,9 +79,9 @@ def sum_pairs():
 @pytest.fixture
 def validated_rows(monkeypatch):
     """Row counts of the tables checked past their structure, call by
-    call: `validate`, `validate_arrays` (which `surgery.cut_complex` calls)
-    and `split_components` all hand the array form of each table they
-    build to `triangulation._triangulation`."""
+    call: `validate`, `validate_arrays` and `split_components` all hand
+    the array form of each table they build to
+    `triangulation._triangulation`."""
     counted = []
     real = triangulation._triangulation
 

@@ -38,7 +38,14 @@ reconstruction, and the loop that computed the PL area of every witness,
 are kept as references for the linear rule and the least-weight shortcut
 in `kneser.decomposition`; that loop reads the length off the disk complex
 (`complex_length`), as `kneser.pl_area` did before it walked the
-coordinates.  Homology from the full boundary matrices (with
+coordinates.  The disk complex these references read is the one that
+`kneser.reconstruct` stored before its int arrays (`complex_reference`):
+disks, arc uses and crossings in dicts, built one arc at a time with the
+orbits of `skeleton_reference` and the Gluing rows.  With the
+reconstruction that read it (`reconstruct_reference`, its disks coloured
+by `_UnionFind`) and the conversion to arrays that `cut_complex` made
+(`disk_complex_reference`), it is the reference for the array complex.
+Homology from the full boundary matrices (with
 the incidence matrix d_1 that `kneser.homology` no longer builds) is the
 reference for its spanning-forest presentation; it shares
 `elementary_divisors` and the d_2 and d_3 entries with the library, which
@@ -63,6 +70,7 @@ import cmath
 import collections
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -75,6 +83,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from kneser.errors import (
     CenterHit,
+    ConsistencyCheckFailed,
     InconsistentCrossings,
     JacobianBoundExceeded,
     NonInvolutiveGluing,
@@ -93,6 +102,7 @@ from kneser.normal import (
     QUAD_PAIRS,
     NormalCoordinates,
     arc_count,
+    disk_boundaries,
     matching_system,
     quad_index,
     quad_types_crossing_edge,
@@ -110,8 +120,9 @@ from kneser.projection import (
     simplex_planes,
     triangle_distances,
 )
-from kneser.reconstruct import DiskComplex, build_complex, reconstruct
+from kneser.reconstruct import DiskComplex, ReconstructedSurface, SurfaceComponent
 from kneser.triangulation import (
+    EDGE_BETWEEN,
     EDGE_VERTICES,
     FACE_VERTICES,
     RawGluing,
@@ -345,12 +356,14 @@ def graph_components_reference(n: int, edges: Sequence[tuple[int, int]]) -> list
 
 
 def surface_orientability_reference(
-    tri: Triangulation, complex_: DiskComplex
+    tri: Triangulation, coords
 ) -> list[tuple[NormalCoordinates, bool]]:
-    """(coordinates, orientable) of each component of a disk complex,
-    sorted: a depth-first 2-colouring of the disks, in which two disks that
-    traverse a shared arc in the same direction take different colours,
-    fails exactly on the non-orientable components."""
+    """(coordinates, orientable) of each component of the surface of a
+    valid coordinate vector, sorted, read off its dict complex
+    (`complex_reference`): a depth-first 2-colouring of the disks, in which
+    two disks that traverse a shared arc in the same direction take
+    different colours, fails exactly on the non-orientable components."""
+    complex_ = complex_reference(tri, coords)
     uses: dict = {}
     for d, disk in enumerate(complex_.disks):
         for use in complex_.boundaries[disk]:
@@ -382,6 +395,171 @@ def surface_orientability_reference(
             coords[tri_index(tet, which) if kind == "tri" else quad_index(tet, which)] += 1
         out.append((tuple(coords), orientable))
     return sorted(out)
+
+
+@dataclass(frozen=True)
+class ArcUse:
+    """One traversal of an arc along a disk boundary in the dict complex:
+    the arc (face orbit, representative corner, n), the traversal direction
+    against the arc's canonical endpoint order, and the face slot through
+    which the disk meets the arc."""
+
+    arc: tuple[int, int, int]
+    direction: int
+    face_slot: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class DictComplex:
+    """The disk complex as `kneser.reconstruct` stored it before its int
+    arrays: disks as (tet, "tri", v, c) or (tet, "quad", qtype, c) in walk
+    order, boundaries[disk] its `ArcUse`s in cycle order, and arcs[arc]
+    the arc's two crossings (edge orbit, slot along the orbit, from 1),
+    canonical first, in order of first use."""
+
+    coordinates: NormalCoordinates
+    disks: tuple
+    boundaries: dict
+    arcs: dict
+    weights_per_edge: tuple[int, ...]
+
+
+def complex_reference(tri: Triangulation, coords) -> DictComplex:
+    """The dict complex of a valid coordinate vector, one arc use at a
+    time, its orbits read off `skeleton_reference` and its gluings off the
+    Gluing rows: each arc seen from its face orbit's representative slot,
+    the other slot mapped onto it by its gluing."""
+    coords = tuple(int(c) for c in coords)
+    weights = edge_weights_per_slot(tri, coords)
+    sk = skeleton_reference(tri)
+    face_orbit = sk.face_orbit.ravel().tolist()
+    face_first = sk.face_first.tolist()
+    edge_orbit = sk.edge_orbit.ravel().tolist()
+    edge_reversed = sk.edge_reversed.ravel().tolist()
+
+    def arc_use(tet: int, face: int, corner: int, n: int, start: int) -> ArcUse:
+        orbit = face_orbit[4 * tet + face]
+        rep = divmod(face_first[orbit], 4)
+        if (tet, face) != rep:
+            g = tri.gluings[tet][face]
+            if (g.tet, g.face) != rep:
+                raise ConsistencyCheckFailed(
+                    f"(tet {tet}, face {face}) does not glue to the representative "
+                    f"{rep} of its face orbit"
+                )
+            corner, start = g.perm[corner], g.perm[start]
+        x_rep = min(w for w in FACE_VERTICES[rep[1]] if w != corner)
+        return ArcUse((orbit, corner, n), 1 if start == x_rep else -1, (tet, face))
+
+    def crossing(tet: int, u: int, v: int, i: int) -> tuple[int, int]:
+        slot = 6 * tet + EDGE_BETWEEN[u][v]
+        m = weights[edge_orbit[slot]]
+        pos = i if u < v else m + 1 - i  # position along the ascending direction
+        return (edge_orbit[slot], m + 1 - pos if edge_reversed[slot] else pos)
+
+    def arc_crossings(orbit: int, rep_corner: int, n: int):
+        rep_tet, rep_face = divmod(face_first[orbit], 4)
+        x, y = sorted(w for w in FACE_VERTICES[rep_face] if w != rep_corner)
+        return crossing(rep_tet, rep_corner, x, n), crossing(rep_tet, rep_corner, y, n)
+
+    disks, boundaries, arcs = [], {}, {}
+    for disk, walk in disk_boundaries(coords):
+        cycle = tuple(arc_use(*arc) for arc in walk)
+        disks.append(disk)
+        boundaries[disk] = cycle
+        for use in cycle:
+            if use.arc not in arcs:
+                arcs[use.arc] = arc_crossings(*use.arc)
+    return DictComplex(coords, tuple(disks), boundaries, arcs, tuple(weights))
+
+
+def reconstruct_reference(tri: Triangulation, coords) -> ReconstructedSurface:
+    """`kneser.reconstruct.reconstruct` read off the dict complex: every arc
+    bounding exactly two disks, components and their orientability from a
+    `_UnionFind` 2-colouring of the disks, cell counts from sets, and the
+    same three cross-checks, the Euler characteristic checked against
+    `euler_per_slot`."""
+    complex_ = complex_reference(tri, coords)
+    coords = complex_.coordinates
+    incidences: dict = {a: [] for a in complex_.arcs}
+    for di, disk in enumerate(complex_.disks):
+        for use in complex_.boundaries[disk]:
+            incidences[use.arc].append((di, use.direction))
+    for aid, inc in incidences.items():
+        if len(inc) != 2:
+            raise ConsistencyCheckFailed(f"arc {aid} bounds {len(inc)} disks")
+    uf = _UnionFind(len(complex_.disks))
+    twisted = [d1 for (d1, s1), (d2, s2) in incidences.values() if not uf.union(d1, d2, s1 == s2)]
+    non_orientable = {uf.find(d)[0] for d in twisted}
+    ordered = sorted(uf.classes(), key=lambda g: complex_.disks[g[0]])
+
+    parts = []
+    for group in ordered:
+        disk_ids = [complex_.disks[i] for i in group]
+        comp_coords = [0] * (7 * tri.size)
+        for tet, kind, which, _copy in disk_ids:
+            comp_coords[tri_index(tet, which) if kind == "tri" else quad_index(tet, which)] += 1
+        arc_ids = {u.arc for disk in disk_ids for u in complex_.boundaries[disk]}
+        crossings = {c for aid in arc_ids for c in complex_.arcs[aid]}
+        parts.append(SurfaceComponent(
+            coordinates=tuple(comp_coords),
+            disk_count=len(disk_ids),
+            arc_count=len(arc_ids),
+            crossing_count=len(crossings),
+            euler_characteristic=len(crossings) - len(arc_ids) + len(disk_ids),
+            orientable=uf.find(group[0])[0] not in non_orientable,
+            vertex_linking=all(kind == "tri" for _, kind, _, _ in disk_ids),
+        ))
+
+    total_chi = sum(c.euler_characteristic for c in parts)
+    vtotal = len({c for ends in complex_.arcs.values() for c in ends})
+    etotal = len(complex_.arcs)
+    ftotal = len(complex_.disks)
+    if total_chi != vtotal - etotal + ftotal:
+        raise ConsistencyCheckFailed(
+            "component Euler characteristics disagree with the cell counts"
+        )
+    if total_chi != euler_per_slot(tri, coords):
+        raise ConsistencyCheckFailed(
+            "cell-count Euler characteristic disagrees with the coordinate formula"
+        )
+    split = [sum(c.coordinates[i] for c in parts) for i in range(7 * tri.size)]
+    if tuple(split) != coords:
+        raise ConsistencyCheckFailed("component coordinates do not sum to the surface")
+    return ReconstructedSurface(
+        coordinates=coords,
+        components=tuple(parts),
+        vertex_count=vtotal,
+        arc_count=etotal,
+        disk_count=ftotal,
+        euler_characteristic=total_chi,
+    )
+
+
+def disk_complex_reference(tri: Triangulation, coords) -> DiskComplex:
+    """The int-array complex converted from the dict complex, as
+    `kneser.surgery.cut_complex` converted it before the complex was stored
+    as arrays: disks (tet, offset, copy), arc uses (face orbit, corner, n,
+    direction, tet, face) disk after disk, and each use's two crossings
+    numbered along the edge orbits, orbit after orbit."""
+    complex_ = complex_reference(tri, coords)
+    first = list(itertools.accumulate(complex_.weights_per_edge, initial=0))
+    cycle_uses = [u for disk in complex_.disks for u in complex_.boundaries[disk]]
+    return DiskComplex(
+        coordinates=complex_.coordinates,
+        weights_per_edge=complex_.weights_per_edge,
+        disks=np.array(
+            [(tet, which + 4 * (kind == "quad"), c) for tet, kind, which, c in complex_.disks],
+            dtype=np.int64,
+        ).reshape(-1, 3),
+        uses=np.array(
+            [(*u.arc, u.direction, *u.face_slot) for u in cycle_uses], dtype=np.int64
+        ).reshape(-1, 6),
+        ends=np.array(
+            [[first[orbit] + slot - 1 for orbit, slot in complex_.arcs[u.arc]] for u in cycle_uses],
+            dtype=np.int64,
+        ).reshape(-1, 2),
+    )
 
 
 def tet_unionfind_reference(table) -> tuple[_UnionFind, tuple[int, int] | None]:
@@ -1388,10 +1566,10 @@ def reconstruct_sphere_witnesses(
     tri: Triangulation, solutions: list[NormalCoordinates]
 ) -> list[NormalCoordinates]:
     """The solutions whose reconstructed surface is a connected
-    non-vertex-linking 2-sphere, read off the full disk complex."""
+    non-vertex-linking 2-sphere, read off the full dict complex."""
     out = []
     for coords in solutions:
-        surface = reconstruct(tri, build_complex(tri, coords))
+        surface = reconstruct_reference(tri, coords)
         if (
             surface.connected
             and surface.euler_characteristic == 2
@@ -1401,11 +1579,13 @@ def reconstruct_sphere_witnesses(
     return out
 
 
-def complex_length(complex_: DiskComplex) -> float:
-    """Canonical-placement length read off the disk complex: each arc's
-    length from its count from the corner (ArcId[2]) and the weights of the
-    edge orbits of its two crossings, summed over every disk boundary, so
-    each arc twice, in the complex's disk and cycle order."""
+def complex_length(tri: Triangulation, coords) -> float:
+    """Canonical-placement length read off the dict complex
+    (`complex_reference`): each arc's length from its count from the
+    corner (n) and the weights of the edge orbits of its two crossings,
+    summed over every disk boundary, so each arc twice, in the complex's
+    disk and cycle order."""
+    complex_ = complex_reference(tri, coords)
     w = complex_.weights_per_edge
     arc_len = {
         aid: normal_arc_length(aid[2], w[c1[0]], w[c2[0]])
@@ -1421,13 +1601,12 @@ def complex_length(complex_: DiskComplex) -> float:
 def least_pl_area_reference(
     tri: Triangulation, candidates
 ) -> tuple[NormalCoordinates, PLArea]:
-    """Least PL area over every candidate, read off its disk complex, ties
+    """Least PL area over every candidate, read off its dict complex, ties
     within tolerance going to the lexicographically smaller vector."""
     best = None
     best_area = None
     for coords in sorted(candidates):
-        complex_ = build_complex(tri, coords)
-        area = PLArea(sum(complex_.weights_per_edge), complex_length(complex_))
+        area = PLArea(sum(edge_weights_per_slot(tri, coords)), complex_length(tri, coords))
         if best is None or area.less_than(best_area):
             best, best_area = coords, area
     return best, best_area

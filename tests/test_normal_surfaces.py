@@ -445,11 +445,10 @@ class TestReconstruct:
         seen = set()
         for tri in (corpus.rp3_two_tet(), corpus.rp3_octahedral(), corpus.s2xs1_two_tet()):
             for coords in enumerate_vertex_solutions(tri):
-                complex_ = build_complex(tri, coords)
-                surface = reconstruct(tri, complex_)
+                surface = reconstruct(tri, build_complex(tri, coords))
                 assert sorted(
                     (c.coordinates, c.orientable) for c in surface.components
-                ) == surface_orientability_reference(tri, complex_)
+                ) == surface_orientability_reference(tri, coords)
                 seen.update((c.euler_characteristic, c.orientable) for c in surface.components)
         assert {(1, False), (0, False), (0, True), (2, True)} <= seen
 
@@ -462,15 +461,14 @@ class TestReconstruct:
             if euler_from_coordinates(tri, coords) == 1
         )
         both = tuple(x + y for x, y in zip(rp2, vertex_link_coordinates(tri, 0)))
-        complex_ = build_complex(tri, both)
-        surface = reconstruct(tri, complex_)
+        surface = reconstruct(tri, build_complex(tri, both))
         assert sorted(
             (c.euler_characteristic, c.orientable) for c in surface.components
         ) == [(1, False), (2, True)]
         assert not surface.orientable
         assert sorted(
             (c.coordinates, c.orientable) for c in surface.components
-        ) == surface_orientability_reference(tri, complex_)
+        ) == surface_orientability_reference(tri, both)
 
     def test_euler_cross_check_raises(self, bd4, monkeypatch):
         from kneser.errors import ConsistencyCheckFailed

@@ -24,7 +24,14 @@ from kneser.reconstruct import build_complex, reconstruct
 from kneser.surgery import cap_boundary, crush, cut_and_cap, cut_complex
 from kneser.triangulation import BOUNDARY, S4, S4_ROW, validate, validate_arrays
 from kneser.vertex_enum import enumerate_vertex_solutions
-from oracles import crush_walk_reference, sympy_homology, vertex_link_coordinates
+from oracles import (
+    crush_walk_reference,
+    disk_complex_reference,
+    quad_constraint_per_tet,
+    reconstruct_reference,
+    sympy_homology,
+    vertex_link_coordinates,
+)
 from test_decomposition import _closed_corpus_files
 
 
@@ -152,19 +159,19 @@ def crushable_sphere(tri):
 class TestCapBoundary:
     def test_single_tet_caps_to_sphere(self):
         ball = validate([[None] * 4], require_closed=False)
-        capped = validate_arrays(cap_boundary(ball))
+        capped = validate_arrays(cap_boundary(ball.arrays))
         assert capped.closed and capped.orientable
         assert capped.size == 5
         assert homology(capped, 1).trivial
         assert homology(capped, 0).rank == 1
 
     def test_closed_input_unchanged(self, bd4):
-        capped = cap_boundary(bd4)
+        capped = cap_boundary(bd4.arrays)
         assert all(np.array_equal(a, b) for a, b in zip(capped, bd4.arrays))
 
     def test_torus_boundary_raises(self):
         with pytest.raises(ConsistencyCheckFailed, match="Euler characteristic 0"):
-            cap_boundary(validate(SOLID_TORUS, require_closed=False))
+            cap_boundary(validate(SOLID_TORUS, require_closed=False).arrays)
 
     def test_checks_survive_optimize_flag(self):
         # the torus boundary trips the chi == 2 check even with asserts off
@@ -174,7 +181,7 @@ class TestCapBoundary:
             "from kneser.triangulation import validate\n"
             "from test_surgery import SOLID_TORUS\n"
             "try:\n"
-            "    cap_boundary(validate(SOLID_TORUS, require_closed=False))\n"
+            "    cap_boundary(validate(SOLID_TORUS, require_closed=False).arrays)\n"
             "except ConsistencyCheckFailed:\n"
             "    print('raised', __debug__)\n"
         )
@@ -231,18 +238,25 @@ class TestCutAndCap:
         tri = corpus.s3_one_tet()
         for coords, _vl in sphere_solutions(tri):
             cut = cut_complex(tri, build_complex(tri, coords))
-            assert cut.orientable
+            assert validate_arrays(cut, require_closed=False).orientable
             pieces = cut_and_cap(tri, build_complex(tri, coords))
             assert all(homology(p, 1).trivial for p in pieces)
 
 
 def malformed_complexes(tri, coords):
-    """The complex of a sphere with its first disk removed, and with the
-    weight of edge orbit 0 one too large."""
+    """The complex of a sphere with its first disk removed, together with
+    that disk's arc uses, and with the weight of edge orbit 0 one too
+    large."""
     complex_ = build_complex(tri, coords)
     weights = complex_.weights_per_edge
+    uses = 3 if complex_.disks[0, 1] < 4 else 4
     return (
-        dataclasses.replace(complex_, disks=complex_.disks[1:]),
+        dataclasses.replace(
+            complex_,
+            disks=complex_.disks[1:],
+            uses=complex_.uses[uses:],
+            ends=complex_.ends[uses:],
+        ),
         dataclasses.replace(complex_, weights_per_edge=(weights[0] + 1, *weights[1:])),
     )
 
@@ -284,6 +298,66 @@ class TestCutComplexPairing:
         )
         proc = run_optimized(code)
         assert proc.stdout == "".join(f"{m} False\n" for m in MALFORMED_MESSAGES), proc.stderr
+
+
+def differential_cases():
+    """(tri, coords) for every vertex solution, and every sum of two
+    consecutive vertex solutions that keeps the quad constraint, of the
+    seven closed corpus tables that are not sums, of rp3#rp3 and of
+    bd4#rp3."""
+    rp3 = corpus.rp3_octahedral()
+    tables = [
+        getattr(corpus, name)()
+        for name in (
+            "s3_one_tet", "s3_two_tet", "rp3_two_tet", "l31_two_tet", "s2xs1_two_tet",
+            "bd4_simplex", "rp3_octahedral",
+        )
+    ] + [connected_sum(rp3, rp3), connected_sum(corpus.bd4_simplex(), rp3)]
+    for tri in tables:
+        solutions = enumerate_vertex_solutions(tri)
+        sums = [tuple(x + y for x, y in zip(a, b)) for a, b in zip(solutions, solutions[1:])]
+        for coords in solutions + [c for c in sums if quad_constraint_per_tet(c, tri.size)]:
+            yield tri, coords
+
+
+class TestArrayComplex:
+    """The int-array complex against the dict complex that `kneser.reconstruct`
+    stored before (`oracles.complex_reference`)."""
+
+    def test_matches_dict_complex(self):
+        """build_complex gives the arrays converted from the dict complex,
+        reconstruct gives the dict reconstruction, and cut_complex cuts
+        both the same, on surfaces with several components and
+        non-orientable ones among them."""
+        cases = several = twisted = 0
+        for tri, coords in differential_cases():
+            complex_ = build_complex(tri, coords)
+            reference = disk_complex_reference(tri, coords)
+            assert complex_.coordinates == reference.coordinates
+            assert complex_.weights_per_edge == reference.weights_per_edge
+            for name in ("disks", "uses", "ends"):
+                assert np.array_equal(getattr(complex_, name), getattr(reference, name)), name
+            surface = reconstruct(tri, complex_)
+            assert surface == reconstruct_reference(tri, coords), coords
+            for got, want in zip(cut_complex(tri, complex_), cut_complex(tri, reference)):
+                assert np.array_equal(got, want), coords
+            cases += 1
+            several += not surface.connected
+            twisted += not surface.orientable
+        assert (cases, several, twisted) == (457, 145, 169)
+
+    def test_lone_arc_named(self, bd4):
+        """An arc that bounds one disk is named as the dict reconstruction
+        named it: the first such arc of the walk."""
+        complex_, _ = malformed_complexes(bd4, crushable_sphere(bd4))
+        with pytest.raises(ConsistencyCheckFailed) as info:
+            reconstruct(bd4, complex_)
+        assert str(info.value) == "arc (0, 3, 1) bounds 1 disks"
+
+    def test_arrays_read_only(self, bd4):
+        complex_ = build_complex(bd4, vertex_link_coordinates(bd4, 0))
+        for array in (complex_.disks, complex_.uses, complex_.ends):
+            assert not array.flags.writeable
 
 
 class TestCrush:
@@ -394,8 +468,9 @@ class TestWalk:
 
 class TestValidateOnce:
     def test_each_table_validated_once(self, closed_corpus, validated_rows):
-        """crush validates only its pieces; cut_and_cap validates the cut
-        complex and its capped pieces, so each cut row twice in all."""
+        """crush and cut_and_cap validate only their pieces: the cut is
+        checked for structure and involution only, so each cut row is
+        validated once, in its capped piece."""
         tri = closed_corpus["sum_bd4_rp3"]
         nonvl = [c for c, vl in sphere_solutions(tri) if not vl]
         assert nonvl
@@ -405,10 +480,9 @@ class TestValidateOnce:
             pieces = crush(tri, complex_)
             assert sum(validated_rows) == sum(p.size for p in pieces)
 
-            cut_size = cut_complex(tri, complex_).size
             validated_rows.clear()
             pieces = cut_and_cap(tri, complex_)
-            assert sum(validated_rows) == cut_size + sum(p.size for p in pieces)
+            assert sum(validated_rows) == sum(p.size for p in pieces)
 
     def test_cut_and_cap_builds_no_rows(self, closed_corpus, row_calls):
         """cut_and_cap hands arrays from the cut to the caps to the split:
@@ -477,7 +551,7 @@ class TestBenchmarkAudit:
         assert len(audited) == 10
         digest = hashlib.sha256()
         for tri, complex_ in audited:
-            for column in cut_complex(tri, complex_).arrays:
+            for column in cut_complex(tri, complex_):
                 digest.update(np.ascontiguousarray(column, dtype=np.int64).tobytes())
         assert digest.hexdigest() == BENCHMARK_CUTS_SHA256
 
