@@ -235,7 +235,11 @@ def edge_weight_rows(tri: Triangulation, rows: Sequence[Sequence[int]]) -> np.nd
     (k, edge orbits) array in `_coordinate_array`'s dtype; raises
     InconsistentCrossings for the first vector, and in it the first orbit,
     whose slots disagree."""
-    x = _coordinate_array(tri, rows)
+    return _edge_weights(tri, _coordinate_array(tri, rows))
+
+
+def _edge_weights(tri: Triangulation, x: np.ndarray) -> np.ndarray:
+    """`edge_weight_rows` of the rows of `_coordinate_array`'s output."""
     sk = skeleton(tri)
     orbit = sk.edge_orbit.ravel()
     per_slot = x[:, coordinate_table(tri).edge_slots].sum(axis=1)
@@ -255,7 +259,7 @@ def euler_rows(tri: Triangulation, rows: Sequence[Sequence[int]]) -> np.ndarray:
     arcs, F = normal disks."""
     x = _coordinate_array(tri, rows)
     arcs = x @ coordinate_table(tri).arcs
-    return edge_weight_rows(tri, x).sum(axis=1) - arcs + x.sum(axis=1)
+    return _edge_weights(tri, x).sum(axis=1) - arcs + x.sum(axis=1)
 
 
 def check_coordinates(tri: Triangulation, coords: Sequence[int]) -> NormalCoordinates:

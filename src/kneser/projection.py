@@ -22,6 +22,9 @@ Omega the solid angle T cap D subtends at u.  Each triangle's plane frame
 (centre, triangle) pairs go in blocks, each with one triangle_distances
 pass that tells pairs on Q, near (closer than 2r) and far apart, and a
 near pair needs only the projections of its centre on the frame's axes.
+A near triangle whose vertices all lie in B_u lies inside D and costs one
+solid angle; only the triangles that cross the boundary of B_u, or lie
+within 1% of 2r of u, are clipped.
 boundary_projected_area is exact as well: it clips T to the cones from u
 over the faces of sigma0 and takes the shoelace area of each clipped
 polygon's image.  Nothing here integrates numerically.
@@ -51,6 +54,10 @@ K_COEFF = Fraction(32)
 PAIR_BLOCK = 4096
 # relative slack of the closed form's invariant checks, for rounding only
 _INVARIANT_SLACK = 1e-9
+# a triangle inside B_u but closer than this fraction of 2r to u still goes
+# through the clipped fan: next to an edge both kernels err by about
+# eps * 2r / dist, the one solid angle by tens of times more than the fan
+_WHOLE_MIN_DIST = 1e-2
 
 
 def simplex_planes() -> tuple[np.ndarray, np.ndarray]:
@@ -237,10 +244,17 @@ def projected_area(
     X and Y, and the plane's offset H = n . v0.  The (centre, triangle)
     pairs are taken in blocks of at most PAIR_BLOCK, each with one
     triangle_distances pass over all of its pairs.  A triangle 2r or more
-    from u contributes its area (pi_u is the identity there); a nearer one
-    gets _closed_form of its vertices relative to the foot of u,
-    X - u . e1 and Y - u . e2, and of the height s = u . n - H of u over
-    its plane.  The invariant checks of _closed_form raise
+    from u contributes its area (pi_u is the identity there).  A nearer
+    one is seen through its vertices relative to the foot of u,
+    X - u . e1 and Y - u . e2, and the height s = u . n - H of u over its
+    plane, which give the vertices' squared distances from u.  If all
+    three are below (2r)^2, T lies in the convex ball B_u, so inside D, and
+    _whole_triangle gives (2r)^2 |Omega(T)|: in exact arithmetic that is
+    _closed_form with every edge unclipped (clip parameters 0 and 1, no
+    sector terms).  In floating point both err by about eps 2r / dist next
+    to an edge of T, the one solid angle tens of times more, so it takes
+    only the pairs at least _WHOLE_MIN_DIST * 2r apart.  Every other near
+    pair gets _closed_form.  The invariant checks of both kernels raise
     JacobianBoundExceeded.
     """
     us = np.asarray(us, dtype=float)
@@ -289,9 +303,43 @@ def _pair_areas(config, centres, tris, area, n, e1, e2, x, y, h):
     xs = x[None] - _dot(c, e1[None])[:, :, None]
     ys = y[None] - _dot(c, e2[None])[:, :, None]
     s = _dot(c, n[None]) - h[None]
-    out[near] = _closed_form(config, xs[near], ys[near], s[near], out[near])
+    # squared distances of the vertices from u
+    d2 = xs * xs + ys * ys + (s * s)[:, :, None]
+    farthest = np.maximum(np.maximum(d2[:, :, 0], d2[:, :, 1]), d2[:, :, 2])
+    inside = (farthest < (2.0 * config.r) ** 2) & (dist >= _WHOLE_MIN_DIST * 2.0 * config.r)
+    for part, kernel in ((near & inside, _whole_triangle), (near & ~inside, _closed_form)):
+        if part.any():
+            out[part] = kernel(config, xs[part], ys[part], s[part], out[part])
     out[on_q] = math.nan
     return out
+
+
+def _whole_triangle(config, x, y, s, area):
+    """(2r)^2 |Omega(T)| for pairs whose triangle T lies inside the disk D,
+    in the frame of _closed_form.  Omega is the Van Oosterom-Strackee solid
+    angle 2 atan2(a.(b x c), |a||b||c| + (a.b)|c| + (a.c)|b| + (b.c)|a|) of
+    a, b, c = (x_i, y_i, -s), the vertices seen from u; a.(b x c) is -s
+    times twice the shoelace area of (x, y).  As in _closed_form, whose
+    area(T cap D) it is, the shoelace area must lie in [0, area(T)] up to
+    _INVARIANT_SLACK, or JacobianBoundExceeded is raised."""
+    twice = (
+        x[:, 0] * (y[:, 1] - y[:, 2])
+        + x[:, 1] * (y[:, 2] - y[:, 0])
+        + x[:, 2] * (y[:, 0] - y[:, 1])
+    )
+    half = 0.5 * twice
+    if not np.all((half >= -_INVARIANT_SLACK * area) & (half <= (1.0 + _INVARIANT_SLACK) * area)):
+        raise JacobianBoundExceeded(
+            "projected area of a triangle inside D broke 0 <= its shoelace "
+            "area <= area(T)"
+        )
+    s2 = (s * s)[:, None]
+    length = np.sqrt(x * x + y * y + s2)
+    nxt = [1, 2, 0]
+    # (a.b)|c|, (b.c)|a| and (c.a)|b|: vertex i with vertex i + 1
+    dots = (x * x[:, nxt] + y * y[:, nxt] + s2) * length[:, [2, 0, 1]]
+    den = length[:, 0] * length[:, 1] * length[:, 2] + dots[:, 0] + dots[:, 1] + dots[:, 2]
+    return (2.0 * config.r) ** 2 * np.abs(2.0 * np.arctan2(-s * twice, den))
 
 
 def _closed_form(config, x, y, s, area):
@@ -315,8 +363,15 @@ def _closed_form(config, x, y, s, area):
       -sign(s) phi (1 - |s|/2r).
     Pushing the boundary of T radially onto D keeps its winding number
     about every point inside D, so the fans sum to T cap D exactly.
+    projected_area sends here the triangles with a vertex outside B_u and
+    those closer to u than _WHOLE_MIN_DIST * 2r; for a triangle inside D
+    every piece is inside, both phi terms vanish, and the fans sum to the
+    one solid angle of _whole_triangle in exact arithmetic.
     """
     two_r = 2.0 * config.r
+    # a vertex at p given as -0.0 would make the sector angle of an empty
+    # piece atan2(0, -0) = pi; adding 0.0 turns -0.0 into 0.0
+    x, y = x + 0.0, y + 0.0
     # below 1e-150 the triangle terms underflow while the sector terms keep
     # sign(s); the true Omega is then below 1e-100, as u is 1e-12 off T
     s = np.where(np.abs(s) < 1e-150, 0.0, s)[:, None]

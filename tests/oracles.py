@@ -33,7 +33,11 @@ from a tiled copy of the triangle and took distances by the six-region
 closest-point test (`projected_area_reference`,
 `triangle_distances_reference`).  That quadrature (`_integrate_jacobian`, its
 7-point rule and its two constants) lives here now, and nothing in
-`kneser` integrates numerically.  The definition of a sphere witness by
+`kneser` integrates numerically.  A 50-digit mpmath Van Oosterom-Strackee
+solid angle (`solid_angle_mp`) referees the closed forms' accuracy near a
+triangle, and the sampler loop that drew one rejection attempt per
+Philox call (`ball_samples_reference`) is the reference for the batched
+`kneser.rng.ball_samples`.  The definition of a sphere witness by
 reconstruction, and the loop that computed the PL area of every witness,
 are kept as references for the linear rule and the least-weight shortcut
 in `kneser.decomposition`; that loop reads the length off the disk complex
@@ -77,6 +81,7 @@ from types import SimpleNamespace
 from math import gcd
 from typing import Sequence
 
+import mpmath
 import numpy as np
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
@@ -121,6 +126,7 @@ from kneser.projection import (
     triangle_distances,
 )
 from kneser.reconstruct import DiskComplex, ReconstructedSurface, SurfaceComponent
+from kneser.rng import _fold_seed, _to_unit, philox2x32
 from kneser.triangulation import (
     EDGE_BETWEEN,
     EDGE_VERTICES,
@@ -1424,6 +1430,32 @@ def polygon_projected_area(config, u, tris, sides: int = 4000) -> float:
     return total
 
 
+def solid_angle_mp(x, y, s, digits: int = 50) -> float:
+    """|Omega| of the triangle with vertices (x_i, y_i, -s) seen from the
+    origin, by the Van Oosterom-Strackee formula in `digits`-digit mpmath
+    arithmetic on the given floats, rounded to a float at the end."""
+    with mpmath.workdps(digits):
+        a = [mpmath.matrix([mpmath.mpf(float(x[i])), mpmath.mpf(float(y[i])), -mpmath.mpf(float(s))])
+             for i in range(3)]
+        norm = [mpmath.norm(v) for v in a]
+
+        def dot(p, q):
+            return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+        num = (
+            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            + a[0][1] * (a[1][2] * a[2][0] - a[1][0] * a[2][2])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+        )
+        den = (
+            norm[0] * norm[1] * norm[2]
+            + dot(a[0], a[1]) * norm[2]
+            + dot(a[0], a[2]) * norm[1]
+            + dot(a[1], a[2]) * norm[0]
+        )
+        return float(abs(2 * mpmath.atan2(num, den)))
+
+
 def triangle_distances_reference(p: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Euclidean distance from p to each closed flat triangle of an
     (n, 3, 3) batch, by the standard closest-point region tests.  p is one
@@ -1560,6 +1592,38 @@ def _closed_form_reference(config, u, tri, area):
             "or |Omega(T cap D)| <= 2 pi"
         )
     return area - inside + two_r ** 2 * np.abs(omega)
+
+
+def ball_samples_reference(seed: int, start: int, count: int, radius: float):
+    """kneser.rng.ball_samples one rejection attempt at a time, as it drew
+    them before it drew several per Philox call: (points, attempts), where
+    attempts[i] is the number of attempts sample i took."""
+    key = _fold_seed(seed)
+    out = np.zeros((count, 3))
+    attempts = np.zeros(count, dtype=np.int64)
+    pending = np.arange(count, dtype=np.int64)
+    attempt = 0
+    while pending.size:
+        idx = (pending + start).astype(np.uint32)
+        lo0 = np.full(pending.size, 2 * attempt, dtype=np.uint32)
+        a, b = philox2x32(lo0, idx, key)
+        c, _ = philox2x32(lo0 + np.uint32(1), idx, key)
+        xyz = np.stack(
+            [
+                2.0 * _to_unit(a) - 1.0,
+                2.0 * _to_unit(b) - 1.0,
+                2.0 * _to_unit(c) - 1.0,
+            ],
+            axis=1,
+        ) * radius
+        ok = np.sum(xyz * xyz, axis=1) < radius * radius
+        out[pending[ok]] = xyz[ok]
+        attempt += 1
+        attempts[pending[ok]] = attempt
+        pending = pending[~ok]
+        if attempt >= 64:
+            raise RuntimeError("ball rejection sampling failed to converge")
+    return out, attempts
 
 
 def reconstruct_sphere_witnesses(

@@ -229,8 +229,8 @@ class TestDecompose:
 
         def counted(real):
             def wrapper(*args):
-                # the first caller outside `normal`, whose one-row kernels
-                # and `euler_rows` call the batched one
+                # the first caller outside `normal`, whose one-row kernels,
+                # `edge_weight_rows` and `euler_rows` call the array kernel
                 frame = sys._getframe(1)
                 while frame.f_code.co_filename == normal.__file__:
                     frame = frame.f_back
@@ -238,7 +238,7 @@ class TestDecompose:
                 return real(*args)
             return wrapper
 
-        for real in (normal.edge_weight_rows, normal.weight):
+        for real in (normal._edge_weights, normal.weight):
             wrapper = counted(real)
             for name, module in list(sys.modules.items()):
                 if name.split(".")[0] != "kneser":
@@ -248,8 +248,8 @@ class TestDecompose:
                         monkeypatch.setattr(module, attr, wrapper)
         report = decompose(parse_tri(dict(CORPUS_FILES)["sum_bd4_rp3.tri"]()), oracle_check=True)
         assert report.crushes > 0 and report.enumerations > report.crushes
-        assert calls.count(("edge_weight_rows", "sphere_witnesses")) == report.enumerations
-        assert calls.count(("edge_weight_rows", "_least_candidate")) == report.crushes
+        assert calls.count(("_edge_weights", "sphere_witnesses")) == report.enumerations
+        assert calls.count(("_edge_weights", "_least_candidate")) == report.crushes
         assert not [c for c in calls if c[0] == "weight" and c[1] in (
             "sphere_witnesses", "_least_candidate"
         )]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kneser
@@ -39,11 +39,13 @@ from kneser.rng import ball_samples, philox2x32
 from oracles import (
     _integrate_jacobian,
     _subdivide,
+    ball_samples_reference,
     boundary_project,
     polygon_projected_area,
     projected_area_reference,
     quadrature_projected_area,
     shell_quadrature_k,
+    solid_angle_mp,
     triangle_distances_reference,
 )
 
@@ -214,29 +216,41 @@ class TestProjectedArea:
         with pytest.raises(ValueError, match="shape"):
             projected_area(CFG, np.zeros(3), corner_patch())
 
+    # halved triangle areas: the square of _near_flat_case lies inside the
+    # ball, and the shoelace area of each triangle, twice what the kernel is
+    # told, trips _whole_triangle; the square of _disk_crossing_case crosses
+    # the circle of D, and the fan's area(T cap D) exceeds the halved area
+    JACOBIAN_CASES = [
+        ("_near_flat_case", "shoelace area"),
+        ("_disk_crossing_case", "area\\(T cap D\\)"),
+    ]
+
     def test_jacobian_bound_violation_raises(self, monkeypatch):
-        # halved triangle areas: the square lies inside D, so the fan gives
-        # area(T cap D) = area(T), twice the area the kernel is told
         import kneser.projection as kp
 
         areas = kp._areas
-        monkeypatch.setattr(kp, "_areas", lambda t: 0.5 * areas(t))
-        with pytest.raises(JacobianBoundExceeded):
-            u, patch = _near_flat_case()
-            projected_area(CFG, u[None], patch)
+        for case, message in self.JACOBIAN_CASES:
+            u, patch = globals()[case]()
+            projected_area(CFG, u[None], patch)  # the true areas pass
+            with monkeypatch.context() as m:
+                m.setattr(kp, "_areas", lambda t: 0.5 * areas(t))
+                with pytest.raises(JacobianBoundExceeded, match=message):
+                    projected_area(CFG, u[None], patch)
 
     def test_jacobian_bound_survives_optimize_flag(self):
         code = (
+            "import re\n"
             "import kneser.projection as kp\n"
+            "import test_projection as tp\n"
             "from kneser.errors import JacobianBoundExceeded\n"
-            "from test_projection import CFG, _near_flat_case\n"
             "areas = kp._areas\n"
             "kp._areas = lambda t: 0.5 * areas(t)\n"
-            "try:\n"
-            "    u, patch = _near_flat_case()\n"
-            "    kp.projected_area(CFG, u[None], patch)\n"
-            "except JacobianBoundExceeded:\n"
-            "    print('raised', __debug__)\n"
+            "for case, message in tp.TestProjectedArea.JACOBIAN_CASES:\n"
+            "    u, patch = getattr(tp, case)()\n"
+            "    try:\n"
+            "        kp.projected_area(tp.CFG, u[None], patch)\n"
+            "    except JacobianBoundExceeded as exc:\n"
+            "        print('raised', __debug__, bool(re.search(message, str(exc))))\n"
         )
         here = Path(__file__).resolve().parent
         src = Path(kneser.__file__).resolve().parent.parent
@@ -247,7 +261,7 @@ class TestProjectedArea:
             cwd=str(here),
             env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{here}"},
         )
-        assert proc.stdout == "raised False\n", proc.stderr
+        assert proc.stdout == "raised False True\n" * 2, proc.stderr
 
     def test_paper_chain_inequality(self):
         """|pi_u(Q)|_2 <= |Q inter (sigma - B_u)|_2 + integral of the radial
@@ -391,6 +405,163 @@ class TestClosedForm:
             quad = np.array([quadrature_projected_area(cfg, u, patch) for u in us])
             assert np.median(np.abs(quad - closed) / closed) < 1e-5
             assert np.all(np.abs(quad - closed) <= 0.5 * closed)
+
+
+@st.composite
+def triangles_inside_ball(draw):
+    """(x, y, s, area): a triangle in the frame of _closed_form, its three
+    vertices inside B_u, counter-clockwise, at signed height s of u."""
+    two_r = 2 * CFG.r
+    s = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-3, 0.999)) * two_r
+    radius = math.sqrt(two_r ** 2 - s * s)
+    rho = np.array([draw(st.floats(0.0, 0.999)) for _ in range(3)]) * radius
+    theta = np.array([draw(st.floats(0.0, 2 * math.pi)) for _ in range(3)])
+    x, y = rho * np.cos(theta), rho * np.sin(theta)
+    twice = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
+    assume(abs(twice) > 1e-3 * radius ** 2)
+    if twice < 0:
+        x, y = x[[0, 2, 1]], y[[0, 2, 1]]
+    return x, y, s, 0.5 * abs(twice)
+
+
+def _kernel(kernel, x, y, s, area):
+    return float(kernel(CFG, x[None], y[None], np.array([s]), np.array([area]))[0])
+
+
+def _near_triangle_cases(kind, eps, count, seed):
+    """`count` triangles inside B_u in the frame of _closed_form, with u at
+    height eps over an interior point ("interior"), or at height eps over
+    the point eps outside an edge ("edge"); yields (x, y, s, area, dist),
+    dist the distance from u to T."""
+    two_r = 2 * CFG.r
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        if kind == "interior":
+            theta = rng.uniform(0, 2 * math.pi) + 2 * math.pi * np.arange(3) / 3
+            theta += rng.uniform(-0.5, 0.5, 3)
+            rho = rng.uniform(0.2, 0.95, 3) * two_r
+            x, y = rho * np.cos(theta), rho * np.sin(theta)
+            dist = eps
+        else:
+            rho = rng.uniform(0, 0.45, 3) * two_r
+            theta = rng.uniform(0, 2 * math.pi, 3)
+            x, y = rho * np.cos(theta), rho * np.sin(theta)
+            if (x[1] - x[0]) * (y[2] - y[0]) < (x[2] - x[0]) * (y[1] - y[0]):
+                x, y = x[[0, 2, 1]], y[[0, 2, 1]]
+            w = rng.uniform(0.1, 0.9)
+            dx, dy = x[1] - x[0], y[1] - y[0]
+            length = math.hypot(dx, dy)
+            # (dy, -dx) points out of the counter-clockwise edge 0 -> 1
+            x = x - (x[0] + w * dx + eps * dy / length)
+            y = y - (y[0] + w * dy - eps * dx / length)
+            dist = eps * math.sqrt(2.0)
+        twice = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
+        if twice > 1e-3 * two_r ** 2 and np.all(x * x + y * y + eps * eps < two_r ** 2):
+            made += 1
+            yield x, y, eps, 0.5 * twice, dist
+
+
+class TestWholeTriangle:
+    """_whole_triangle, the projected area of a triangle inside B_u, against
+    the clipped fan of _closed_form and a 50-digit solid angle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(triangles_inside_ball())
+    # a vertex at the foot p given as -0.0, which once made the fan's
+    # sector angle atan2(0, -0) = pi
+    @example((np.array([-0.0, 0.0078, 0.0199]), np.array([-0.0, 0.0027, 0.0261]),
+              -0.0194, 0.5 * (0.0078 * 0.0261 - 0.0199 * 0.0027)))
+    def test_agrees_with_clipped_fan(self, case):
+        import kneser.projection as kp
+
+        x, y, s, area = case
+        whole = _kernel(kp._whole_triangle, x, y, s, area)
+        fan = _kernel(kp._closed_form, x, y, s, area)
+        assert abs(whole - fan) <= 1e-11 * max(whole, area)
+
+    @pytest.mark.parametrize("kind", ["interior", "edge"])
+    @pytest.mark.parametrize("eps", [1e-11, 1e-10, 1e-9])
+    def test_accuracy_near_triangle(self, kind, eps):
+        # the clipped fan, which projected_area takes this close to T,
+        # against the exact solid angle of the same floats: just outside an
+        # edge it errs by up to 0.05 times 1e-15 * 2r / dist (300 triangles
+        # per band), so it is held to 1e-16 * 2r / dist
+        import kneser.projection as kp
+
+        two_r = 2 * CFG.r
+        for x, y, s, area, dist in _near_triangle_cases(kind, eps, 40, seed=5):
+            want = two_r ** 2 * solid_angle_mp(x, y, s)
+            bound = 1e-16 * two_r / dist * max(want, area)
+            assert abs(_kernel(kp._closed_form, x, y, s, area) - want) <= bound
+
+    @pytest.mark.parametrize("kind", ["interior", "edge"])
+    @pytest.mark.parametrize("frac", [1e-2, 3e-2, 1e-1])
+    def test_accuracy_whole_triangle(self, kind, frac):
+        # the one solid angle where projected_area takes it, u at least
+        # _WHOLE_MIN_DIST * 2r from T: just outside an edge it errs by up to
+        # 0.34 times 1e-15 * 2r / dist (300 triangles per band)
+        import kneser.projection as kp
+
+        two_r = 2 * CFG.r
+        assert frac >= kp._WHOLE_MIN_DIST
+        for x, y, s, area, dist in _near_triangle_cases(kind, frac * two_r, 40, seed=5):
+            want = two_r ** 2 * solid_angle_mp(x, y, s)
+            bound = 1e-15 * two_r / dist * max(want, area)
+            assert abs(_kernel(kp._whole_triangle, x, y, s, area) - want) <= bound
+
+    def test_pairs_split_by_vertices_in_ball(self, monkeypatch):
+        # every near pair goes to exactly one kernel, the pairs whose three
+        # vertices lie in B_u and that are _WHOLE_MIN_DIST * 2r or more from
+        # u to _whole_triangle; the centres just off each triangle's centroid
+        # are in the ball but too close for it
+        import kneser.projection as kp
+        from test_acceptance import corpus_patches
+
+        seen = {}
+
+        def counting(kernel):
+            def wrapped(config, x, y, s, area):
+                seen[kernel.__name__] = seen.get(kernel.__name__, 0) + len(s)
+                return kernel(config, x, y, s, area)
+            return wrapped
+
+        monkeypatch.setattr(kp, "_whole_triangle", counting(kp._whole_triangle))
+        monkeypatch.setattr(kp, "_closed_form", counting(kp._closed_form))
+        patch = TriangulatedPatch(corpus_patches()["square_tilted"])
+        tris = patch.triangles
+        off = tris.mean(axis=1)[::4] + 1e-4 * kp._unit_normals(tris)[::4]
+        us = np.vstack([ball_samples(7, 0, 200, CFG.r), off])
+        projected_area(CFG, us, patch)
+        two_r = 2 * CFG.r
+        dist = np.array([triangle_distances(u, tris) for u in us])
+        farthest = np.max(np.linalg.norm(tris[None] - us[:, None, None], axis=3), axis=2)
+        near = (dist < two_r) & (dist > 1e-12)
+        whole = near & (farthest < two_r) & (dist >= kp._WHOLE_MIN_DIST * two_r)
+        close = near & (farthest < two_r) & ~whole
+        assert seen["_whole_triangle"] == whole.sum()
+        assert seen["_closed_form"] == (near & ~whole).sum()
+        assert close.sum() >= len(off) and (near & (farthest >= two_r)).any()
+
+    def test_sliver_inside_ball(self):
+        # a sliver of area 3e-10 about 0.05 from u, whose shoelace area
+        # rounds to 2.1e-9 below area(T): as in the fan, only a shoelace area
+        # above area(T) breaks the invariant
+        import kneser.projection as kp
+
+        u = np.zeros(3)
+        tri = np.array([[
+            [0.006750731010304652, -0.0814461620694164, 0.00567578629837525],
+            [-0.03796761780555352, -0.00015189164672451544, 0.04297874698014259],
+            [-0.020080272990284333, -0.03266959698815729, 0.028057562885458506],
+        ]])
+        patch = TriangulatedPatch(tri)
+        area = float(kp._areas(tri)[0])
+        assert 2.9e-10 < area < 3.1e-10
+        assert triangle_distances(u, tri)[0] >= kp._WHOLE_MIN_DIST * 2 * CFG.r
+        got = projected_area(CFG, u[None], patch)[0]
+        want = projected_area_reference(CFG, u[None], patch)[0]
+        assert abs(got - want) <= 1e-8 * area
 
 
 CORPUS_PATCHES = ["sphere_small", "sphere_large", "square_center", "square_tilted", "corner"]
@@ -594,6 +765,14 @@ def _near_flat_case():
     """A centre and a flat square facing it from 0.01 above."""
     u = np.array([0.0, 0.0, CFG.r / 2])
     square = corpus.tilted_square_patch(u + [0, 0, 0.01], [0, 0, 1], 0.01)
+    return u, TriangulatedPatch(square)
+
+
+def _disk_crossing_case():
+    """A centre and a flat square 0.01 above it whose two triangles each
+    have a corner outside B_u and most of their area inside D."""
+    u = np.array([0.0, 0.0, CFG.r / 2])
+    square = corpus.tilted_square_patch(u + [0, 0, 0.01], [0, 0, 1], 0.12, refine=0)
     return u, TriangulatedPatch(square)
 
 
@@ -810,6 +989,31 @@ class TestRng:
             [ball_samples(9, i, 10, CFG.r) for i in range(0, 50, 10)]
         )
         assert np.array_equal(whole, parts)
+
+    @pytest.mark.parametrize(
+        "seed, start, count",
+        [(0, 0, 3000), (3, 17, 3000), (7, 1000, 300), (11, 2**32 - 40, 3000), (13, 2**32 - 9000, 20000)],
+    )
+    def test_bitwise_equal_to_one_attempt_at_a_time(self, seed, start, count):
+        # 300 samples take eight attempts each in their first round, 3000
+        # take one, and 20000 go in three slices, the second crossing the
+        # wrap of the 32-bit sample counter
+        got = ball_samples(seed, start, count, CFG.r)
+        want, attempts = ball_samples_reference(seed, start, count, CFG.r)
+        assert got.tobytes() == want.tobytes()
+        # some sample of each stream needs more than eight attempts
+        assert attempts.max() > 8
+
+    def test_single_samples_bitwise_equal(self):
+        # count 1, as find_good_center draws its centres, including a sample
+        # whose first eight attempts all fall outside the ball
+        _, attempts = ball_samples_reference(5, 0, 2000, 1.0)
+        late = int(np.argmax(attempts > 8))
+        assert attempts[late] > 8
+        for i in [0, 1, 2, late]:
+            got = ball_samples(5, i, 1, 1.0)
+            want, _ = ball_samples_reference(5, i, 1, 1.0)
+            assert got.tobytes() == want.tobytes()
 
     def test_inside_ball_and_spread(self):
         pts = ball_samples(1, 0, 2000, 1.0)
